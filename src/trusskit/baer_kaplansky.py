@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .endo import (
     EndoTruss,
     HeapMorphism,
@@ -31,13 +33,14 @@ from .endo import (
     heap_morphisms,
     heap_ternary,
 )
-from .errors import BoundExceeded, NotAHeapMorphism, NotAnIsomorphism, TrussKitError
+from .errors import NotAHeapMorphism, NotAnIsomorphism, TrussKitError
 from .groups import (
     AbGroup,
     Element,
     GroupHom,
     groups_isomorphic,
     group_to_json,
+    np_hom_images,
 )
 from .trusses import TrussMorphism, enumerate_truss_isos, truss_morphism_preserves
 
@@ -57,9 +60,7 @@ def _require_truss_iso(phi: TrussMorphism, max_enum: int | None) -> None:
         raise NotAnIsomorphism("morphism does not preserve the truss operations")
 
 
-def heap_iso_from_truss_iso(
-    phi: TrussMorphism, check: bool = True, max_enum: int | None = None
-) -> HeapMorphism:
+def heap_iso_from_truss_iso(phi: TrussMorphism, max_enum: int | None = None) -> HeapMorphism:
     """Extract the heap isomorphism G -> H inducing a truss isomorphism.
 
     Sends a to the value of Phi(constant at a) at zero; raises
@@ -67,8 +68,7 @@ def heap_iso_from_truss_iso(
     constant's image is not constant (impossible for genuine isomorphisms).
     """
     eg, eh = _endo_ends(phi)
-    if check:
-        _require_truss_iso(phi, max_enum)
+    _require_truss_iso(phi, max_enum)
     values = {}
     for a in eg.group.elements():
         image = eh.carrier[phi.mapping[eg.constant_index(a)]]
@@ -85,18 +85,28 @@ def heap_iso_from_truss_iso(
 
 
 def truss_iso_from_heap_iso(
-    hm: HeapMorphism, source: EndoTruss, target: EndoTruss
+    hm: HeapMorphism, source: EndoTruss, target: EndoTruss, max_enum: int | None = None
 ) -> TrussMorphism:
-    """Conjugation alpha -> hm o alpha o hm^{-1} as a truss isomorphism."""
+    """Conjugation alpha -> hm o alpha o hm^{-1} as a truss isomorphism.
+
+    For hm = (f, t) and alpha = (u, e) the conjugate is
+    (f u f^{-1}, f(e) + t - (f u f^{-1})(t)): each hom u is conjugated once,
+    on the generators, and the translations follow by table lookups.
+    """
     if hm.source != source.group or hm.target != target.group:
         raise ValueError("heap morphism does not run between the truss base groups")
     if not hm.is_isomorphism:
         raise NotAnIsomorphism("heap morphism is not bijective")
-    inv = hm.inverse()
-    mapping = tuple(
-        target.index_of(hm.compose(alpha).compose(inv)) for alpha in source.carrier
-    )
-    return TrussMorphism(source, target, mapping)
+    src, tgt = source.factored_tables(max_enum), target.factored_tables(max_enum)
+    f = np_hom_images([hm.linear], source.group, target.group)[0]
+    f_inv = np.argsort(f)
+    # generator images of f u f^{-1}, then their positions in the target family
+    conj = target.hom_positions(f[src.apply[:, f_inv[target._generators]]])
+    t = target.group.index(hm.translation)
+    shifted = tgt.gadd[f, t]  # f(e) + t
+    trans = tgt.gadd[shifted[None, :], tgt.gneg[tgt.apply[conj, t]][:, None]]
+    mapping = conj[:, None] * target._m + trans
+    return TrussMorphism(source, target, tuple(mapping.reshape(-1).tolist()))
 
 
 @dataclass(frozen=True)
@@ -157,20 +167,14 @@ def verify_baer_kaplansky(
     eg = build_endo_truss(g, max_enum)
     eh = build_endo_truss(h, max_enum)
     isos = heap_isos(g, h, max_enum)
-    conjugations = [truss_iso_from_heap_iso(hm, eg, eh) for hm in isos]
-
-    def extract(phi: TrussMorphism) -> HeapMorphism:
-        # re-validate preservation where the dense tables fit the cap; the
-        # roundtrip equalities below stay exact either way
-        try:
-            return heap_iso_from_truss_iso(phi, max_enum=max_enum)
-        except BoundExceeded:
-            return heap_iso_from_truss_iso(phi, check=False)
-
-    roundtrip = all(
-        extract(phi) == hm for phi, hm in zip(conjugations, isos)
-    )
+    conjugations = [truss_iso_from_heap_iso(hm, eg, eh, max_enum) for hm in isos]
+    # each extraction re-checks that its input preserves both operations
+    extracted = [heap_iso_from_truss_iso(phi, max_enum) for phi in conjugations]
+    roundtrip = extracted == list(isos)
     injective = len({phi.mapping for phi in conjugations}) == len(conjugations)
+
+    def conjugate(hm: HeapMorphism) -> tuple[int, ...]:
+        return truss_iso_from_heap_iso(hm, eg, eh, max_enum).mapping
 
     truss_iso_count: int | None
     enumerated = None
@@ -180,14 +184,13 @@ def verify_baer_kaplansky(
         enumerated = enumerate_truss_isos(eg, eh, max_enum)
         truss_iso_count = len(enumerated)
         roundtrip = roundtrip and all(
-            truss_iso_from_heap_iso(extract(phi), eg, eh).mapping == phi.mapping
+            conjugate(heap_iso_from_truss_iso(phi, max_enum)) == phi.mapping
             for phi in enumerated
         )
     else:
         truss_iso_count = None
         roundtrip = roundtrip and all(
-            truss_iso_from_heap_iso(extract(phi), eg, eh).mapping == phi.mapping
-            for phi in conjugations
+            conjugate(hm) == phi.mapping for hm, phi in zip(extracted, conjugations)
         )
 
     giso = groups_isomorphic(g, h)

@@ -16,10 +16,10 @@ takes the homomorphism family as a parameter.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,14 +29,12 @@ from .groups import (
     Element,
     GroupHom,
     compose_homs,
-    hom_add,
     hom_enumerate,
-    hom_sub,
     hom_ternary,
     identity_hom,
     invert_hom,
     np_add_table,
-    np_elements,
+    np_hom_images,
     zero_hom,
 )
 from .heaps import FiniteHeap
@@ -175,6 +173,21 @@ def heap_isos(g: AbGroup, h: AbGroup, max_enum: int | None = None) -> tuple[Heap
     return tuple(m for m in heap_morphisms(g, h, max_enum) if m.is_isomorphism)
 
 
+class FactoredTables(NamedTuple):
+    """Index tables of E(G) over a family of H homs of a group with m elements.
+
+    compose[a, b] and add[a, b] are the family positions of homs[a] o homs[b]
+    and homs[a] + homs[b]; apply[a, e] is the element index of homs[a](e);
+    gadd and gneg are the group's addition and negation.
+    """
+
+    compose: np.ndarray  # (H, H)
+    add: np.ndarray  # (H, H)
+    apply: np.ndarray  # (H, m)
+    gadd: np.ndarray  # (m, m)
+    gneg: np.ndarray  # (m,)
+
+
 @dataclass(frozen=True)
 class EndoTruss:
     """The truss of heap endomorphisms of a group built on a homomorphism family.
@@ -285,53 +298,85 @@ class EndoTruss:
     def _ternary_memo(self) -> dict:
         return {}
 
-    def _hom_tables(self, max_enum: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(compose, ternary, apply) tables at the homomorphism level."""
-        limit = resolve_max_enum(max_enum)
-        H = len(self.homs)
-        guard(H**3, limit, "homomorphism-level ternary table")
-        comp = np.empty((H, H), dtype=np.int64)
-        for a, b in itertools.product(range(H), repeat=2):
-            comp[a, b] = self._hom_index(compose_homs(self.homs[a], self.homs[b]))
-        tern = np.empty((H, H, H), dtype=np.int64)
-        for a, b in itertools.product(range(H), repeat=2):
-            d = hom_sub(self.homs[a], self.homs[b])
-            for c in range(H):
-                tern[a, b, c] = self._hom_index(hom_add(d, self.homs[c]))
-        apply = np.empty((H, self._m), dtype=np.int64)
-        for a in range(H):
-            f = self.homs[a]
-            for e in range(self._m):
-                apply[a, e] = self.group.index(f(self._elements[e]))
-        return comp, tern, apply
+    @cached_property
+    def _apply(self) -> np.ndarray:
+        """(H, |G|): element index of homs[a] applied to element b."""
+        return np_hom_images(self.homs, self.group, self.group)
+
+    @cached_property
+    def _generators(self) -> list[int]:
+        """Element indices of the cyclic generators, 1 in one coordinate."""
+        return [(1 % n) * s for n, s in zip(self.group.orders, self.group._strides)]
+
+    @cached_property
+    def _generator_images(self) -> np.ndarray:
+        """(H, rank): element indices of each hom's images of the generators."""
+        return self._apply[:, self._generators]
+
+    def hom_positions(self, images: np.ndarray) -> np.ndarray:
+        """Family positions of the homs whose generator images fill the last
+        axis of `images`; raises ValueError for a hom outside the family."""
+        family = self._generator_images
+        shape = images.shape[:-1]
+        rows = np.concatenate([family, images.reshape(math.prod(shape), family.shape[1])])
+        _, codes = np.unique(rows, axis=0, return_inverse=True)
+        codes = codes.reshape(-1)
+        pos = np.full(int(codes.max()) + 1, -1, dtype=np.int64)
+        pos[codes[: len(family)]] = np.arange(len(family))
+        out = pos[codes[len(family):]]
+        if (out < 0).any():
+            raise ValueError("homomorphism family is not closed under the required operation")
+        return out.reshape(shape)
+
+    def factored_tables(self, max_enum: int | None = None) -> FactoredTables:
+        """The small tables E(G) = G x homs is built from; guarded by the
+        larger of H^2 and |G|^2 before any cached copy is handed out."""
+        H, m = len(self.homs), self._m
+        guard(max(H, m) ** 2, resolve_max_enum(max_enum), f"factored tables of E({self.group})")
+        cached = self.__dict__.get("_factored_cache")
+        if cached is None:
+            gadd = np_add_table(self.group, max_enum)
+            gneg = np.nonzero(gadd == 0)[1]
+            apply, imgs = self._apply, self._generator_images
+            cached = FactoredTables(
+                compose=self.hom_positions(apply[:, imgs]),
+                add=self.hom_positions(gadd[imgs[:, None, :], imgs[None, :, :]]),
+                apply=apply,
+                gadd=gadd,
+                gneg=gneg,
+            )
+            self.__dict__["_factored_cache"] = cached
+        return cached
+
+    def _retract_tables(self, max_enum: int | None = None) -> tuple[np.ndarray, np.ndarray, int]:
+        """(mult, add, zero): the n x n multiplication table, the addition of
+        the retract at the zero constant, (u,a) + (v,b) = (u+v, a+b), and the
+        index of that zero constant. Guarded by n^2 before the cache is read."""
+        n, m = self.size, self._m
+        guard(n * n, resolve_max_enum(max_enum), f"multiplication and retract tables of a {n}-element endomorphism truss")
+        cached = self.__dict__.get("_retract_cache")
+        if cached is None:
+            ft = self.factored_tables(max_enum)
+            hi, ei = np.divmod(np.arange(n), m)
+            h1, h2, e1, e2 = hi[:, None], hi[None, :], ei[:, None], ei[None, :]
+            mult = ft.compose[h1, h2] * m + ft.gadd[ft.apply[h1, e2], e1]
+            add = ft.add[h1, h2] * m + ft.gadd[e1, e2]
+            cached = (mult, add, self._zero_hom_pos * m)
+            self.__dict__["_retract_cache"] = cached
+        return cached
 
     def _dense_tables(self, max_enum: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(mult, ternary) with [x,y,z] = x - y + z in the retract; guarded
+        by n^3 before the cache is read."""
+        n = self.size
+        guard(n**3, resolve_max_enum(max_enum), f"dense tables of a {n}-element endomorphism truss")
         cached = self.__dict__.get("_dense_cache")
-        if cached is not None:
-            return cached
-        limit = resolve_max_enum(max_enum)
-        n, m = self.size, self._m
-        guard(n**3, limit, f"dense tables of a {n}-element endomorphism truss")
-        comp, tern, apply = self._hom_tables(max_enum)
-        add_tab = np_add_table(self.group, max_enum)
-        elems = np_elements(self.group)
-        orders = np.array(self.group.orders, dtype=np.int64)
-        strides = np.array(self.group._strides, dtype=np.int64)
-        if self.group.rank:
-            diff3 = (elems[:, None, None, :] - elems[None, :, None, :] + elems[None, None, :, :]) % orders
-            etern = diff3 @ strides
-        else:
-            etern = np.zeros((1, 1, 1), dtype=np.int64)
-        idx = np.arange(n)
-        hi, ei = idx // m, idx % m
-        mult = comp[hi[:, None], hi[None, :]] * m + add_tab[
-            apply[hi[:, None], ei[None, :]], ei[:, None]
-        ]
-        tern_full = tern[hi[:, None, None], hi[None, :, None], hi[None, None, :]] * m + etern[
-            ei[:, None, None], ei[None, :, None], ei[None, None, :]
-        ]
-        self.__dict__["_dense_cache"] = (mult, tern_full)
-        return mult, tern_full
+        if cached is None:
+            mult, add, zero = self._retract_tables(max_enum)
+            neg = np.nonzero(add == zero)[1]
+            cached = (mult, add[add[:, neg]])
+            self.__dict__["_dense_cache"] = cached
+        return cached
 
     def finite_heap(self, max_enum: int | None = None) -> FiniteHeap:
         _, tern = self._dense_tables(max_enum)

@@ -362,6 +362,18 @@ def np_add_table(g: AbGroup, max_enum: int | None = None) -> np.ndarray:
     return sums @ strides
 
 
+def np_hom_images(homs: Sequence[GroupHom], g: AbGroup, h: AbGroup) -> np.ndarray:
+    """(len(homs), |g|) table: the index in h of each hom's image of each
+    element of g, in enumeration order."""
+    elems = np_elements(g).astype(np.uint64)
+    mats = np.array([f.matrix for f in homs], dtype=np.uint64).reshape(len(homs), h.rank, g.rank)
+    orders = np.array(h.orders, dtype=np.uint64)
+    # entries and coordinates are below 2**32, so each product fits in uint64
+    terms = (mats[:, None, :, :] * elems[None, :, None, :]) % orders[:, None]
+    coords = terms.sum(axis=-1) % orders
+    return (coords @ np.array(h._strides, dtype=np.uint64)).astype(np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class AbelianPresentation:
     """A coordinate chart for an abstractly given finite abelian group.

@@ -5,9 +5,11 @@ distributes over the ternary operation on both sides,
 
 Carriers may be given by dense tables (FiniteTruss) or by any object exposing
 the same indexed interface (size, ternary, mult, unit, _dense_tables); the
-endomorphism trusses built elsewhere plug in that way. Morphisms are total maps
-preserving both operations; units, when present, are not required to map to
-units (only heap + semigroup structure is preserved).
+endomorphism trusses built elsewhere plug in that way, and also expose
+`_retract_tables` (n x n multiplication and retract addition) for checks that
+need no n^3 table. Morphisms are total maps preserving both operations; units,
+when present, are not required to map to units (only heap + semigroup
+structure is preserved).
 """
 
 from __future__ import annotations
@@ -162,7 +164,7 @@ class TrussMorphism:
         mapping = tuple(int(x) for x in self.mapping)
         if len(mapping) != self.source.size:
             raise ValueError("mapping length differs from source carrier size")
-        if any(not 0 <= x < self.target.size for x in mapping):
+        if mapping and not (0 <= min(mapping) and max(mapping) < self.target.size):
             raise ValueError("mapping value outside target carrier")
         object.__setattr__(self, "mapping", mapping)
 
@@ -196,10 +198,26 @@ def is_truss_morphism(s, t, mapping) -> bool:
 
 
 def truss_morphism_preserves(tm: TrussMorphism, max_enum: int | None = None) -> bool:
-    """Vectorized check that a TrussMorphism preserves mult and ternary."""
-    sm, st = dense_tables(tm.source, max_enum)
-    tm_m, tm_t = dense_tables(tm.target, max_enum)
+    """Vectorized check that a TrussMorphism preserves mult and ternary.
+
+    When both ends expose `_retract_tables`, their carriers are abelian heaps
+    by construction (endomorphism trusses are), and a map between abelian
+    heaps preserves [a,b,c] = a - b + c iff x -> f(x) - f(0) is additive on
+    the retracts (Baer; Certaine): f(x + y) + f(0) = f(x) + f(y). That takes
+    n^2 lookups and no n^3 table. Other carriers, whose tables need not be
+    heaps, are checked on the dense tables.
+    """
+    s, t = tm.source, tm.target
     f = np.array(tm.mapping, dtype=np.int64)
+    if hasattr(s, "_retract_tables") and hasattr(t, "_retract_tables"):
+        sm, sa, s0 = s._retract_tables(max_enum)
+        tm_m, ta, _ = t._retract_tables(max_enum)
+        pairs = f[:, None] * t.size + f[None, :]  # flat index of (f(x), f(y))
+        if (f[sm] != tm_m.take(pairs)).any():
+            return False
+        return not (ta[:, f[s0]][f[sa]] != ta.take(pairs)).any()
+    sm, st = dense_tables(s, max_enum)
+    tm_m, tm_t = dense_tables(t, max_enum)
     if (f[sm] != tm_m[f[:, None], f[None, :]]).any():
         return False
     return not (f[st] != tm_t[f[:, None, None], f[None, :, None], f[None, None, :]]).any()

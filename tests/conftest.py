@@ -4,7 +4,10 @@ identities, nothing else."""
 
 import itertools
 
+import numpy as np
+
 from trusskit import AbGroup
+from trusskit.trusses import dense_tables
 
 
 def all_value_tables(g: AbGroup, h: AbGroup):
@@ -43,3 +46,22 @@ def brute_force_group_iso_exists(g: AbGroup, h: AbGroup) -> bool:
         ):
             return True
     return False
+
+
+def dense_preserves(tm, max_enum: int = 10**9) -> bool:
+    """Preservation of mult and ternary checked entry by entry on the dense
+    (n^2, n^3) tables, for carriers of any kind."""
+    sm, st = dense_tables(tm.source, max_enum)
+    tm_m, tm_t = dense_tables(tm.target, max_enum)
+    f = np.array(tm.mapping, dtype=np.int64)
+    if (f[sm] != tm_m[f[:, None], f[None, :]]).any():
+        return False
+    return not (f[st] != tm_t[f[:, None, None], f[None, :, None], f[None, None, :]]).any()
+
+
+def conjugate_by_composition(hm, source, target) -> tuple[int, ...]:
+    """Conjugation alpha -> hm o alpha o hm^{-1}, one heap-morphism
+    composition per carrier element; raises ValueError when a conjugate falls
+    outside the target's homomorphism family."""
+    inv = hm.inverse()
+    return tuple(target.index_of(hm.compose(alpha).compose(inv)) for alpha in source.carrier)

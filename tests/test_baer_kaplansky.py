@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from conftest import conjugate_by_composition
 
 from trusskit import (
     NotAnIsomorphism,
@@ -25,6 +26,8 @@ from trusskit import (
     verify_baer_kaplansky,
     witness_from_truss_iso,
 )
+from trusskit.modules import build_linear_endo_truss, regular_module
+from trusskit.rings import make_field_fp, make_product_ring
 from trusskit.trusses import TrussMorphism, dense_tables
 
 Z2 = make_group([2])
@@ -225,3 +228,35 @@ def test_surjective_semigroup_morphisms_preserve_constants():
     cs = set(E2.constant_indices)
     for cand in found:
         assert {cand[i] for i in cs} <= cs
+
+
+@pytest.mark.parametrize(
+    "left,right", [("6", "2,3"), ("2,2", "2,2"), ("8", "8"), ("9", "9"), ("12", "12"), ("2,4", "2,4"), ("16", "16")]
+)
+def test_conjugation_agrees_with_per_element_composition(left, right):
+    g, h = parse_group_spec(left), parse_group_spec(right)
+    s, t = build_endo_truss(g), build_endo_truss(h)
+    isos = heap_isos(g, h)
+    assert isos
+    for hm in isos:
+        assert truss_iso_from_heap_iso(hm, s, t).mapping == conjugate_by_composition(hm, s, t)
+
+
+def test_conjugation_on_linear_endo_truss_agrees_with_per_element_composition():
+    # End of F2 x F2 as a module over itself has 4 linear homs on Z/2 x Z/2;
+    # a heap iso whose linear part does not normalise them conjugates out of
+    # the family, and both routes must then refuse
+    field = make_field_fp(2)
+    e = build_linear_endo_truss(regular_module(make_product_ring(field, field)))
+    assert len(e.homs) == 4
+    kept = 0
+    for hm in heap_isos(e.group, e.group):
+        try:
+            expected = conjugate_by_composition(hm, e, e)
+        except ValueError:
+            with pytest.raises(ValueError):
+                truss_iso_from_heap_iso(hm, e, e)
+            continue
+        assert truss_iso_from_heap_iso(hm, e, e).mapping == expected
+        kept += 1
+    assert 0 < kept < len(heap_isos(e.group, e.group))

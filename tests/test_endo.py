@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trusskit import (
+    BoundExceeded,
     EndoTruss,
     HeapMorphism,
     NotAHeapMorphism,
@@ -188,6 +189,13 @@ def test_dense_tables_agree_with_on_demand_operations():
         for j in range(0, e.size, 5):
             for k in range(0, e.size, 5):
                 assert int(tern[i, j, k]) == e.ternary(i, j, k)
+
+
+def test_dense_cache_does_not_bypass_the_cap():
+    e = build_endo_truss(make_group([12]))  # n = 144, n^3 over the default cap
+    e._dense_tables(10**9)
+    with pytest.raises(BoundExceeded):
+        e._dense_tables()
 
 
 def test_family_missing_zero_raises_on_constants():

@@ -1,21 +1,27 @@
 import itertools
+import random
 
 import pytest
+from conftest import dense_preserves
 
 from trusskit import (
     FiniteTruss,
     build_endo_truss,
     enumerate_truss_isos,
     enumerate_truss_morphisms,
+    heap_isos,
     identity_truss_morphism,
     is_truss_morphism,
     left_absorbers,
     make_group,
     make_ring_zn,
+    parse_group_spec,
     ring_as_truss,
+    truss_iso_from_heap_iso,
     truss_morphism_preserves,
     validate_truss,
 )
+from trusskit.trusses import TrussMorphism
 
 # count of truss endomorphisms of E(Z/2) among all 4^4 maps, frozen from the
 # exhaustive oracle (re-derived below against the plain-loop checker)
@@ -124,3 +130,61 @@ def test_truss_json_roundtrip():
         FiniteTruss.from_json_dict({"size": 2, "ternary": [0] * 8})
     with pytest.raises(ValueError):
         FiniteTruss(t.heap, (0,) * 5)
+
+
+# isomorphic pairs whose endomorphism trusses have at most 100 elements
+CONJUGATION_PAIRS = [
+    ("", ""), ("1", "1,1"), ("2", "2"), ("3", "3"), ("4", "4"), ("2,2", "2,2"),
+    ("5", "5"), ("6", "2,3"), ("3,2", "6"), ("7", "7"), ("8", "8"), ("9", "9"),
+    ("10", "2,5"),
+]
+
+
+def _mutations(mapping, n, rng):
+    """The map itself, the map with two images swapped, and the map with one
+    image changed."""
+    swapped, changed = list(mapping), list(mapping)
+    i, j = rng.sample(range(len(mapping)), 2) if len(mapping) > 1 else (0, 0)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    k = rng.randrange(len(mapping))
+    changed[k] = (changed[k] + rng.randrange(1, n)) % n if n > 1 else 0
+    return [tuple(mapping), tuple(swapped), tuple(changed)]
+
+
+@pytest.mark.parametrize("left,right", CONJUGATION_PAIRS)
+def test_structural_preservation_agrees_with_dense_on_conjugations(left, right):
+    rng = random.Random(f"{left}/{right}")
+    g, h = parse_group_spec(left), parse_group_spec(right)
+    s, t = build_endo_truss(g), build_endo_truss(h)
+    assert s.size <= 100
+    verdicts = []
+    for hm in heap_isos(g, h):
+        conj = truss_iso_from_heap_iso(hm, s, t)
+        for mapping in _mutations(conj.mapping, t.size, rng):
+            tm = TrussMorphism(s, t, mapping)
+            verdict = truss_morphism_preserves(tm)
+            assert verdict == dense_preserves(tm), mapping
+            verdicts.append(verdict)
+    assert verdicts[0::3] == [True] * (len(verdicts) // 3)
+    if s.size > 1:
+        assert not all(verdicts)
+
+
+@pytest.mark.parametrize("left,right", [("2", "3"), ("2", "4"), ("3", "2"), ("2", "2,2")])
+def test_structural_preservation_agrees_with_dense_across_sizes(left, right):
+    # maps between trusses of different sizes: every truss morphism, every
+    # constant map, and the mutations of each
+    rng = random.Random(f"{left}/{right}")
+    s = build_endo_truss(parse_group_spec(left))
+    t = build_endo_truss(parse_group_spec(right))
+    maps = [(c,) * s.size for c in range(t.size)]
+    if t.size**s.size <= 10**6:
+        maps += [m.mapping for m in enumerate_truss_morphisms(s, t)]
+    verdicts = set()
+    for base in maps:
+        for mapping in _mutations(base, t.size, rng):
+            tm = TrussMorphism(s, t, mapping)
+            verdict = truss_morphism_preserves(tm)
+            assert verdict == dense_preserves(tm), mapping
+            verdicts.add(verdict)
+    assert verdicts == {True, False}

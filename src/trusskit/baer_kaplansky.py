@@ -166,6 +166,11 @@ def verify_baer_kaplansky(
     """
     eg = build_endo_truss(g, max_enum)
     eh = build_endo_truss(h, max_enum)
+    giso = groups_isomorphic(g, h)
+    if giso:
+        # every extraction needs the n x n tables: refuse an over-cap pair
+        # before any isomorphism or conjugation is built
+        eg._retract_guard(max_enum)
     isos = heap_isos(g, h, max_enum)
     conjugations = [truss_iso_from_heap_iso(hm, eg, eh, max_enum) for hm in isos]
     # each extraction re-checks that its input preserves both operations
@@ -193,7 +198,6 @@ def verify_baer_kaplansky(
             conjugate(hm) == phi.mapping for hm, phi in zip(extracted, conjugations)
         )
 
-    giso = groups_isomorphic(g, h)
     consistent = injective and roundtrip and (giso == (len(isos) > 0))
     if truss_iso_count is not None:
         consistent = consistent and (giso == (truss_iso_count > 0))

@@ -157,20 +157,25 @@ def decompose(
     return HeapMorphism(linear, translation)
 
 
+def _guarded_homs(g: AbGroup, h: AbGroup, max_enum: int | None) -> tuple[GroupHom, ...]:
+    """Hom(g, h), once the |Hom(g, h)| * |h| heap morphisms fit the cap."""
+    homs = hom_enumerate(g, h, max_enum)
+    guard(len(homs) * h.cardinality, resolve_max_enum(max_enum), f"heap morphisms {g} -> {h}")
+    return homs
+
+
 def heap_morphisms(g: AbGroup, h: AbGroup, max_enum: int | None = None) -> tuple[HeapMorphism, ...]:
     """All heap morphisms g -> h as (hom, translation) pairs, hom-major order."""
-    limit = resolve_max_enum(max_enum)
-    homs = hom_enumerate(g, h, max_enum)
-    guard(len(homs) * h.cardinality, limit, f"heap morphisms {g} -> {h}")
     return tuple(
-        HeapMorphism(hom, trans) for hom in homs for trans in h.elements()
+        HeapMorphism(hom, trans) for hom in _guarded_homs(g, h, max_enum) for trans in h.elements()
     )
 
 
 def heap_isos(g: AbGroup, h: AbGroup, max_enum: int | None = None) -> tuple[HeapMorphism, ...]:
-    """The bijective heap morphisms; count is |h| times the number of group
-    isomorphisms g -> h."""
-    return tuple(m for m in heap_morphisms(g, h, max_enum) if m.is_isomorphism)
+    """The bijective heap morphisms, in the order of `heap_morphisms`; count
+    is |h| times the number of group isomorphisms g -> h."""
+    isos = [hom for hom in _guarded_homs(g, h, max_enum) if hom.is_bijective]
+    return tuple(HeapMorphism(hom, trans) for hom in isos for trans in h.elements())
 
 
 class FactoredTables(NamedTuple):
@@ -348,12 +353,17 @@ class EndoTruss:
             self.__dict__["_factored_cache"] = cached
         return cached
 
+    def _retract_guard(self, max_enum: int | None = None) -> None:
+        """Raise BoundExceeded when the n x n tables exceed the cap."""
+        n = self.size
+        guard(n * n, resolve_max_enum(max_enum), f"multiplication and retract tables of a {n}-element endomorphism truss")
+
     def _retract_tables(self, max_enum: int | None = None) -> tuple[np.ndarray, np.ndarray, int]:
         """(mult, add, zero): the n x n multiplication table, the addition of
         the retract at the zero constant, (u,a) + (v,b) = (u+v, a+b), and the
         index of that zero constant. Guarded by n^2 before the cache is read."""
         n, m = self.size, self._m
-        guard(n * n, resolve_max_enum(max_enum), f"multiplication and retract tables of a {n}-element endomorphism truss")
+        self._retract_guard(max_enum)
         cached = self.__dict__.get("_retract_cache")
         if cached is None:
             ft = self.factored_tables(max_enum)

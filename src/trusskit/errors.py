@@ -1,4 +1,5 @@
-"""Exceptions and enumeration guards shared across the package."""
+"""Exceptions, enumeration guards and JSON input checks shared across the
+package."""
 
 from __future__ import annotations
 
@@ -48,3 +49,17 @@ def resolve_max_enum(value: int | None) -> int:
 def guard(needed: int, limit: int, what: str) -> None:
     if needed > limit:
         raise BoundExceeded(what, needed, limit)
+
+
+def json_int(value, what: str) -> int:
+    """`value` if it is a JSON integer (not a boolean), else ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {type(value).__name__}")
+    return value
+
+
+def json_ints(value, what: str) -> tuple[int, ...]:
+    """`value` as a tuple if it is a JSON list of integers, else ValueError."""
+    if type(value) is not list or not all(type(x) is int for x in value):
+        raise ValueError(f"{what} must be a list of integers")
+    return tuple(value)

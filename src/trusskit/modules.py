@@ -32,6 +32,7 @@ from .errors import (
     InvalidEquivalence,
     NotAnIsomorphism,
     guard,
+    json_ints,
     resolve_max_enum,
 )
 from .groups import (
@@ -103,7 +104,8 @@ class RModule:
         mod = data["module"]
         if not isinstance(mod, dict) or not {"orders", "action"} <= set(mod):
             raise ValueError("'module' must carry 'orders' and 'action'")
-        return cls(ring, make_group(mod["orders"]), tuple(mod["action"]))
+        group = make_group(json_ints(mod["orders"], "module 'orders'"))
+        return cls(ring, group, json_ints(mod["action"], "module 'action'"))
 
 
 def make_module(

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import guard, resolve_max_enum
+from .errors import guard, json_ints, resolve_max_enum
 from .groups import AbGroup, Element, _prime_factors, make_group, np_add_table
 from .heaps import heap_from_group
 from .trusses import FiniteTruss
@@ -74,8 +74,9 @@ class FiniteRing:
     def from_json_dict(cls, data: dict) -> "FiniteRing":
         if not isinstance(data, dict) or not {"orders", "mult", "one"} <= set(data):
             raise ValueError("ring JSON must carry 'orders', 'mult' and 'one'")
-        additive = make_group(data["orders"])
-        return cls(additive, tuple(data["mult"]), tuple(int(x) for x in data["one"]))
+        additive = make_group(json_ints(data["orders"], "ring 'orders'"))
+        mult = json_ints(data["mult"], "ring 'mult'")
+        return cls(additive, mult, json_ints(data["one"], "ring 'one'"))
 
 
 def make_ring(

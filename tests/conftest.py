@@ -65,3 +65,32 @@ def conjugate_by_composition(hm, source, target) -> tuple[int, ...]:
     outside the target's homomorphism family."""
     inv = hm.inverse()
     return tuple(target.index_of(hm.compose(alpha).compose(inv)) for alpha in source.carrier)
+
+
+def scan_heap_associativity(T: np.ndarray):
+    """The lexicographically first (a,b,c,d,e) with [[a,b,c],d,e] !=
+    [a,b,[c,d,e]] in a dense ternary table, or None: all n^5 cases."""
+    n = T.shape[0]
+    rows = np.arange(n)
+    for a in range(n):
+        Ta = T[a]
+        left = T[Ta]  # [b,c,d,e] -> T[Ta[b,c], d, e]
+        right = Ta[rows[:, None, None, None], T[None, :, :, :]]  # Ta[b, T[c,d,e]]
+        bad = left != right
+        if bad.any():
+            return (a,) + tuple(int(x) for x in np.argwhere(bad)[0])
+    return None
+
+
+def scan_distributivity(M: np.ndarray, T: np.ndarray, side: str):
+    """The lexicographically first (d,a,b,c) with d*[a,b,c] != [da,db,dc]
+    (side "left") or [a,b,c]*d != [ad,bd,cd] (side "right"), or None: all
+    n^4 cases."""
+    for d in range(M.shape[0]):
+        Md = M[d] if side == "left" else M[:, d]
+        lhs = Md[T]
+        rhs = T[Md[:, None, None], Md[None, :, None], Md[None, None, :]]
+        bad = lhs != rhs
+        if bad.any():
+            return (d,) + tuple(int(x) for x in np.argwhere(bad)[0])
+    return None

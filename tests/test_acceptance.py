@@ -75,8 +75,8 @@ def test_criterion_1_axiom_suites():
             endo = ENDO[g.orders]
             truss_report = validate_truss(endo)
             assert truss_report.passed
-            # the truss laws themselves are exhaustive at every carrier size;
-            # the underlying heap's quintuple scan samples above the size cap
+            # every law is exhaustive at every carrier size; the heap and
+            # distributivity laws are certified through the retract in n^3
             for law in TRUSS_LAWS:
                 assert truss_report.check(law).exhaustive
             end_count = brute_force_hom_count(g, g)

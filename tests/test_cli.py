@@ -1,5 +1,14 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import trusskit.baer_kaplansky
 from trusskit.cli import main
 
 
@@ -174,3 +183,108 @@ def test_validate_detects_broken_table_file(tmp_path, capsys):
     code, out, _ = run(capsys, "validate", "--truss", str(path))
     assert code == 1
     assert "[FAIL]" in out
+
+
+@pytest.mark.parametrize(
+    "left,right,cap,n",
+    [("2,2", "2,2", "1000", 64), ("4,4", "4,4", None, 4096), ("2,2,2", "2,2,2", None, 4096)],
+)
+def test_bk_refuses_over_cap_tables_before_conjugating(capsys, monkeypatch, left, right, cap, n):
+    def no_conjugation(*args, **kwargs):
+        raise AssertionError("conjugated before the cap was checked")
+
+    monkeypatch.setattr(trusskit.baer_kaplansky, "truss_iso_from_heap_iso", no_conjugation)
+    argv = ["bk", left, right, "--json"] + ([] if cap is None else ["--max-enumeration", cap])
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == (
+        f"error: multiplication and retract tables of a {n}-element endomorphism truss "
+        f"would enumerate {n * n} objects; cap is {cap or 1000000} (raise max_enum to override)\n"
+    )
+
+
+def test_bk_non_isomorphic_pair_is_not_refused(capsys):
+    # 2,2,2 and 2,4 are not isomorphic: no conjugation, no n x n tables, exit 0
+    code, out, _ = run(capsys, "bk", "2,2,2", "2,4", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["groups_isomorphic"] is False and data["consistent"] is True
+
+
+# garbage JSON for the validate table loaders: arbitrary values, and
+# well-shaped tables of random content, whole or with one field (at any
+# depth) replaced by an arbitrary value
+_leaf = st.none() | st.booleans() | st.integers(-3, 40) | st.integers() | st.floats(
+    allow_nan=False, allow_infinity=False
+) | st.text(max_size=3)
+_KEYS = ["size", "ternary", "mult", "unit", "ring", "module", "orders", "action", "one"]
+_any = st.recursive(
+    _leaf,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=2), inner, max_size=5),
+    max_leaves=12,
+)
+
+
+def _entries(count, bound):
+    return st.lists(st.integers(0, bound - 1), min_size=count, max_size=count)
+
+
+def _heap_doc(n):
+    return st.fixed_dictionaries({"size": st.just(n), "ternary": _entries(n**3, n)})
+
+
+def _truss_doc(n):
+    return st.fixed_dictionaries({
+        "size": st.just(n),
+        "ternary": _entries(n**3, n),
+        "mult": _entries(n**2, n),
+        "unit": st.none() | st.integers(0, n - 1),
+    })
+
+
+def _module_doc(p, q):
+    ring = st.fixed_dictionaries({"orders": st.just([p]), "mult": _entries(p * p, p), "one": _entries(1, p)})
+    module = st.fixed_dictionaries({"orders": st.just([q]), "action": _entries(p * q, q)})
+    return st.fixed_dictionaries({"ring": ring, "module": module})
+
+
+def _spoiled(doc):
+    def at(key):
+        inner = _spoiled(doc[key]) if isinstance(doc[key], dict) else st.nothing()
+        return (_any | inner).map(lambda value: {**doc, key: value})
+
+    return st.sampled_from(sorted(doc)).flatmap(at)
+
+
+def _garbage(shaped):
+    return _any | shaped | shaped.flatmap(_spoiled)
+
+
+_sizes = st.integers(1, 3)
+_DOCS = {
+    "--heap": _garbage(_sizes.flatmap(_heap_doc)),
+    "--truss": _garbage(_sizes.flatmap(_truss_doc)),
+    "--module": _garbage(st.tuples(_sizes, _sizes).flatmap(lambda pq: _module_doc(*pq))),
+}
+
+
+@pytest.mark.parametrize("flag", list(_DOCS))
+def test_validate_garbage_json_exits_cleanly(flag):
+    @settings(max_examples=150, deadline=None)
+    @given(_DOCS[flag])
+    def check(doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "doc.json"
+            path.write_text(json.dumps(doc))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["validate", flag, str(path), "--json"])
+        assert code in (0, 1, 2, 3), code
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
+        if code in (0, 1):
+            results = json.loads(out.getvalue())["results"]
+            assert any(r["passed"] is False for r in results) == (code == 1)
+
+    check()

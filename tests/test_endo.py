@@ -20,6 +20,7 @@ from trusskit import (
     left_absorbers,
     make_group,
     groups_isomorphic,
+    parse_group_spec,
 )
 from trusskit.groups import GroupHom
 
@@ -239,3 +240,14 @@ def test_morphism_level_heap_axioms(data):
     assert heap_ternary(a, b, c) == heap_ternary(c, b, a)
     assert heap_ternary(heap_ternary(a, b, c), d, x) == heap_ternary(a, b, heap_ternary(c, d, x))
     assert a.compose(b).compose(c) == a.compose(b.compose(c))
+
+
+@pytest.mark.parametrize(
+    "left,right",
+    [("2", "2"), ("4", "2,2"), ("6", "2,3"), ("2,2", "2,2"), ("8", "8"), ("2,4", "2,4"),
+     ("9", "3,3"), ("12", "12"), ("3", "1,3")],
+)
+def test_heap_isos_match_filtered_heap_morphisms(left, right):
+    g, h = parse_group_spec(left), parse_group_spec(right)
+    filtered = tuple(m for m in heap_morphisms(g, h) if m.is_isomorphism)
+    assert heap_isos(g, h) == filtered

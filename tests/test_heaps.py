@@ -1,13 +1,17 @@
+import numpy as np
 import pytest
+from conftest import scan_heap_associativity
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trusskit.heaps
 from trusskit import (
     FiniteHeap,
     heap_from_group,
     is_abelian_heap,
     is_valid_heap,
     make_group,
+    parse_group_spec,
     retract_at,
     retract_iso,
     validate_heap,
@@ -64,13 +68,23 @@ def test_validator_rejects_every_single_mutation_z4():
             assert not validate_heap(FiniteHeap(4, tuple(mutated))).passed
 
 
-def test_sampled_mode_above_cap():
-    h = heap_from_group(make_group([33]))
+@pytest.mark.parametrize("orders", [[33], [2, 4, 8]], ids=["33", "2,4,8"])
+def test_every_law_exhaustive_above_32(orders):
+    h = heap_from_group(make_group(orders))
     report = validate_heap(h)
-    assoc = report.check("associativity")
-    assert assoc.passed and not assoc.exhaustive
-    assert report.check("malcev").exhaustive
-    assert report.passed
+    assert report.passed and report.exhaustive
+    assert report.check("associativity").checked == h.size**5
+
+
+def test_mutated_heap_above_32_fails_exhaustively():
+    table = list(heap_from_group(make_group([33])).ternary_table)
+    pos = (5 * 33 + 7) * 33 + 11  # [5,7,11] = 9 becomes 10
+    table[pos] = (table[pos] + 1) % 33
+    bad = FiniteHeap(33, tuple(table))
+    report = validate_heap(bad)
+    assert not report.passed and report.exhaustive
+    ce = report.check("associativity").counterexample
+    assert ce is not None and ce == scan_heap_associativity(bad._array)
 
 
 def test_retract_at_zero_reproduces_group_table():
@@ -171,3 +185,52 @@ def test_heap_json_roundtrip():
 def test_heaps_from_groups_always_validate(orders):
     report = validate_heap(heap_from_group(make_group(orders)))
     assert report.passed
+
+
+@pytest.mark.parametrize("spec", ["8", "2,4", "2,2,2"])
+def test_associativity_certificate_agrees_with_scan_on_every_mutation(spec):
+    # every single-entry mutation of the heap table: the retract certificate
+    # must give the same verdict and counterexample as the n^5 scan
+    h = heap_from_group(parse_group_spec(spec))
+    n = h.size
+    base = np.array(h.ternary_table, dtype=np.int64)
+    failures = 0
+    for pos in range(base.size):
+        for wrong in range(n):
+            if wrong == base[pos]:
+                continue
+            table = base.copy()
+            table[pos] = wrong
+            report = validate_heap(FiniteHeap(n, tuple(table.tolist())))
+            assoc = report.check("associativity")
+            expected = scan_heap_associativity(table.reshape(n, n, n))
+            assert (assoc.passed, assoc.counterexample) == (expected is None, expected), pos
+            assert assoc.exhaustive and assoc.checked == n**5
+            failures += not assoc.passed
+    assert failures > 0
+
+
+def test_valid_and_associative_tables_need_no_scan(monkeypatch):
+    # the certificate alone passes every group heap, and a table that is
+    # associative but not Mal'cev; the n^5 scan is only for failing tables
+    def no_scan(T):
+        raise AssertionError("scanned a table the certificate should pass")
+
+    monkeypatch.setattr(trusskit.heaps, "_assoc_scan", no_scan)
+    for spec in ["", "2", "8", "2,4", "3,3", "2,2,2", "33"]:
+        assert validate_heap(heap_from_group(parse_group_spec(spec))).passed
+    first = FiniteHeap(3, tuple(a for a in range(3) for _ in range(9)))  # [a,b,c] = a
+    report = validate_heap(first)
+    assert report.check("associativity").passed and not report.check("malcev").passed
+
+
+def test_non_associative_retract_is_not_certified():
+    # [a,b,c] = (a*b)*c over a magma with identity 0 that is not associative:
+    # the table factors through its retract, so only the retract's own
+    # associativity check can reject it
+    magma = np.array([[0, 1, 2], [1, 0, 0], [2, 0, 0]])
+    T = magma[magma]
+    report = validate_heap(FiniteHeap(3, tuple(T.reshape(-1).tolist())))
+    assoc = report.check("associativity")
+    assert not assoc.passed
+    assert assoc.counterexample == scan_heap_associativity(T) == (0, 1, 0, 1, 2)

@@ -1,10 +1,14 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
-from conftest import dense_preserves
+from conftest import dense_preserves, scan_distributivity, scan_heap_associativity
 
+import trusskit.heaps
+import trusskit.trusses
 from trusskit import (
+    FiniteHeap,
     FiniteTruss,
     build_endo_truss,
     enumerate_truss_isos,
@@ -13,7 +17,9 @@ from trusskit import (
     identity_truss_morphism,
     is_truss_morphism,
     left_absorbers,
+    make_field_fp,
     make_group,
+    make_product_ring,
     make_ring_zn,
     parse_group_spec,
     ring_as_truss,
@@ -188,3 +194,62 @@ def test_structural_preservation_agrees_with_dense_across_sizes(left, right):
             assert verdict == dense_preserves(tm), mapping
             verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def _truss_preset(spec):
+    name, arg = spec.split(":")
+    if name == "endo":
+        return build_endo_truss(parse_group_spec(arg)).to_finite_truss()
+    if name == "zn":
+        return ring_as_truss(make_ring_zn(int(arg)))
+    field = make_field_fp(int(arg))
+    return ring_as_truss(make_product_ring(field, field))
+
+
+@pytest.mark.parametrize("spec", ["endo:2", "zn:6", "fpxfp:2"])
+def test_truss_certificates_agree_with_scans_on_every_mutation(spec):
+    # every single-entry mutation of the ternary and mult tables: the
+    # retract certificates must give the same verdicts and counterexamples
+    # as the n^5 heap scan and the n^4 distributivity scans
+    t = _truss_preset(spec)
+    n = t.size
+    tern = np.array(t.heap.ternary_table, dtype=np.int64)
+    mult = np.array(t.mult_table, dtype=np.int64)
+    laws = ("heap-associativity", "left-distributivity", "right-distributivity")
+    failed = dict.fromkeys(laws, 0)
+    for key, base in (("ternary", tern), ("mult", mult)):
+        for pos in range(base.size):
+            for wrong in range(n):
+                if wrong == base[pos]:
+                    continue
+                table = base.copy()
+                table[pos] = wrong
+                T = (table if key == "ternary" else tern).reshape(n, n, n)
+                M = (table if key == "mult" else mult).reshape(n, n)
+                heap = FiniteHeap(n, tuple(T.reshape(-1).tolist()))
+                report = validate_truss(FiniteTruss(heap, tuple(M.reshape(-1).tolist()), t.unit))
+                expected = {
+                    "heap-associativity": scan_heap_associativity(T),
+                    "left-distributivity": scan_distributivity(M, T, "left"),
+                    "right-distributivity": scan_distributivity(M, T, "right"),
+                }
+                for law in laws:
+                    check = report.check(law)
+                    verdict = (check.passed, check.counterexample)
+                    assert verdict == (expected[law] is None, expected[law]), (key, pos, law)
+                    assert check.exhaustive
+                    failed[law] += not check.passed
+    assert all(failed.values()), failed
+
+
+def test_valid_trusses_need_no_scan(monkeypatch):
+    # on valid trusses the retract certificates alone pass the heap and both
+    # distributivity laws
+    def no_scan(*args):
+        raise AssertionError("scanned a table the certificate should pass")
+
+    monkeypatch.setattr(trusskit.heaps, "_assoc_scan", no_scan)
+    monkeypatch.setattr(trusskit.trusses, "_distributivity_scan", no_scan)
+    for spec in ["endo:2", "endo:4", "endo:2,2", "zn:6", "fpxfp:2", "zn:9"]:
+        assert validate_truss(_truss_preset(spec)).passed, spec
+    assert validate_truss(build_endo_truss(parse_group_spec("3"))).passed

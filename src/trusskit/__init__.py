@@ -21,7 +21,6 @@ from .groups import (
     AbelianPresentation,
     Element,
     GroupHom,
-    apply_hom,
     compose_homs,
     decompose_abelian,
     enumerate_elements,
@@ -115,7 +114,6 @@ from .modules import (
     is_linear_heap_morphism,
     linear_heap_morphisms,
     make_module,
-    module_fp,
     module_homs,
     module_zn,
     regular_module,

@@ -154,7 +154,6 @@ def verify_baer_kaplansky(
     h: AbGroup,
     brute_force: bool = False,
     max_enum: int | None = None,
-    brute_cap: int = BRUTE_FORCE_CARRIER_CAP,
 ) -> BKVerification:
     """Certify both directions of the correspondence between g and h.
 
@@ -185,7 +184,7 @@ def verify_baer_kaplansky(
     enumerated = None
     if eg.size != eh.size:
         truss_iso_count = 0
-    elif brute_force and eg.size <= brute_cap:
+    elif brute_force and eg.size <= BRUTE_FORCE_CARRIER_CAP:
         enumerated = enumerate_truss_isos(eg, eh, max_enum)
         truss_iso_count = len(enumerated)
         roundtrip = roundtrip and all(

@@ -36,7 +36,7 @@ from .modules import (
     truss_iso_from_equivalence,
     validate_module,
 )
-from .rings import make_field_fp, make_product_ring, make_ring_zn, ring_as_truss
+from .rings import make_field_fp, make_product_ring, make_ring_zn, ring_as_truss, validate_ring
 from .trusses import FiniteTruss, enumerate_truss_morphisms, validate_truss
 from .validation import ValidationReport
 
@@ -171,6 +171,17 @@ def _module_from_spec(spec: str, max_enum: int | None) -> RModule:
     )
 
 
+def _valid_module(spec: str, max_enum: int | None) -> RModule:
+    """The module `spec` names, once its ring and action pass every law; a
+    failed law is an input error (ValueError), not a finding."""
+    m = _module_from_spec(spec, max_enum)
+    for report in (validate_ring(m.ring, max_enum), validate_module(m, max_enum)):
+        if not report.passed:
+            c = report.failures()[0]
+            raise ValueError(f"{spec} is not a module: {report.subject} fails {c.law} at {c.counterexample}")
+    return m
+
+
 def cmd_validate(args, max_enum: int | None) -> Report:
     if args.heap:
         subject = _heap_from_spec(args.heap, max_enum)
@@ -271,8 +282,8 @@ def cmd_module_bk(args, max_enum: int | None) -> Report:
         }
         return Report("module-bk", {"example": args.first}, findings, witnesses)
 
-    left = _module_from_spec(args.first, max_enum)
-    right = _module_from_spec(args.second, max_enum)
+    left = _valid_module(args.first, max_enum)
+    right = _valid_module(args.second, max_enum)
     inputs = {"left": args.first, "right": args.second}
     eq = find_module_equivalence(left, right, max_enum)
     findings = [Finding("equivalent_over_end_rings", None, eq is not None)]

@@ -260,9 +260,6 @@ class EndoTruss:
                 "homomorphism family is not closed under the required operation"
             ) from None
 
-    def morphism_at(self, i: int) -> HeapMorphism:
-        return self.carrier[i]
-
     def index_of(self, phi: HeapMorphism) -> int:
         if phi.source != self.group or phi.target != self.group:
             raise ValueError("morphism does not act on this group")
@@ -387,10 +384,6 @@ class EndoTruss:
             cached = (mult, add[add[:, neg]])
             self.__dict__["_dense_cache"] = cached
         return cached
-
-    def finite_heap(self, max_enum: int | None = None) -> FiniteHeap:
-        _, tern = self._dense_tables(max_enum)
-        return FiniteHeap(self.size, tuple(int(x) for x in tern.reshape(-1)))
 
     def to_finite_truss(self, max_enum: int | None = None) -> FiniteTruss:
         mult, tern = self._dense_tables(max_enum)

@@ -1,7 +1,9 @@
-"""Exceptions, enumeration guards and JSON input checks shared across the
-package."""
+"""Exceptions, enumeration guards, JSON input checks and table-entry checks
+shared across the package."""
 
 from __future__ import annotations
+
+import numpy as np
 
 DEFAULT_MAX_ENUM = 1_000_000
 ORDER_CAP = 2**32
@@ -63,3 +65,18 @@ def json_ints(value, what: str) -> tuple[int, ...]:
     if type(value) is not list or not all(type(x) is int for x in value):
         raise ValueError(f"{what} must be a list of integers")
     return tuple(value)
+
+
+def int_table(values, length: int, bound: int, wrong_length: str, out_of_range: str) -> tuple[int, ...]:
+    """`values` as a tuple of Python ints, once numpy has checked that there
+    are `length` of them, each in [0, bound). Otherwise ValueError, also for
+    entries beyond int64; `wrong_length` may name `{need}` and `{got}`."""
+    try:
+        table = np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(out_of_range) from None
+    if table.ndim != 1 or table.size != length:
+        raise ValueError(wrong_length.format(need=length, got=table.size))
+    if length and (table.min() < 0 or table.max() >= bound):
+        raise ValueError(out_of_range)
+    return tuple(table.tolist())

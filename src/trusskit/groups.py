@@ -181,10 +181,6 @@ class GroupHom:
         return tuple(self(x) for x in self.source.elements())
 
 
-def apply_hom(f: GroupHom, a: Element) -> Element:
-    return f(a)
-
-
 def compose_homs(f: GroupHom, g: GroupHom) -> GroupHom:
     """The composite f o g (g applied first)."""
     if g.target != f.source:

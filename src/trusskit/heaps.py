@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import guard, json_int, json_ints, resolve_max_enum
+from .errors import guard, int_table, json_int, json_ints, resolve_max_enum
 from .groups import AbGroup, np_elements
 from .validation import Check, ValidationReport
 
@@ -35,13 +35,12 @@ class FiniteHeap:
 
     def __post_init__(self) -> None:
         n = self.size
-        table = tuple(int(x) for x in self.ternary_table)
         if n < 1:
             raise ValueError("carrier must be nonempty")
-        if len(table) != n**3:
-            raise ValueError(f"ternary table needs {n**3} entries, got {len(table)}")
-        if any(not 0 <= x < n for x in table):
-            raise ValueError("ternary table entry out of carrier range")
+        table = int_table(
+            self.ternary_table, n**3, n,
+            "ternary table needs {need} entries, got {got}", "ternary table entry out of carrier range",
+        )
         object.__setattr__(self, "ternary_table", table)
 
     def ternary(self, a: int, b: int, c: int) -> int:

@@ -3,18 +3,22 @@ module-level truss correspondence.
 
 A module is a ring, an abelian group, and a validated action table. Each
 element e of a module induces a deformed structure: addition a +_e b =
-a - e + b and action r ._e m = r.m - r.e + e; the heap morphisms whose linear
-part commutes with the action (`linear_heap_morphisms`) are exactly the maps
-respecting every one of those deformed module structures at once. They form a
-sub-truss of the endomorphism truss of the underlying group
-(`build_linear_endo_truss`).
+a - e + b and action r ._e m = r.m - r.e + e, and `validate_induced_action`
+runs the laws of `validate_module` on those deformed tables. The heap
+morphisms whose linear part commutes with the action (`linear_heap_morphisms`)
+are exactly the maps respecting every one of those deformed module structures
+at once. They form a sub-truss E_R(M) of the endomorphism truss of the
+underlying group (`build_linear_endo_truss`); `module_homs` finds their linear
+parts by filtering Hom(M, N) on the action tables.
 
 Two modules over possibly different rings are equivalent over their
 endomorphism rings when some additive isomorphism mu conjugates one
 endomorphism ring onto the other; `find_module_equivalence` searches for such
-a mu, and `truss_iso_from_equivalence` / `equivalence_from_truss_iso` convert
-between equivalences and truss isomorphisms constructively, in both
-directions. `example_non_iso` builds the classic witness that the truss
+a mu. The truss isomorphisms between the E_R are then the group-level
+conjugations by the heap isomorphism (mu, 0): `truss_iso_from_equivalence`
+builds one with `truss_iso_from_heap_iso`, and `equivalence_from_truss_iso`
+reads mu back with `heap_iso_from_truss_iso` and rho(u) off the image of
+(u, 0). `example_non_iso` builds the classic witness that the truss
 isomorphism class is coarser than the module isomorphism class: over
 F_p x F_p the ideals F_p x 0 and 0 x F_p have isomorphic linear endomorphism
 trusses yet admit no module isomorphism.
@@ -27,11 +31,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .endo import EndoTruss, HeapMorphism, decompose
+from .baer_kaplansky import heap_iso_from_truss_iso, truss_iso_from_heap_iso
+from .endo import EndoTruss, HeapMorphism
 from .errors import (
     InvalidEquivalence,
     NotAnIsomorphism,
     guard,
+    int_table,
     json_ints,
     resolve_max_enum,
 )
@@ -48,6 +54,7 @@ from .groups import (
     invert_hom,
     make_group,
     np_add_table,
+    np_hom_images,
     zero_hom,
 )
 from .rings import FiniteRing, make_field_fp, make_product_ring, validate_ring
@@ -66,11 +73,10 @@ class RModule:
 
     def __post_init__(self) -> None:
         rn, mn = self.ring.size, self.group.cardinality
-        table = tuple(int(x) for x in self.action_table)
-        if len(table) != rn * mn:
-            raise ValueError(f"action table needs {rn * mn} entries")
-        if any(not 0 <= x < mn for x in table):
-            raise ValueError("action table entry out of module range")
+        table = int_table(
+            self.action_table, rn * mn, mn,
+            "action table needs {need} entries", "action table entry out of module range",
+        )
         object.__setattr__(self, "action_table", table)
 
     def act_index(self, i: int, j: int) -> int:
@@ -113,7 +119,6 @@ def make_module(
     group: AbGroup,
     action,
     max_enum: int | None = None,
-    validate: bool = True,
 ) -> RModule:
     """Materialize a module from an action callable (ring elt, module elt) -> elt."""
     rn, mn = ring.size, group.cardinality
@@ -124,10 +129,9 @@ def make_module(
         for m in group.elements()
     )
     module = RModule(ring, group, table)
-    if validate:
-        report = validate_module(module, max_enum)
-        if not report.passed:
-            raise ValueError(f"action does not satisfy the module axioms:\n{report}")
+    report = validate_module(module, max_enum)
+    if not report.passed:
+        raise ValueError(f"action does not satisfy the module axioms:\n{report}")
     return module
 
 
@@ -137,11 +141,6 @@ def module_zn(n: int, max_enum: int | None = None) -> RModule:
 
     ring = make_ring_zn(n, max_enum)
     return regular_module(ring, max_enum)
-
-
-def module_fp(p: int, max_enum: int | None = None) -> RModule:
-    """The prime field F_p as a module over itself."""
-    return regular_module(make_field_fp(p, max_enum), max_enum)
 
 
 def regular_module(ring: FiniteRing, max_enum: int | None = None) -> RModule:
@@ -167,40 +166,36 @@ def _first(bad: np.ndarray) -> tuple[int, ...]:
     return tuple(int(x) for x in np.argwhere(bad)[0])
 
 
-def validate_module(m: RModule, max_enum: int | None = None) -> ValidationReport:
-    """Exhaustive unitality, associativity and bi-additivity of the action."""
-    act = m._action_array
+def _check(law: str, bad: np.ndarray) -> Check:
+    """An exhaustive check over the cells of `bad`, failing at its first."""
+    ok = not bad.any()
+    return Check(law, ok, True, bad.size, None if ok else _first(bad))
+
+
+def _action_checks(m: RModule, act: np.ndarray, add: np.ndarray, max_enum: int | None) -> tuple[Check, ...]:
+    """Unitality, associativity and bi-additivity of an action table `act`
+    of m's ring over the group addition table `add`."""
     rn, mn = act.shape
-    add_m = np_add_table(m.group, max_enum)
     add_r = np_add_table(m.ring.additive, max_enum)
     mul_r = m.ring._mult_array
     idx_r = np.arange(rn)
-    idx_m = np.arange(mn)
-    checks = []
-
     one = m.ring.additive.index(m.ring.one)
-    bad = act[one] != idx_m
-    checks.append(Check("unital", not bad.any(), True, mn,
-                        None if not bad.any() else _first(bad)))
+    return (
+        _check("unital", act[one] != np.arange(mn)),
+        _check("action-associativity", act[mul_r] != act[idx_r[:, None, None], act[None, :, :]]),
+        _check(
+            "additive-in-module",
+            act[idx_r[:, None, None], add[None, :, :]] != add[act[:, :, None], act[:, None, :]],
+        ),
+        _check("additive-in-ring", act[add_r] != add[act[:, None, :], act[None, :, :]]),
+    )
 
-    lhs = act[mul_r]
-    rhs = act[idx_r[:, None, None], act[None, :, :]]
-    bad = lhs != rhs
-    checks.append(Check("action-associativity", not bad.any(), True, rn * rn * mn,
-                        None if not bad.any() else _first(bad)))
 
-    lhs = act[idx_r[:, None, None], add_m[None, :, :]]
-    rhs = add_m[act[:, :, None], act[:, None, :]]
-    bad = lhs != rhs
-    checks.append(Check("additive-in-module", not bad.any(), True, rn * mn * mn,
-                        None if not bad.any() else _first(bad)))
-
-    lhs = act[add_r]
-    rhs = add_m[act[:, None, :], act[None, :, :]]
-    bad = lhs != rhs
-    checks.append(Check("additive-in-ring", not bad.any(), True, rn * rn * mn,
-                        None if not bad.any() else _first(bad)))
-    return ValidationReport(f"module ({rn}-element ring on {mn} elements)", tuple(checks))
+def validate_module(m: RModule, max_enum: int | None = None) -> ValidationReport:
+    """Exhaustive unitality, associativity and bi-additivity of the action."""
+    rn, mn = m._action_array.shape
+    checks = _action_checks(m, m._action_array, np_add_table(m.group, max_enum), max_enum)
+    return ValidationReport(f"module ({rn}-element ring on {mn} elements)", checks)
 
 
 def induced_action(m: RModule, e: Element, r: Element, x: Element) -> Element:
@@ -210,87 +205,40 @@ def induced_action(m: RModule, e: Element, r: Element, x: Element) -> Element:
 
 
 def validate_induced_action(m: RModule, e: Element, max_enum: int | None = None) -> ValidationReport:
-    """Check that (M, +_e, ._e) satisfies the module axioms, on the raw carrier.
-
-    The deformed addition is a +_e b = a - e + b with identity e; all four laws
-    are checked exhaustively against it.
-    """
+    """Check that (M, +_e, ._e) satisfies the module axioms: the laws of
+    `validate_module` on the deformed tables a +_e b = a - e + b (identity
+    e) and r ._e x = r.x - r.e + e."""
     g = m.group
-    ring = m.ring
-    elems = list(g.elements())
-    relems = list(ring.elements())
+    add = np_add_table(g, max_enum)
+    neg = np.nonzero(add == 0)[1]
+    i = g.index(g.element(e))
+    act = m._action_array
+    add_e = add[add[:, neg[i]]]
+    act_e = add[add[act, neg[act[:, i]][:, None]], i]
+    return ValidationReport(f"induced action at {e}", _action_checks(m, act_e, add_e, max_enum))
 
-    def padd(a, b):  # a +_e b
-        return g.ternary(a, e, b)
 
-    def pact(r, x):
-        return induced_action(m, e, r, x)
-
-    checks = []
-    bad = next((x for x in elems if pact(ring.one, x) != x), None)
-    checks.append(Check("unital", bad is None, True, len(elems),
-                        None if bad is None else (g.index(bad),)))
-
-    ce = None
-    for r in relems:
-        for s in relems:
-            rs = ring.mul(r, s)
-            for x in elems:
-                if pact(rs, x) != pact(r, pact(s, x)):
-                    ce = (ring.additive.index(r), ring.additive.index(s), g.index(x))
-                    break
-            if ce:
-                break
-        if ce:
-            break
-    checks.append(Check("action-associativity", ce is None, True,
-                        len(relems) ** 2 * len(elems), ce))
-
-    ce = None
-    for r in relems:
-        for x in elems:
-            for y in elems:
-                if pact(r, padd(x, y)) != padd(pact(r, x), pact(r, y)):
-                    ce = (ring.additive.index(r), g.index(x), g.index(y))
-                    break
-            if ce:
-                break
-        if ce:
-            break
-    checks.append(Check("additive-in-module", ce is None, True,
-                        len(relems) * len(elems) ** 2, ce))
-
-    ce = None
-    for r in relems:
-        for s in relems:
-            rp = ring.add(r, s)
-            for x in elems:
-                if pact(rp, x) != padd(pact(r, x), pact(s, x)):
-                    ce = (ring.additive.index(r), ring.additive.index(s), g.index(x))
-                    break
-            if ce:
-                break
-        if ce:
-            break
-    checks.append(Check("additive-in-ring", ce is None, True,
-                        len(relems) ** 2 * len(elems), ce))
-    return ValidationReport(f"induced action at {e}", tuple(checks))
+# entries of the largest array `module_homs` builds for one chunk of homs
+_HOM_CHUNK = 1 << 20
 
 
 def module_homs(m: RModule, n: RModule, max_enum: int | None = None) -> tuple[GroupHom, ...]:
-    """All additive maps commuting with the ring action (same ring required)."""
+    """All additive maps commuting with the ring action (same ring required):
+    the homs whose image table F has F[act_M[r, x]] = act_N[r, F[x]],
+    filtered a chunk of homs at a time."""
     if m.ring != n.ring:
         raise ValueError("modules must share the acting ring")
-    out = []
-    relems = list(m.ring.elements())
-    for f in hom_enumerate(m.group, n.group, max_enum):
-        if all(
-            f(m.act(r, x)) == n.act(r, f(x))
-            for r in relems
-            for x in m.group.elements()
-        ):
-            out.append(f)
-    return tuple(out)
+    homs = hom_enumerate(m.group, n.group, max_enum)
+    act_m, act_n = m._action_array, n._action_array
+    rn, mn = act_m.shape
+    step = max(1, _HOM_CHUNK // (mn * max(rn, m.group.rank * n.group.rank)))
+    kept = []
+    for start in range(0, len(homs), step):
+        chunk = homs[start : start + step]
+        F = np_hom_images(chunk, m.group, n.group)
+        ok = (F[:, act_m] == act_n[:, F].swapaxes(0, 1)).all(axis=(1, 2))
+        kept.extend(chunk[i] for i in np.flatnonzero(ok))
+    return tuple(kept)
 
 
 @dataclass(frozen=True, eq=False)
@@ -415,17 +363,17 @@ def equivalence_is_valid(eq: ModuleEquivalence, max_enum: int | None = None) -> 
             return False
         if compose_homs(v, eq.mu).matrix != compose_homs(eq.mu, u).matrix:
             return False
-    # ring-isomorphism laws for rho, checked directly on the stored pairs
-    rho = {u.matrix: v for u, v in eq.rho_pairs}
+    # ring-isomorphism laws for rho, checked directly on the stored pairs; if
+    # the action is not additive, End(M) need not be closed under sums, and a
+    # sum outside rho's domain fails the law
+    rho = {u.matrix: v.matrix for u, v in eq.rho_pairs}
     for u1, v1 in eq.rho_pairs:
         for u2, v2 in eq.rho_pairs:
-            if rho[compose_homs(u1, u2).matrix].matrix != compose_homs(v1, v2).matrix:
+            if rho.get(compose_homs(u1, u2).matrix) != compose_homs(v1, v2).matrix:
                 return False
-            if rho[hom_add(u1, u2).matrix].matrix != hom_add(v1, v2).matrix:
+            if rho.get(hom_add(u1, u2).matrix) != hom_add(v1, v2).matrix:
                 return False
-    if rho[identity_hom(eq.source.group).matrix].matrix != identity_hom(eq.target.group).matrix:
-        return False
-    return True
+    return rho.get(identity_hom(eq.source.group).matrix) == identity_hom(eq.target.group).matrix
 
 
 def find_module_equivalence(
@@ -456,25 +404,21 @@ def find_module_equivalence(
     return None
 
 
-def truss_iso_from_equivalence(
-    eq: ModuleEquivalence,
-    source_truss: EndoTruss | None = None,
-    target_truss: EndoTruss | None = None,
-    max_enum: int | None = None,
-) -> TrussMorphism:
-    """The truss isomorphism (u, a) -> (rho(u), mu(a)) induced by an equivalence.
+def truss_iso_from_equivalence(eq: ModuleEquivalence, max_enum: int | None = None) -> TrussMorphism:
+    """The truss isomorphism (u, a) -> (rho(u), mu(a)) induced by an
+    equivalence: conjugation by the heap isomorphism (mu, 0), as rho(u) =
+    mu u mu^{-1}.
 
     The result is validated to be a bijective morphism; a failure raises
     InvalidEquivalence (the input pair did not satisfy its contract)."""
     if not equivalence_is_valid(eq, max_enum):
         raise InvalidEquivalence("equivalence fails its defining identities")
-    source = source_truss or build_linear_endo_truss(eq.source, max_enum)
-    target = target_truss or build_linear_endo_truss(eq.target, max_enum)
-    mapping = []
-    for alpha in source.carrier:
-        image = HeapMorphism(eq.rho_of(alpha.linear), eq.mu(alpha.translation))
-        mapping.append(target.index_of(image))
-    phi = TrussMorphism(source, target, tuple(mapping))
+    phi = truss_iso_from_heap_iso(
+        HeapMorphism(eq.mu, eq.target.group.zero),
+        build_linear_endo_truss(eq.source, max_enum),
+        build_linear_endo_truss(eq.target, max_enum),
+        max_enum,
+    )
     if not phi.is_bijective or not truss_morphism_preserves(phi, max_enum):
         raise InvalidEquivalence("induced map is not a truss isomorphism")
     return phi
@@ -488,40 +432,21 @@ def equivalence_from_truss_iso(
 ) -> ModuleEquivalence:
     """Extract (mu, rho) from a truss isomorphism between linear endo trusses.
 
-    mu is the linear part of the heap isomorphism m -> Phi(constant at m)(0);
-    rho(u) is the linear part of Phi(u). The construction is checked to satisfy
-    rho(u) o mu = mu o u and to hit End(N) exactly."""
+    mu is the linear part of the heap isomorphism `heap_iso_from_truss_iso`
+    extracts; rho(u) is the linear part of Phi(u, 0). The pair is checked
+    with `equivalence_is_valid`."""
     if not isinstance(phi.source, EndoTruss) or not isinstance(phi.target, EndoTruss):
         raise TypeError("morphism must run between endomorphism trusses")
-    if phi.source.group != source_module.group or phi.target.group != target_module.group:
-        raise ValueError("truss morphism does not match the given modules")
-    if not phi.is_bijective or not truss_morphism_preserves(phi, max_enum):
-        raise NotAnIsomorphism("morphism is not a truss isomorphism")
     source, target = phi.source, phi.target
-    n_group = target_module.group
-    values = {}
-    for x in source_module.group.elements():
-        image = target.carrier[phi.mapping[source.constant_index(x)]]
-        if not image.is_constant:
-            raise NotAnIsomorphism("image of a constant map is not constant")
-        values[x] = image.translation
-    heap_iso = decompose(source_module.group, n_group, values)
-    mu = heap_iso.linear
-    if not mu.is_bijective:
-        raise NotAnIsomorphism("extracted additive map is not bijective")
-    end_n_matrices = {v.matrix: v for v in module_homs(target_module, target_module, max_enum)}
-    pairs = []
-    zero = source_module.group.zero
-    for u in source.homs:
-        i = source.index_of(HeapMorphism(u, zero))
-        image = target.carrier[phi.mapping[i]]
-        v = image.linear
-        if v.matrix not in end_n_matrices:
-            raise NotAnIsomorphism("extracted map does not land in End(N)")
-        pairs.append((u, end_n_matrices[v.matrix]))
-        if compose_homs(v, mu).matrix != compose_homs(mu, u).matrix:
-            raise NotAnIsomorphism("extracted pair fails the intertwining law")
-    eq = ModuleEquivalence(source_module, target_module, mu, tuple(pairs))
+    if source.group != source_module.group or target.group != target_module.group:
+        raise ValueError("truss morphism does not match the given modules")
+    mu = heap_iso_from_truss_iso(phi, max_enum).linear
+    # carrier index pos * |M| is (homs[pos], 0); its image's hom is rho(u)
+    pairs = tuple(
+        (u, target.homs[phi.mapping[pos * source._m] // target._m])
+        for pos, u in enumerate(source.homs)
+    )
+    eq = ModuleEquivalence(source_module, target_module, mu, pairs)
     if not equivalence_is_valid(eq, max_enum):
         raise NotAnIsomorphism("extracted pair is not a module equivalence")
     return eq

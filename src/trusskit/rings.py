@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import guard, json_ints, resolve_max_enum
+from .errors import guard, int_table, json_ints, resolve_max_enum
 from .groups import AbGroup, Element, _prime_factors, make_group, np_add_table
 from .heaps import heap_from_group
 from .trusses import FiniteTruss
@@ -28,11 +28,10 @@ class FiniteRing:
 
     def __post_init__(self) -> None:
         n = self.additive.cardinality
-        table = tuple(int(x) for x in self.mult_table)
-        if len(table) != n * n:
-            raise ValueError(f"multiplication table needs {n * n} entries")
-        if any(not 0 <= x < n for x in table):
-            raise ValueError("multiplication table entry out of range")
+        table = int_table(
+            self.mult_table, n * n, n,
+            "multiplication table needs {need} entries", "multiplication table entry out of range",
+        )
         if not self.additive.contains(self.one):
             raise ValueError("unit is not an element of the additive group")
         object.__setattr__(self, "mult_table", table)
@@ -79,9 +78,7 @@ class FiniteRing:
         return cls(additive, mult, json_ints(data["one"], "ring 'one'"))
 
 
-def make_ring(
-    additive: AbGroup, mult, one: Element, max_enum: int | None = None, validate: bool = True
-) -> FiniteRing:
+def make_ring(additive: AbGroup, mult, one: Element, max_enum: int | None = None) -> FiniteRing:
     """Materialize a ring from a multiplication callable on elements."""
     n = additive.cardinality
     guard(n * n, resolve_max_enum(max_enum), "ring multiplication table")
@@ -90,10 +87,9 @@ def make_ring(
         additive.index(additive.element(mult(a, b))) for a in elems for b in elems
     )
     ring = FiniteRing(additive, table, additive.element(one))
-    if validate:
-        report = validate_ring(ring, max_enum)
-        if not report.passed:
-            raise ValueError(f"construction is not a unital ring:\n{report}")
+    report = validate_ring(ring, max_enum)
+    if not report.passed:
+        raise ValueError(f"construction is not a unital ring:\n{report}")
     return ring
 
 

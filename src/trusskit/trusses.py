@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import guard, json_int, json_ints, resolve_max_enum
+from .errors import guard, int_table, json_int, json_ints, resolve_max_enum
 from .heaps import FiniteHeap, _heap_checks
 from .validation import Check, ValidationReport
 
@@ -37,11 +37,10 @@ class FiniteTruss:
 
     def __post_init__(self) -> None:
         n = self.heap.size
-        table = tuple(int(x) for x in self.mult_table)
-        if len(table) != n**2:
-            raise ValueError(f"multiplication table needs {n**2} entries")
-        if any(not 0 <= x < n for x in table):
-            raise ValueError("multiplication table entry out of range")
+        table = int_table(
+            self.mult_table, n**2, n,
+            "multiplication table needs {need} entries", "multiplication table entry out of range",
+        )
         if self.unit is not None and not 0 <= self.unit < n:
             raise ValueError("unit index out of range")
         object.__setattr__(self, "mult_table", table)

@@ -46,24 +46,6 @@ class ValidationReport:
     def law_passed(self, *laws: str) -> bool:
         return all(self.check(law).passed for law in laws)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "subject": self.subject,
-            "passed": self.passed,
-            "checks": [
-                {
-                    "law": c.law,
-                    "passed": c.passed,
-                    "exhaustive": c.exhaustive,
-                    "checked": c.checked,
-                    "counterexample": (
-                        list(c.counterexample) if c.counterexample is not None else None
-                    ),
-                }
-                for c in self.checks
-            ],
-        }
-
     def __str__(self) -> str:
         lines = [f"validation of {self.subject}:"]
         for c in self.checks:

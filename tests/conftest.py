@@ -94,3 +94,67 @@ def scan_distributivity(M: np.ndarray, T: np.ndarray, side: str):
         if bad.any():
             return (d,) + tuple(int(x) for x in np.argwhere(bad)[0])
     return None
+
+
+def module_homs_by_loop(m, n):
+    """Hom_R(M, N) by the per-element filter: the additive maps f with
+    f(r.x) = r.f(x) for every ring element r and module element x."""
+    from trusskit.groups import hom_enumerate
+
+    return tuple(
+        f
+        for f in hom_enumerate(m.group, n.group)
+        if all(f(m.act(r, x)) == n.act(r, f(x)) for r in m.ring.elements() for x in m.group.elements())
+    )
+
+
+def induced_action_report_by_loop(m, e):
+    """The four module laws of (M, +_e, ._e), each scanned element by element
+    in lexicographic order with a +_e b = a - e + b and r ._e x = r.x - r.e + e."""
+    from trusskit import Check, ValidationReport
+    from trusskit.modules import induced_action
+
+    g, ring = m.group, m.ring
+    elems, relems = list(g.elements()), list(ring.elements())
+    ri = ring.additive.index
+
+    def padd(a, b):
+        return g.ternary(a, e, b)
+
+    def pact(r, x):
+        return induced_action(m, e, r, x)
+
+    def first(cases, holds):
+        return next((case for case in cases if not holds(*case)), None)
+
+    def check(law, cases, count, holds, index):
+        bad = first(cases, holds)
+        return Check(law, bad is None, True, count, None if bad is None else index(*bad))
+
+    rrx = [(r, s, x) for r in relems for s in relems for x in elems]
+    rxy = [(r, x, y) for r in relems for x in elems for y in elems]
+    checks = (
+        check("unital", [(x,) for x in elems], len(elems),
+              lambda x: pact(ring.one, x) == x, lambda x: (g.index(x),)),
+        check("action-associativity", rrx, len(rrx),
+              lambda r, s, x: pact(ring.mul(r, s), x) == pact(r, pact(s, x)),
+              lambda r, s, x: (ri(r), ri(s), g.index(x))),
+        check("additive-in-module", rxy, len(rxy),
+              lambda r, x, y: pact(r, padd(x, y)) == padd(pact(r, x), pact(r, y)),
+              lambda r, x, y: (ri(r), g.index(x), g.index(y))),
+        check("additive-in-ring", rrx, len(rrx),
+              lambda r, s, x: pact(ring.add(r, s), x) == padd(pact(r, x), pact(s, x)),
+              lambda r, s, x: (ri(r), ri(s), g.index(x))),
+    )
+    return ValidationReport(f"induced action at {e}", checks)
+
+
+def truss_iso_by_element(eq, source, target) -> tuple[int, ...]:
+    """The map (u, a) -> (rho(u), mu(a)) of an equivalence, one carrier
+    element at a time."""
+    from trusskit import HeapMorphism
+
+    return tuple(
+        target.index_of(HeapMorphism(eq.rho_of(alpha.linear), eq.mu(alpha.translation)))
+        for alpha in source.carrier
+    )

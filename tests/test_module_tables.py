@@ -1,0 +1,282 @@
+"""The module correspondence on tables: `module_homs`, `validate_induced_action`
+and both directions of the truss correspondence, checked against the
+element-by-element oracles in conftest, plus the table-entry checks shared by
+every carrier type and the `module-bk` input contract."""
+
+import itertools
+import json
+from pathlib import Path
+
+import pytest
+from conftest import induced_action_report_by_loop, module_homs_by_loop, truss_iso_by_element
+
+import trusskit.modules
+from trusskit import (
+    FiniteHeap,
+    FiniteRing,
+    FiniteTruss,
+    InvalidEquivalence,
+    ModuleEquivalence,
+    NotAnIsomorphism,
+    RModule,
+    build_linear_endo_truss,
+    coordinate_module,
+    equivalence_from_truss_iso,
+    equivalence_is_valid,
+    find_module_equivalence,
+    make_field_fp,
+    make_group,
+    make_module,
+    make_product_ring,
+    make_ring_zn,
+    module_homs,
+    module_zn,
+    regular_module,
+    truss_iso_from_equivalence,
+    validate_induced_action,
+)
+from trusskit.cli import main
+from trusskit.groups import compose_homs, hom_enumerate, invert_hom
+
+DATA = Path(__file__).parent / "data"
+
+R22 = make_product_ring(make_field_fp(2), make_field_fp(2))
+R33 = make_product_ring(make_field_fp(3), make_field_fp(3))
+
+
+def _scalar_module(n: int, orders: list[int]) -> RModule:
+    """Z/n acting on a product of cyclic groups by reducing scalars."""
+    return make_module(
+        make_ring_zn(n), make_group(orders),
+        lambda r, x: tuple((r[0] * c) % k for c, k in zip(x, orders)),
+    )
+
+
+MODULES = {
+    "zn:4": module_zn(4),
+    "z2-over-z4": _scalar_module(4, [2]),
+    "zn:2": module_zn(2),
+    "z2sq-over-f2": _scalar_module(2, [2, 2]),
+    "fpxfp:2": regular_module(R22),
+    "fx0:2": coordinate_module(R22, 0),
+    "0xf:2": coordinate_module(R22, 1),
+    "fx0:3": coordinate_module(R33, 0),
+    "0xf:3": coordinate_module(R33, 1),
+    "zn:6": module_zn(6),
+    "z3-over-z6": _scalar_module(6, [3]),
+    "z2-over-z6": _scalar_module(6, [2]),
+    "zn:5": module_zn(5),
+    "fp:5": regular_module(make_field_fp(5)),
+}
+
+RING_SHARING_PAIRS = [
+    (a, b) for a, b in itertools.product(MODULES, repeat=2) if MODULES[a].ring == MODULES[b].ring
+]
+
+
+def mutations(m: RModule):
+    """Every module table with one action entry changed, unvalidated."""
+    size = m.group.cardinality
+    for pos, old in enumerate(m.action_table):
+        for new in range(size):
+            if new != old:
+                table = list(m.action_table)
+                table[pos] = new
+                yield RModule(m.ring, m.group, tuple(table))
+
+
+def _matrices(homs):
+    return [f.matrix for f in homs]
+
+
+@pytest.mark.parametrize("left,right", RING_SHARING_PAIRS, ids=[f"{a}|{b}" for a, b in RING_SHARING_PAIRS])
+def test_module_homs_agree_with_loop_on_ring_sharing_pairs(left, right):
+    m, n = MODULES[left], MODULES[right]
+    assert _matrices(module_homs(m, n)) == _matrices(module_homs_by_loop(m, n))
+
+
+@pytest.mark.parametrize("name", ["zn:4", "z2-over-z4", "z2sq-over-f2", "fpxfp:2", "fx0:2"])
+def test_module_homs_agree_with_loop_on_action_mutations(name):
+    m = MODULES[name]
+    cases = 0
+    for bad in mutations(m):
+        for s, t in ((bad, bad), (bad, m), (m, bad)):
+            assert _matrices(module_homs(s, t)) == _matrices(module_homs_by_loop(s, t))
+            cases += 1
+    assert cases == 3 * len(m.action_table) * (m.group.cardinality - 1)
+
+
+@pytest.mark.parametrize("left,right", [("fpxfp:2", "fpxfp:2"), ("zn:6", "z3-over-z6"), ("fx0:3", "0xf:3")])
+def test_module_homs_agree_with_loop_one_hom_per_chunk(monkeypatch, left, right):
+    monkeypatch.setattr(trusskit.modules, "_HOM_CHUNK", 1)
+    m, n = MODULES[left], MODULES[right]
+    assert _matrices(module_homs(m, n)) == _matrices(module_homs_by_loop(m, n))
+
+
+@pytest.mark.parametrize("name", ["zn:4", "fpxfp:2", "fx0:3"])
+def test_induced_action_agrees_with_loop_on_every_mutation(name):
+    m = MODULES[name]
+    cases = failing = 0
+    for module in itertools.chain([m], mutations(m)):
+        for e in m.group.elements():
+            report = validate_induced_action(module, e)
+            assert report == induced_action_report_by_loop(module, e)
+            cases += 1
+            failing += not report.passed
+    assert cases == (1 + len(m.action_table) * (m.group.cardinality - 1)) * m.group.cardinality
+    assert failing == cases - m.group.cardinality  # every mutation breaks a law at every base point
+
+
+def all_equivalences(m: RModule, n: RModule):
+    """Every additive isomorphism conjugating End(M) onto End(N), as an
+    equivalence; built from the loop oracle, not from the library's search."""
+    end_m, end_n = module_homs_by_loop(m, m), module_homs_by_loop(n, n)
+    by_matrix = {v.matrix: v for v in end_n}
+    for mu in hom_enumerate(m.group, n.group):
+        if not mu.is_bijective:
+            continue
+        inv = invert_hom(mu)
+        conj = [compose_homs(compose_homs(mu, u), inv) for u in end_m]
+        if {c.matrix for c in conj} == set(by_matrix):
+            yield ModuleEquivalence(m, n, mu, tuple((u, by_matrix[c.matrix]) for u, c in zip(end_m, conj)))
+
+
+EQUIVALENT_PAIRS = [
+    ("zn:4", "zn:4"), ("zn:6", "zn:6"), ("zn:5", "fp:5"), ("fpxfp:2", "fpxfp:2"),
+    ("fx0:2", "0xf:2"), ("fx0:3", "0xf:3"), ("z2sq-over-f2", "z2sq-over-f2"),
+]
+
+
+@pytest.mark.parametrize("left,right", EQUIVALENT_PAIRS, ids=[f"{a}|{b}" for a, b in EQUIVALENT_PAIRS])
+def test_truss_iso_from_equivalence_agrees_with_per_element_map(left, right):
+    m, n = MODULES[left], MODULES[right]
+    source, target = build_linear_endo_truss(m), build_linear_endo_truss(n)
+    equivalences = list(all_equivalences(m, n))
+    assert equivalences
+    for eq in equivalences:
+        phi = truss_iso_from_equivalence(eq)
+        assert phi.mapping == truss_iso_by_element(eq, source, target)
+        back = equivalence_from_truss_iso(phi, m, n)
+        assert back.mu.matrix == eq.mu.matrix
+        assert all(back.rho_of(u).matrix == v.matrix for u, v in eq.rho_pairs)
+
+
+def test_extraction_rejects_a_truss_iso_onto_the_wrong_family():
+    # E(Z/2 x Z/2) over F_2 is the full endomorphism truss; over F_2 x F_2
+    # only the diagonal maps are linear, so rho leaves End(N)
+    m, n = MODULES["z2sq-over-f2"], MODULES["fpxfp:2"]
+    eq = next(all_equivalences(m, m))
+    phi = truss_iso_from_equivalence(eq)
+    with pytest.raises(NotAnIsomorphism):
+        equivalence_from_truss_iso(phi, m, n)
+
+
+def _broken_zn4() -> RModule:
+    m = module_zn(4)
+    table = list(m.action_table)
+    table[5] = (table[5] + 1) % 4
+    return RModule(m.ring, m.group, tuple(table))
+
+
+def test_equivalence_is_valid_is_false_when_end_is_not_closed():
+    bad = _broken_zn4()
+    eq = find_module_equivalence(bad, bad)
+    assert eq is not None
+    assert equivalence_is_valid(eq) is False
+    with pytest.raises(InvalidEquivalence):
+        truss_iso_from_equivalence(eq)
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_module_bk_refuses_a_module_file_that_breaks_a_law(tmp_path, capsys):
+    data = module_zn(4).to_json_dict()
+    bad_action = json.loads(json.dumps(data))
+    bad_action["module"]["action"] = list(_broken_zn4().action_table)
+    bad_ring = json.loads(json.dumps(data))
+    bad_ring["ring"]["mult"][5] = (bad_ring["ring"]["mult"][5] + 1) % 4
+    action_path, ring_path = tmp_path / "bad.json", tmp_path / "bad_ring.json"
+    action_path.write_text(json.dumps(bad_action))
+    ring_path.write_text(json.dumps(bad_ring))
+    cases = [
+        ((str(action_path), str(action_path)), "fails unital at (1,)"),
+        ((str(action_path), "zn:4"), "fails unital at (1,)"),
+        (("zn:4", str(action_path)), "fails unital at (1,)"),
+        ((str(ring_path), "zn:4"), "ring on 4 elements fails mult-associativity"),
+    ]
+    for argv, law in cases:
+        code, out, err = run(capsys, "module-bk", *argv, "--json")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "is not a module" in err and law in err
+    for path in (action_path, ring_path):
+        code, out, _ = run(capsys, "validate", "--module", str(path))
+        assert code == 1 and "[FAIL]" in out
+
+
+GOLDEN = {
+    "module_bk_example_non_iso_3.json": ["example-non-iso:3"],
+    "module_bk_fpxfp_2_fpxfp_2.json": ["fpxfp:2", "fpxfp:2"],
+    "module_bk_zn_5_fp_5.json": ["zn:5", "fp:5"],
+    "module_bk_zn_4_zn_6.json": ["zn:4", "zn:6"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_module_bk_json_matches_golden_bytes(capsys, name):
+    code, out, err = run(capsys, "module-bk", *GOLDEN[name], "--json")
+    assert (code, err) == (0, "")
+    assert out == (DATA / name).read_text()
+
+
+def test_table_checks_keep_their_messages():
+    z4 = make_ring_zn(4)
+    m = module_zn(4)
+    cases = [
+        (lambda: FiniteHeap(2, (0,) * 7), "ternary table needs 8 entries, got 7"),
+        (lambda: FiniteHeap(2, (0,) * 7 + (2,)), "ternary table entry out of carrier range"),
+        (lambda: FiniteTruss(FiniteHeap(1, (0,)), (0, 0)), "multiplication table needs 1 entries"),
+        (lambda: FiniteTruss(FiniteHeap(1, (0,)), (-1,)), "multiplication table entry out of range"),
+        (lambda: FiniteRing(z4.additive, (0,) * 15, z4.one), "multiplication table needs 16 entries"),
+        (lambda: FiniteRing(z4.additive, (0,) * 15 + (4,), z4.one), "multiplication table entry out of range"),
+        (lambda: RModule(m.ring, m.group, (0,) * 17), "action table needs 16 entries"),
+        (lambda: RModule(m.ring, m.group, (0,) * 15 + (-1,)), "action table entry out of module range"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("huge", [2**63, -(2**63) - 1, 10**40])
+def test_table_entries_beyond_int64_raise_value_error(huge):
+    with pytest.raises(ValueError, match="out of carrier range"):
+        FiniteHeap(2, (0,) * 7 + (huge,))
+    m = module_zn(2)
+    with pytest.raises(ValueError, match="out of module range"):
+        RModule(m.ring, m.group, (0, 0, 0, huge))
+    with pytest.raises(ValueError, match="out of range"):
+        FiniteRing(m.ring.additive, (0, 0, 0, huge), m.ring.one)
+
+
+def test_tables_are_stored_as_python_ints():
+    import numpy as np
+
+    h = FiniteHeap(1, np.zeros(1, dtype=np.int32))
+    assert h.ternary_table == (0,) and type(h.ternary_table[0]) is int
+
+
+def test_huge_json_entries_exit_2(tmp_path, capsys):
+    heap = {"size": 2, "ternary": [0] * 7 + [2**70]}
+    module = module_zn(2).to_json_dict()
+    module["module"]["action"][3] = 2**70
+    for flag, doc in (("--heap", heap), ("--module", module)):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", flag, str(path))
+        assert (code, out) == (2, "") and "out of" in err
+    code, _, err = run(capsys, "module-bk", str(path), "zn:2")
+    assert code == 2 and "out of module range" in err

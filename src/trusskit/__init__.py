@@ -4,7 +4,7 @@ isomorphisms, extended to finite modules over finite rings.
 
 Everything is computed with exact integer arithmetic over explicit finite
 carriers, and every structural claim the package makes can be re-verified by
-the exhaustive validators and brute-force enumerators it ships with.
+the exhaustive validators and enumerators it ships with.
 """
 
 from .errors import (

@@ -357,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("left", help="group spec such as 2,2")
     p.add_argument("right")
     p.add_argument("--brute-force", action="store_true",
-                   help="also count truss isomorphisms by raw bijection search")
+                   help="also count truss isomorphisms by a search independent of "
+                   "conjugation (carriers of at most 9 elements)")
 
     p = sub.add_parser("inner", parents=[common], help="check the inner structure of every truss morphism")
     p.add_argument("left")

@@ -320,15 +320,23 @@ class EndoTruss:
         axis of `images`; raises ValueError for a hom outside the family."""
         family = self._generator_images
         shape = images.shape[:-1]
-        rows = np.concatenate([family, images.reshape(math.prod(shape), family.shape[1])])
-        _, codes = np.unique(rows, axis=0, return_inverse=True)
-        codes = codes.reshape(-1)
-        pos = np.full(int(codes.max()) + 1, -1, dtype=np.int64)
-        pos[codes[: len(family)]] = np.arange(len(family))
-        out = pos[codes[len(family):]]
-        if (out < 0).any():
+        queries = images.reshape(math.prod(shape), family.shape[1])
+        # each row read as a mixed-radix integer, base |G|, one column at a
+        # time; after each column the codes are renumbered by the family's
+        # prefixes, so they stay below H * |G| where |G|^rank could overflow
+        fam = np.zeros(len(family), dtype=np.int64)
+        code = np.zeros(len(queries), dtype=np.int64)
+        missing = np.zeros(len(queries), dtype=bool)
+        for col in range(family.shape[1]):
+            keys, fam = np.unique(fam * self._m + family[:, col], return_inverse=True)
+            raw = code * self._m + queries[:, col]
+            code = np.minimum(np.searchsorted(keys, raw), len(keys) - 1)
+            missing |= keys[code] != raw
+        if missing.any():
             raise ValueError("homomorphism family is not closed under the required operation")
-        return out.reshape(shape)
+        pos = np.empty(len(family), dtype=np.int64)
+        pos[fam] = np.arange(len(family))
+        return pos[code].reshape(shape)
 
     def factored_tables(self, max_enum: int | None = None) -> FactoredTables:
         """The small tables E(G) = G x homs is built from; guarded by the

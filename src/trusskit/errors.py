@@ -67,16 +67,20 @@ def json_ints(value, what: str) -> tuple[int, ...]:
     return tuple(value)
 
 
-def int_table(values, length: int, bound: int, wrong_length: str, out_of_range: str) -> tuple[int, ...]:
-    """`values` as a tuple of Python ints, once numpy has checked that there
-    are `length` of them, each in [0, bound). Otherwise ValueError, also for
-    entries beyond int64; `wrong_length` may name `{need}` and `{got}`."""
+def int_table(
+    values, length: int, bound: int, wrong_length: str, out_of_range: str
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """`values` as a tuple of Python ints and as the read-only int64 array
+    numpy checked: `length` entries, each in [0, bound). Otherwise
+    ValueError, also for entries beyond int64; `wrong_length` may name
+    `{need}` and `{got}`."""
     try:
-        table = np.asarray(values, dtype=np.int64)
+        table = np.array(values, dtype=np.int64)
     except OverflowError:
         raise ValueError(out_of_range) from None
     if table.ndim != 1 or table.size != length:
         raise ValueError(wrong_length.format(need=length, got=table.size))
     if length and (table.min() < 0 or table.max() >= bound):
         raise ValueError(out_of_range)
-    return tuple(table.tolist())
+    table.flags.writeable = False
+    return tuple(table.tolist()), table

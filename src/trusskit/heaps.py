@@ -37,20 +37,16 @@ class FiniteHeap:
         n = self.size
         if n < 1:
             raise ValueError("carrier must be nonempty")
-        table = int_table(
+        table, array = int_table(
             self.ternary_table, n**3, n,
             "ternary table needs {need} entries, got {got}", "ternary table entry out of carrier range",
         )
         object.__setattr__(self, "ternary_table", table)
+        object.__setattr__(self, "_array", array.reshape(n, n, n))
 
     def ternary(self, a: int, b: int, c: int) -> int:
         n = self.size
         return self.ternary_table[(a * n + b) * n + c]
-
-    @cached_property
-    def _array(self) -> np.ndarray:
-        n = self.size
-        return np.array(self.ternary_table, dtype=np.int64).reshape(n, n, n)
 
     def to_json_dict(self) -> dict:
         return {"size": self.size, "ternary": list(self.ternary_table)}

@@ -49,6 +49,7 @@ from .groups import (
     decompose_abelian,
     groups_isomorphic,
     hom_add,
+    hom_count,
     hom_enumerate,
     identity_hom,
     invert_hom,
@@ -73,11 +74,12 @@ class RModule:
 
     def __post_init__(self) -> None:
         rn, mn = self.ring.size, self.group.cardinality
-        table = int_table(
+        table, array = int_table(
             self.action_table, rn * mn, mn,
             "action table needs {need} entries", "action table entry out of module range",
         )
         object.__setattr__(self, "action_table", table)
+        object.__setattr__(self, "_action_array", array.reshape(rn, mn))
 
     def act_index(self, i: int, j: int) -> int:
         return self.action_table[i * self.group.cardinality + j]
@@ -86,12 +88,6 @@ class RModule:
         i = self.ring.additive.index(r)
         j = self.group.index(m)
         return self.group.element_at(self.act_index(i, j))
-
-    @cached_property
-    def _action_array(self) -> np.ndarray:
-        return np.array(self.action_table, dtype=np.int64).reshape(
-            self.ring.size, self.group.cardinality
-        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -241,6 +237,16 @@ def module_homs(m: RModule, n: RModule, max_enum: int | None = None) -> tuple[Gr
     return tuple(kept)
 
 
+def _end_homs(m: RModule, max_enum: int | None) -> tuple[GroupHom, ...]:
+    """`module_homs(m, m)`, computed once per module; the cap on Hom(M, M)
+    is checked before the cached tuple is handed out."""
+    guard(hom_count(m.group, m.group), resolve_max_enum(max_enum), f"Hom({m.group}, {m.group})")
+    cached = m.__dict__.get("_end_cache")
+    if cached is None:
+        cached = m.__dict__["_end_cache"] = module_homs(m, m, max_enum)
+    return cached
+
+
 @dataclass(frozen=True, eq=False)
 class EndomorphismRing:
     """End(M) over the acting ring, presented as a FiniteRing.
@@ -272,7 +278,7 @@ class EndomorphismRing:
 
 def end_ring(m: RModule, max_enum: int | None = None) -> EndomorphismRing:
     """Package the action-commuting endomorphisms as a validated unital ring."""
-    homs = module_homs(m, m, max_enum)
+    homs = _end_homs(m, max_enum)
     pres = decompose_abelian(list(homs), hom_add, zero_hom(m.group, m.group))
     additive = pres.group
     size = additive.cardinality
@@ -319,7 +325,7 @@ def is_linear_heap_morphism(m: RModule, n: RModule, phi: HeapMorphism) -> bool:
 
 def build_linear_endo_truss(m: RModule, max_enum: int | None = None) -> EndoTruss:
     """The sub-truss of E(M) on the action-commuting heap endomorphisms."""
-    homs = module_homs(m, m, max_enum)
+    homs = _end_homs(m, max_enum)
     guard(
         len(homs) * m.group.cardinality,
         resolve_max_enum(max_enum),
@@ -351,8 +357,8 @@ def equivalence_is_valid(eq: ModuleEquivalence, max_enum: int | None = None) -> 
     """Recheck every defining identity of a claimed equivalence."""
     if not eq.mu.is_bijective:
         return False
-    end_m = module_homs(eq.source, eq.source, max_enum)
-    end_n = module_homs(eq.target, eq.target, max_enum)
+    end_m = _end_homs(eq.source, max_enum)
+    end_n = _end_homs(eq.target, max_enum)
     if {u.matrix for u, _ in eq.rho_pairs} != {u.matrix for u in end_m}:
         return False
     if {v.matrix for _, v in eq.rho_pairs} != {v.matrix for v in end_n}:
@@ -386,8 +392,8 @@ def find_module_equivalence(
     when the groups are not isomorphic)."""
     if not groups_isomorphic(m.group, n.group):
         return None
-    end_m = module_homs(m, m, max_enum)
-    end_n = module_homs(n, n, max_enum)
+    end_m = _end_homs(m, max_enum)
+    end_n = _end_homs(n, max_enum)
     if len(end_m) != len(end_n):
         return None
     target_matrices = {v.matrix for v in end_n}

@@ -9,7 +9,6 @@ the unit law exhaustively.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -28,13 +27,14 @@ class FiniteRing:
 
     def __post_init__(self) -> None:
         n = self.additive.cardinality
-        table = int_table(
+        table, array = int_table(
             self.mult_table, n * n, n,
             "multiplication table needs {need} entries", "multiplication table entry out of range",
         )
         if not self.additive.contains(self.one):
             raise ValueError("unit is not an element of the additive group")
         object.__setattr__(self, "mult_table", table)
+        object.__setattr__(self, "_mult_array", array.reshape(n, n))
 
     @property
     def size(self) -> int:
@@ -56,11 +56,6 @@ class FiniteRing:
 
     def add(self, a: Element, b: Element) -> Element:
         return self.additive.add(a, b)
-
-    @cached_property
-    def _mult_array(self) -> np.ndarray:
-        n = self.size
-        return np.array(self.mult_table, dtype=np.int64).reshape(n, n)
 
     def to_json_dict(self) -> dict:
         return {

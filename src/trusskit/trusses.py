@@ -7,15 +7,14 @@ Carriers may be given by dense tables (FiniteTruss) or by any object exposing
 the same indexed interface (size, ternary, mult, unit, _dense_tables); the
 endomorphism trusses built elsewhere plug in that way, and also expose
 `_retract_tables` (n x n multiplication and retract addition) for checks that
-need no n^3 table. Morphisms are total maps preserving both operations; units,
-when present, are not required to map to units (only heap + semigroup
-structure is preserved).
+need no n^3 table; the morphism and isomorphism enumerators take only such
+carriers. Morphisms are total maps preserving both operations; units, when
+present, are not required to map to units (only heap + semigroup structure is
+preserved).
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,13 +36,14 @@ class FiniteTruss:
 
     def __post_init__(self) -> None:
         n = self.heap.size
-        table = int_table(
+        table, array = int_table(
             self.mult_table, n**2, n,
             "multiplication table needs {need} entries", "multiplication table entry out of range",
         )
         if self.unit is not None and not 0 <= self.unit < n:
             raise ValueError("unit index out of range")
         object.__setattr__(self, "mult_table", table)
+        object.__setattr__(self, "_mult_array", array.reshape(n, n))
 
     @property
     def size(self) -> int:
@@ -56,9 +56,7 @@ class FiniteTruss:
         return self.mult_table[a * self.size + b]
 
     def _dense_tables(self, max_enum: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        n = self.size
-        mult = np.array(self.mult_table, dtype=np.int64).reshape(n, n)
-        return mult, self.heap._array
+        return self._mult_array, self.heap._array
 
     def to_json_dict(self) -> dict:
         return {
@@ -221,86 +219,96 @@ def truss_morphism_preserves(tm: TrussMorphism, max_enum: int | None = None) -> 
     return not (f[st] != tm_t[f[:, None, None], f[None, :, None], f[None, None, :]]).any()
 
 
-def _filter_candidates(cands: np.ndarray, sm, st, tm, tt) -> np.ndarray:
-    """Keep the rows of a (k, ns) candidate-map array preserving both tables;
-    multiplication constraints run first since they prune most cheaply."""
-    ns = sm.shape[0]
-    mask = np.ones(len(cands), dtype=bool)
-    for i in range(ns):
-        for j in range(ns):
-            live = cands[mask]
-            if not len(live):
-                return cands[:0]
-            sub = mask.nonzero()[0]
-            ok = live[:, sm[i, j]] == tm[live[:, i], live[:, j]]
-            mask[sub[~ok]] = False
-    cands = cands[mask]
-    if not len(cands):
-        return cands
-    mask = np.ones(len(cands), dtype=bool)
-    for i in range(ns):
-        for j in range(ns):
-            for k in range(ns):
-                live = cands[mask]
-                if not len(live):
-                    return cands[:0]
-                sub = mask.nonzero()[0]
-                ok = live[:, st[i, j, k]] == tt[live[:, i], live[:, j], live[:, k]]
-                mask[sub[~ok]] = False
-    return cands[mask]
+def _respects_mult(F: np.ndarray, x: np.ndarray, z: np.ndarray, sm: np.ndarray, tm: np.ndarray) -> np.ndarray:
+    """Mask of the rows of F (partial maps, by source index) with
+    F[x*z] = F[x]*F[z] for every pair (x[i], z[i]), checked a block of pairs
+    at a time on the rows still alive."""
+    keep = np.ones(len(F), dtype=bool)
+    step = max(1, (1 << 20) // max(1, len(F)))
+    for start in range(0, len(x), step):
+        live = np.flatnonzero(keep)
+        if not len(live):
+            break
+        xs, zs, Fl = x[start : start + step], z[start : start + step], F[live]
+        keep[live] = (Fl[:, sm[xs, zs]] == tm[Fl[:, xs], Fl[:, zs]]).all(axis=1)
+    return keep
+
+
+def _affine_search(s, t, injective: bool, max_enum: int | None) -> tuple[TrussMorphism, ...]:
+    """Every truss morphism s -> t (every injective one if asked), sorted by
+    mapping, for carriers that expose `_retract_tables`.
+
+    A map between abelian heaps preserves [a,b,c] iff it is f = L + c with
+    L additive on the retracts and c = f(0) (Baer; Certaine). The search
+    fixes c, then extends L one generator g of the source retract at a
+    time: the least element outside the span so far. With r the least k > 0
+    such that k*g lies in that span, each image y of g must satisfy
+    r*y = L(r*g), which for r = ord(g) is ord(g)*y = 0, and sets
+    L(v + k*g) = L(v) + k*y for v in the span and 0 < k < r. All |t| images
+    are tried at once per partial map. A partial map survives while f
+    preserves every product x*z with x, z and x*z in its span and, for
+    isomorphisms, while L sends no nonzero element to 0. The images tried
+    are counted against `max_enum` as the search runs.
+    """
+    for end in (s, t):
+        if not hasattr(end, "_retract_tables"):
+            raise TypeError(f"{type(end).__name__} does not expose retract tables")
+    ns, nt = s.size, t.size
+    if injective and ns != nt:
+        return ()
+    (sm, sa, s0), (tm, ta, t0) = s._retract_tables(max_enum), t._retract_tables(max_enum)
+    limit = resolve_max_enum(max_enum)
+    what = "truss morphism search (candidate images tried)"
+    tried = nt
+    guard(tried, limit, what)
+    c = np.arange(nt)  # f(0), one partial map per row
+    L = np.full((nt, ns), t0, dtype=np.int64)  # defined on the span's columns
+    in_span = np.zeros(ns, dtype=bool)
+    in_span[s0] = True
+    checked = np.zeros((ns, ns), dtype=bool)  # pairs whose product was checked
+    ys = np.arange(nt)
+    while True:
+        defined = in_span[:, None] & in_span[None, :] & in_span[sm]
+        x, z = np.nonzero(defined & ~checked)
+        checked = defined
+        keep = _respects_mult(ta[L, c[:, None]], x, z, sm, tm)
+        c, L = c[keep], L[keep]
+        if in_span.all() or not len(c):
+            break
+        g = int(np.argmin(in_span))
+        steps = [g]  # k*g for 0 < k < r
+        rg = int(sa[g, g])
+        while not in_span[rg]:
+            steps.append(rg)
+            rg = int(sa[rg, g])
+        ky = [np.full(nt, t0)]  # ky[k][y] = k*y in the target retract, k <= r
+        while len(ky) <= len(steps) + 1:
+            ky.append(ta[ky[-1], ys])
+        tried += len(c) * nt
+        guard(tried, limit, what)
+        rows, y = np.nonzero(ky[-1][None, :] == L[:, rg][:, None])
+        span = np.flatnonzero(in_span)
+        new = sa[span[None, :], np.array(steps)[:, None]].reshape(-1)
+        vals = ta[L[rows][:, None, span], np.stack(ky[1:-1])[:, y].T[:, :, None]]
+        vals = vals.reshape(len(rows), -1)
+        if injective:
+            ok = (vals != t0).all(axis=1)
+            rows, vals = rows[ok], vals[ok]
+        c, L = c[rows], L[rows]
+        L[:, new] = vals
+        in_span[new] = True
+    F = ta[L, c[:, None]]
+    F = F[np.lexsort(F.T[::-1])]
+    return tuple(TrussMorphism(s, t, tuple(row)) for row in F.tolist())
 
 
 def enumerate_truss_morphisms(s, t, max_enum: int | None = None) -> tuple[TrussMorphism, ...]:
-    """All maps s -> t preserving ternary and mult, by exhaustive filtering of
-    the |t|^|s| total maps, in lexicographic map order."""
-    limit = resolve_max_enum(max_enum)
-    ns, nt = s.size, t.size
-    total = nt**ns
-    guard(total, limit, f"truss morphism candidates ({nt}^{ns})")
-    sm, st = dense_tables(s, max_enum)
-    tm, tt = dense_tables(t, max_enum)
-    found: list[TrussMorphism] = []
-    chunk = 1 << 14
-    dims = (nt,) * ns
-    for start in range(0, total, chunk):
-        ids = np.arange(start, min(start + chunk, total))
-        cands = np.stack(np.unravel_index(ids, dims), axis=1)
-        for row in _filter_candidates(cands, sm, st, tm, tt):
-            found.append(TrussMorphism(s, t, tuple(int(x) for x in row)))
-    return tuple(found)
+    """All maps s -> t preserving ternary and mult, in lexicographic map
+    order, by the affine search on the retracts (`_affine_search`)."""
+    return _affine_search(s, t, False, max_enum)
 
 
 def enumerate_truss_isos(s, t, max_enum: int | None = None) -> tuple[TrussMorphism, ...]:
-    """All bijective truss morphisms s -> t by brute force over permutations.
-
-    Candidates are restricted to bijections matching left absorbers to left
-    absorbers (a necessary condition for bijective morphisms), then filtered on
-    the multiplication and ternary tables.
-    """
-    if s.size != t.size:
-        return ()
-    limit = resolve_max_enum(max_enum)
-    n = s.size
-    abs_s, abs_t = left_absorbers(s), left_absorbers(t)
-    if len(abs_s) != len(abs_t):
-        return ()
-    rest_s = [i for i in range(n) if i not in set(abs_s)]
-    rest_t = [i for i in range(n) if i not in set(abs_t)]
-    total = math.factorial(len(abs_s)) * math.factorial(len(rest_s))
-    guard(total, limit, f"bijections respecting absorbers ({total})")
-    sm, st = dense_tables(s, max_enum)
-    tm, tt = dense_tables(t, max_enum)
-    rows = np.empty((total, n), dtype=np.int64)
-    k = 0
-    for pa in itertools.permutations(abs_t):
-        for pr in itertools.permutations(rest_t):
-            row = rows[k]
-            for src, dst in zip(abs_s, pa):
-                row[src] = dst
-            for src, dst in zip(rest_s, pr):
-                row[src] = dst
-            k += 1
-    kept = _filter_candidates(rows, sm, st, tm, tt)
-    morphisms = [TrussMorphism(s, t, tuple(int(x) for x in row)) for row in kept]
-    morphisms.sort(key=lambda m: m.mapping)
-    return tuple(morphisms)
+    """All bijective truss morphisms s -> t in lexicographic map order: the
+    affine search pruned on injectivity."""
+    return _affine_search(s, t, True, max_enum)

@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 
 from trusskit import AbGroup
-from trusskit.trusses import dense_tables
+from trusskit.trusses import dense_tables, left_absorbers
 
 
 def all_value_tables(g: AbGroup, h: AbGroup):
@@ -57,6 +57,79 @@ def dense_preserves(tm, max_enum: int = 10**9) -> bool:
     if (f[sm] != tm_m[f[:, None], f[None, :]]).any():
         return False
     return not (f[st] != tm_t[f[:, None, None], f[None, :, None], f[None, None, :]]).any()
+
+
+def filter_candidates(cands: np.ndarray, sm, st, tm, tt) -> np.ndarray:
+    """Keep the rows of a (k, ns) candidate-map array preserving both dense
+    tables; multiplication constraints run first since they prune most
+    cheaply."""
+    ns = sm.shape[0]
+    mask = np.ones(len(cands), dtype=bool)
+    for i in range(ns):
+        for j in range(ns):
+            live = cands[mask]
+            if not len(live):
+                return cands[:0]
+            sub = mask.nonzero()[0]
+            ok = live[:, sm[i, j]] == tm[live[:, i], live[:, j]]
+            mask[sub[~ok]] = False
+    cands = cands[mask]
+    if not len(cands):
+        return cands
+    mask = np.ones(len(cands), dtype=bool)
+    for i in range(ns):
+        for j in range(ns):
+            for k in range(ns):
+                live = cands[mask]
+                if not len(live):
+                    return cands[:0]
+                sub = mask.nonzero()[0]
+                ok = live[:, st[i, j, k]] == tt[live[:, i], live[:, j], live[:, k]]
+                mask[sub[~ok]] = False
+    return cands[mask]
+
+
+def brute_force_truss_morphisms(s, t) -> tuple[tuple[int, ...], ...]:
+    """Every map s -> t preserving both dense tables, by filtering all
+    |t|^|s| total maps, in lexicographic map order."""
+    ns, nt = s.size, t.size
+    total = nt**ns
+    sm, st = dense_tables(s, 10**9)
+    tm, tt = dense_tables(t, 10**9)
+    found = []
+    chunk = 1 << 14
+    for start in range(0, total, chunk):
+        ids = np.arange(start, min(start + chunk, total))
+        cands = np.stack(np.unravel_index(ids, (nt,) * ns), axis=1)
+        found.extend(tuple(int(x) for x in row) for row in filter_candidates(cands, sm, st, tm, tt))
+    return tuple(found)
+
+
+def brute_force_truss_isos(s, t) -> tuple[tuple[int, ...], ...]:
+    """Every bijection s -> t preserving both dense tables, sorted: all
+    bijections sending left absorbers onto left absorbers (which every
+    bijective morphism does), filtered."""
+    if s.size != t.size:
+        return ()
+    n = s.size
+    abs_s, abs_t = left_absorbers(s), left_absorbers(t)
+    if len(abs_s) != len(abs_t):
+        return ()
+    rest_s = [i for i in range(n) if i not in set(abs_s)]
+    rest_t = [i for i in range(n) if i not in set(abs_t)]
+    rows = []
+    for pa in itertools.permutations(abs_t):
+        for pr in itertools.permutations(rest_t):
+            row = [0] * n
+            for src, dst in zip(abs_s, pa):
+                row[src] = dst
+            for src, dst in zip(rest_s, pr):
+                row[src] = dst
+            rows.append(row)
+    sm, st = dense_tables(s, 10**9)
+    tm, tt = dense_tables(t, 10**9)
+    kept = filter_candidates(np.array(rows, dtype=np.int64).reshape(-1, n), sm, st, tm, tt)
+    return tuple(sorted(tuple(int(x) for x in row) for row in kept))
 
 
 def conjugate_by_composition(hm, source, target) -> tuple[int, ...]:

@@ -104,9 +104,13 @@ def test_inner_small_pair(capsys):
 
 
 def test_inner_bound_skip(capsys):
-    code, out, _ = run(capsys, "inner", "3", "3")
+    # a cap below the images the search tries skips, with a note
+    code, out, _ = run(capsys, "inner", "3", "3", "--max-enumeration", "100")
     assert code == 0
     assert "skipped" in out
+    code, out, _ = run(capsys, "inner", "3", "3")
+    assert code == 0
+    assert "truss_morphism_count = 13" in out
 
 
 def test_module_bk_example(capsys):

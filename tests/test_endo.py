@@ -251,3 +251,29 @@ def test_heap_isos_match_filtered_heap_morphisms(left, right):
     g, h = parse_group_spec(left), parse_group_spec(right)
     filtered = tuple(m for m in heap_morphisms(g, h) if m.is_isomorphism)
     assert heap_isos(g, h) == filtered
+
+
+@pytest.mark.parametrize("spec", ["", "6", "2,4", "3,3", "2,2,2"])
+def test_hom_positions_agree_with_a_row_lookup(spec):
+    import numpy as np
+
+    e = build_endo_truss(parse_group_spec(spec))
+    rows = e._generator_images
+    lookup = {tuple(row): i for i, row in enumerate(rows.tolist())}
+    order = np.random.default_rng(7).permutation(len(rows))
+    queries = rows[order].reshape(len(rows), 1, -1)
+    assert e.hom_positions(queries).tolist() == [[lookup[tuple(r)]] for r in rows[order].tolist()]
+
+
+def test_hom_positions_refuse_a_hom_outside_the_family():
+    import numpy as np
+
+    from trusskit import zero_hom
+
+    # {0, id} on Z/2 x Z/2: the map taking the first generator as id does
+    # and the second as 0 does matches one family row per column, not both
+    fam = EndoTruss(K4, (zero_hom(K4, K4), identity_hom(K4)))
+    rows = fam._generator_images
+    assert fam.hom_positions(rows[[1, 0, 1]]).tolist() == [1, 0, 1]
+    with pytest.raises(ValueError, match="not closed"):
+        fam.hom_positions(np.array([rows[1, 0], rows[0, 1]]))

@@ -280,3 +280,49 @@ def test_huge_json_entries_exit_2(tmp_path, capsys):
         assert (code, out) == (2, "") and "out of" in err
     code, _, err = run(capsys, "module-bk", str(path), "zn:2")
     assert code == 2 and "out of module range" in err
+
+
+def test_tables_keep_the_array_they_were_checked_as():
+    import numpy as np
+
+    ring = make_ring_zn(4)
+    m = module_zn(4)
+    source = np.zeros(8, dtype=np.int64)
+    heap = FiniteHeap(2, source)
+    source[0] = 1
+    truss = FiniteTruss(heap, (0, 0, 0, 1))
+    for table, array, shape in [
+        (heap.ternary_table, heap._array, (2, 2, 2)),
+        (truss.mult_table, truss._dense_tables()[0], (2, 2)),
+        (ring.mult_table, ring._mult_array, (4, 4)),
+        (m.action_table, m._action_array, (4, 4)),
+    ]:
+        assert array.shape == shape and array.reshape(-1).tolist() == list(table)
+        assert not array.flags.writeable
+    assert heap.ternary_table[0] == 0 and source.flags.writeable
+    assert truss._dense_tables()[1] is heap._array
+
+
+def test_module_bk_computes_each_end_once(monkeypatch, capsys):
+    calls = []
+    real = trusskit.modules.module_homs
+
+    def counted(m, n, max_enum=None):
+        calls.append((m, n))
+        return real(m, n, max_enum)
+
+    monkeypatch.setattr(trusskit.modules, "module_homs", counted)
+    code, out, _ = run(capsys, "module-bk", "fpxfp:2", "fpxfp:2", "--json")
+    assert code == 0 and json.loads(out)["witnesses"]["mu"]
+    assert len(calls) == 2 and all(m is n for m, n in calls)
+
+
+def test_cached_end_does_not_bypass_the_cap():
+    from trusskit import BoundExceeded
+
+    # Hom(Z/2 x Z/2, Z/2 x Z/2) has 16 maps; End(M) is cached by the search
+    m = regular_module(R22)
+    eq = find_module_equivalence(m, m)
+    assert equivalence_is_valid(eq)
+    with pytest.raises(BoundExceeded, match="Hom"):
+        equivalence_is_valid(eq, max_enum=15)

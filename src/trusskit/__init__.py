@@ -66,24 +66,16 @@ from .endo import (
     build_endo_truss,
     constant_morphism,
     constants,
-    decompose,
     evaluate,
     heap_isos,
-    heap_morphisms,
-    heap_ternary,
     identity_morphism,
 )
 from .baer_kaplansky import (
     BKVerification,
     ConjugationWitness,
-    InnerStructure,
     check_inner_structure,
     heap_iso_from_truss_iso,
-    inner_structure,
-    intertwiner_at,
-    intertwiner_correspondence,
     truss_iso_from_heap_iso,
-    unique_intertwiner,
     verify_baer_kaplansky,
     witness_from_truss_iso,
 )

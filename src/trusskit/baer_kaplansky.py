@@ -15,7 +15,8 @@ endomorphism trusses carries an inner structure: the image of the zero constant
 splits into an idempotent endomorphism plus an offset annihilated by it, and
 the heap morphisms intertwining Phi (those xi with Phi(alpha) o xi = xi o
 alpha) are classified by the coset offset + image of the idempotent
-(`inner_structure`, `intertwiner_at`, `intertwiner_correspondence`).
+(`check_inner_structure`). Everything here reads the factored tables of E(G)
+and E(H), never one heap morphism object per carrier element.
 """
 
 from __future__ import annotations
@@ -24,27 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .endo import (
-    EndoTruss,
-    HeapMorphism,
-    build_endo_truss,
-    decompose,
-    heap_isos,
-    heap_morphisms,
-    heap_ternary,
-)
-from .errors import NotAHeapMorphism, NotAnIsomorphism, TrussKitError
+from .endo import EndoTruss, HeapMorphism, build_endo_truss, heap_isos
+from .errors import BoundExceeded, NotAnIsomorphism, guard, resolve_max_enum
 from .groups import (
     AbGroup,
-    Element,
     GroupHom,
     groups_isomorphic,
     group_to_json,
     np_hom_images,
 )
 from .trusses import TrussMorphism, enumerate_truss_isos, truss_morphism_preserves
-
-BRUTE_FORCE_CARRIER_CAP = 9
 
 
 def _endo_ends(phi: TrussMorphism) -> tuple[EndoTruss, EndoTruss]:
@@ -63,22 +53,31 @@ def _require_truss_iso(phi: TrussMorphism, max_enum: int | None) -> None:
 def heap_iso_from_truss_iso(phi: TrussMorphism, max_enum: int | None = None) -> HeapMorphism:
     """Extract the heap isomorphism G -> H inducing a truss isomorphism.
 
-    Sends a to the value of Phi(constant at a) at zero; raises
-    NotAnIsomorphism if Phi fails bijectivity or preservation, or if some
-    constant's image is not constant (impossible for genuine isomorphisms).
+    Sends a to the value of Phi(constant at a) at zero: the heap morphism is
+    built from its values on the generators and checked against every value.
+    Raises NotAnIsomorphism if Phi fails bijectivity or preservation, or if
+    some constant's image is not constant (impossible for genuine
+    isomorphisms).
     """
     eg, eh = _endo_ends(phi)
     _require_truss_iso(phi, max_enum)
-    values = {}
-    for a in eg.group.elements():
-        image = eh.carrier[phi.mapping[eg.constant_index(a)]]
-        if not image.is_constant:
-            raise NotAnIsomorphism("image of a constant map is not constant")
-        values[a] = image.translation
+    images = np.asarray(phi.mapping)[list(eg.constant_indices)]
+    if not np.isin(images, eh.constant_indices).all():
+        raise NotAnIsomorphism("image of a constant map is not constant")
+    g, h = eg.group, eh.group
+    ft = eh.factored_tables(max_enum)
+    values = eh.decode(images)[1]
+    linear = ft.gadd[values, ft.gneg[values[0]]]  # x -> values[x] - values[0]
+    columns = [h.element_at(int(linear[x])) for x in eg.generators]
+    matrix = tuple(tuple(col[j] for col in columns) for j in range(h.rank))
+    not_additive = "extracted map is not a heap morphism: translated table is not additive"
     try:
-        hm = decompose(eg.group, eh.group, values)
-    except NotAHeapMorphism as exc:
-        raise NotAnIsomorphism(f"extracted map is not a heap morphism: {exc}") from None
+        hm = HeapMorphism(GroupHom(g, h, matrix), h.element_at(int(values[0])))
+    except ValueError as exc:
+        raise NotAnIsomorphism(f"{not_additive}: {exc}") from None
+    wrong = np.flatnonzero(np_hom_images([hm.linear], g, h)[0] != linear)
+    if len(wrong):
+        raise NotAnIsomorphism(f"{not_additive}: disagrees at {g.element_at(int(wrong[0]))}")
     if not hm.is_isomorphism:
         raise NotAnIsomorphism("extracted heap morphism is not bijective")
     return hm
@@ -101,11 +100,11 @@ def truss_iso_from_heap_iso(
     f = np_hom_images([hm.linear], source.group, target.group)[0]
     f_inv = np.argsort(f)
     # generator images of f u f^{-1}, then their positions in the target family
-    conj = target.hom_positions(f[src.apply[:, f_inv[target._generators]]])
+    conj = target.hom_positions(f[src.apply[:, f_inv[target.generators]]])
     t = target.group.index(hm.translation)
     shifted = tgt.gadd[f, t]  # f(e) + t
     trans = tgt.gadd[shifted[None, :], tgt.gneg[tgt.apply[conj, t]][:, None]]
-    mapping = conj[:, None] * target._m + trans
+    mapping = target.encode(conj[:, None], trans)
     return TrussMorphism(source, target, tuple(mapping.reshape(-1).tolist()))
 
 
@@ -177,25 +176,22 @@ def verify_baer_kaplansky(
     roundtrip = extracted == list(isos)
     injective = len({phi.mapping for phi in conjugations}) == len(conjugations)
 
-    def conjugate(hm: HeapMorphism) -> tuple[int, ...]:
-        return truss_iso_from_heap_iso(hm, eg, eh, max_enum).mapping
-
-    truss_iso_count: int | None
+    truss_iso_count: int | None = None
     enumerated = None
     if eg.size != eh.size:
         truss_iso_count = 0
-    elif brute_force and eg.size <= BRUTE_FORCE_CARRIER_CAP:
-        enumerated = enumerate_truss_isos(eg, eh, max_enum)
-        truss_iso_count = len(enumerated)
-        roundtrip = roundtrip and all(
-            conjugate(heap_iso_from_truss_iso(phi, max_enum)) == phi.mapping
-            for phi in enumerated
-        )
-    else:
-        truss_iso_count = None
-        roundtrip = roundtrip and all(
-            conjugate(hm) == phi.mapping for hm, phi in zip(extracted, conjugations)
-        )
+    elif brute_force:
+        try:
+            enumerated = enumerate_truss_isos(eg, eh, max_enum)
+        except BoundExceeded:
+            pass  # reported as not enumerated
+        else:
+            truss_iso_count = len(enumerated)
+            roundtrip = roundtrip and all(
+                truss_iso_from_heap_iso(heap_iso_from_truss_iso(phi, max_enum), eg, eh, max_enum).mapping
+                == phi.mapping
+                for phi in enumerated
+            )
 
     consistent = injective and roundtrip and (giso == (len(isos) > 0))
     if truss_iso_count is not None:
@@ -209,131 +205,60 @@ def verify_baer_kaplansky(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class InnerStructure:
-    """Inner data of a truss morphism Phi: E(G) -> E(H).
-
-    The image of the zero constant splits as idempotent + offset with
-    idempotent(offset) = 0; `intertwiners` collects the heap morphisms xi with
-    Phi(alpha) o xi = xi o alpha for every alpha, and `coset` is offset +
-    image(idempotent), which indexes them bijectively.
-    """
-
-    idempotent: GroupHom
-    offset: Element
-    intertwiners: tuple[HeapMorphism, ...]
-    coset: tuple[Element, ...]
-
-
-def _phi_images(phi: TrussMorphism) -> tuple[EndoTruss, EndoTruss, list[HeapMorphism]]:
-    eg, eh = _endo_ends(phi)
-    return eg, eh, [eh.carrier[j] for j in phi.mapping]
-
-
-def inner_structure(phi: TrussMorphism, max_enum: int | None = None) -> InnerStructure:
-    eg, eh, images = _phi_images(phi)
-    zero_image = images[eg.constant_index(eg.group.zero)]
-    idempotent, offset = zero_image.linear, zero_image.translation
-    h = eh.group
-    candidates = heap_morphisms(eg.group, h, max_enum)
-    intertwiners = tuple(
-        xi
-        for xi in candidates
-        if all(
-            images[i].compose(xi) == xi.compose(alpha)
-            for i, alpha in enumerate(eg.carrier)
-        )
-    )
-    seen: dict[Element, None] = {}
-    for x in h.elements():
-        seen.setdefault(h.add(idempotent(x), offset))
-    return InnerStructure(idempotent, offset, intertwiners, tuple(seen))
-
-
-def intertwiner_at(phi: TrussMorphism, b: Element) -> HeapMorphism:
-    """The heap morphism a -> Phi(constant at a)(b); always an intertwiner."""
-    eg, eh, images = _phi_images(phi)
-    values = {
-        a: images[eg.constant_index(a)](eh.group.element(b))
-        for a in eg.group.elements()
-    }
-    return decompose(eg.group, eh.group, values)
-
-
-def intertwiner_correspondence(
-    phi: TrussMorphism, inner: InnerStructure | None = None, max_enum: int | None = None
-) -> tuple[tuple[Element, HeapMorphism], ...]:
-    """The bijection coset -> intertwiners, c -> (a -> Phi(constant at a)(c)).
-
-    Verifies bijectivity and heap-morphism-ness before returning; a failure
-    here would falsify the classification and raises TrussKitError.
-    """
-    if inner is None:
-        inner = inner_structure(phi, max_enum)
-    pairs = tuple((c, intertwiner_at(phi, c)) for c in inner.coset)
-    values = [xi for _, xi in pairs]
-    if len(set(values)) != len(values) or set(values) != set(inner.intertwiners):
-        raise TrussKitError("coset does not classify the intertwiners bijectively")
-    eh_group = inner.intertwiners[0].target if inner.intertwiners else None
-    by_coset = dict(pairs)
-    if eh_group is not None:
-        for c1 in inner.coset:
-            for c2 in inner.coset:
-                for c3 in inner.coset:
-                    combined = eh_group.ternary(c1, c2, c3)
-                    if combined not in by_coset:
-                        raise TrussKitError("coset is not closed under the ternary operation")
-                    expected = heap_ternary(by_coset[c1], by_coset[c2], by_coset[c3])
-                    if by_coset[combined] != expected:
-                        raise TrussKitError("correspondence is not a heap morphism")
-    return pairs
-
-
-def unique_intertwiner(phi: TrussMorphism, max_enum: int | None = None) -> HeapMorphism | None:
-    """When some constant map has constant image under Phi, the intertwiner is
-    unique; returns it, or None when no constant has constant image."""
-    eg, eh, images = _phi_images(phi)
-    if not any(
-        images[eg.constant_index(a)].is_constant for a in eg.group.elements()
-    ):
-        return None
-    inner = inner_structure(phi, max_enum)
-    if len(inner.intertwiners) != 1:
-        raise TrussKitError("expected a unique intertwiner")
-    return inner.intertwiners[0]
-
-
 def check_inner_structure(phi: TrussMorphism, max_enum: int | None = None) -> dict[str, bool]:
-    """Boolean summary of the inner-structure laws for one truss morphism."""
-    from .groups import compose_homs
+    """Boolean summary of the inner-structure laws for one truss morphism.
 
-    eg, eh, images = _phi_images(phi)
-    h = eh.group
-    inner = inner_structure(phi, max_enum)
-    eps, off = inner.idempotent, inner.offset
+    An intertwiner xi satisfies xi(a) = Phi(constant at a)(xi(0)) (take
+    alpha = constant at a), so it is row xi(0) of the |H| x |G| table
+    X[c, a] = Phi(constant at a)(c). The intertwiners are therefore the
+    distinct rows that are heap morphisms and satisfy Phi(alpha)(X[c, x]) =
+    X[c, alpha(x)] for every alpha and x, one per value at zero. The laws
+    compare them with the split Phi(constant at 0) = idempotent + offset and
+    the coset offset + image(idempotent).
+    """
+    eg, eh = _endo_ends(phi)
+    g, h = eg.group, eh.group
+    m, k = g.cardinality, h.cardinality
+    guard(k * m * max(eg.size, k), resolve_max_enum(max_enum), f"intertwiner check E({g}) -> E({h})")
+    gt, ht = eg.factored_tables(max_enum), eh.factored_tables(max_enum)
+
+    def ternary(a, b, c):
+        return ht.gadd[ht.gadd[a, ht.gneg[b]], c]
+
+    u, e = eg.decode(np.arange(eg.size))
+    alpha = gt.gadd[gt.apply[u], e[:, None]]  # alpha[i, x]: element i of E(G) at x
+    v, t = eh.decode(phi.mapping)
+    image = ht.gadd[ht.apply[v], t[:, None]]  # image[i, y]: Phi(element i) at y
+    const = list(eg.constant_indices)
+    X = image[const].T
+    # a row is a heap morphism iff x -> X[c, x] - X[c, 0] is additive on the generators
+    lin = ht.gadd[X, ht.gneg[X[:, :1]]]
+    gens = eg.generators
+    affine = (lin[:, gt.gadd[:, gens]] == ht.gadd[lin[:, :, None], lin[:, None, gens]]).all(axis=(1, 2))
+    intertwines = (image[:, X] == X[:, alpha].swapaxes(0, 1)).all(axis=(0, 2))
+    rows = np.flatnonzero(affine & intertwines)
+    at_zero = np.unique(X[rows, 0])  # one value per intertwiner
+    eps, off = v[const[0]], t[const[0]]
+    eps_image = np.unique(ht.apply[eps])
+    coset = np.unique(ht.gadd[eps_image, off])
+    # c -> row c on the coset preserves every ternary iff it preserves
+    # [c1, off, c3] for all c1, c3: a map of heaps is affine at any base point
+    c1, c3 = coset[:, None], coset[None, :]
+    tern = ternary(c1, off, c3)
+    closed = np.isin(tern, coset).all() and (X[tern] == ternary(X[c1], X[off], X[c3])).all()
+    coset_rows = np.unique(X[coset], axis=0)
     results = {
-        "idempotent": compose_homs(eps, eps).matrix == eps.matrix,
-        "offset_annihilated": eps(off) == h.zero,
-        "intertwiners_nonempty": len(inner.intertwiners) > 0,
+        "idempotent": bool(ht.compose[eps, eps] == eps),
+        "offset_annihilated": bool(ht.apply[eps, off] == 0),
+        "intertwiners_nonempty": len(rows) > 0,
+        "count_matches_image": len(at_zero) == len(eps_image),
+        "correspondence_bijective": bool(
+            len(coset_rows) == len(coset)
+            and np.array_equal(coset_rows, np.unique(X[rows], axis=0))
+            and closed
+        ),
+        "values_at_zero_in_coset": bool(np.isin(at_zero, coset).all()),
     }
-    image_size = len({eps(x) for x in h.elements()})
-    results["count_matches_image"] = len(inner.intertwiners) == image_size
-    try:
-        intertwiner_correspondence(phi, inner, max_enum)
-        results["correspondence_bijective"] = True
-    except TrussKitError:
-        results["correspondence_bijective"] = False
-    results["values_at_zero_in_coset"] = all(
-        xi(eg.group.zero) in set(inner.coset) for xi in inner.intertwiners
-    )
-    if any(images[eg.constant_index(a)].is_constant for a in eg.group.elements()):
-        try:
-            xi = unique_intertwiner(phi, max_enum)
-        except TrussKitError:
-            results["corollary_unique"] = False
-        else:
-            results["corollary_unique"] = xi is not None and all(
-                images[i].compose(xi) == xi.compose(alpha)
-                for i, alpha in enumerate(eg.carrier)
-            )
+    if np.isin(np.asarray(phi.mapping)[const], eh.constant_indices).any():
+        results["corollary_unique"] = len(at_zero) == 1
     return results

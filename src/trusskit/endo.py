@@ -19,11 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotAHeapMorphism, guard, resolve_max_enum
+from .errors import guard, resolve_max_enum
 from .groups import (
     AbGroup,
     Element,
@@ -94,14 +94,6 @@ class HeapMorphism:
         }
 
 
-def heap_ternary(f: HeapMorphism, g: HeapMorphism, h: HeapMorphism) -> HeapMorphism:
-    """Pointwise [f,g,h]: linear parts and translations combine independently."""
-    return HeapMorphism(
-        hom_ternary(f.linear, g.linear, h.linear),
-        f.target.ternary(f.translation, g.translation, h.translation),
-    )
-
-
 def constant_morphism(source: AbGroup, value: Element, target: AbGroup | None = None) -> HeapMorphism:
     """The heap morphism sending every element to `value`."""
     target = source if target is None else target
@@ -116,66 +108,13 @@ def evaluate(phi: HeapMorphism, x: Element) -> Element:
     return phi(x)
 
 
-def decompose(
-    source: AbGroup,
-    target: AbGroup,
-    values: Sequence[Element] | Mapping[Element, Element],
-) -> HeapMorphism:
-    """Split a total value table G -> H into (linear, translation).
-
-    The translation is forced to be the image of zero and the linear part to be
-    the translated table; raises NotAHeapMorphism when that candidate fails to
-    be additive (checked on every element, not just generators).
-    """
-    if isinstance(values, Mapping):
-        table = dict(values)
-    else:
-        values = tuple(values)
-        if len(values) != source.cardinality:
-            raise NotAHeapMorphism("value table does not cover the source group")
-        table = dict(zip(source.elements(), values))
-    if set(table) != set(source.elements()):
-        raise NotAHeapMorphism("value table does not cover the source group")
-    translation = target.element(table[source.zero])
-    linear_values = {x: target.sub(table[x], translation) for x in table}
-    rows = []
-    for j in range(target.rank):
-        row = []
-        for i in range(source.rank):
-            gen = source.element(1 if k == i else 0 for k in range(source.rank))
-            row.append(linear_values[gen][j])
-        rows.append(tuple(row))
-    try:
-        linear = GroupHom(source, target, tuple(rows))
-    except ValueError as exc:
-        raise NotAHeapMorphism(f"translated table is not additive: {exc}") from None
-    for x, v in linear_values.items():
-        if linear(x) != v:
-            raise NotAHeapMorphism(
-                f"translated table is not additive: disagrees at {x}"
-            )
-    return HeapMorphism(linear, translation)
-
-
-def _guarded_homs(g: AbGroup, h: AbGroup, max_enum: int | None) -> tuple[GroupHom, ...]:
-    """Hom(g, h), once the |Hom(g, h)| * |h| heap morphisms fit the cap."""
+def heap_isos(g: AbGroup, h: AbGroup, max_enum: int | None = None) -> tuple[HeapMorphism, ...]:
+    """The bijective heap morphisms g -> h as (hom, translation) pairs,
+    hom-major order; count is |h| times the number of group isomorphisms
+    g -> h. Refused when the |Hom(g, h)| * |h| heap morphisms exceed the cap."""
     homs = hom_enumerate(g, h, max_enum)
     guard(len(homs) * h.cardinality, resolve_max_enum(max_enum), f"heap morphisms {g} -> {h}")
-    return homs
-
-
-def heap_morphisms(g: AbGroup, h: AbGroup, max_enum: int | None = None) -> tuple[HeapMorphism, ...]:
-    """All heap morphisms g -> h as (hom, translation) pairs, hom-major order."""
-    return tuple(
-        HeapMorphism(hom, trans) for hom in _guarded_homs(g, h, max_enum) for trans in h.elements()
-    )
-
-
-def heap_isos(g: AbGroup, h: AbGroup, max_enum: int | None = None) -> tuple[HeapMorphism, ...]:
-    """The bijective heap morphisms, in the order of `heap_morphisms`; count
-    is |h| times the number of group isomorphisms g -> h."""
-    isos = [hom for hom in _guarded_homs(g, h, max_enum) if hom.is_bijective]
-    return tuple(HeapMorphism(hom, trans) for hom in isos for trans in h.elements())
+    return tuple(HeapMorphism(hom, trans) for hom in homs if hom.is_bijective for trans in h.elements())
 
 
 class FactoredTables(NamedTuple):
@@ -268,6 +207,14 @@ class EndoTruss:
     def constant_index(self, a: Element) -> int:
         return self._zero_hom_pos * self._m + self.group.index(self.group.element(a))
 
+    def decode(self, indices) -> tuple[np.ndarray, np.ndarray]:
+        """(family positions, element indices) of carrier indices."""
+        return np.divmod(np.asarray(indices, dtype=np.int64), self._m)
+
+    def encode(self, homs, elements) -> np.ndarray:
+        """Carrier indices of (homs[h], element e); element index 0 is zero."""
+        return np.asarray(homs, dtype=np.int64) * self._m + elements
+
     def mult(self, i: int, j: int) -> int:
         h1, e1 = divmod(i, self._m)
         h2, e2 = divmod(j, self._m)
@@ -306,14 +253,14 @@ class EndoTruss:
         return np_hom_images(self.homs, self.group, self.group)
 
     @cached_property
-    def _generators(self) -> list[int]:
+    def generators(self) -> list[int]:
         """Element indices of the cyclic generators, 1 in one coordinate."""
         return [(1 % n) * s for n, s in zip(self.group.orders, self.group._strides)]
 
     @cached_property
     def _generator_images(self) -> np.ndarray:
         """(H, rank): element indices of each hom's images of the generators."""
-        return self._apply[:, self._generators]
+        return self._apply[:, self.generators]
 
     def hom_positions(self, images: np.ndarray) -> np.ndarray:
         """Family positions of the homs whose generator images fill the last
@@ -372,10 +319,10 @@ class EndoTruss:
         cached = self.__dict__.get("_retract_cache")
         if cached is None:
             ft = self.factored_tables(max_enum)
-            hi, ei = np.divmod(np.arange(n), m)
+            hi, ei = self.decode(np.arange(n))
             h1, h2, e1, e2 = hi[:, None], hi[None, :], ei[:, None], ei[None, :]
-            mult = ft.compose[h1, h2] * m + ft.gadd[ft.apply[h1, e2], e1]
-            add = ft.add[h1, h2] * m + ft.gadd[e1, e2]
+            mult = self.encode(ft.compose[h1, h2], ft.gadd[ft.apply[h1, e2], e1])
+            add = self.encode(ft.add[h1, h2], ft.gadd[e1, e2])
             cached = (mult, add, self._zero_hom_pos * m)
             self.__dict__["_retract_cache"] = cached
         return cached

@@ -447,11 +447,9 @@ def equivalence_from_truss_iso(
     if source.group != source_module.group or target.group != target_module.group:
         raise ValueError("truss morphism does not match the given modules")
     mu = heap_iso_from_truss_iso(phi, max_enum).linear
-    # carrier index pos * |M| is (homs[pos], 0); its image's hom is rho(u)
-    pairs = tuple(
-        (u, target.homs[phi.mapping[pos * source._m] // target._m])
-        for pos, u in enumerate(source.homs)
-    )
+    # the image of (u, 0) has hom rho(u)
+    images = np.asarray(phi.mapping)[source.encode(np.arange(len(source.homs)), 0)]
+    pairs = tuple(zip(source.homs, (target.homs[pos] for pos in target.decode(images)[0])))
     eq = ModuleEquivalence(source_module, target_module, mu, pairs)
     if not equivalence_is_valid(eq, max_enum):
         raise NotAnIsomorphism("extracted pair is not a module equivalence")

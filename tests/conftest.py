@@ -3,10 +3,15 @@ enumeration routes: they filter raw value tables / bijections by the defining
 identities, nothing else."""
 
 import itertools
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from trusskit import AbGroup
+from trusskit import AbGroup, HeapMorphism, NotAHeapMorphism, NotAnIsomorphism, TrussKitError
+from trusskit.endo import EndoTruss
+from trusskit.errors import guard, resolve_max_enum
+from trusskit.groups import Element, GroupHom, compose_homs, hom_enumerate, hom_ternary
 from trusskit.trusses import dense_tables, left_absorbers
 
 
@@ -231,3 +236,220 @@ def truss_iso_by_element(eq, source, target) -> tuple[int, ...]:
         target.index_of(HeapMorphism(eq.rho_of(alpha.linear), eq.mu(alpha.translation)))
         for alpha in source.carrier
     )
+
+
+# ---------------------------------------------------------------- heap morphisms one element at a time
+
+
+def heap_ternary(f: HeapMorphism, g: HeapMorphism, h: HeapMorphism) -> HeapMorphism:
+    """Pointwise [f,g,h]: linear parts and translations combine independently."""
+    return HeapMorphism(
+        hom_ternary(f.linear, g.linear, h.linear),
+        f.target.ternary(f.translation, g.translation, h.translation),
+    )
+
+
+def decompose(
+    source: AbGroup,
+    target: AbGroup,
+    values: Sequence[Element] | Mapping[Element, Element],
+) -> HeapMorphism:
+    """Split a total value table G -> H into (linear, translation).
+
+    The translation is forced to be the image of zero and the linear part to be
+    the translated table; raises NotAHeapMorphism when that candidate fails to
+    be additive (checked on every element, not just generators).
+    """
+    if isinstance(values, Mapping):
+        table = dict(values)
+    else:
+        values = tuple(values)
+        if len(values) != source.cardinality:
+            raise NotAHeapMorphism("value table does not cover the source group")
+        table = dict(zip(source.elements(), values))
+    if set(table) != set(source.elements()):
+        raise NotAHeapMorphism("value table does not cover the source group")
+    translation = target.element(table[source.zero])
+    linear_values = {x: target.sub(table[x], translation) for x in table}
+    rows = []
+    for j in range(target.rank):
+        row = []
+        for i in range(source.rank):
+            gen = source.element(1 if k == i else 0 for k in range(source.rank))
+            row.append(linear_values[gen][j])
+        rows.append(tuple(row))
+    try:
+        linear = GroupHom(source, target, tuple(rows))
+    except ValueError as exc:
+        raise NotAHeapMorphism(f"translated table is not additive: {exc}") from None
+    for x, v in linear_values.items():
+        if linear(x) != v:
+            raise NotAHeapMorphism(
+                f"translated table is not additive: disagrees at {x}"
+            )
+    return HeapMorphism(linear, translation)
+
+
+def heap_morphisms(g: AbGroup, h: AbGroup, max_enum: int | None = None) -> tuple[HeapMorphism, ...]:
+    """All heap morphisms g -> h as (hom, translation) pairs, hom-major order."""
+    homs = hom_enumerate(g, h, max_enum)
+    guard(len(homs) * h.cardinality, resolve_max_enum(max_enum), f"heap morphisms {g} -> {h}")
+    return tuple(HeapMorphism(hom, trans) for hom in homs for trans in h.elements())
+
+
+def heap_iso_by_decompose(phi) -> HeapMorphism:
+    """Extraction a -> Phi(constant at a)(0) from one heap morphism object per
+    carrier element, split by `decompose`, with the library's messages.
+    Bijectivity is checked first; preservation is not checked at all, so
+    compare it with the library only on maps that preserve both operations,
+    that are not bijective, or with the library's preservation check off."""
+    eg, eh = phi.source, phi.target
+    if not phi.is_bijective:
+        raise NotAnIsomorphism("morphism is not bijective")
+    values = {}
+    for a in eg.group.elements():
+        image = eh.carrier[phi.mapping[eg.constant_index(a)]]
+        if not image.is_constant:
+            raise NotAnIsomorphism("image of a constant map is not constant")
+        values[a] = image.translation
+    try:
+        hm = decompose(eg.group, eh.group, values)
+    except NotAHeapMorphism as exc:
+        raise NotAnIsomorphism(f"extracted map is not a heap morphism: {exc}") from None
+    if not hm.is_isomorphism:
+        raise NotAnIsomorphism("extracted heap morphism is not bijective")
+    return hm
+
+
+# ---------------------------------------------------------------- inner structure by composition
+
+
+@dataclass(frozen=True, eq=False)
+class InnerStructure:
+    """Inner data of a truss morphism Phi: E(G) -> E(H).
+
+    The image of the zero constant splits as idempotent + offset with
+    idempotent(offset) = 0; `intertwiners` collects the heap morphisms xi with
+    Phi(alpha) o xi = xi o alpha for every alpha, and `coset` is offset +
+    image(idempotent), which indexes them bijectively.
+    """
+
+    idempotent: GroupHom
+    offset: Element
+    intertwiners: tuple[HeapMorphism, ...]
+    coset: tuple[Element, ...]
+
+
+def _phi_images(phi) -> tuple[EndoTruss, EndoTruss, list[HeapMorphism]]:
+    eg, eh = phi.source, phi.target
+    return eg, eh, [eh.carrier[j] for j in phi.mapping]
+
+
+def inner_structure(phi, max_enum: int | None = None) -> InnerStructure:
+    """Filter every heap morphism G -> H by Phi(alpha) o xi == xi o alpha,
+    composing per carrier element."""
+    eg, eh, images = _phi_images(phi)
+    zero_image = images[eg.constant_index(eg.group.zero)]
+    idempotent, offset = zero_image.linear, zero_image.translation
+    h = eh.group
+    candidates = heap_morphisms(eg.group, h, max_enum)
+    intertwiners = tuple(
+        xi
+        for xi in candidates
+        if all(
+            images[i].compose(xi) == xi.compose(alpha)
+            for i, alpha in enumerate(eg.carrier)
+        )
+    )
+    seen: dict[Element, None] = {}
+    for x in h.elements():
+        seen.setdefault(h.add(idempotent(x), offset))
+    return InnerStructure(idempotent, offset, intertwiners, tuple(seen))
+
+
+def intertwiner_at(phi, b: Element) -> HeapMorphism:
+    """The heap morphism a -> Phi(constant at a)(b); always an intertwiner."""
+    eg, eh, images = _phi_images(phi)
+    values = {
+        a: images[eg.constant_index(a)](eh.group.element(b))
+        for a in eg.group.elements()
+    }
+    return decompose(eg.group, eh.group, values)
+
+
+def intertwiner_correspondence(
+    phi, inner: InnerStructure | None = None, max_enum: int | None = None
+) -> tuple[tuple[Element, HeapMorphism], ...]:
+    """The bijection coset -> intertwiners, c -> (a -> Phi(constant at a)(c)).
+
+    Verifies bijectivity and heap-morphism-ness before returning; a failure
+    here would falsify the classification and raises TrussKitError.
+    """
+    if inner is None:
+        inner = inner_structure(phi, max_enum)
+    pairs = tuple((c, intertwiner_at(phi, c)) for c in inner.coset)
+    values = [xi for _, xi in pairs]
+    if len(set(values)) != len(values) or set(values) != set(inner.intertwiners):
+        raise TrussKitError("coset does not classify the intertwiners bijectively")
+    eh_group = inner.intertwiners[0].target if inner.intertwiners else None
+    by_coset = dict(pairs)
+    if eh_group is not None:
+        for c1 in inner.coset:
+            for c2 in inner.coset:
+                for c3 in inner.coset:
+                    combined = eh_group.ternary(c1, c2, c3)
+                    if combined not in by_coset:
+                        raise TrussKitError("coset is not closed under the ternary operation")
+                    expected = heap_ternary(by_coset[c1], by_coset[c2], by_coset[c3])
+                    if by_coset[combined] != expected:
+                        raise TrussKitError("correspondence is not a heap morphism")
+    return pairs
+
+
+def unique_intertwiner(phi, max_enum: int | None = None) -> HeapMorphism | None:
+    """When some constant map has constant image under Phi, the intertwiner is
+    unique; returns it, or None when no constant has constant image."""
+    eg, eh, images = _phi_images(phi)
+    if not any(
+        images[eg.constant_index(a)].is_constant for a in eg.group.elements()
+    ):
+        return None
+    inner = inner_structure(phi, max_enum)
+    if len(inner.intertwiners) != 1:
+        raise TrussKitError("expected a unique intertwiner")
+    return inner.intertwiners[0]
+
+
+def inner_laws_by_composition(phi, max_enum: int | None = None) -> dict[str, bool]:
+    """The inner-structure laws of `check_inner_structure`, from
+    `inner_structure` and the correspondence above."""
+    eg, eh, images = _phi_images(phi)
+    h = eh.group
+    inner = inner_structure(phi, max_enum)
+    eps, off = inner.idempotent, inner.offset
+    results = {
+        "idempotent": compose_homs(eps, eps).matrix == eps.matrix,
+        "offset_annihilated": eps(off) == h.zero,
+        "intertwiners_nonempty": len(inner.intertwiners) > 0,
+    }
+    image_size = len({eps(x) for x in h.elements()})
+    results["count_matches_image"] = len(inner.intertwiners) == image_size
+    try:
+        intertwiner_correspondence(phi, inner, max_enum)
+        results["correspondence_bijective"] = True
+    except TrussKitError:
+        results["correspondence_bijective"] = False
+    results["values_at_zero_in_coset"] = all(
+        xi(eg.group.zero) in set(inner.coset) for xi in inner.intertwiners
+    )
+    if any(images[eg.constant_index(a)].is_constant for a in eg.group.elements()):
+        try:
+            xi = unique_intertwiner(phi, max_enum)
+        except TrussKitError:
+            results["corollary_unique"] = False
+        else:
+            results["corollary_unique"] = xi is not None and all(
+                images[i].compose(xi) == xi.compose(alpha)
+                for i, alpha in enumerate(eg.carrier)
+            )
+    return results

@@ -6,7 +6,13 @@ check is exact and exhaustive over its stated domain; no tolerances anywhere.
 import itertools
 from contextlib import contextmanager
 
-from conftest import brute_force_hom_count
+from conftest import (
+    brute_force_hom_count,
+    heap_morphisms,
+    inner_structure,
+    intertwiner_correspondence,
+    unique_intertwiner,
+)
 
 from trusskit import (
     FiniteHeap,
@@ -24,10 +30,7 @@ from trusskit import (
     heap_from_group,
     heap_isos,
     heap_iso_from_truss_iso,
-    heap_morphisms,
     induced_action,
-    inner_structure,
-    intertwiner_correspondence,
     is_truss_morphism,
     linear_heap_morphisms,
     make_field_fp,
@@ -42,7 +45,6 @@ from trusskit import (
     truss_iso_from_equivalence,
     truss_iso_from_heap_iso,
     truss_morphism_preserves,
-    unique_intertwiner,
     validate_heap,
     validate_module,
     validate_truss,

@@ -2,7 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import conjugate_by_composition
+from conftest import (
+    conjugate_by_composition,
+    inner_structure,
+    intertwiner_at,
+    intertwiner_correspondence,
+    unique_intertwiner,
+)
 
 from trusskit import (
     NotAnIsomorphism,
@@ -16,13 +22,9 @@ from trusskit import (
     heap_isos,
     identity_morphism,
     identity_truss_morphism,
-    inner_structure,
-    intertwiner_at,
-    intertwiner_correspondence,
     make_group,
     parse_group_spec,
     truss_iso_from_heap_iso,
-    unique_intertwiner,
     verify_baer_kaplansky,
     witness_from_truss_iso,
 )

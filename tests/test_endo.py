@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import decompose, heap_morphisms, heap_ternary
 
 from trusskit import (
     BoundExceeded,
@@ -10,10 +11,7 @@ from trusskit import (
     build_endo_truss,
     constant_morphism,
     constants,
-    decompose,
     heap_isos,
-    heap_morphisms,
-    heap_ternary,
     hom_enumerate,
     identity_hom,
     identity_morphism,

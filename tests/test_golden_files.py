@@ -4,11 +4,12 @@ exactly, so the JSON formats cannot drift silently."""
 import json
 from pathlib import Path
 
+from conftest import decompose
+
 from trusskit import (
     FiniteTruss,
     HeapMorphism,
     build_endo_truss,
-    decompose,
     make_group,
     validate_truss,
 )

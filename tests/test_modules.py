@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from conftest import heap_morphisms
 
 from trusskit import (
     InvalidEquivalence,
@@ -17,7 +18,6 @@ from trusskit import (
     example_non_iso,
     find_module_equivalence,
     find_ring_isomorphism,
-    heap_morphisms,
     induced_action,
     is_linear_heap_morphism,
     linear_heap_morphisms,
@@ -313,7 +313,7 @@ def test_module_json_roundtrip():
 
 def test_pairing_is_componentwise_heap_bijection():
     # (hom, translation) pairs combine slotwise under the pointwise ternary op
-    from trusskit import heap_ternary
+    from conftest import heap_ternary
 
     members = linear_heap_morphisms(FX0, ZXF)
     seen = {(phi.linear.matrix, phi.translation) for phi in members}

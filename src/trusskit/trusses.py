@@ -222,15 +222,18 @@ def truss_morphism_preserves(tm: TrussMorphism, max_enum: int | None = None) -> 
 def _respects_mult(F: np.ndarray, x: np.ndarray, z: np.ndarray, sm: np.ndarray, tm: np.ndarray) -> np.ndarray:
     """Mask of the rows of F (partial maps, by source index) with
     F[x*z] = F[x]*F[z] for every pair (x[i], z[i]), checked a block of pairs
-    at a time on the rows still alive."""
+    at a time on the rows still alive. Blocks start at one pair and double,
+    up to 2^20 lookups, so rows that fail early cost few lookups."""
     keep = np.ones(len(F), dtype=bool)
-    step = max(1, (1 << 20) // max(1, len(F)))
-    for start in range(0, len(x), step):
+    start, step = 0, 1
+    while start < len(x):
         live = np.flatnonzero(keep)
         if not len(live):
             break
-        xs, zs, Fl = x[start : start + step], z[start : start + step], F[live]
-        keep[live] = (Fl[:, sm[xs, zs]] == tm[Fl[:, xs], Fl[:, zs]]).all(axis=1)
+        step = min(step, max(1, (1 << 20) // len(live)))
+        xs, zs, rows = x[start : start + step], z[start : start + step], live[:, None]
+        keep[live] = (F[rows, sm[xs, zs]] == tm[F[rows, xs], F[rows, zs]]).all(axis=1)
+        start, step = start + step, 2 * step
     return keep
 
 
@@ -248,7 +251,9 @@ def _affine_search(s, t, injective: bool, max_enum: int | None) -> tuple[TrussMo
     are tried at once per partial map. A partial map survives while f
     preserves every product x*z with x, z and x*z in its span and, for
     isomorphisms, while L sends no nonzero element to 0. The images tried
-    are counted against `max_enum` as the search runs.
+    are counted against `max_enum` as the search runs. The partial maps are
+    extended and pruned a block of rows at a time, so the tables built for
+    one generator stay near 2^20 entries however many images are tried.
     """
     for end in (s, t):
         if not hasattr(end, "_retract_tables"):
@@ -267,14 +272,18 @@ def _affine_search(s, t, injective: bool, max_enum: int | None) -> tuple[TrussMo
     in_span[s0] = True
     checked = np.zeros((ns, ns), dtype=bool)  # pairs whose product was checked
     ys = np.arange(nt)
-    while True:
+
+    def unchecked_pairs():
+        nonlocal checked
         defined = in_span[:, None] & in_span[None, :] & in_span[sm]
         x, z = np.nonzero(defined & ~checked)
         checked = defined
-        keep = _respects_mult(ta[L, c[:, None]], x, z, sm, tm)
-        c, L = c[keep], L[keep]
-        if in_span.all() or not len(c):
-            break
+        return x, z
+
+    keep = _respects_mult(ta[L, c[:, None]], *unchecked_pairs(), sm, tm)
+    c, L = c[keep], L[keep]
+    block = max(1, (1 << 20) // ns)  # rows extended at a time: bounds the tables built
+    while len(c) and not in_span.all():
         g = int(np.argmin(in_span))
         steps = [g]  # k*g for 0 < k < r
         rg = int(sa[g, g])
@@ -289,14 +298,22 @@ def _affine_search(s, t, injective: bool, max_enum: int | None) -> tuple[TrussMo
         rows, y = np.nonzero(ky[-1][None, :] == L[:, rg][:, None])
         span = np.flatnonzero(in_span)
         new = sa[span[None, :], np.array(steps)[:, None]].reshape(-1)
-        vals = ta[L[rows][:, None, span], np.stack(ky[1:-1])[:, y].T[:, :, None]]
-        vals = vals.reshape(len(rows), -1)
-        if injective:
-            ok = (vals != t0).all(axis=1)
-            rows, vals = rows[ok], vals[ok]
-        c, L = c[rows], L[rows]
-        L[:, new] = vals
+        multiples = np.stack(ky[1:-1])  # multiples[k - 1][y] = k*y, 0 < k < r
         in_span[new] = True
+        x, z = unchecked_pairs()
+        cs, Ls = [c[:0]], [L[:0]]
+        for start in range(0, len(rows), block):
+            r, yb = rows[start : start + block], y[start : start + block]
+            Lb, cb = L[r], c[r]
+            vals = ta[Lb[:, None, span], multiples[:, yb].T[:, :, None]].reshape(len(r), -1)
+            if injective:
+                ok = (vals != t0).all(axis=1)
+                Lb, cb, vals = Lb[ok], cb[ok], vals[ok]
+            Lb[:, new] = vals
+            keep = _respects_mult(ta[Lb, cb[:, None]], x, z, sm, tm)
+            cs.append(cb[keep])
+            Ls.append(Lb[keep])
+        c, L = np.concatenate(cs), np.concatenate(Ls)
     F = ta[L, c[:, None]]
     F = F[np.lexsort(F.T[::-1])]
     return tuple(TrussMorphism(s, t, tuple(row)) for row in F.tolist())

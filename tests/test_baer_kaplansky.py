@@ -119,9 +119,22 @@ def test_verify_negative_case():
 def test_verify_normalized_pair():
     result = verify_baer_kaplansky(make_group([6]), parse_group_spec("2,3"))
     assert result.heap_iso_count == 12  # 6 translations x 2 automorphisms
-    assert result.truss_iso_count is None  # 36-element carriers, not enumerated
+    assert result.truss_iso_count is None  # brute force not requested
     assert result.to_json_dict()["truss_iso_count"] == "not_enumerated"
     assert result.consistent
+
+
+def test_verify_brute_force_beyond_nine_elements():
+    v = parse_group_spec("2,2")
+    result = verify_baer_kaplansky(v, v, brute_force=True)
+    assert result.heap_iso_count == result.truss_iso_count == 24
+    assert result.theta_upsilon_roundtrip and result.consistent
+    # the 64 x 64 tables fit under 10^4, the isomorphism search does not
+    capped = verify_baer_kaplansky(v, v, brute_force=True, max_enum=10**4)
+    assert capped.truss_iso_count is None
+    assert capped.to_json_dict()["truss_iso_count"] == "not_enumerated"
+    assert capped.heap_iso_count == 24
+    assert capped.consistent
 
 
 def test_inner_structure_of_isomorphism_is_trivial():

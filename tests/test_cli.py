@@ -75,6 +75,27 @@ def test_bk_brute_force_z3(capsys):
     assert data["truss_iso_count"] == 6
 
 
+def test_bk_brute_force_beyond_nine_elements(capsys):
+    # E(Z/2 x Z/2) has 64 elements: the search runs at every carrier size
+    code, out, _ = run(capsys, "bk", "2,2", "2,2", "--brute-force", "--json")
+    data = json.loads(out)
+    assert code == 0
+    assert data["heap_iso_count"] == 24
+    assert data["truss_iso_count"] == 24
+    assert data["consistent"] is True
+
+
+def test_bk_brute_force_over_cap_is_not_enumerated(capsys):
+    # the 64 x 64 tables fit under 10^4, the isomorphism search does not
+    code, out, _ = run(capsys, "bk", "2,2", "2,2", "--brute-force", "--json",
+                       "--max-enumeration", "10000")
+    data = json.loads(out)
+    assert code == 0
+    assert data["truss_iso_count"] == "not_enumerated"
+    assert data["heap_iso_count"] == 24
+    assert data["consistent"] is True
+
+
 def test_bk_json_deterministic(capsys):
     _, first, _ = run(capsys, "bk", "2", "2", "--json")
     _, second, _ = run(capsys, "bk", "2", "2", "--json")
@@ -133,6 +154,35 @@ def test_module_bk_inequivalent_pair(capsys):
     assert code == 0
     assert "equivalent_over_end_rings = False" in out
     assert "truss_iso_exists = False" in out
+
+
+def _results(out):
+    return {r["name"]: r for r in json.loads(out)["results"]}
+
+
+def test_module_bk_equal_size_inequivalent_pair_is_searched(capsys):
+    # Z/4 and F_2 x F_2 both give 16-element linear endomorphism trusses
+    code, out, _ = run(capsys, "module-bk", "zn:4", "fpxfp:2", "--json")
+    assert code == 0
+    results = _results(out)
+    assert results["equivalent_over_end_rings"]["value"] is False
+    assert results["truss_iso_exists"]["value"] is False
+    assert results["truss_iso_exists"]["exhaustive"] is True
+    assert results["consistent"]["passed"] is True
+
+
+def test_module_bk_over_cap_search_is_unknown(capsys):
+    # the equivalence search fits under 255, the 16 x 16 tables of the
+    # isomorphism search do not
+    code, out, _ = run(capsys, "module-bk", "zn:4", "fpxfp:2", "--json",
+                       "--max-enumeration", "255")
+    assert code == 0
+    results = _results(out)
+    assert results["equivalent_over_end_rings"]["value"] is False
+    assert results["truss_iso_exists"]["value"] == "unknown"
+    assert results["truss_iso_exists"]["exhaustive"] is False
+    assert results["consistent"]["passed"] is None
+    assert results["consistent"]["exhaustive"] is False
 
 
 def test_bound_exceeded_exit_code(capsys):

@@ -16,9 +16,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import replace
 from pathlib import Path
-from typing import Any
 
 from .baer_kaplansky import check_inner_structure, verify_baer_kaplansky
 from .endo import build_endo_truss
@@ -38,73 +37,7 @@ from .modules import (
 )
 from .rings import make_field_fp, make_product_ring, make_ring_zn, ring_as_truss, validate_ring
 from .trusses import FiniteTruss, enumerate_truss_morphisms, validate_truss
-from .validation import ValidationReport
-
-
-@dataclass
-class Finding:
-    name: str
-    passed: bool | None  # None marks informational findings
-    value: Any = None
-    exhaustive: bool = True
-
-
-@dataclass
-class Report:
-    command: str
-    inputs: dict
-    findings: list[Finding]
-    witnesses: dict | None = None
-    elapsed: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return all(f.passed is not False for f in self.findings)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "results": [
-                {
-                    "name": f.name,
-                    "passed": f.passed,
-                    "value": f.value,
-                    "exhaustive": f.exhaustive,
-                }
-                for f in self.findings
-            ],
-            "witnesses": self.witnesses,
-        }
-
-    def human(self) -> str:
-        lines = [f"trusskit {self.command}"]
-        for key, val in self.inputs.items():
-            lines.append(f"  input {key} = {val}")
-        for f in self.findings:
-            if f.passed is None:
-                status = "INFO"
-            else:
-                status = "PASS" if f.passed else "FAIL"
-            mode = "exhaustive" if f.exhaustive else "not exhaustive"
-            value = "" if f.value is None else f" = {f.value}"
-            lines.append(f"  [{status}] {f.name}{value} ({mode})")
-        for key, val in (self.witnesses or {}).items():
-            lines.append(f"  witness {key} = {json.dumps(val)}")
-        lines.append(f"elapsed: {self.elapsed:.3f}s")
-        return "\n".join(lines)
-
-
-def _findings_from_validation(report: ValidationReport) -> list[Finding]:
-    return [
-        Finding(
-            c.law,
-            c.passed,
-            None if c.counterexample is None else f"counterexample {c.counterexample}",
-            c.exhaustive,
-        )
-        for c in report.checks
-    ]
+from .validation import Check, ValidationReport
 
 
 def _split_preset(spec: str) -> tuple[str, str]:
@@ -176,68 +109,57 @@ def _valid_module(spec: str, max_enum: int | None) -> RModule:
     failed law is an input error (ValueError), not a finding."""
     m = _module_from_spec(spec, max_enum)
     for report in (validate_ring(m.ring, max_enum), validate_module(m, max_enum)):
-        if not report.passed:
-            c = report.failures()[0]
-            raise ValueError(f"{spec} is not a module: {report.subject} fails {c.law} at {c.counterexample}")
+        report.raise_on_failure(f"{spec} is not a module")
     return m
 
 
-def cmd_validate(args, max_enum: int | None) -> Report:
+def cmd_validate(args, max_enum: int | None) -> ValidationReport:
     if args.heap:
         subject = _heap_from_spec(args.heap, max_enum)
-        report = validate_heap(subject)
+        checks = validate_heap(subject).checks
         inputs = {"heap": args.heap, "size": subject.size}
     elif args.truss:
         subject = _truss_from_spec(args.truss, max_enum)
-        report = validate_truss(subject, max_enum)
+        checks = validate_truss(subject, max_enum).checks
         inputs = {"truss": args.truss, "size": subject.size}
     else:
         subject = _module_from_spec(args.module, max_enum)
-        report = validate_module(subject, max_enum)
+        ring = tuple(replace(c, law="ring-" + c.law) for c in validate_ring(subject.ring, max_enum).checks)
+        checks = ring + validate_module(subject, max_enum).checks
         inputs = {
             "module": args.module,
             "ring_size": subject.ring.size,
             "module_size": subject.group.cardinality,
         }
-    return Report("validate", inputs, _findings_from_validation(report))
+    return ValidationReport("validate", checks, inputs)
 
 
-def cmd_bk(args, max_enum: int | None) -> Report:
+def cmd_bk(args, max_enum: int | None) -> ValidationReport:
     from .endo import heap_isos
 
     left = parse_group_spec(args.left)
     right = parse_group_spec(args.right)
     result = verify_baer_kaplansky(left, right, brute_force=args.brute_force, max_enum=max_enum)
     enumerated = result.truss_iso_count is not None
-    findings = [
-        Finding("heap_iso_count", None, result.heap_iso_count),
-        Finding(
-            "truss_iso_count",
-            None,
-            result.truss_iso_count if enumerated else "not_enumerated",
-            exhaustive=enumerated,
-        ),
-        Finding("theta_upsilon_roundtrip", result.theta_upsilon_roundtrip),
-        Finding("upsilon_injective", result.upsilon_injective),
-        Finding("groups_isomorphic", None, result.groups_isomorphic),
-        Finding("consistent", result.consistent),
-    ]
+    checks = (
+        Check("heap_iso_count", None, value=result.heap_iso_count),
+        Check("truss_iso_count", None, enumerated,
+              value=result.truss_iso_count if enumerated else "not_enumerated"),
+        Check("theta_upsilon_roundtrip", result.theta_upsilon_roundtrip),
+        Check("upsilon_injective", result.upsilon_injective),
+        Check("groups_isomorphic", None, value=result.groups_isomorphic),
+        Check("consistent", result.consistent),
+    )
     witnesses = None
     if 0 < result.heap_iso_count <= 8:
         witnesses = {
             "heap_isos": [hm.to_json_dict() for hm in heap_isos(left, right, max_enum)]
         }
-    report = Report(
-        "bk",
-        {"left": args.left, "right": args.right, "brute_force": args.brute_force},
-        findings,
-        witnesses,
-    )
-    report.bk_json = result.to_json_dict()  # exact schema for --json
-    return report
+    inputs = {"left": args.left, "right": args.right, "brute_force": args.brute_force}
+    return ValidationReport("bk", checks, inputs, witnesses, document=result.to_json_dict())
 
 
-def cmd_inner(args, max_enum: int | None) -> Report:
+def cmd_inner(args, max_enum: int | None) -> ValidationReport:
     left = parse_group_spec(args.left)
     right = parse_group_spec(args.right)
     source = build_endo_truss(left, max_enum)
@@ -246,47 +168,41 @@ def cmd_inner(args, max_enum: int | None) -> Report:
     try:
         morphisms = enumerate_truss_morphisms(source, target, max_enum)
     except BoundExceeded as exc:
-        return Report(
-            "inner",
-            inputs,
-            [Finding("enumeration", None, f"skipped: {exc}", exhaustive=False)],
-        )
-    findings = [Finding("truss_morphism_count", None, len(morphisms))]
+        return ValidationReport("inner", (Check("enumeration", None, False, value=f"skipped: {exc}"),), inputs)
     all_results: dict[str, bool] = {}
     for phi in morphisms:
         for law, ok in check_inner_structure(phi, max_enum).items():
             all_results[law] = all_results.get(law, True) and ok
-    for law, ok in sorted(all_results.items()):
-        findings.append(Finding(law, ok, None))
-    return Report("inner", inputs, findings)
+    checks = [Check("truss_morphism_count", None, value=len(morphisms))]
+    checks += [Check(law, ok) for law, ok in sorted(all_results.items())]
+    return ValidationReport("inner", tuple(checks), inputs)
 
 
-def cmd_module_bk(args, max_enum: int | None) -> Report:
+def cmd_module_bk(args, max_enum: int | None) -> ValidationReport:
     if args.second is None:
         name, arg = _split_preset(args.first)
         if name != "example-non-iso":
             raise ValueError("single-argument form expects example-non-iso:P")
         example = example_non_iso(int(arg), max_enum)
         data = example.to_json_dict()
-        findings = [
-            Finding("truss_iso_exists", True, None),
-            Finding("module_hom_count", None, data["module_hom_count"]),
-            Finding("module_iso_exists", not data["module_iso_exists"],
-                    data["module_iso_exists"]),
-            Finding("groups_isomorphic", None, data["groups_isomorphic"]),
-            Finding("consistent", data["consistent"]),
-        ]
+        checks = (
+            Check("truss_iso_exists", True),
+            Check("module_hom_count", None, value=data["module_hom_count"]),
+            Check("module_iso_exists", not data["module_iso_exists"], value=data["module_iso_exists"]),
+            Check("groups_isomorphic", None, value=data["groups_isomorphic"]),
+            Check("consistent", data["consistent"]),
+        )
         witnesses = {
             "truss_iso_mapping": data["truss_iso_mapping"],
             "equivalence_mu": data["equivalence_mu"],
         }
-        return Report("module-bk", {"example": args.first}, findings, witnesses)
+        return ValidationReport("module-bk", checks, {"example": args.first}, witnesses)
 
     left = _valid_module(args.first, max_enum)
     right = _valid_module(args.second, max_enum)
     inputs = {"left": args.first, "right": args.second}
     eq = find_module_equivalence(left, right, max_enum)
-    findings = [Finding("equivalent_over_end_rings", None, eq is not None)]
+    checks = [Check("equivalent_over_end_rings", None, value=eq is not None)]
     witnesses = None
     if eq is None:
         from .modules import build_linear_endo_truss
@@ -298,28 +214,26 @@ def cmd_module_bk(args, max_enum: int | None) -> Report:
             iso_exists, certified = bool(enumerate_truss_isos(source, target, max_enum)), True
         except BoundExceeded:
             iso_exists, certified = None, False
-        findings.append(
-            Finding("truss_iso_exists", None,
-                    "unknown" if iso_exists is None else iso_exists,
-                    exhaustive=certified)
+        checks.append(
+            Check("truss_iso_exists", None, certified, value="unknown" if iso_exists is None else iso_exists)
         )
         # the correspondence demands: no equivalence <=> no truss isomorphism
         consistent = None if iso_exists is None else (iso_exists is False)
-        findings.append(Finding("consistent", consistent, exhaustive=certified))
+        checks.append(Check("consistent", consistent, certified))
     else:
         phi = truss_iso_from_equivalence(eq, max_enum=max_enum)
         back = equivalence_from_truss_iso(phi, left, right, max_enum)
         roundtrip = back.mu.matrix == eq.mu.matrix and all(
             back.rho_of(u).matrix == v.matrix for u, v in eq.rho_pairs
         )
-        findings.append(Finding("truss_iso_exists", True, None))
-        findings.append(Finding("roundtrip_recovers_equivalence", roundtrip))
-        findings.append(Finding("consistent", roundtrip))
+        checks.append(Check("truss_iso_exists", True))
+        checks.append(Check("roundtrip_recovers_equivalence", roundtrip))
+        checks.append(Check("consistent", roundtrip))
         witnesses = {
             "mu": [list(row) for row in eq.mu.matrix],
             "truss_iso_mapping": list(phi.mapping),
         }
-    return Report("module-bk", inputs, findings, witnesses)
+    return ValidationReport("module-bk", tuple(checks), inputs, witnesses)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,14 +309,13 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report.elapsed = time.perf_counter() - start
+    elapsed = time.perf_counter() - start
 
     if args.json:
-        payload = getattr(report, "bk_json", None) or report.to_json_dict()
-        print(json.dumps(payload, indent=2, sort_keys=False))
+        print(json.dumps(report.to_json_dict(), indent=2, sort_keys=False))
     else:
-        print(report.human())
-    return 0 if report.ok else 1
+        print(report.human(elapsed))
+    return 0 if report.passed else 1
 
 
 if __name__ == "__main__":

@@ -105,12 +105,6 @@ class AbGroup:
         """All elements in lexicographic coordinate order."""
         return itertools.product(*(range(n) for n in self.orders))
 
-    def element_order(self, a: Element) -> int:
-        return math.lcm(*(n // math.gcd(c, n) for c, n in zip(a, self.orders)), 1)
-
-    def spec_string(self) -> str:
-        return ",".join(str(n) for n in self.orders)
-
     def __str__(self) -> str:
         if not self.orders:
             return "Z/1"

@@ -60,7 +60,7 @@ from .groups import (
 )
 from .rings import FiniteRing, make_field_fp, make_product_ring, validate_ring
 from .trusses import TrussMorphism, truss_morphism_preserves
-from .validation import Check, ValidationReport
+from .validation import Check, ValidationReport, law_check
 
 
 @dataclass(frozen=True)
@@ -125,9 +125,7 @@ def make_module(
         for m in group.elements()
     )
     module = RModule(ring, group, table)
-    report = validate_module(module, max_enum)
-    if not report.passed:
-        raise ValueError(f"action does not satisfy the module axioms:\n{report}")
+    validate_module(module, max_enum).raise_on_failure("action does not satisfy the module axioms")
     return module
 
 
@@ -158,16 +156,6 @@ def coordinate_module(ring: FiniteRing, coord: int, max_enum: int | None = None)
     return make_module(ring, group, action, max_enum)
 
 
-def _first(bad: np.ndarray) -> tuple[int, ...]:
-    return tuple(int(x) for x in np.argwhere(bad)[0])
-
-
-def _check(law: str, bad: np.ndarray) -> Check:
-    """An exhaustive check over the cells of `bad`, failing at its first."""
-    ok = not bad.any()
-    return Check(law, ok, True, bad.size, None if ok else _first(bad))
-
-
 def _action_checks(m: RModule, act: np.ndarray, add: np.ndarray, max_enum: int | None) -> tuple[Check, ...]:
     """Unitality, associativity and bi-additivity of an action table `act`
     of m's ring over the group addition table `add`."""
@@ -177,13 +165,13 @@ def _action_checks(m: RModule, act: np.ndarray, add: np.ndarray, max_enum: int |
     idx_r = np.arange(rn)
     one = m.ring.additive.index(m.ring.one)
     return (
-        _check("unital", act[one] != np.arange(mn)),
-        _check("action-associativity", act[mul_r] != act[idx_r[:, None, None], act[None, :, :]]),
-        _check(
+        law_check("unital", act[one] != np.arange(mn)),
+        law_check("action-associativity", act[mul_r] != act[idx_r[:, None, None], act[None, :, :]]),
+        law_check(
             "additive-in-module",
             act[idx_r[:, None, None], add[None, :, :]] != add[act[:, :, None], act[:, None, :]],
         ),
-        _check("additive-in-ring", act[add_r] != add[act[:, None, :], act[None, :, :]]),
+        law_check("additive-in-ring", act[add_r] != add[act[:, None, :], act[None, :, :]]),
     )
 
 
@@ -290,9 +278,7 @@ def end_ring(m: RModule, max_enum: int | None = None) -> EndomorphismRing:
             table.append(lookup[compose_homs(u, v).matrix])
     one = pres.to_coords[identity_hom(m.group)]
     ring = FiniteRing(additive, tuple(table), one)
-    report = validate_ring(ring, max_enum)
-    if not report.passed:
-        raise ValueError(f"endomorphism ring failed validation:\n{report}")
+    validate_ring(ring, max_enum).raise_on_failure("endomorphism ring failed validation")
     return EndomorphismRing(m, ring, by_index)
 
 

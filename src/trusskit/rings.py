@@ -15,8 +15,8 @@ import numpy as np
 from .errors import guard, int_table, json_ints, resolve_max_enum
 from .groups import AbGroup, Element, _prime_factors, make_group, np_add_table
 from .heaps import heap_from_group
-from .trusses import FiniteTruss
-from .validation import Check, ValidationReport
+from .trusses import FiniteTruss, mult_associativity, unit_law
+from .validation import ValidationReport, law_check
 
 
 @dataclass(frozen=True)
@@ -82,9 +82,7 @@ def make_ring(additive: AbGroup, mult, one: Element, max_enum: int | None = None
         additive.index(additive.element(mult(a, b))) for a in elems for b in elems
     )
     ring = FiniteRing(additive, table, additive.element(one))
-    report = validate_ring(ring, max_enum)
-    if not report.passed:
-        raise ValueError(f"construction is not a unital ring:\n{report}")
+    validate_ring(ring, max_enum).raise_on_failure("construction is not a unital ring")
     return ring
 
 
@@ -119,41 +117,20 @@ def make_product_ring(r: FiniteRing, s: FiniteRing, max_enum: int | None = None)
     return make_ring(g, mult, r.one + s.one, max_enum)
 
 
-def _first(bad: np.ndarray) -> tuple[int, ...]:
-    return tuple(int(x) for x in np.argwhere(bad)[0])
-
-
 def validate_ring(r: FiniteRing, max_enum: int | None = None) -> ValidationReport:
     """Exhaustive associativity, distributivity and unit checks."""
-    n = r.size
     M = r._mult_array
     A = np_add_table(r.additive, max_enum)
-    idx = np.arange(n)
-    checks = []
-
-    bad = M[M] != M[idx[:, None, None], M[None, :, :]]
-    checks.append(Check("mult-associativity", not bad.any(), True, n**3,
-                        None if not bad.any() else _first(bad)))
-
-    # a*(b+c) == a*b + a*c
-    lhs = M[idx[:, None, None], A[None, :, :]]
-    rhs = A[M[:, :, None], M[:, None, :]]
-    bad = lhs != rhs
-    checks.append(Check("left-distributivity", not bad.any(), True, n**3,
-                        None if not bad.any() else _first(bad)))
-
-    # (a+b)*c == a*c + b*c
-    lhs = M[A]
-    rhs = A[M[:, None, :], M[None, :, :]]
-    bad = lhs != rhs
-    checks.append(Check("right-distributivity", not bad.any(), True, n**3,
-                        None if not bad.any() else _first(bad)))
-
-    one = r.additive.index(r.one)
-    bad = (M[one] != idx) | (M[:, one] != idx)
-    checks.append(Check("unit", not bad.any(), True, 2 * n,
-                        None if not bad.any() else _first(bad)))
-    return ValidationReport(f"ring on {n} elements", tuple(checks))
+    idx = np.arange(r.size)
+    checks = (
+        mult_associativity(M),
+        # a*(b+c) == a*b + a*c
+        law_check("left-distributivity", M[idx[:, None, None], A[None, :, :]] != A[M[:, :, None], M[:, None, :]]),
+        # (a+b)*c == a*c + b*c
+        law_check("right-distributivity", M[A] != A[M[:, None, :], M[None, :, :]]),
+        unit_law(M, r.additive.index(r.one)),
+    )
+    return ValidationReport(f"ring on {r.size} elements", checks)
 
 
 def ring_as_truss(r: FiniteRing, max_enum: int | None = None) -> FiniteTruss:

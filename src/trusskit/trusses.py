@@ -15,14 +15,14 @@ preserved).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .errors import guard, int_table, json_int, json_ints, resolve_max_enum
 from .heaps import FiniteHeap, _heap_checks
-from .validation import Check, ValidationReport
+from .validation import Check, ValidationReport, first, law_check
 
 
 @dataclass(frozen=True)
@@ -85,10 +85,6 @@ def dense_tables(t, max_enum: int | None = None) -> tuple[np.ndarray, np.ndarray
     return fn(max_enum)
 
 
-def _first(prefix: tuple[int, ...], bad: np.ndarray) -> tuple[int, ...]:
-    return prefix + tuple(int(x) for x in np.argwhere(bad)[0])
-
-
 def _distributes(L: np.ndarray, T: np.ndarray) -> bool:
     """Whether every row x -> L[d, x] preserves the heap T: a map between
     heaps does iff f(a + c) = [f(a), f(0), f(c)] in the retract at 0."""
@@ -103,8 +99,19 @@ def _distributivity_scan(L: np.ndarray, T: np.ndarray) -> tuple[int, ...] | None
         Ld = L[d]
         bad = Ld[T] != T[Ld[:, None, None], Ld[None, :, None], Ld[None, None, :]]
         if bad.any():
-            return _first((d,), bad)
+            return first(bad, (d,))
     return None
+
+
+def mult_associativity(M: np.ndarray) -> Check:
+    """(a*b)*c = a*(b*c) on a multiplication table, over n^3 cases."""
+    return law_check("mult-associativity", M[M] != M[np.arange(len(M))[:, None, None], M[None, :, :]])
+
+
+def unit_law(M: np.ndarray, unit: int) -> Check:
+    """unit*a = a = a*unit on a multiplication table, over 2n cases."""
+    idx = np.arange(len(M))
+    return law_check("unit", (M[unit] != idx) | (M[:, unit] != idx), 2 * len(M))
 
 
 def validate_truss(t, max_enum: int | None = None) -> ValidationReport:
@@ -119,12 +126,8 @@ def validate_truss(t, max_enum: int | None = None) -> ValidationReport:
     M, T = dense_tables(t, max_enum)
     n = int(M.shape[0])
     heap = _heap_checks(T)
-    checks = [Check("heap-" + c.law, c.passed, c.exhaustive, c.checked, c.counterexample) for c in heap]
-
-    bad = M[M] != M[np.arange(n)[:, None, None], M[None, :, :]]
-    checks.append(
-        Check("mult-associativity", not bad.any(), True, n**3, None if not bad.any() else _first((), bad))
-    )
+    checks = [replace(c, law="heap-" + c.law) for c in heap]
+    checks.append(mult_associativity(M))
 
     is_heap = heap[0].passed and heap[1].passed
     for law, L in (("left-distributivity", M), ("right-distributivity", M.T)):
@@ -133,12 +136,9 @@ def validate_truss(t, max_enum: int | None = None) -> ValidationReport:
 
     unit = getattr(t, "unit", None)
     if unit is not None:
-        idx = np.arange(n)
-        bad = (M[unit] != idx) | (M[:, unit] != idx)
-        checks.append(
-            Check("unit", not bad.any(), True, 2 * n, None if not bad.any() else _first((), bad))
-        )
+        checks.append(unit_law(M, unit))
     return ValidationReport(f"truss on {n} elements", tuple(checks))
+
 
 
 def left_absorbers(t) -> tuple[int, ...]:

@@ -34,6 +34,23 @@ def test_validate_module_preset(capsys):
     assert code == 0
 
 
+def test_validate_module_checks_the_ring(tmp_path, capsys):
+    path = tmp_path / "bad_ring.json"
+    module = {"orders": [], "action": [0, 0, 0]}
+    path.write_text(json.dumps({"ring": {"orders": [3], "mult": [1] * 9, "one": [1]}, "module": module}))
+    code, out, _ = run(capsys, "validate", "--module", str(path))
+    assert code == 1
+    assert [line.split()[1] for line in out.splitlines() if "[FAIL]" in line] == [
+        "ring-left-distributivity", "ring-right-distributivity", "ring-unit"
+    ]
+    code, out, _ = run(capsys, "validate", "--module", "zn:4", "--json")
+    assert code == 0
+    assert [r["name"] for r in json.loads(out)["results"]] == [
+        "ring-mult-associativity", "ring-left-distributivity", "ring-right-distributivity", "ring-unit",
+        "unital", "action-associativity", "additive-in-module", "additive-in-ring",
+    ]
+
+
 def test_validate_rejects_unknown_preset(capsys):
     code, _, err = run(capsys, "validate", "--heap", "mystery:4")
     assert code == 2

@@ -1,9 +1,13 @@
-"""Frozen interchange files: loading them must reproduce the live objects
-exactly, so the JSON formats cannot drift silently."""
+"""Frozen interchange files and CLI outputs: loading the files must
+reproduce the live objects exactly, and the CLI must print the committed
+bytes, so neither the JSON formats nor the reports can drift silently."""
 
 import json
+import re
+import shlex
 from pathlib import Path
 
+import pytest
 from conftest import decompose
 
 from trusskit import (
@@ -13,8 +17,10 @@ from trusskit import (
     make_group,
     validate_truss,
 )
+from trusskit.cli import main
 from trusskit.groups import GroupHom
 
+ROOT = Path(__file__).parent.parent
 DATA = Path(__file__).parent / "data"
 
 
@@ -37,3 +43,35 @@ def test_affine_morphism_golden():
     # x -> 3x + 3 on Z/4
     assert hm.values() == ((3,), (2,), (1,), (0,))
     assert decompose(z4, z4, hm.values()) == hm
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of every `trusskit` line in README's sh blocks, without --json."""
+    blocks = re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("trusskit ")]
+    return [[a for a in shlex.split(line.split("#")[0])[1:] if a != "--json"] for line in lines]
+
+
+# README's examples exit 0; the corrupted table pins a [FAIL] line with its
+# counterexample, and exit 1.
+CLI_RUNS = [(argv, 0) for argv in readme_commands()] + [
+    (["validate", "--truss", "tests/data/endo_z2_truss_corrupt_mult.json"], 1)
+]
+
+
+def _golden_stem(argv: list[str]) -> str:
+    return re.sub(r"[^A-Za-z0-9]+", "_", " ".join(argv)).strip("_")
+
+
+def test_every_cli_golden_belongs_to_a_run():
+    stems = {_golden_stem(argv) for argv, _ in CLI_RUNS}
+    assert {p.name for p in (DATA / "cli").iterdir()} == {s + e for s in stems for e in (".txt", ".json")}
+
+
+@pytest.mark.parametrize("form", ["txt", "json"])
+@pytest.mark.parametrize("argv, code", CLI_RUNS, ids=[_golden_stem(a) for a, _ in CLI_RUNS])
+def test_cli_output_matches_golden(argv, code, form, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert main(argv + (["--json"] if form == "json" else [])) == code
+    out = re.sub(r"elapsed: \d+\.\d{3}s", "elapsed: <masked>", capsys.readouterr().out)
+    assert out == (DATA / "cli" / f"{_golden_stem(argv)}.{form}").read_text()

@@ -65,19 +65,15 @@ from .endo import (
     HeapMorphism,
     build_endo_truss,
     constant_morphism,
-    constants,
-    evaluate,
     heap_isos,
     identity_morphism,
 )
 from .baer_kaplansky import (
     BKVerification,
-    ConjugationWitness,
     check_inner_structure,
     heap_iso_from_truss_iso,
     truss_iso_from_heap_iso,
     verify_baer_kaplansky,
-    witness_from_truss_iso,
 )
 from .rings import (
     FiniteRing,

@@ -43,13 +43,6 @@ def _endo_ends(phi: TrussMorphism) -> tuple[EndoTruss, EndoTruss]:
     return phi.source, phi.target
 
 
-def _require_truss_iso(phi: TrussMorphism, max_enum: int | None) -> None:
-    if not phi.is_bijective:
-        raise NotAnIsomorphism("morphism is not bijective")
-    if not truss_morphism_preserves(phi, max_enum):
-        raise NotAnIsomorphism("morphism does not preserve the truss operations")
-
-
 def heap_iso_from_truss_iso(phi: TrussMorphism, max_enum: int | None = None) -> HeapMorphism:
     """Extract the heap isomorphism G -> H inducing a truss isomorphism.
 
@@ -60,8 +53,11 @@ def heap_iso_from_truss_iso(phi: TrussMorphism, max_enum: int | None = None) -> 
     isomorphisms).
     """
     eg, eh = _endo_ends(phi)
-    _require_truss_iso(phi, max_enum)
-    images = np.asarray(phi.mapping)[list(eg.constant_indices)]
+    if not phi.is_bijective:
+        raise NotAnIsomorphism("morphism is not bijective")
+    if not truss_morphism_preserves(phi, max_enum):
+        raise NotAnIsomorphism("morphism does not preserve the truss operations")
+    images = phi._array[list(eg.constant_indices)]
     if not np.isin(images, eh.constant_indices).all():
         raise NotAnIsomorphism("image of a constant map is not constant")
     g, h = eg.group, eh.group
@@ -109,21 +105,6 @@ def truss_iso_from_heap_iso(
 
 
 @dataclass(frozen=True)
-class ConjugationWitness:
-    """A matched triple: truss isomorphism, the heap isomorphism inducing it by
-    conjugation, and the group isomorphism a -> phi(a) - phi(0)."""
-
-    truss_iso: TrussMorphism
-    heap_iso: HeapMorphism
-    group_iso: GroupHom
-
-
-def witness_from_truss_iso(phi: TrussMorphism, max_enum: int | None = None) -> ConjugationWitness:
-    hm = heap_iso_from_truss_iso(phi, max_enum=max_enum)
-    return ConjugationWitness(phi, hm, hm.linear)
-
-
-@dataclass(frozen=True)
 class BKVerification:
     left: AbGroup
     right: AbGroup
@@ -143,6 +124,7 @@ class BKVerification:
                 "not_enumerated" if self.truss_iso_count is None else self.truss_iso_count
             ),
             "theta_upsilon_roundtrip": self.theta_upsilon_roundtrip,
+            "upsilon_injective": self.upsilon_injective,
             "groups_isomorphic": self.groups_isomorphic,
             "consistent": self.consistent,
         }
@@ -165,10 +147,6 @@ def verify_baer_kaplansky(
     eg = build_endo_truss(g, max_enum)
     eh = build_endo_truss(h, max_enum)
     giso = groups_isomorphic(g, h)
-    if giso:
-        # every extraction needs the n x n tables: refuse an over-cap pair
-        # before any isomorphism or conjugation is built
-        eg._retract_guard(max_enum)
     isos = heap_isos(g, h, max_enum)
     conjugations = [truss_iso_from_heap_iso(hm, eg, eh, max_enum) for hm in isos]
     # each extraction re-checks that its input preserves both operations
@@ -227,7 +205,7 @@ def check_inner_structure(phi: TrussMorphism, max_enum: int | None = None) -> di
 
     u, e = eg.decode(np.arange(eg.size))
     alpha = gt.gadd[gt.apply[u], e[:, None]]  # alpha[i, x]: element i of E(G) at x
-    v, t = eh.decode(phi.mapping)
+    v, t = eh.decode(phi._array)
     image = ht.gadd[ht.apply[v], t[:, None]]  # image[i, y]: Phi(element i) at y
     const = list(eg.constant_indices)
     X = image[const].T
@@ -259,6 +237,6 @@ def check_inner_structure(phi: TrussMorphism, max_enum: int | None = None) -> di
         ),
         "values_at_zero_in_coset": bool(np.isin(at_zero, coset).all()),
     }
-    if np.isin(np.asarray(phi.mapping)[const], eh.constant_indices).any():
+    if np.isin(phi._array[const], eh.constant_indices).any():
         results["corollary_unique"] = len(at_zero) == 1
     return results

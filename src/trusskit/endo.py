@@ -104,10 +104,6 @@ def identity_morphism(g: AbGroup) -> HeapMorphism:
     return HeapMorphism(identity_hom(g), g.zero)
 
 
-def evaluate(phi: HeapMorphism, x: Element) -> Element:
-    return phi(x)
-
-
 def heap_isos(g: AbGroup, h: AbGroup, max_enum: int | None = None) -> tuple[HeapMorphism, ...]:
     """The bijective heap morphisms g -> h as (hom, translation) pairs,
     hom-major order; count is |h| times the number of group isomorphisms
@@ -305,25 +301,57 @@ class EndoTruss:
             self.__dict__["_factored_cache"] = cached
         return cached
 
-    def _retract_guard(self, max_enum: int | None = None) -> None:
-        """Raise BoundExceeded when the n x n tables exceed the cap."""
-        n = self.size
-        guard(n * n, resolve_max_enum(max_enum), f"multiplication and retract tables of a {n}-element endomorphism truss")
+    def generator_tables(self, max_enum: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(basis, sums, products), computed once from the factored tables:
+        the zero constant, then generators S of the retract (homs, +) x
+        (G, +) at it, the constants at the group's generators and (h, 0) for
+        greedy generators h of the family (each the least position outside
+        the span so far); sums[x, j] = x + S[j]; products of basis pairs."""
+        ft = self.factored_tables(max_enum)
+        cached = self.__dict__.get("_generators_cache")
+        if cached is None:
+            in_span = np.zeros(len(self.homs), dtype=bool)
+            in_span[self._zero_hom_pos] = True
+            hom_gens = []
+            while not in_span.all():
+                hom_gens.append(int(np.argmin(in_span)))
+                # span + <h> is the union of the cosets span + k*h, each
+                # wholly inside the span or wholly outside it
+                coset = ft.add[np.flatnonzero(in_span), hom_gens[-1]]
+                while not in_span[coset[0]]:
+                    in_span[coset] = True
+                    coset = ft.add[coset, hom_gens[-1]]
+            constants = self.encode(self._zero_hom_pos, np.array([0, *self.generators]))
+            basis = np.concatenate([constants, self.encode(hom_gens, 0)])
+            sums = self.plus(np.arange(self.size)[:, None], basis[1:], max_enum)
+            cached = (basis, sums, self.product(basis[:, None], basis[None, :], max_enum))
+            self.__dict__["_generators_cache"] = cached
+        return cached
+
+    def product(self, x, y, max_enum: int | None = None) -> np.ndarray:
+        """Carrier indices of x*y = (u o v, u(b) + a) for x = (u, a) and
+        y = (v, b), broadcast over arrays of carrier indices."""
+        ft = self.factored_tables(max_enum)
+        (u, a), (v, b) = self.decode(x), self.decode(y)
+        return self.encode(ft.compose[u, v], ft.gadd[ft.apply[u, b], a])
+
+    def plus(self, x, y, max_enum: int | None = None) -> np.ndarray:
+        """Carrier indices of x + y = (u + v, a + b) in the retract at the
+        zero constant, broadcast over arrays of carrier indices."""
+        ft = self.factored_tables(max_enum)
+        (u, a), (v, b) = self.decode(x), self.decode(y)
+        return self.encode(ft.add[u, v], ft.gadd[a, b])
 
     def _retract_tables(self, max_enum: int | None = None) -> tuple[np.ndarray, np.ndarray, int]:
-        """(mult, add, zero): the n x n multiplication table, the addition of
-        the retract at the zero constant, (u,a) + (v,b) = (u+v, a+b), and the
-        index of that zero constant. Guarded by n^2 before the cache is read."""
-        n, m = self.size, self._m
-        self._retract_guard(max_enum)
+        """(mult, add, zero): the n x n tables of `product` and `plus` and the
+        zero constant, for the affine search and the dense tables. Guarded by
+        n^2 before the cache is read."""
+        n = self.size
+        guard(n * n, resolve_max_enum(max_enum), f"multiplication and retract tables of a {n}-element endomorphism truss")
         cached = self.__dict__.get("_retract_cache")
         if cached is None:
-            ft = self.factored_tables(max_enum)
-            hi, ei = self.decode(np.arange(n))
-            h1, h2, e1, e2 = hi[:, None], hi[None, :], ei[:, None], ei[None, :]
-            mult = self.encode(ft.compose[h1, h2], ft.gadd[ft.apply[h1, e2], e1])
-            add = self.encode(ft.add[h1, h2], ft.gadd[e1, e2])
-            cached = (mult, add, self._zero_hom_pos * m)
+            x, y = np.arange(n)[:, None], np.arange(n)
+            cached = (self.product(x, y, max_enum), self.plus(x, y, max_enum), self.constant_indices[0])
             self.__dict__["_retract_cache"] = cached
         return cached
 
@@ -351,8 +379,3 @@ def build_endo_truss(g: AbGroup, max_enum: int | None = None) -> EndoTruss:
     homs = hom_enumerate(g, g, max_enum)
     guard(len(homs) * g.cardinality, resolve_max_enum(max_enum), f"carrier of E({g})")
     return EndoTruss(g, homs)
-
-
-def constants(t: EndoTruss) -> tuple[int, ...]:
-    """Carrier indices of the constant maps; a sub-truss of the carrier."""
-    return t.constant_indices

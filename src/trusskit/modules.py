@@ -434,7 +434,7 @@ def equivalence_from_truss_iso(
         raise ValueError("truss morphism does not match the given modules")
     mu = heap_iso_from_truss_iso(phi, max_enum).linear
     # the image of (u, 0) has hom rho(u)
-    images = np.asarray(phi.mapping)[source.encode(np.arange(len(source.homs)), 0)]
+    images = phi._array[source.encode(np.arange(len(source.homs)), 0)]
     pairs = tuple(zip(source.homs, (target.homs[pos] for pos in target.decode(images)[0])))
     eq = ModuleEquivalence(source_module, target_module, mu, pairs)
     if not equivalence_is_valid(eq, max_enum):

@@ -5,12 +5,14 @@ distributes over the ternary operation on both sides,
 
 Carriers may be given by dense tables (FiniteTruss) or by any object exposing
 the same indexed interface (size, ternary, mult, unit, _dense_tables); the
-endomorphism trusses built elsewhere plug in that way, and also expose
-`_retract_tables` (n x n multiplication and retract addition) for checks that
-need no n^3 table; the morphism and isomorphism enumerators take only such
-carriers. Morphisms are total maps preserving both operations; units, when
-present, are not required to map to units (only heap + semigroup structure is
-preserved).
+endomorphism trusses built elsewhere plug in that way. They also expose their
+factored tables through a vectorised `product`, the retract's `plus` and the
+retract's generators, on which `truss_morphism_preserves` certifies a map
+with no n x n table, and `_retract_tables` (n x n multiplication and retract
+addition), which the morphism and isomorphism enumerators read. Those three
+take only such carriers. Morphisms are total maps preserving both operations;
+units, when present, are not required to map to units (only heap + semigroup
+structure is preserved).
 """
 
 from __future__ import annotations
@@ -157,12 +159,12 @@ class TrussMorphism:
     mapping: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        mapping = tuple(int(x) for x in self.mapping)
-        if len(mapping) != self.source.size:
-            raise ValueError("mapping length differs from source carrier size")
-        if mapping and not (0 <= min(mapping) and max(mapping) < self.target.size):
-            raise ValueError("mapping value outside target carrier")
+        mapping, array = int_table(
+            self.mapping, self.source.size, self.target.size,
+            "mapping length differs from source carrier size", "mapping value outside target carrier",
+        )
         object.__setattr__(self, "mapping", mapping)
+        object.__setattr__(self, "_array", array)
 
     def __call__(self, i: int) -> int:
         return self.mapping[i]
@@ -194,29 +196,28 @@ def is_truss_morphism(s, t, mapping) -> bool:
 
 
 def truss_morphism_preserves(tm: TrussMorphism, max_enum: int | None = None) -> bool:
-    """Vectorized check that a TrussMorphism preserves mult and ternary.
+    """Whether a TrussMorphism between carriers with factored tables (the
+    endomorphism trusses and their linear sub-trusses) preserves mult and
+    ternary, certified on the generators S of the source retract at the
+    zero constant (`generator_tables`); other carriers raise TypeError.
 
-    When both ends expose `_retract_tables`, their carriers are abelian heaps
-    by construction (endomorphism trusses are), and a map between abelian
-    heaps preserves [a,b,c] = a - b + c iff x -> f(x) - f(0) is additive on
-    the retracts (Baer; Certaine): f(x + y) + f(0) = f(x) + f(y). That takes
-    n^2 lookups and no n^3 table. Other carriers, whose tables need not be
-    heaps, are checked on the dense tables.
+    A map of abelian heaps preserves [a,b,c] = a - b + c iff it is affine
+    (Baer; Certaine): f(x + y) + f(0) = f(x) + f(y) in the retracts, which
+    holds for every y once it holds for every y in S (n*|S| lookups). For
+    affine f, y -> f(x*y) and y -> f(x)*f(y) are affine by distributivity,
+    and so are both sides in x; affine maps agreeing on {0} u S agree
+    everywhere, so f preserves mult iff f(x*y) = f(x)*f(y) on ({0} u S)^2.
     """
     s, t = tm.source, tm.target
-    f = np.array(tm.mapping, dtype=np.int64)
-    if hasattr(s, "_retract_tables") and hasattr(t, "_retract_tables"):
-        sm, sa, s0 = s._retract_tables(max_enum)
-        tm_m, ta, _ = t._retract_tables(max_enum)
-        pairs = f[:, None] * t.size + f[None, :]  # flat index of (f(x), f(y))
-        if (f[sm] != tm_m.take(pairs)).any():
-            return False
-        return not (ta[:, f[s0]][f[sa]] != ta.take(pairs)).any()
-    sm, st = dense_tables(s, max_enum)
-    tm_m, tm_t = dense_tables(t, max_enum)
-    if (f[sm] != tm_m[f[:, None], f[None, :]]).any():
+    for end in (s, t):
+        if not hasattr(end, "factored_tables"):
+            raise TypeError(f"{type(end).__name__} does not expose factored tables")
+    f = tm._array
+    basis, sums, products = s.generator_tables(max_enum)
+    fb = f[basis]
+    if (t.plus(f[sums], fb[0], max_enum) != t.plus(f[:, None], fb[1:], max_enum)).any():
         return False
-    return not (f[st] != tm_t[f[:, None, None], f[None, :, None], f[None, None, :]]).any()
+    return bool((f[products] == t.product(fb[:, None], fb[None, :], max_enum)).all())
 
 
 def _respects_mult(F: np.ndarray, x: np.ndarray, z: np.ndarray, sm: np.ndarray, tm: np.ndarray) -> np.ndarray:

@@ -64,6 +64,27 @@ def dense_preserves(tm, max_enum: int = 10**9) -> bool:
     return not (f[st] != tm_t[f[:, None, None], f[None, :, None], f[None, None, :]]).any()
 
 
+def retract_affine(tm, max_enum: int = 10**9) -> bool:
+    """Whether f(x + y) + f(0) = f(x) + f(y) for every pair, on the n x n
+    retract-addition tables of two endomorphism trusses: f preserves the
+    ternary operation."""
+    s, t = tm.source, tm.target
+    f = np.array(tm.mapping, dtype=np.int64)
+    _, sa, s0 = s._retract_tables(max_enum)
+    _, ta, _ = t._retract_tables(max_enum)
+    return not (ta[:, f[s0]][f[sa]] != ta[f[:, None], f[None, :]]).any()
+
+
+def retract_preserves(tm, max_enum: int = 10**9) -> bool:
+    """Preservation of mult and ternary on the n x n retract tables of two
+    endomorphism trusses, entry by entry for mult, for carriers too large
+    for `dense_preserves`."""
+    f = np.array(tm.mapping, dtype=np.int64)
+    sm = tm.source._retract_tables(max_enum)[0]
+    tm_m = tm.target._retract_tables(max_enum)[0]
+    return not (f[sm] != tm_m[f[:, None], f[None, :]]).any() and retract_affine(tm, max_enum)
+
+
 def filter_candidates(cands: np.ndarray, sm, st, tm, tt) -> np.ndarray:
     """Keep the rows of a (k, ns) candidate-map array preserving both dense
     tables; multiplication constraints run first since they prune most

@@ -26,7 +26,6 @@ from trusskit import (
     parse_group_spec,
     truss_iso_from_heap_iso,
     verify_baer_kaplansky,
-    witness_from_truss_iso,
 )
 from trusskit.modules import build_linear_endo_truss, regular_module
 from trusskit.rings import make_field_fp, make_product_ring
@@ -82,9 +81,9 @@ def test_conjugation_rejects_non_iso_heap_morphism():
 def test_witness_satisfies_conjugation_law():
     for hm in heap_isos(Z3, Z3):
         phi = truss_iso_from_heap_iso(hm, E3, E3)
-        witness = witness_from_truss_iso(phi)
-        assert witness.heap_iso == hm
-        assert witness.group_iso.is_bijective
+        extracted = heap_iso_from_truss_iso(phi)
+        assert extracted == hm
+        assert extracted.linear.is_bijective
         inv = hm.inverse()
         for i, alpha in enumerate(E3.carrier):
             assert E3.carrier[phi.mapping[i]] == hm.compose(alpha).compose(inv)
@@ -99,6 +98,7 @@ def test_verify_json_schema_and_positive_case():
         "heap_iso_count",
         "truss_iso_count",
         "theta_upsilon_roundtrip",
+        "upsilon_injective",
         "groups_isomorphic",
         "consistent",
     }

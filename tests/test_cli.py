@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trusskit.baer_kaplansky
+from trusskit import build_endo_truss
 from trusskit.cli import main
 
 
@@ -66,7 +67,7 @@ def test_bk_json_schema(capsys):
     assert data["consistent"] is True
     assert set(data) == {
         "left", "right", "heap_iso_count", "truss_iso_count",
-        "theta_upsilon_roundtrip", "groups_isomorphic", "consistent",
+        "theta_upsilon_roundtrip", "upsilon_injective", "groups_isomorphic", "consistent",
     }
 
 
@@ -256,22 +257,34 @@ def test_validate_detects_broken_table_file(tmp_path, capsys):
     assert "[FAIL]" in out
 
 
-@pytest.mark.parametrize(
-    "left,right,cap,n",
-    [("2,2", "2,2", "1000", 64), ("4,4", "4,4", None, 4096), ("2,2,2", "2,2,2", None, 4096)],
-)
-def test_bk_refuses_over_cap_tables_before_conjugating(capsys, monkeypatch, left, right, cap, n):
+def test_bk_refuses_over_cap_tables_before_conjugating(capsys, monkeypatch):
     def no_conjugation(*args, **kwargs):
         raise AssertionError("conjugated before the cap was checked")
 
     monkeypatch.setattr(trusskit.baer_kaplansky, "truss_iso_from_heap_iso", no_conjugation)
-    argv = ["bk", left, right, "--json"] + ([] if cap is None else ["--max-enumeration", cap])
-    code, out, err = run(capsys, *argv)
+    code, out, err = run(capsys, "bk", "2,2", "2,2", "--json", "--max-enumeration", "50")
     assert code == 3 and out == ""
     assert err == (
-        f"error: multiplication and retract tables of a {n}-element endomorphism truss "
-        f"would enumerate {n * n} objects; cap is {cap or 1000000} (raise max_enum to override)\n"
+        "error: carrier of E(Z/2 x Z/2) would enumerate 64 objects; cap is 50 "
+        "(raise max_enum to override)\n"
     )
+
+
+def test_bk_certifies_preservation_without_retract_tables(capsys, monkeypatch):
+    # every extraction checks preservation on the retract's generators, so
+    # bk builds no n x n table, here for n = 729
+    built = []
+
+    def recording(g, max_enum=None):
+        built.append(build_endo_truss(g, max_enum))
+        return built[-1]
+
+    monkeypatch.setattr(trusskit.baer_kaplansky, "build_endo_truss", recording)
+    code, out, _ = run(capsys, "bk", "3,3", "3,3", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["heap_iso_count"] == 432 and data["consistent"] is True
+    assert len(built) == 2 and all("_retract_cache" not in t.__dict__ for t in built)
 
 
 def test_bk_non_isomorphic_pair_is_not_refused(capsys):

@@ -3,7 +3,13 @@ import random
 
 import numpy as np
 import pytest
-from conftest import dense_preserves, scan_distributivity, scan_heap_associativity
+from conftest import (
+    dense_preserves,
+    retract_affine,
+    retract_preserves,
+    scan_distributivity,
+    scan_heap_associativity,
+)
 
 import trusskit.heaps
 import trusskit.trusses
@@ -21,12 +27,15 @@ from trusskit import (
     make_group,
     make_product_ring,
     make_ring_zn,
+    module_zn,
     parse_group_spec,
+    regular_module,
     ring_as_truss,
     truss_iso_from_heap_iso,
     truss_morphism_preserves,
     validate_truss,
 )
+from trusskit.modules import build_linear_endo_truss
 from trusskit.trusses import TrussMorphism
 
 # count of truss endomorphisms of E(Z/2) among all 4^4 maps, frozen from the
@@ -116,10 +125,13 @@ def test_morphism_enumeration_bound():
 
 
 def test_identity_morphism_preserves():
-    t = ring_as_truss(make_ring_zn(3))
+    t = build_endo_truss(make_group([3]))
     ident = identity_truss_morphism(t)
     assert ident.is_bijective
     assert truss_morphism_preserves(ident)
+    # dense carriers have no factored tables to certify on
+    with pytest.raises(TypeError, match="factored tables"):
+        truss_morphism_preserves(identity_truss_morphism(ring_as_truss(make_ring_zn(3))))
 
 
 def test_unitless_truss_validates_without_unit_check():
@@ -197,6 +209,50 @@ def test_structural_preservation_agrees_with_dense_across_sizes(left, right):
             assert verdict == dense_preserves(tm), mapping
             verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def _certificate_carrier(spec):
+    """E(G) for a group spec, or the linear sub-truss of a module preset."""
+    if spec == "zn:6":
+        return build_linear_endo_truss(module_zn(6))
+    if spec == "fpxfp:2":
+        field = make_field_fp(2)
+        return build_linear_endo_truss(regular_module(make_product_ring(field, field)))
+    return build_endo_truss(parse_group_spec(spec))
+
+
+@pytest.mark.parametrize("spec,sample", [("2,4", None), ("9", None), ("3,3", 12), ("fpxfp:2", None), ("zn:6", None)])
+def test_generator_certificate_agrees_with_retract_oracle(spec, sample):
+    # conjugations, their swap and single-entry mutations, their translates
+    # y -> phi(y) +_0 c (affine maps that mostly do not preserve mult, so
+    # they reach the product half of the certificate), and their twists
+    # (u, e) -> phi(u, sigma(e)) by a transposition sigma of two nonzero
+    # group elements (additive along the family, not along the group)
+    rng = random.Random(spec)
+    t = _certificate_carrier(spec)
+    hom, element = t.decode(np.arange(t.size))
+    isos = heap_isos(t.group, t.group)
+    if sample:
+        isos = rng.sample(isos, sample)
+    conjugations = []
+    for hm in isos:
+        try:
+            conjugations.append(truss_iso_from_heap_iso(hm, t, t))
+        except ValueError:
+            pass  # conjugates out of a linear family
+    rejected = {"additive": 0, "product": 0}
+    for conj in conjugations:
+        translates = [tuple(t.plus(conj._array, c).tolist()) for c in rng.sample(range(t.size), 2)]
+        a, b = rng.sample(range(1, t.group.cardinality), 2)
+        sigma = np.where(element == a, b, np.where(element == b, a, element))
+        twist = tuple(conj._array[t.encode(hom, sigma)].tolist())
+        for mapping in _mutations(conj.mapping, t.size, rng) + translates + [twist]:
+            tm = TrussMorphism(t, t, mapping)
+            verdict = truss_morphism_preserves(tm)
+            assert verdict == retract_preserves(tm), mapping
+            if not verdict:
+                rejected["product" if retract_affine(tm) else "additive"] += 1
+    assert conjugations and all(rejected.values()), rejected
 
 
 def _truss_preset(spec):

@@ -257,17 +257,32 @@ def test_validate_detects_broken_table_file(tmp_path, capsys):
     assert "[FAIL]" in out
 
 
-def test_bk_refuses_over_cap_tables_before_conjugating(capsys, monkeypatch):
-    def no_conjugation(*args, **kwargs):
-        raise AssertionError("conjugated before the cap was checked")
+class _Conjugated(Exception):
+    pass
 
-    monkeypatch.setattr(trusskit.baer_kaplansky, "truss_iso_from_heap_iso", no_conjugation)
-    code, out, err = run(capsys, "bk", "2,2", "2,2", "--json", "--max-enumeration", "50")
+
+@pytest.mark.parametrize(
+    "left,right,cap,n",
+    [("2,2", "2,2", "1000", 64), ("4,4", "4,4", None, 4096), ("2,2,2", "2,2,2", None, 4096)],
+)
+def test_bk_refuses_over_cap_tables_before_conjugating(capsys, monkeypatch, left, right, cap, n):
+    # E(G) has n elements: a cap of n - 1 refuses its carrier before any
+    # conjugation, while a cap below n * n (the size of the multiplication
+    # table bk no longer builds) reaches the conjugation step
+    def conjugation(*args, **kwargs):
+        raise _Conjugated
+
+    monkeypatch.setattr(trusskit.baer_kaplansky, "truss_iso_from_heap_iso", conjugation)
+    code, out, err = run(capsys, "bk", left, right, "--json", "--max-enumeration", str(n - 1))
     assert code == 3 and out == ""
+    name = "Z/" + " x Z/".join(left.split(","))
     assert err == (
-        "error: carrier of E(Z/2 x Z/2) would enumerate 64 objects; cap is 50 "
+        f"error: carrier of E({name}) would enumerate {n} objects; cap is {n - 1} "
         "(raise max_enum to override)\n"
     )
+    assert n * n > int(cap or 1000000)
+    with pytest.raises(_Conjugated):
+        main(["bk", left, right, "--json"] + ([] if cap is None else ["--max-enumeration", cap]))
 
 
 def test_bk_certifies_preservation_without_retract_tables(capsys, monkeypatch):

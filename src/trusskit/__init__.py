@@ -55,8 +55,6 @@ from .trusses import (
     enumerate_truss_isos,
     enumerate_truss_morphisms,
     identity_truss_morphism,
-    is_truss_morphism,
-    left_absorbers,
     truss_morphism_preserves,
     validate_truss,
 )

@@ -4,19 +4,23 @@ Two finite abelian groups are isomorphic exactly when their endomorphism
 trusses are, and the two directions are explicit:
 
 * from a truss isomorphism Phi: E(G) -> E(H), evaluate the image of each
-  constant map at zero to get a heap isomorphism G -> H
-  (`heap_iso_from_truss_iso`);
+  constant map at zero to get a heap isomorphism G -> H (`extract_rows`);
 * from a heap isomorphism phi: G -> H, conjugate, alpha -> phi o alpha o
-  phi^{-1} (`truss_iso_from_heap_iso`).
+  phi^{-1} (`conjugate_rows`).
 
-These are mutually inverse; `verify_baer_kaplansky` certifies that on concrete
-groups by enumeration. Beyond isomorphisms, every truss morphism Phi between
-endomorphism trusses carries an inner structure: the image of the zero constant
-splits into an idempotent endomorphism plus an offset annihilated by it, and
-the heap morphisms intertwining Phi (those xi with Phi(alpha) o xi = xi o
-alpha) are classified by the coset offset + image of the idempotent
-(`check_inner_structure`). Everything here reads the factored tables of E(G)
-and E(H), never one heap morphism object per carrier element.
+Both run on blocks of rows: a (B, n) int64 array of carrier maps, or a
+(B, |G|) array of heap-morphism value tables. `heap_iso_from_truss_iso` and
+`truss_iso_from_heap_iso` are their one-row cases. The two directions are
+mutually inverse; `verify_baer_kaplansky` certifies that on concrete groups
+by feeding every heap isomorphism through both, a block of rows at a time,
+so no object is built per isomorphism. Beyond isomorphisms, every truss
+morphism Phi between endomorphism trusses carries an inner structure: the
+image of the zero constant splits into an idempotent endomorphism plus an
+offset annihilated by it, and the heap morphisms intertwining Phi (those xi
+with Phi(alpha) o xi = xi o alpha) are classified by the coset offset +
+image of the idempotent (`check_inner_structure`). Everything here reads the
+factored tables of E(G) and E(H), never one heap morphism object per
+carrier element.
 """
 
 from __future__ import annotations
@@ -32,9 +36,11 @@ from .groups import (
     GroupHom,
     groups_isomorphic,
     group_to_json,
+    matrix_images,
+    np_elements,
     np_hom_images,
 )
-from .trusses import TrussMorphism, enumerate_truss_isos, truss_morphism_preserves
+from .trusses import TrussMorphism, enumerate_truss_isos, preserving_rows
 
 
 def _endo_ends(phi: TrussMorphism) -> tuple[EndoTruss, EndoTruss]:
@@ -43,65 +49,141 @@ def _endo_ends(phi: TrussMorphism) -> tuple[EndoTruss, EndoTruss]:
     return phi.source, phi.target
 
 
-def heap_iso_from_truss_iso(phi: TrussMorphism, max_enum: int | None = None) -> HeapMorphism:
-    """Extract the heap isomorphism G -> H inducing a truss isomorphism.
+# Carrier-map entries (rows x n) that `verify_baer_kaplansky` conjugates and
+# extracts at a time, which bounds every rows x n array the kernels build.
+# Set by measurement: 2^15 and more raised the peak RSS of the `bk`
+# benchmark, and at n = 4096 blocks of 4 rows ran as fast as blocks of 16.
+_BLOCK_ENTRIES = 1 << 14
 
-    Sends a to the value of Phi(constant at a) at zero: the heap morphism is
-    built from its values on the generators and checked against every value.
-    Raises NotAnIsomorphism if Phi fails bijectivity or preservation, or if
-    some constant's image is not constant (impossible for genuine
-    isomorphisms).
+_NOT_ADDITIVE = "extracted map is not a heap morphism: translated table is not additive"
+
+
+def _bijective_rows(rows: np.ndarray, size: int) -> np.ndarray:
+    """Mask of the rows that are permutations of range(size)."""
+    if rows.shape[1] != size:
+        return np.zeros(len(rows), dtype=bool)
+    seen = np.zeros((len(rows), size), dtype=bool)
+    seen[np.arange(len(rows))[:, None], rows] = True
+    return seen.all(axis=1)
+
+
+def _distinct_rows(rows: np.ndarray, bound: int) -> int:
+    """The number of distinct rows of a non-empty array of entries in
+    [0, bound): each row is read as a base-`bound` integer one column at a
+    time, renumbered after each column so the codes stay below
+    len(rows) * bound. (The first np.unique(axis=0) of a process alone
+    costs about 1.5 MB of peak RSS.)"""
+    code = np.zeros(len(rows), dtype=np.int64)
+    for col in rows.T:
+        code = np.unique(code * bound + col, return_inverse=True)[1]
+    return int(code.max()) + 1
+
+
+def extract_rows(source: EndoTruss, target: EndoTruss, F: np.ndarray, max_enum: int | None = None) -> np.ndarray:
+    """(B, |G|) value tables, element indices of H, of the heap
+    isomorphisms a -> Phi(constant at a)(0) extracted from the rows Phi of
+    F, a (B, n) array of maps E(G) -> E(H) by target index.
+
+    Every row is checked in this order: bijective, preserves both
+    operations (`preserving_rows`), sends constants to constants, its
+    generator images define a hom, the hom agrees with the translated table,
+    the hom is bijective. The first row that fails a check raises
+    NotAnIsomorphism naming the first check it fails.
     """
+    g, h = source.group, target.group
+    ft = target.factored_tables(max_enum)
+    images = F[:, list(source.constant_indices)]
+    values = target.decode(images)[1]
+    linear = ft.gadd[values, ft.gneg[values[:, :1]]]  # x -> values[x] - values[0]
+    # coords[b, i, j]: coordinate j of the image of generator i, which
+    # defines a hom iff ord(generator i) * coords[b, i, j] = 0 mod m_j
+    coords = np_elements(h).astype(np.uint64)[linear[:, source.generators]]
+    defined = ((np.array(g.orders, dtype=np.uint64)[:, None] * coords) % np.array(h.orders, dtype=np.uint64) == 0)
+    table = matrix_images(coords.swapaxes(1, 2), g, h)
+    passed = np.stack([
+        _bijective_rows(F, target.size),
+        preserving_rows(source, target, F, max_enum),
+        np.isin(images, target.constant_indices).all(axis=1),
+        defined.all(axis=(1, 2)),
+        (table == linear).all(axis=1),
+        _bijective_rows(table, h.cardinality),
+    ], axis=1)
+    if not passed.all():
+        row = int(np.flatnonzero(~passed.all(axis=1))[0])
+        check = int(np.argmin(passed[row]))
+        if check == 3:
+            try:
+                GroupHom(g, h, coords[row].T.tolist())
+            except ValueError as exc:
+                raise NotAnIsomorphism(f"{_NOT_ADDITIVE}: {exc}") from None
+        if check == 4:
+            wrong = int(np.argmax(table[row] != linear[row]))
+            raise NotAnIsomorphism(f"{_NOT_ADDITIVE}: disagrees at {g.element_at(wrong)}")
+        raise NotAnIsomorphism((
+            "morphism is not bijective",
+            "morphism does not preserve the truss operations",
+            "image of a constant map is not constant",
+            _NOT_ADDITIVE,
+            _NOT_ADDITIVE,
+            "extracted heap morphism is not bijective",
+        )[check])
+    return values
+
+
+def conjugate_rows(source: EndoTruss, target: EndoTruss, values: np.ndarray, max_enum: int | None = None) -> np.ndarray:
+    """(B, n) maps alpha -> hm o alpha o hm^{-1}, E(G) -> E(H) by target
+    index, for the heap isomorphisms hm whose value tables, element indices
+    of H, are the rows of `values`.
+
+    For hm = (f, t) and alpha = (u, e) the conjugate is
+    (f u f^{-1}, f(e) + t - (f u f^{-1})(t)): each hom u is conjugated once,
+    on the generators, and the translations follow by table lookups. Raises
+    ValueError when a conjugate falls outside the target's hom family.
+    """
+    src, tgt = source.factored_tables(max_enum), target.factored_tables(max_enum)
+    t = values[:, :1]
+    f = tgt.gadd[values, tgt.gneg[t]]
+    f_inv = np.argsort(f, axis=1)
+    # generator images of f u f^{-1}, then their positions in the target family
+    u_images = src.apply[:, f_inv[:, target.generators]].swapaxes(0, 1)
+    conj = target.hom_positions(f[np.arange(len(f))[:, None, None], u_images])
+    trans = tgt.gadd[values[:, None, :], tgt.gneg[tgt.apply[conj, t]][:, :, None]]
+    return target.encode(conj[:, :, None], trans).reshape(len(values), -1)
+
+
+def _value_tables(hms, target: EndoTruss, max_enum: int | None) -> np.ndarray:
+    """(B, |G|) value tables, element indices of H, of heap morphisms G -> H."""
+    h = target.group
+    linear = np_hom_images([hm.linear for hm in hms], hms[0].source, h)
+    coords = np.array([hm.translation for hm in hms], dtype=np.int64).reshape(len(hms), h.rank)
+    translation = coords @ np.array(h._strides, dtype=np.int64)
+    return target.factored_tables(max_enum).gadd[linear, translation[:, None]]
+
+
+def heap_iso_from_truss_iso(phi: TrussMorphism, max_enum: int | None = None) -> HeapMorphism:
+    """Extract the heap isomorphism G -> H inducing a truss isomorphism:
+    a -> Phi(constant at a)(0), by `extract_rows` on Phi's one row, which
+    raises NotAnIsomorphism if Phi is not a truss isomorphism."""
     eg, eh = _endo_ends(phi)
-    if not phi.is_bijective:
-        raise NotAnIsomorphism("morphism is not bijective")
-    if not truss_morphism_preserves(phi, max_enum):
-        raise NotAnIsomorphism("morphism does not preserve the truss operations")
-    images = phi._array[list(eg.constant_indices)]
-    if not np.isin(images, eh.constant_indices).all():
-        raise NotAnIsomorphism("image of a constant map is not constant")
-    g, h = eg.group, eh.group
-    ft = eh.factored_tables(max_enum)
-    values = eh.decode(images)[1]
-    linear = ft.gadd[values, ft.gneg[values[0]]]  # x -> values[x] - values[0]
+    values = extract_rows(eg, eh, phi._array[None], max_enum)[0]
+    h, ft = eh.group, eh.factored_tables(max_enum)
+    linear = ft.gadd[values, ft.gneg[values[0]]]
     columns = [h.element_at(int(linear[x])) for x in eg.generators]
     matrix = tuple(tuple(col[j] for col in columns) for j in range(h.rank))
-    not_additive = "extracted map is not a heap morphism: translated table is not additive"
-    try:
-        hm = HeapMorphism(GroupHom(g, h, matrix), h.element_at(int(values[0])))
-    except ValueError as exc:
-        raise NotAnIsomorphism(f"{not_additive}: {exc}") from None
-    wrong = np.flatnonzero(np_hom_images([hm.linear], g, h)[0] != linear)
-    if len(wrong):
-        raise NotAnIsomorphism(f"{not_additive}: disagrees at {g.element_at(int(wrong[0]))}")
-    if not hm.is_isomorphism:
-        raise NotAnIsomorphism("extracted heap morphism is not bijective")
-    return hm
+    return HeapMorphism(GroupHom(eg.group, h, matrix), h.element_at(int(values[0])))
 
 
 def truss_iso_from_heap_iso(
     hm: HeapMorphism, source: EndoTruss, target: EndoTruss, max_enum: int | None = None
 ) -> TrussMorphism:
-    """Conjugation alpha -> hm o alpha o hm^{-1} as a truss isomorphism.
-
-    For hm = (f, t) and alpha = (u, e) the conjugate is
-    (f u f^{-1}, f(e) + t - (f u f^{-1})(t)): each hom u is conjugated once,
-    on the generators, and the translations follow by table lookups.
-    """
+    """Conjugation alpha -> hm o alpha o hm^{-1} as a truss isomorphism:
+    `conjugate_rows` on hm's one row."""
     if hm.source != source.group or hm.target != target.group:
         raise ValueError("heap morphism does not run between the truss base groups")
     if not hm.is_isomorphism:
         raise NotAnIsomorphism("heap morphism is not bijective")
-    src, tgt = source.factored_tables(max_enum), target.factored_tables(max_enum)
-    f = np_hom_images([hm.linear], source.group, target.group)[0]
-    f_inv = np.argsort(f)
-    # generator images of f u f^{-1}, then their positions in the target family
-    conj = target.hom_positions(f[src.apply[:, f_inv[target.generators]]])
-    t = target.group.index(hm.translation)
-    shifted = tgt.gadd[f, t]  # f(e) + t
-    trans = tgt.gadd[shifted[None, :], tgt.gneg[tgt.apply[conj, t]][:, None]]
-    mapping = target.encode(conj[:, None], trans)
-    return TrussMorphism(source, target, tuple(mapping.reshape(-1).tolist()))
+    mapping = conjugate_rows(source, target, _value_tables([hm], target, max_enum), max_enum)[0]
+    return TrussMorphism(source, target, mapping)
 
 
 @dataclass(frozen=True)
@@ -142,17 +224,28 @@ def verify_baer_kaplansky(
     conjugation is injective into the truss isomorphisms, that the brute-force
     isomorphism count (when requested and feasible) matches |h| times the
     number of group isomorphisms, and that groups are isomorphic exactly when
-    a truss isomorphism exists.
+    a truss isomorphism exists. The heap isomorphisms go through
+    `conjugate_rows` and `extract_rows` a block of `_BLOCK_ENTRIES` carrier
+    entries at a time; only the basis columns {0} u S of each conjugation
+    are kept, for the injectivity check.
     """
     eg = build_endo_truss(g, max_enum)
     eh = build_endo_truss(h, max_enum)
     giso = groups_isomorphic(g, h)
     isos = heap_isos(g, h, max_enum)
-    conjugations = [truss_iso_from_heap_iso(hm, eg, eh, max_enum) for hm in isos]
-    # each extraction re-checks that its input preserves both operations
-    extracted = [heap_iso_from_truss_iso(phi, max_enum) for phi in conjugations]
-    roundtrip = extracted == list(isos)
-    injective = len({phi.mapping for phi in conjugations}) == len(conjugations)
+    roundtrip, keys = True, []
+    if isos:
+        basis = eg.generator_tables(max_enum)[0]
+        rows = max(1, _BLOCK_ENTRIES // eg.size)
+        for start in range(0, len(isos), rows):
+            values = _value_tables(isos[start : start + rows], eh, max_enum)
+            F = conjugate_rows(eg, eh, values, max_enum)
+            # extraction re-checks that each conjugation is a truss isomorphism
+            roundtrip &= np.array_equal(extract_rows(eg, eh, F, max_enum), values)
+            keys.append(F[:, basis])
+    # rows that pass the certificate are affine, so two of them agree
+    # everywhere iff they agree on the basis {0} u S
+    injective = not isos or _distinct_rows(np.concatenate(keys), eh.size) == len(isos)
 
     truss_iso_count: int | None = None
     enumerated = None
@@ -165,19 +258,16 @@ def verify_baer_kaplansky(
             pass  # reported as not enumerated
         else:
             truss_iso_count = len(enumerated)
-            roundtrip = roundtrip and all(
-                truss_iso_from_heap_iso(heap_iso_from_truss_iso(phi, max_enum), eg, eh, max_enum).mapping
-                == phi.mapping
-                for phi in enumerated
-            )
+            if enumerated:
+                F = np.stack([phi._array for phi in enumerated])
+                back = conjugate_rows(eg, eh, extract_rows(eg, eh, F, max_enum), max_enum)
+                roundtrip &= np.array_equal(back, F)
 
     consistent = injective and roundtrip and (giso == (len(isos) > 0))
     if truss_iso_count is not None:
         consistent = consistent and (giso == (truss_iso_count > 0))
         if enumerated is not None:
             consistent = consistent and truss_iso_count == len(isos)
-    else:
-        consistent = consistent and (len(conjugations) > 0) == giso
     return BKVerification(
         g, h, len(isos), truss_iso_count, roundtrip, injective, giso, consistent
     )

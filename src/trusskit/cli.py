@@ -37,7 +37,7 @@ from .modules import (
 )
 from .rings import make_field_fp, make_product_ring, make_ring_zn, ring_as_truss, validate_ring
 from .trusses import FiniteTruss, enumerate_truss_morphisms, validate_truss
-from .validation import Check, ValidationReport
+from .validation import Check, ValidationReport, report_once
 
 
 def _split_preset(spec: str) -> tuple[str, str]:
@@ -108,7 +108,7 @@ def _valid_module(spec: str, max_enum: int | None) -> RModule:
     """The module `spec` names, once its ring and action pass every law; a
     failed law is an input error (ValueError), not a finding."""
     m = _module_from_spec(spec, max_enum)
-    for report in (validate_ring(m.ring, max_enum), validate_module(m, max_enum)):
+    for report in (report_once(m.ring, validate_ring, max_enum), report_once(m, validate_module, max_enum)):
         report.raise_on_failure(f"{spec} is not a module")
     return m
 
@@ -124,8 +124,9 @@ def cmd_validate(args, max_enum: int | None) -> ValidationReport:
         inputs = {"truss": args.truss, "size": subject.size}
     else:
         subject = _module_from_spec(args.module, max_enum)
-        ring = tuple(replace(c, law="ring-" + c.law) for c in validate_ring(subject.ring, max_enum).checks)
-        checks = ring + validate_module(subject, max_enum).checks
+        ring = report_once(subject.ring, validate_ring, max_enum)
+        checks = tuple(replace(c, law="ring-" + c.law) for c in ring.checks)
+        checks += report_once(subject, validate_module, max_enum).checks
         inputs = {
             "module": args.module,
             "ring_size": subject.ring.size,

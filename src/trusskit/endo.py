@@ -205,7 +205,9 @@ class EndoTruss:
 
     def decode(self, indices) -> tuple[np.ndarray, np.ndarray]:
         """(family positions, element indices) of carrier indices."""
-        return np.divmod(np.asarray(indices, dtype=np.int64), self._m)
+        indices = np.asarray(indices, dtype=np.int64)
+        homs = indices // self._m  # several times faster than np.divmod
+        return homs, indices - homs * self._m
 
     def encode(self, homs, elements) -> np.ndarray:
         """Carrier indices of (homs[h], element e); element index 0 is zero."""

@@ -355,8 +355,16 @@ def np_add_table(g: AbGroup, max_enum: int | None = None) -> np.ndarray:
 def np_hom_images(homs: Sequence[GroupHom], g: AbGroup, h: AbGroup) -> np.ndarray:
     """(len(homs), |g|) table: the index in h of each hom's image of each
     element of g, in enumeration order."""
-    elems = np_elements(g).astype(np.uint64)
     mats = np.array([f.matrix for f in homs], dtype=np.uint64).reshape(len(homs), h.rank, g.rank)
+    return matrix_images(mats, g, h)
+
+
+def matrix_images(mats: np.ndarray, g: AbGroup, h: AbGroup) -> np.ndarray:
+    """(k, |g|) table: the index in h of the image of each element of g
+    under each of k hom matrices, given as a (k, rank h, rank g) array of
+    entries reduced mod the target orders."""
+    elems = np_elements(g).astype(np.uint64)
+    mats = mats.astype(np.uint64)
     orders = np.array(h.orders, dtype=np.uint64)
     # entries and coordinates are below 2**32, so each product fits in uint64
     terms = (mats[:, None, :, :] * elems[None, :, None, :]) % orders[:, None]

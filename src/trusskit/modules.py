@@ -60,7 +60,7 @@ from .groups import (
 )
 from .rings import FiniteRing, make_field_fp, make_product_ring, validate_ring
 from .trusses import TrussMorphism, truss_morphism_preserves
-from .validation import Check, ValidationReport, law_check
+from .validation import Check, ValidationReport, law_check, report_once
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def make_module(
         for m in group.elements()
     )
     module = RModule(ring, group, table)
-    validate_module(module, max_enum).raise_on_failure("action does not satisfy the module axioms")
+    report_once(module, validate_module, max_enum).raise_on_failure("action does not satisfy the module axioms")
     return module
 
 

@@ -16,7 +16,7 @@ from .errors import guard, int_table, json_ints, resolve_max_enum
 from .groups import AbGroup, Element, _prime_factors, make_group, np_add_table
 from .heaps import heap_from_group
 from .trusses import FiniteTruss, mult_associativity, unit_law
-from .validation import ValidationReport, law_check
+from .validation import ValidationReport, law_check, report_once
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def make_ring(additive: AbGroup, mult, one: Element, max_enum: int | None = None
         additive.index(additive.element(mult(a, b))) for a in elems for b in elems
     )
     ring = FiniteRing(additive, table, additive.element(one))
-    validate_ring(ring, max_enum).raise_on_failure("construction is not a unital ring")
+    report_once(ring, validate_ring, max_enum).raise_on_failure("construction is not a unital ring")
     return ring
 
 

@@ -7,8 +7,8 @@ Carriers may be given by dense tables (FiniteTruss) or by any object exposing
 the same indexed interface (size, ternary, mult, unit, _dense_tables); the
 endomorphism trusses built elsewhere plug in that way. They also expose their
 factored tables through a vectorised `product`, the retract's `plus` and the
-retract's generators, on which `truss_morphism_preserves` certifies a map
-with no n x n table, and `_retract_tables` (n x n multiplication and retract
+retract's generators, on which `preserving_rows` certifies a block of
+maps with no n x n table, and `_retract_tables` (n x n multiplication and retract
 addition), which the morphism and isomorphism enumerators read. Those three
 take only such carriers. Morphisms are total maps preserving both operations;
 units, when present, are not required to map to units (only heap + semigroup
@@ -142,21 +142,13 @@ def validate_truss(t, max_enum: int | None = None) -> ValidationReport:
     return ValidationReport(f"truss on {n} elements", tuple(checks))
 
 
-
-def left_absorbers(t) -> tuple[int, ...]:
-    """Elements x with x*y = x for every y."""
-    M, _ = dense_tables(t)
-    n = M.shape[0]
-    return tuple(int(i) for i in range(n) if bool((M[i] == i).all()))
-
-
 @dataclass(frozen=True)
 class TrussMorphism:
     """Total map between truss carriers, by target indices."""
 
     source: object
     target: object
-    mapping: tuple[int, ...]
+    mapping: tuple[int, ...]  # also taken as an int64 array, stored as a tuple
 
     def __post_init__(self) -> None:
         mapping, array = int_table(
@@ -178,46 +170,36 @@ def identity_truss_morphism(t) -> TrussMorphism:
     return TrussMorphism(t, t, tuple(range(t.size)))
 
 
-def is_truss_morphism(s, t, mapping) -> bool:
-    """Plain-loop recheck that a map preserves both operations; independent of
-    the vectorized filters used by the enumerators."""
-    ns = s.size
-    f = list(mapping)
-    for i in range(ns):
-        for j in range(ns):
-            if f[s.mult(i, j)] != t.mult(f[i], f[j]):
-                return False
-    for i in range(ns):
-        for j in range(ns):
-            for k in range(ns):
-                if f[s.ternary(i, j, k)] != t.ternary(f[i], f[j], f[k]):
-                    return False
-    return True
-
-
 def truss_morphism_preserves(tm: TrussMorphism, max_enum: int | None = None) -> bool:
     """Whether a TrussMorphism between carriers with factored tables (the
     endomorphism trusses and their linear sub-trusses) preserves mult and
-    ternary, certified on the generators S of the source retract at the
-    zero constant (`generator_tables`); other carriers raise TypeError.
+    ternary: `preserving_rows` on its one row."""
+    return bool(preserving_rows(tm.source, tm.target, tm._array[None], max_enum)[0])
+
+
+def preserving_rows(s, t, F: np.ndarray, max_enum: int | None = None) -> np.ndarray:
+    """Mask of the rows of F, a (B, |s|) array of maps s -> t by target
+    index, that preserve mult and ternary, certified on the generators S of
+    the source retract at the zero constant (`generator_tables`); carriers
+    without factored tables raise TypeError.
 
     A map of abelian heaps preserves [a,b,c] = a - b + c iff it is affine
     (Baer; Certaine): f(x + y) + f(0) = f(x) + f(y) in the retracts, which
-    holds for every y once it holds for every y in S (n*|S| lookups). For
-    affine f, y -> f(x*y) and y -> f(x)*f(y) are affine by distributivity,
-    and so are both sides in x; affine maps agreeing on {0} u S agree
-    everywhere, so f preserves mult iff f(x*y) = f(x)*f(y) on ({0} u S)^2.
+    holds for every y once it holds for every y in S (n*|S| lookups a row).
+    For affine f, y -> f(x*y) and y -> f(x)*f(y) are affine by
+    distributivity, and so are both sides in x; affine maps agreeing on
+    {0} u S agree everywhere, so f preserves mult iff f(x*y) = f(x)*f(y) on
+    ({0} u S)^2.
     """
-    s, t = tm.source, tm.target
     for end in (s, t):
         if not hasattr(end, "factored_tables"):
             raise TypeError(f"{type(end).__name__} does not expose factored tables")
-    f = tm._array
     basis, sums, products = s.generator_tables(max_enum)
-    fb = f[basis]
-    if (t.plus(f[sums], fb[0], max_enum) != t.plus(f[:, None], fb[1:], max_enum)).any():
-        return False
-    return bool((f[products] == t.product(fb[:, None], fb[None, :], max_enum)).all())
+    fb = F[:, basis]
+    ok = (F[:, products] == t.product(fb[:, :, None], fb[:, None, :], max_enum)).all(axis=(1, 2))
+    for j in range(len(basis) - 1):  # one generator at a time: B x n arrays, not B x n x |S|
+        ok &= (t.plus(F[:, sums[:, j]], fb[:, :1], max_enum) == t.plus(F, fb[:, j + 1, None], max_enum)).all(axis=1)
+    return ok
 
 
 def _respects_mult(F: np.ndarray, x: np.ndarray, z: np.ndarray, sm: np.ndarray, tm: np.ndarray) -> np.ndarray:
@@ -317,7 +299,7 @@ def _affine_search(s, t, injective: bool, max_enum: int | None) -> tuple[TrussMo
         c, L = np.concatenate(cs), np.concatenate(Ls)
     F = ta[L, c[:, None]]
     F = F[np.lexsort(F.T[::-1])]
-    return tuple(TrussMorphism(s, t, tuple(row)) for row in F.tolist())
+    return tuple(TrussMorphism(s, t, row) for row in F)
 
 
 def enumerate_truss_morphisms(s, t, max_enum: int | None = None) -> tuple[TrussMorphism, ...]:

@@ -46,6 +46,17 @@ def law_check(law: str, bad: np.ndarray, checked: int | None = None) -> Check:
     return Check(law, ok, True, bad.size if checked is None else checked, None if ok else first(bad))
 
 
+def report_once(subject, validate, max_enum: int | None = None) -> ValidationReport:
+    """`validate(subject, max_enum)`, run once per subject and kept on it
+    (a frozen dataclass with one validator, such as a ring or a module), so
+    a construction that validates and a command that reports the same
+    object share one run."""
+    report = subject.__dict__.get("_report")
+    if report is None:
+        report = subject.__dict__["_report"] = validate(subject, max_enum)
+    return report
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Checks about one subject; the CLI uses the command name as subject.

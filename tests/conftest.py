@@ -12,7 +12,7 @@ from trusskit import AbGroup, HeapMorphism, NotAHeapMorphism, NotAnIsomorphism, 
 from trusskit.endo import EndoTruss
 from trusskit.errors import guard, resolve_max_enum
 from trusskit.groups import Element, GroupHom, compose_homs, hom_enumerate, hom_ternary
-from trusskit.trusses import dense_tables, left_absorbers
+from trusskit.trusses import dense_tables
 
 
 def all_value_tables(g: AbGroup, h: AbGroup):
@@ -129,6 +129,30 @@ def brute_force_truss_morphisms(s, t) -> tuple[tuple[int, ...], ...]:
         cands = np.stack(np.unravel_index(ids, (nt,) * ns), axis=1)
         found.extend(tuple(int(x) for x in row) for row in filter_candidates(cands, sm, st, tm, tt))
     return tuple(found)
+
+
+def left_absorbers(t) -> tuple[int, ...]:
+    """Elements x with x*y = x for every y."""
+    M, _ = dense_tables(t)
+    n = M.shape[0]
+    return tuple(int(i) for i in range(n) if bool((M[i] == i).all()))
+
+
+def is_truss_morphism(s, t, mapping) -> bool:
+    """Plain-loop recheck that a map preserves both operations; independent of
+    the vectorized filters used by the enumerators."""
+    ns = s.size
+    f = list(mapping)
+    for i in range(ns):
+        for j in range(ns):
+            if f[s.mult(i, j)] != t.mult(f[i], f[j]):
+                return False
+    for i in range(ns):
+        for j in range(ns):
+            for k in range(ns):
+                if f[s.ternary(i, j, k)] != t.ternary(f[i], f[j], f[k]):
+                    return False
+    return True
 
 
 def brute_force_truss_isos(s, t) -> tuple[tuple[int, ...], ...]:

@@ -11,6 +11,7 @@ from conftest import (
     heap_morphisms,
     inner_structure,
     intertwiner_correspondence,
+    is_truss_morphism,
     unique_intertwiner,
 )
 
@@ -31,7 +32,6 @@ from trusskit import (
     heap_isos,
     heap_iso_from_truss_iso,
     induced_action,
-    is_truss_morphism,
     linear_heap_morphisms,
     make_field_fp,
     make_group,

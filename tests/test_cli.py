@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -50,6 +51,25 @@ def test_validate_module_checks_the_ring(tmp_path, capsys):
         "ring-mult-associativity", "ring-left-distributivity", "ring-right-distributivity", "ring-unit",
         "unital", "action-associativity", "additive-in-module", "additive-in-ring",
     ]
+
+
+def test_validate_module_validates_ring_and_action_once(capsys, monkeypatch):
+    # the preset's construction validates its ring and action; the report
+    # reuses those runs instead of validating both again
+    calls = {"validate_ring": 0, "validate_module": 0}
+    for name in calls:
+        original = getattr(trusskit, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for modname, module in list(sys.modules.items()):
+            if modname.split(".")[0] == "trusskit" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    code, out, _ = run(capsys, "validate", "--module", "zn:32", "--json")
+    assert code == 0 and json.loads(out)["results"]
+    assert calls == {"validate_ring": 1, "validate_module": 1}
 
 
 def test_validate_rejects_unknown_preset(capsys):
@@ -272,7 +292,7 @@ def test_bk_refuses_over_cap_tables_before_conjugating(capsys, monkeypatch, left
     def conjugation(*args, **kwargs):
         raise _Conjugated
 
-    monkeypatch.setattr(trusskit.baer_kaplansky, "truss_iso_from_heap_iso", conjugation)
+    monkeypatch.setattr(trusskit.baer_kaplansky, "conjugate_rows", conjugation)
     code, out, err = run(capsys, "bk", left, right, "--json", "--max-enumeration", str(n - 1))
     assert code == 3 and out == ""
     name = "Z/" + " x Z/".join(left.split(","))

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import decompose, heap_morphisms, heap_ternary
+from conftest import decompose, heap_morphisms, heap_ternary, left_absorbers
 
 from trusskit import (
     BoundExceeded,
@@ -14,7 +14,6 @@ from trusskit import (
     hom_enumerate,
     identity_hom,
     identity_morphism,
-    left_absorbers,
     make_group,
     groups_isomorphic,
     parse_group_spec,

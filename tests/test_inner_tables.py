@@ -146,7 +146,7 @@ def test_extraction_decodes_like_the_oracle_without_the_preservation_check(left,
     # with preservation skipped, maps with two entries swapped reach the
     # decoding: a constant sent to a non-constant, or constants permuted
     # into a table that is not affine
-    monkeypatch.setattr(bk, "truss_morphism_preserves", lambda phi, max_enum=None: True)
+    monkeypatch.setattr(bk, "preserving_rows", lambda s, t, F, max_enum=None: np.ones(len(F), dtype=bool))
     s, t = endo(left), endo(right)
     consts = list(s.constant_indices)
     outcomes = set()

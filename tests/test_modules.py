@@ -263,7 +263,7 @@ def test_invalid_equivalence_is_rejected():
 
 
 def test_every_enumerable_truss_iso_yields_an_equivalence():
-    from trusskit import is_truss_morphism
+    from conftest import is_truss_morphism
 
     e_m = build_linear_endo_truss(FX0)
     e_n = build_linear_endo_truss(ZXF)

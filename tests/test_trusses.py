@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from conftest import (
     dense_preserves,
+    is_truss_morphism,
+    left_absorbers,
     retract_affine,
     retract_preserves,
     scan_distributivity,
@@ -21,8 +23,6 @@ from trusskit import (
     enumerate_truss_morphisms,
     heap_isos,
     identity_truss_morphism,
-    is_truss_morphism,
-    left_absorbers,
     make_field_fp,
     make_group,
     make_product_ring,

@@ -20,12 +20,13 @@ from dataclasses import replace
 from pathlib import Path
 
 from .baer_kaplansky import check_inner_structure, verify_baer_kaplansky
-from .endo import build_endo_truss
+from .endo import build_endo_truss, heap_isos
 from .errors import BoundExceeded
 from .groups import parse_group_spec
 from .heaps import FiniteHeap, heap_from_group, validate_heap
 from .modules import (
     RModule,
+    build_linear_endo_truss,
     coordinate_module,
     equivalence_from_truss_iso,
     example_non_iso,
@@ -36,7 +37,7 @@ from .modules import (
     validate_module,
 )
 from .rings import make_field_fp, make_product_ring, make_ring_zn, ring_as_truss, validate_ring
-from .trusses import FiniteTruss, enumerate_truss_morphisms, validate_truss
+from .trusses import FiniteTruss, enumerate_truss_isos, enumerate_truss_morphisms, validate_truss
 from .validation import Check, ValidationReport, report_once
 
 
@@ -52,7 +53,7 @@ def _load_json(path: str) -> dict:
         return json.loads(Path(path).read_text())
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ValueError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -136,8 +137,6 @@ def cmd_validate(args, max_enum: int | None) -> ValidationReport:
 
 
 def cmd_bk(args, max_enum: int | None) -> ValidationReport:
-    from .endo import heap_isos
-
     left = parse_group_spec(args.left)
     right = parse_group_spec(args.right)
     result = verify_baer_kaplansky(left, right, brute_force=args.brute_force, max_enum=max_enum)
@@ -206,9 +205,6 @@ def cmd_module_bk(args, max_enum: int | None) -> ValidationReport:
     checks = [Check("equivalent_over_end_rings", None, value=eq is not None)]
     witnesses = None
     if eq is None:
-        from .modules import build_linear_endo_truss
-        from .trusses import enumerate_truss_isos
-
         source = build_linear_endo_truss(left, max_enum)
         target = build_linear_endo_truss(right, max_enum)
         try:

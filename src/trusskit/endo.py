@@ -30,15 +30,11 @@ from .groups import (
     GroupHom,
     compose_homs,
     hom_enumerate,
-    hom_ternary,
     identity_hom,
-    invert_hom,
     np_add_table,
     np_hom_images,
     zero_hom,
 )
-from .heaps import FiniteHeap
-from .trusses import FiniteTruss
 
 
 @dataclass(frozen=True)
@@ -72,36 +68,14 @@ class HeapMorphism:
         return HeapMorphism(lin, trans)
 
     @property
-    def is_constant(self) -> bool:
-        return all(all(x == 0 for x in row) for row in self.linear.matrix)
-
-    @property
     def is_isomorphism(self) -> bool:
         return self.linear.is_bijective
-
-    def inverse(self) -> "HeapMorphism":
-        """Inverse heap isomorphism: y -> f^{-1}(y) - f^{-1}(h0)."""
-        inv = invert_hom(self.linear)
-        return HeapMorphism(inv, self.source.neg(inv(self.translation)))
-
-    def values(self) -> tuple[Element, ...]:
-        return tuple(self(x) for x in self.source.elements())
 
     def to_json_dict(self) -> dict:
         return {
             "linear": [list(row) for row in self.linear.matrix],
             "translation": list(self.translation),
         }
-
-
-def constant_morphism(source: AbGroup, value: Element, target: AbGroup | None = None) -> HeapMorphism:
-    """The heap morphism sending every element to `value`."""
-    target = source if target is None else target
-    return HeapMorphism(zero_hom(source, target), target.element(value))
-
-
-def identity_morphism(g: AbGroup) -> HeapMorphism:
-    return HeapMorphism(identity_hom(g), g.zero)
 
 
 def heap_isos(g: AbGroup, h: AbGroup, max_enum: int | None = None) -> tuple[HeapMorphism, ...]:
@@ -158,18 +132,8 @@ class EndoTruss:
         return self.group.cardinality
 
     @cached_property
-    def _elements(self) -> tuple[Element, ...]:
-        return tuple(self.group.elements())
-
-    @cached_property
     def _hom_pos(self) -> dict[tuple, int]:
         return {h.matrix: i for i, h in enumerate(self.homs)}
-
-    @cached_property
-    def carrier(self) -> tuple[HeapMorphism, ...]:
-        return tuple(
-            HeapMorphism(hom, e) for hom in self.homs for e in self._elements
-        )
 
     @cached_property
     def unit(self) -> int:
@@ -195,14 +159,6 @@ class EndoTruss:
                 "homomorphism family is not closed under the required operation"
             ) from None
 
-    def index_of(self, phi: HeapMorphism) -> int:
-        if phi.source != self.group or phi.target != self.group:
-            raise ValueError("morphism does not act on this group")
-        return self._hom_index(phi.linear) * self._m + self.group.index(phi.translation)
-
-    def constant_index(self, a: Element) -> int:
-        return self._zero_hom_pos * self._m + self.group.index(self.group.element(a))
-
     def decode(self, indices) -> tuple[np.ndarray, np.ndarray]:
         """(family positions, element indices) of carrier indices."""
         indices = np.asarray(indices, dtype=np.int64)
@@ -212,38 +168,6 @@ class EndoTruss:
     def encode(self, homs, elements) -> np.ndarray:
         """Carrier indices of (homs[h], element e); element index 0 is zero."""
         return np.asarray(homs, dtype=np.int64) * self._m + elements
-
-    def mult(self, i: int, j: int) -> int:
-        h1, e1 = divmod(i, self._m)
-        h2, e2 = divmod(j, self._m)
-        comp = self._compose_memo.get((h1, h2))
-        if comp is None:
-            comp = self._hom_index(compose_homs(self.homs[h1], self.homs[h2]))
-            self._compose_memo[h1, h2] = comp
-        g = self.group
-        e = g.add(self.homs[h1](self._elements[e2]), self._elements[e1])
-        return comp * self._m + g.index(e)
-
-    def ternary(self, i: int, j: int, k: int) -> int:
-        h1, e1 = divmod(i, self._m)
-        h2, e2 = divmod(j, self._m)
-        h3, e3 = divmod(k, self._m)
-        key = (h1, h2, h3)
-        pos = self._ternary_memo.get(key)
-        if pos is None:
-            pos = self._hom_index(hom_ternary(self.homs[h1], self.homs[h2], self.homs[h3]))
-            self._ternary_memo[key] = pos
-        g = self.group
-        e = g.ternary(self._elements[e1], self._elements[e2], self._elements[e3])
-        return pos * self._m + g.index(e)
-
-    @cached_property
-    def _compose_memo(self) -> dict:
-        return {}
-
-    @cached_property
-    def _ternary_memo(self) -> dict:
-        return {}
 
     @cached_property
     def _apply(self) -> np.ndarray:
@@ -369,11 +293,6 @@ class EndoTruss:
             cached = (mult, add[add[:, neg]])
             self.__dict__["_dense_cache"] = cached
         return cached
-
-    def to_finite_truss(self, max_enum: int | None = None) -> FiniteTruss:
-        mult, tern = self._dense_tables(max_enum)
-        heap = FiniteHeap(self.size, tuple(int(x) for x in tern.reshape(-1)))
-        return FiniteTruss(heap, tuple(int(x) for x in mult.reshape(-1)), unit=self.unit)
 
 
 def build_endo_truss(g: AbGroup, max_enum: int | None = None) -> EndoTruss:

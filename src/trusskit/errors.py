@@ -26,10 +26,6 @@ class BoundExceeded(TrussKitError):
         self.limit = limit
 
 
-class NotAHeapMorphism(TrussKitError):
-    """A value table does not split into an additive part plus a translation."""
-
-
 class NotAnIsomorphism(TrussKitError):
     """The given morphism is not a bijective structure-preserving map."""
 

@@ -81,9 +81,6 @@ class AbGroup:
     def neg(self, a: Element) -> Element:
         return tuple((-x) % n for x, n in zip(a, self.orders, strict=True))
 
-    def scale(self, k: int, a: Element) -> Element:
-        return tuple((k * x) % n for x, n in zip(a, self.orders, strict=True))
-
     def ternary(self, a: Element, b: Element, c: Element) -> Element:
         """The heap operation a - b + c."""
         return tuple(
@@ -114,12 +111,6 @@ class AbGroup:
 def make_group(orders: Iterable[int]) -> AbGroup:
     """Build the direct sum of cyclic groups of the given orders (each >= 1)."""
     return AbGroup(tuple(orders))
-
-
-def enumerate_elements(g: AbGroup, max_enum: int | None = None) -> tuple[Element, ...]:
-    """All elements of g, lexicographically ordered, guarded by the size cap."""
-    guard(g.cardinality, resolve_max_enum(max_enum), f"elements of {g}")
-    return tuple(g.elements())
 
 
 @dataclass(frozen=True)
@@ -170,10 +161,6 @@ class GroupHom:
         seen = {self(x) for x in self.source.elements()}
         return len(seen) == self.target.cardinality
 
-    def values(self) -> tuple[Element, ...]:
-        """Image of every source element, in source enumeration order."""
-        return tuple(self(x) for x in self.source.elements())
-
 
 def compose_homs(f: GroupHom, g: GroupHom) -> GroupHom:
     """The composite f o g (g applied first)."""
@@ -190,27 +177,15 @@ def compose_homs(f: GroupHom, g: GroupHom) -> GroupHom:
     return GroupHom(g.source, f.target, tuple(rows))
 
 
-def _entrywise(f: GroupHom, g: GroupHom, op: Callable[[int, int], int]) -> GroupHom:
+def hom_add(f: GroupHom, g: GroupHom) -> GroupHom:
+    """The pointwise sum f + g, entrywise on the matrices."""
     if f.source != g.source or f.target != g.target:
         raise ValueError("homomorphisms must share source and target")
     rows = tuple(
-        tuple(op(x, y) % m for x, y in zip(rf, rg))
+        tuple((x + y) % m for x, y in zip(rf, rg))
         for rf, rg, m in zip(f.matrix, g.matrix, f.target.orders)
     )
     return GroupHom(f.source, f.target, rows)
-
-
-def hom_add(f: GroupHom, g: GroupHom) -> GroupHom:
-    return _entrywise(f, g, lambda x, y: x + y)
-
-
-def hom_sub(f: GroupHom, g: GroupHom) -> GroupHom:
-    return _entrywise(f, g, lambda x, y: x - y)
-
-
-def hom_ternary(f: GroupHom, g: GroupHom, h: GroupHom) -> GroupHom:
-    """Entrywise f - g + h; the pointwise heap operation on homomorphisms."""
-    return hom_add(hom_sub(f, g), h)
 
 
 def zero_hom(g: AbGroup, h: AbGroup) -> GroupHom:
@@ -324,12 +299,6 @@ def parse_group_spec(spec: str) -> AbGroup:
 
 def group_to_json(g: AbGroup) -> dict:
     return {"orders": list(g.orders)}
-
-
-def group_from_json(data: dict) -> AbGroup:
-    if not isinstance(data, dict) or "orders" not in data:
-        raise ValueError("group JSON must be an object with an 'orders' list")
-    return make_group(data["orders"])
 
 
 def np_elements(g: AbGroup) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Finite heaps as dense ternary tables, with exhaustive validators and retracts.
+"""Finite heaps as dense ternary tables, with exhaustive validators.
 
 A heap is a set with a ternary operation [a,b,c] that is associative,
     [[a,b,c],d,e] = [a,b,[c,d,e]],
@@ -17,7 +17,6 @@ at a time, and stops at its first counterexample.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -43,10 +42,6 @@ class FiniteHeap:
         )
         object.__setattr__(self, "ternary_table", table)
         object.__setattr__(self, "_array", array.reshape(n, n, n))
-
-    def ternary(self, a: int, b: int, c: int) -> int:
-        n = self.size
-        return self.ternary_table[(a * n + b) * n + c]
 
     def to_json_dict(self) -> dict:
         return {"size": self.size, "ternary": list(self.ternary_table)}
@@ -123,77 +118,3 @@ def validate_heap(h: FiniteHeap) -> ValidationReport:
     Each law reports its first counterexample in lexicographic scan order.
     """
     return ValidationReport(f"heap on {h.size} elements", _heap_checks(h._array))
-
-
-def is_abelian_heap(h: FiniteHeap) -> bool:
-    return _abelian_check(h._array).passed
-
-
-def is_valid_heap(h: FiniteHeap) -> bool:
-    """Heap axioms only (Mal'cev + associativity); abelian-ness not required."""
-    report = validate_heap(h)
-    return report.check("malcev").passed and report.check("associativity").passed
-
-
-@dataclass(frozen=True)
-class RetractGroup:
-    """Group structure a +_b c = [a,b,c] obtained by fixing the middle slot at b."""
-
-    size: int
-    add_table: tuple[int, ...]
-    identity: int
-
-    def __post_init__(self) -> None:
-        table = tuple(int(x) for x in self.add_table)
-        if len(table) != self.size**2:
-            raise ValueError("addition table has wrong length")
-        object.__setattr__(self, "add_table", table)
-
-    def add(self, a: int, b: int) -> int:
-        return self.add_table[a * self.size + b]
-
-    @cached_property
-    def inverse_table(self) -> tuple[int, ...]:
-        out = []
-        for a in range(self.size):
-            row = self.add_table[a * self.size : (a + 1) * self.size]
-            try:
-                out.append(row.index(self.identity))
-            except ValueError:
-                raise ValueError(f"element {a} has no inverse") from None
-        return tuple(out)
-
-    def inverse(self, a: int) -> int:
-        return self.inverse_table[a]
-
-    def to_heap(self) -> FiniteHeap:
-        """The induced heap [a,b,c] = a + (-b) + c of this group."""
-        n = self.size
-        A = np.array(self.add_table, dtype=np.int64).reshape(n, n)
-        inv = np.array(self.inverse_table, dtype=np.int64)
-        X = A[:, inv]  # X[a,b] = a + (-b)
-        T = A[X]  # T[a,b,c] = (a + (-b)) + c
-        return FiniteHeap(n, tuple(T.reshape(-1).tolist()))
-
-    def is_abelian(self) -> bool:
-        n = self.size
-        A = np.array(self.add_table, dtype=np.int64).reshape(n, n)
-        return bool((A == A.T).all())
-
-
-def retract_at(h: FiniteHeap, b: int, validate: bool = True) -> RetractGroup:
-    """The retract group (carrier, +_b, identity b); requires a valid heap."""
-    if not 0 <= b < h.size:
-        raise ValueError(f"base point {b} outside carrier")
-    if validate and not is_valid_heap(h):
-        raise ValueError("not a valid heap; retract undefined")
-    n = h.size
-    table = tuple(h.ternary(a, b, c) for a in range(n) for c in range(n))
-    return RetractGroup(n, table, b)
-
-
-def retract_iso(h: FiniteHeap, b: int, b_prime: int, validate: bool = True) -> tuple[int, ...]:
-    """The map a -> [a, b, b'], an isomorphism (carrier, +_b) -> (carrier, +_b')."""
-    if validate and not is_valid_heap(h):
-        raise ValueError("not a valid heap")
-    return tuple(h.ternary(a, b, b_prime) for a in range(h.size))

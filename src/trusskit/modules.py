@@ -5,11 +5,11 @@ A module is a ring, an abelian group, and a validated action table. Each
 element e of a module induces a deformed structure: addition a +_e b =
 a - e + b and action r ._e m = r.m - r.e + e, and `validate_induced_action`
 runs the laws of `validate_module` on those deformed tables. The heap
-morphisms whose linear part commutes with the action (`linear_heap_morphisms`)
-are exactly the maps respecting every one of those deformed module structures
-at once. They form a sub-truss E_R(M) of the endomorphism truss of the
-underlying group (`build_linear_endo_truss`); `module_homs` finds their linear
-parts by filtering Hom(M, N) on the action tables.
+morphisms whose linear part commutes with the action are exactly the maps
+respecting every one of those deformed module structures at once. They form
+a sub-truss E_R(M) of the endomorphism truss of the underlying group
+(`build_linear_endo_truss`); `module_homs` finds their linear parts by
+filtering Hom(M, N) on the action tables.
 
 Two modules over possibly different rings are equivalent over their
 endomorphism rings when some additive isomorphism mu conjugates one
@@ -58,7 +58,7 @@ from .groups import (
     np_hom_images,
     zero_hom,
 )
-from .rings import FiniteRing, make_field_fp, make_product_ring, validate_ring
+from .rings import FiniteRing, make_field_fp, make_product_ring, make_ring_zn, validate_ring
 from .trusses import TrussMorphism, truss_morphism_preserves
 from .validation import Check, ValidationReport, law_check, report_once
 
@@ -131,10 +131,7 @@ def make_module(
 
 def module_zn(n: int, max_enum: int | None = None) -> RModule:
     """Z/n as a module over the ring Z/n."""
-    from .rings import make_ring_zn
-
-    ring = make_ring_zn(n, max_enum)
-    return regular_module(ring, max_enum)
+    return regular_module(make_ring_zn(n, max_enum), max_enum)
 
 
 def regular_module(ring: FiniteRing, max_enum: int | None = None) -> RModule:
@@ -247,13 +244,6 @@ class EndomorphismRing:
     ring: FiniteRing
     homs_by_index: tuple[GroupHom, ...]
 
-    @cached_property
-    def _hom_to_index(self) -> dict:
-        return {f.matrix: i for i, f in enumerate(self.homs_by_index)}
-
-    def index_of(self, f: GroupHom) -> int:
-        return self._hom_to_index[f.matrix]
-
     def as_module(self, max_enum: int | None = None) -> RModule:
         """The original module viewed over this endomorphism ring (evaluation)."""
         additive = self.ring.additive
@@ -280,33 +270,6 @@ def end_ring(m: RModule, max_enum: int | None = None) -> EndomorphismRing:
     ring = FiniteRing(additive, tuple(table), one)
     validate_ring(ring, max_enum).raise_on_failure("endomorphism ring failed validation")
     return EndomorphismRing(m, ring, by_index)
-
-
-def linear_heap_morphisms(m: RModule, n: RModule, max_enum: int | None = None) -> tuple[HeapMorphism, ...]:
-    """Heap morphisms whose linear part commutes with the action: all pairs
-    (action-commuting hom, translation), hom-major order."""
-    homs = module_homs(m, n, max_enum)
-    guard(
-        len(homs) * n.group.cardinality,
-        resolve_max_enum(max_enum),
-        "linear heap morphisms",
-    )
-    return tuple(
-        HeapMorphism(f, t) for f in homs for t in n.group.elements()
-    )
-
-
-def is_linear_heap_morphism(m: RModule, n: RModule, phi: HeapMorphism) -> bool:
-    """Membership test via the closed form phi(r.x) = r.phi(x) - r.phi(0) + phi(0)."""
-    g = n.group
-    phi0 = phi(m.group.zero)
-    for r in m.ring.elements():
-        for x in m.group.elements():
-            lhs = phi(m.act(r, x))
-            rhs = g.ternary(n.act(r, phi(x)), n.act(r, phi0), phi0)
-            if lhs != rhs:
-                return False
-    return True
 
 
 def build_linear_endo_truss(m: RModule, max_enum: int | None = None) -> EndoTruss:

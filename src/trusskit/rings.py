@@ -40,10 +40,6 @@ class FiniteRing:
     def size(self) -> int:
         return self.additive.cardinality
 
-    @property
-    def zero(self) -> Element:
-        return self.additive.zero
-
     def elements(self):
         return self.additive.elements()
 
@@ -53,9 +49,6 @@ class FiniteRing:
     def mul(self, a: Element, b: Element) -> Element:
         g = self.additive
         return g.element_at(self.mul_index(g.index(a), g.index(b)))
-
-    def add(self, a: Element, b: Element) -> Element:
-        return self.additive.add(a, b)
 
     def to_json_dict(self) -> dict:
         return {
@@ -138,26 +131,3 @@ def ring_as_truss(r: FiniteRing, max_enum: int | None = None) -> FiniteTruss:
     heap = heap_from_group(r.additive, max_enum)
     return FiniteTruss(heap, r.mult_table, unit=r.additive.index(r.one))
 
-
-def find_ring_isomorphism(r: FiniteRing, s: FiniteRing, max_enum: int | None = None):
-    """First additive isomorphism that also preserves product and unit, or None.
-
-    Brute force over the bijective additive homomorphisms; intended for the
-    small rings that appear as endomorphism rings.
-    """
-    from .groups import hom_enumerate
-
-    if r.size != s.size:
-        return None
-    for f in hom_enumerate(r.additive, s.additive, max_enum):
-        if not f.is_bijective:
-            continue
-        if f(r.one) != s.one:
-            continue
-        if all(
-            f(r.mul(a, b)) == s.mul(f(a), f(b))
-            for a in r.elements()
-            for b in r.elements()
-        ):
-            return f
-    return None

@@ -3,16 +3,17 @@ distributes over the ternary operation on both sides,
 
     d[a,b,c] = [da,db,dc]  and  [a,b,c]d = [ad,bd,cd].
 
-Carriers may be given by dense tables (FiniteTruss) or by any object exposing
-the same indexed interface (size, ternary, mult, unit, _dense_tables); the
-endomorphism trusses built elsewhere plug in that way. They also expose their
-factored tables through a vectorised `product`, the retract's `plus` and the
-retract's generators, on which `preserving_rows` certifies a block of
-maps with no n x n table, and `_retract_tables` (n x n multiplication and retract
-addition), which the morphism and isomorphism enumerators read. Those three
-take only such carriers. Morphisms are total maps preserving both operations;
-units, when present, are not required to map to units (only heap + semigroup
-structure is preserved).
+Carriers are given by dense tables (FiniteTruss) or by any object with
+`size`, `unit` and `_dense_tables` (the n x n multiplication and n^3 ternary
+tables); the endomorphism trusses of `endo` plug in that way, and
+`validate_truss` reads only those. The endomorphism trusses also expose
+their factored tables through a vectorised `product`, the retract's `plus`
+and the retract's generators, on which `preserving_rows` certifies a block
+of maps with no n x n table, and `_retract_tables` (n x n multiplication and
+retract addition), which the morphism and isomorphism enumerators read.
+Those three take only such carriers. Morphisms are total maps preserving
+both operations; units, when present, are not required to map to units
+(only heap + semigroup structure is preserved).
 """
 
 from __future__ import annotations
@@ -50,12 +51,6 @@ class FiniteTruss:
     @property
     def size(self) -> int:
         return self.heap.size
-
-    def ternary(self, a: int, b: int, c: int) -> int:
-        return self.heap.ternary(a, b, c)
-
-    def mult(self, a: int, b: int) -> int:
-        return self.mult_table[a * self.size + b]
 
     def _dense_tables(self, max_enum: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         return self._mult_array, self.heap._array
@@ -164,10 +159,6 @@ class TrussMorphism:
     @cached_property
     def is_bijective(self) -> bool:
         return self.source.size == self.target.size and len(set(self.mapping)) == len(self.mapping)
-
-
-def identity_truss_morphism(t) -> TrussMorphism:
-    return TrussMorphism(t, t, tuple(range(t.size)))
 
 
 def truss_morphism_preserves(tm: TrussMorphism, max_enum: int | None = None) -> bool:

@@ -1,18 +1,267 @@
-"""Shared brute-force oracles, deliberately independent of the library's own
-enumeration routes: they filter raw value tables / bijections by the defining
-identities, nothing else."""
+"""Shared test oracles, deliberately independent of the library's table
+kernels: the per-element view of heap morphisms, endomorphism trusses,
+retracts and linear heap morphisms (one object or one lookup per element),
+and brute-force searches that filter raw value tables / bijections by the
+defining identities, nothing else."""
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from trusskit import AbGroup, HeapMorphism, NotAHeapMorphism, NotAnIsomorphism, TrussKitError
+from trusskit import (
+    AbGroup,
+    Check,
+    FiniteHeap,
+    FiniteTruss,
+    HeapMorphism,
+    NotAnIsomorphism,
+    TrussKitError,
+    ValidationReport,
+    induced_action,
+    validate_heap,
+)
 from trusskit.endo import EndoTruss
 from trusskit.errors import guard, resolve_max_enum
-from trusskit.groups import Element, GroupHom, compose_homs, hom_enumerate, hom_ternary
-from trusskit.trusses import dense_tables
+from trusskit.groups import Element, GroupHom, compose_homs, hom_enumerate, identity_hom, invert_hom, zero_hom
+from trusskit.modules import module_homs
+from trusskit.trusses import TrussMorphism, dense_tables
+
+
+class NotAHeapMorphism(TrussKitError):
+    """A value table does not split into an additive part plus a translation."""
+
+
+# ---------------------------------------------------------------- objects one element at a time
+
+
+def heap_values(hm: HeapMorphism) -> tuple[Element, ...]:
+    """The image of every source element, in source enumeration order."""
+    return tuple(hm(x) for x in hm.source.elements())
+
+
+def is_constant(hm: HeapMorphism) -> bool:
+    return all(all(x == 0 for x in row) for row in hm.linear.matrix)
+
+
+def heap_inverse(hm: HeapMorphism) -> HeapMorphism:
+    """Inverse heap isomorphism: y -> f^{-1}(y) - f^{-1}(h0)."""
+    inv = invert_hom(hm.linear)
+    return HeapMorphism(inv, hm.source.neg(inv(hm.translation)))
+
+
+def constant_morphism(source: AbGroup, value: Element, target: AbGroup | None = None) -> HeapMorphism:
+    """The heap morphism sending every element to `value`."""
+    target = source if target is None else target
+    return HeapMorphism(zero_hom(source, target), target.element(value))
+
+
+def identity_morphism(g: AbGroup) -> HeapMorphism:
+    return HeapMorphism(identity_hom(g), g.zero)
+
+
+def identity_truss_morphism(t) -> TrussMorphism:
+    return TrussMorphism(t, t, tuple(range(t.size)))
+
+
+def hom_ternary(f: GroupHom, g: GroupHom, h: GroupHom) -> GroupHom:
+    """Entrywise f - g + h; the pointwise heap operation on homomorphisms."""
+    if not f.source == g.source == h.source or not f.target == g.target == h.target:
+        raise ValueError("homomorphisms must share source and target")
+    rows = tuple(
+        tuple((x - y + z) % m for x, y, z in zip(rf, rg, rh))
+        for rf, rg, rh, m in zip(f.matrix, g.matrix, h.matrix, f.target.orders)
+    )
+    return GroupHom(f.source, f.target, rows)
+
+
+def _kept(t: EndoTruss, key: str, build):
+    """`build()`, computed once per truss and kept on it, as the truss keeps
+    its own cached tables."""
+    if key not in t.__dict__:
+        t.__dict__[key] = build()
+    return t.__dict__[key]
+
+
+def carrier(e: EndoTruss) -> tuple[HeapMorphism, ...]:
+    """The heap morphism at every carrier index of E(G) or a sub-truss."""
+    def build():
+        return tuple(HeapMorphism(hom, x) for hom in e.homs for x in e.group.elements())
+
+    return _kept(e, "_oracle_carrier", build)
+
+
+def index_of(e: EndoTruss, phi: HeapMorphism) -> int:
+    if phi.source != e.group or phi.target != e.group:
+        raise ValueError("morphism does not act on this group")
+    return e._hom_index(phi.linear) * e.group.cardinality + e.group.index(phi.translation)
+
+
+def constant_index(e: EndoTruss, a: Element) -> int:
+    return e.constant_indices[e.group.index(e.group.element(a))]
+
+
+def mult(t, i: int, j: int) -> int:
+    """x*y by carrier index: a table lookup in a FiniteTruss, a composition
+    of (hom, translation) pairs in an EndoTruss."""
+    if not isinstance(t, EndoTruss):
+        return t.mult_table[i * t.size + j]
+    g, m = t.group, t.group.cardinality
+    elems = _kept(t, "_oracle_elements", lambda: tuple(g.elements()))
+    memo = _kept(t, "_oracle_compose", dict)
+    (h1, e1), (h2, e2) = divmod(i, m), divmod(j, m)
+    if (h1, h2) not in memo:
+        memo[h1, h2] = t._hom_index(compose_homs(t.homs[h1], t.homs[h2]))
+    e = g.add(t.homs[h1](elems[e2]), elems[e1])
+    return memo[h1, h2] * m + g.index(e)
+
+
+def ternary(t, i: int, j: int, k: int) -> int:
+    """[x,y,z] by carrier index: a table lookup in a FiniteHeap or
+    FiniteTruss, the pointwise x - y + z of (hom, translation) pairs in an
+    EndoTruss."""
+    if not isinstance(t, EndoTruss):
+        h = t.heap if isinstance(t, FiniteTruss) else t
+        return h.ternary_table[(i * h.size + j) * h.size + k]
+    g, m = t.group, t.group.cardinality
+    elems = _kept(t, "_oracle_elements", lambda: tuple(g.elements()))
+    memo = _kept(t, "_oracle_ternary", dict)
+    (h1, e1), (h2, e2), (h3, e3) = divmod(i, m), divmod(j, m), divmod(k, m)
+    if (h1, h2, h3) not in memo:
+        memo[h1, h2, h3] = t._hom_index(hom_ternary(t.homs[h1], t.homs[h2], t.homs[h3]))
+    e = g.ternary(elems[e1], elems[e2], elems[e3])
+    return memo[h1, h2, h3] * m + g.index(e)
+
+
+def to_finite_truss(e: EndoTruss, max_enum: int | None = None) -> FiniteTruss:
+    """E(G) as dense tables."""
+    mult_table, tern = e._dense_tables(max_enum)
+    heap = FiniteHeap(e.size, tuple(int(x) for x in tern.reshape(-1)))
+    return FiniteTruss(heap, tuple(int(x) for x in mult_table.reshape(-1)), unit=e.unit)
+
+
+def _is_heap(h: FiniteHeap) -> bool:
+    """Heap axioms only (Mal'cev + associativity); abelian-ness not required."""
+    report = validate_heap(h)
+    return report.check("malcev").passed and report.check("associativity").passed
+
+
+@dataclass(frozen=True)
+class RetractGroup:
+    """Group structure a +_b c = [a,b,c] obtained by fixing the middle slot at b."""
+
+    size: int
+    add_table: tuple[int, ...]
+    identity: int
+
+    def __post_init__(self) -> None:
+        table = tuple(int(x) for x in self.add_table)
+        if len(table) != self.size**2:
+            raise ValueError("addition table has wrong length")
+        object.__setattr__(self, "add_table", table)
+
+    def add(self, a: int, b: int) -> int:
+        return self.add_table[a * self.size + b]
+
+    @cached_property
+    def inverse_table(self) -> tuple[int, ...]:
+        out = []
+        for a in range(self.size):
+            row = self.add_table[a * self.size : (a + 1) * self.size]
+            try:
+                out.append(row.index(self.identity))
+            except ValueError:
+                raise ValueError(f"element {a} has no inverse") from None
+        return tuple(out)
+
+    def inverse(self, a: int) -> int:
+        return self.inverse_table[a]
+
+    def to_heap(self) -> FiniteHeap:
+        """The induced heap [a,b,c] = a + (-b) + c of this group."""
+        n = self.size
+        A = np.array(self.add_table, dtype=np.int64).reshape(n, n)
+        inv = np.array(self.inverse_table, dtype=np.int64)
+        X = A[:, inv]  # X[a,b] = a + (-b)
+        T = A[X]  # T[a,b,c] = (a + (-b)) + c
+        return FiniteHeap(n, tuple(T.reshape(-1).tolist()))
+
+    def is_abelian(self) -> bool:
+        n = self.size
+        A = np.array(self.add_table, dtype=np.int64).reshape(n, n)
+        return bool((A == A.T).all())
+
+
+def retract_at(h: FiniteHeap, b: int, validate: bool = True) -> RetractGroup:
+    """The retract group (carrier, +_b, identity b); requires a valid heap."""
+    if not 0 <= b < h.size:
+        raise ValueError(f"base point {b} outside carrier")
+    if validate and not _is_heap(h):
+        raise ValueError("not a valid heap; retract undefined")
+    n = h.size
+    table = tuple(ternary(h, a, b, c) for a in range(n) for c in range(n))
+    return RetractGroup(n, table, b)
+
+
+def retract_iso(h: FiniteHeap, b: int, b_prime: int, validate: bool = True) -> tuple[int, ...]:
+    """The map a -> [a, b, b'], an isomorphism (carrier, +_b) -> (carrier, +_b')."""
+    if validate and not _is_heap(h):
+        raise ValueError("not a valid heap")
+    return tuple(ternary(h, a, b, b_prime) for a in range(h.size))
+
+
+def find_ring_isomorphism(r, s, max_enum: int | None = None):
+    """First additive isomorphism that also preserves product and unit, or None.
+
+    Brute force over the bijective additive homomorphisms; intended for the
+    small rings that appear as endomorphism rings.
+    """
+    if r.size != s.size:
+        return None
+    for f in hom_enumerate(r.additive, s.additive, max_enum):
+        if not f.is_bijective:
+            continue
+        if f(r.one) != s.one:
+            continue
+        if all(
+            f(r.mul(a, b)) == s.mul(f(a), f(b))
+            for a in r.elements()
+            for b in r.elements()
+        ):
+            return f
+    return None
+
+
+def linear_heap_morphisms(m, n, max_enum: int | None = None) -> tuple[HeapMorphism, ...]:
+    """Heap morphisms whose linear part commutes with the action: all pairs
+    (action-commuting hom, translation), hom-major order."""
+    homs = module_homs(m, n, max_enum)
+    guard(
+        len(homs) * n.group.cardinality,
+        resolve_max_enum(max_enum),
+        "linear heap morphisms",
+    )
+    return tuple(
+        HeapMorphism(f, t) for f in homs for t in n.group.elements()
+    )
+
+
+def is_linear_heap_morphism(m, n, phi: HeapMorphism) -> bool:
+    """Membership test via the closed form phi(r.x) = r.phi(x) - r.phi(0) + phi(0)."""
+    g = n.group
+    phi0 = phi(m.group.zero)
+    for r in m.ring.elements():
+        for x in m.group.elements():
+            lhs = phi(m.act(r, x))
+            rhs = g.ternary(n.act(r, phi(x)), n.act(r, phi0), phi0)
+            if lhs != rhs:
+                return False
+    return True
+
+
+# ---------------------------------------------------------------- brute-force searches
 
 
 def all_value_tables(g: AbGroup, h: AbGroup):
@@ -145,12 +394,12 @@ def is_truss_morphism(s, t, mapping) -> bool:
     f = list(mapping)
     for i in range(ns):
         for j in range(ns):
-            if f[s.mult(i, j)] != t.mult(f[i], f[j]):
+            if f[mult(s, i, j)] != mult(t, f[i], f[j]):
                 return False
     for i in range(ns):
         for j in range(ns):
             for k in range(ns):
-                if f[s.ternary(i, j, k)] != t.ternary(f[i], f[j], f[k]):
+                if f[ternary(s, i, j, k)] != ternary(t, f[i], f[j], f[k]):
                     return False
     return True
 
@@ -186,8 +435,8 @@ def conjugate_by_composition(hm, source, target) -> tuple[int, ...]:
     """Conjugation alpha -> hm o alpha o hm^{-1}, one heap-morphism
     composition per carrier element; raises ValueError when a conjugate falls
     outside the target's homomorphism family."""
-    inv = hm.inverse()
-    return tuple(target.index_of(hm.compose(alpha).compose(inv)) for alpha in source.carrier)
+    inv = heap_inverse(hm)
+    return tuple(index_of(target, hm.compose(alpha).compose(inv)) for alpha in carrier(source))
 
 
 def scan_heap_associativity(T: np.ndarray):
@@ -222,8 +471,6 @@ def scan_distributivity(M: np.ndarray, T: np.ndarray, side: str):
 def module_homs_by_loop(m, n):
     """Hom_R(M, N) by the per-element filter: the additive maps f with
     f(r.x) = r.f(x) for every ring element r and module element x."""
-    from trusskit.groups import hom_enumerate
-
     return tuple(
         f
         for f in hom_enumerate(m.group, n.group)
@@ -234,9 +481,6 @@ def module_homs_by_loop(m, n):
 def induced_action_report_by_loop(m, e):
     """The four module laws of (M, +_e, ._e), each scanned element by element
     in lexicographic order with a +_e b = a - e + b and r ._e x = r.x - r.e + e."""
-    from trusskit import Check, ValidationReport
-    from trusskit.modules import induced_action
-
     g, ring = m.group, m.ring
     elems, relems = list(g.elements()), list(ring.elements())
     ri = ring.additive.index
@@ -266,7 +510,7 @@ def induced_action_report_by_loop(m, e):
               lambda r, x, y: pact(r, padd(x, y)) == padd(pact(r, x), pact(r, y)),
               lambda r, x, y: (ri(r), g.index(x), g.index(y))),
         check("additive-in-ring", rrx, len(rrx),
-              lambda r, s, x: pact(ring.add(r, s), x) == padd(pact(r, x), pact(s, x)),
+              lambda r, s, x: pact(ring.additive.add(r, s), x) == padd(pact(r, x), pact(s, x)),
               lambda r, s, x: (ri(r), ri(s), g.index(x))),
     )
     return ValidationReport(f"induced action at {e}", checks)
@@ -275,11 +519,9 @@ def induced_action_report_by_loop(m, e):
 def truss_iso_by_element(eq, source, target) -> tuple[int, ...]:
     """The map (u, a) -> (rho(u), mu(a)) of an equivalence, one carrier
     element at a time."""
-    from trusskit import HeapMorphism
-
     return tuple(
-        target.index_of(HeapMorphism(eq.rho_of(alpha.linear), eq.mu(alpha.translation)))
-        for alpha in source.carrier
+        index_of(target, HeapMorphism(eq.rho_of(alpha.linear), eq.mu(alpha.translation)))
+        for alpha in carrier(source)
     )
 
 
@@ -353,8 +595,8 @@ def heap_iso_by_decompose(phi) -> HeapMorphism:
         raise NotAnIsomorphism("morphism is not bijective")
     values = {}
     for a in eg.group.elements():
-        image = eh.carrier[phi.mapping[eg.constant_index(a)]]
-        if not image.is_constant:
+        image = carrier(eh)[phi.mapping[constant_index(eg, a)]]
+        if not is_constant(image):
             raise NotAnIsomorphism("image of a constant map is not constant")
         values[a] = image.translation
     try:
@@ -387,14 +629,14 @@ class InnerStructure:
 
 def _phi_images(phi) -> tuple[EndoTruss, EndoTruss, list[HeapMorphism]]:
     eg, eh = phi.source, phi.target
-    return eg, eh, [eh.carrier[j] for j in phi.mapping]
+    return eg, eh, [carrier(eh)[j] for j in phi.mapping]
 
 
 def inner_structure(phi, max_enum: int | None = None) -> InnerStructure:
     """Filter every heap morphism G -> H by Phi(alpha) o xi == xi o alpha,
     composing per carrier element."""
     eg, eh, images = _phi_images(phi)
-    zero_image = images[eg.constant_index(eg.group.zero)]
+    zero_image = images[constant_index(eg, eg.group.zero)]
     idempotent, offset = zero_image.linear, zero_image.translation
     h = eh.group
     candidates = heap_morphisms(eg.group, h, max_enum)
@@ -403,7 +645,7 @@ def inner_structure(phi, max_enum: int | None = None) -> InnerStructure:
         for xi in candidates
         if all(
             images[i].compose(xi) == xi.compose(alpha)
-            for i, alpha in enumerate(eg.carrier)
+            for i, alpha in enumerate(carrier(eg))
         )
     )
     seen: dict[Element, None] = {}
@@ -416,7 +658,7 @@ def intertwiner_at(phi, b: Element) -> HeapMorphism:
     """The heap morphism a -> Phi(constant at a)(b); always an intertwiner."""
     eg, eh, images = _phi_images(phi)
     values = {
-        a: images[eg.constant_index(a)](eh.group.element(b))
+        a: images[constant_index(eg, a)](eh.group.element(b))
         for a in eg.group.elements()
     }
     return decompose(eg.group, eh.group, values)
@@ -456,7 +698,7 @@ def unique_intertwiner(phi, max_enum: int | None = None) -> HeapMorphism | None:
     unique; returns it, or None when no constant has constant image."""
     eg, eh, images = _phi_images(phi)
     if not any(
-        images[eg.constant_index(a)].is_constant for a in eg.group.elements()
+        is_constant(images[constant_index(eg, a)]) for a in eg.group.elements()
     ):
         return None
     inner = inner_structure(phi, max_enum)
@@ -487,7 +729,7 @@ def inner_laws_by_composition(phi, max_enum: int | None = None) -> dict[str, boo
     results["values_at_zero_in_coset"] = all(
         xi(eg.group.zero) in set(inner.coset) for xi in inner.intertwiners
     )
-    if any(images[eg.constant_index(a)].is_constant for a in eg.group.elements()):
+    if any(is_constant(images[constant_index(eg, a)]) for a in eg.group.elements()):
         try:
             xi = unique_intertwiner(phi, max_enum)
         except TrussKitError:
@@ -495,6 +737,6 @@ def inner_laws_by_composition(phi, max_enum: int | None = None) -> dict[str, boo
         else:
             results["corollary_unique"] = xi is not None and all(
                 images[i].compose(xi) == xi.compose(alpha)
-                for i, alpha in enumerate(eg.carrier)
+                for i, alpha in enumerate(carrier(eg))
             )
     return results

@@ -3,30 +3,34 @@ import itertools
 import numpy as np
 import pytest
 from conftest import (
+    carrier,
     conjugate_by_composition,
+    constant_index,
+    constant_morphism,
+    heap_inverse,
+    identity_morphism,
+    identity_truss_morphism,
     inner_structure,
     intertwiner_at,
     intertwiner_correspondence,
+    is_constant,
     unique_intertwiner,
 )
 
 from trusskit import (
     NotAnIsomorphism,
     build_endo_truss,
-    hom_enumerate,
     check_inner_structure,
-    constant_morphism,
     enumerate_truss_isos,
     enumerate_truss_morphisms,
     heap_iso_from_truss_iso,
     heap_isos,
-    identity_morphism,
-    identity_truss_morphism,
     make_group,
     parse_group_spec,
     truss_iso_from_heap_iso,
     verify_baer_kaplansky,
 )
+from trusskit.groups import hom_enumerate
 from trusskit.modules import build_linear_endo_truss, regular_module
 from trusskit.rings import make_field_fp, make_product_ring
 from trusskit.trusses import TrussMorphism, dense_tables
@@ -84,9 +88,9 @@ def test_witness_satisfies_conjugation_law():
         extracted = heap_iso_from_truss_iso(phi)
         assert extracted == hm
         assert extracted.linear.is_bijective
-        inv = hm.inverse()
-        for i, alpha in enumerate(E3.carrier):
-            assert E3.carrier[phi.mapping[i]] == hm.compose(alpha).compose(inv)
+        inv = heap_inverse(hm)
+        for i, alpha in enumerate(carrier(E3)):
+            assert carrier(E3)[phi.mapping[i]] == hm.compose(alpha).compose(inv)
 
 
 def test_verify_json_schema_and_positive_case():
@@ -185,16 +189,16 @@ def test_inner_laws_for_every_enumerated_morphism():
 
 def test_corollary_unique_intertwiner():
     for source, target, phi in _all_truss_morphisms():
-        images = [target.carrier[j] for j in phi.mapping]
+        images = [carrier(target)[j] for j in phi.mapping]
         applicable = any(
-            images[source.constant_index(a)].is_constant
+            is_constant(images[constant_index(source, a)])
             for a in source.group.elements()
         )
         xi = unique_intertwiner(phi)
         if applicable:
             assert xi is not None
             assert len(inner_structure(phi).intertwiners) == 1
-            for i, alpha in enumerate(source.carrier):
+            for i, alpha in enumerate(carrier(source)):
                 assert images[i].compose(xi) == xi.compose(alpha)
         else:
             assert xi is None

@@ -9,12 +9,12 @@ from pathlib import Path
 
 import conftest
 import pytest
+from conftest import identity_truss_morphism
 
 import trusskit.baer_kaplansky
 import trusskit.cli  # noqa: F401  (imports every traced module)
 from trusskit import build_endo_truss, make_group, validate_truss
 from trusskit.cli import main
-from trusskit.trusses import identity_truss_morphism
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import tracer  # noqa: E402

@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 import pytest
-from conftest import conjugate_by_composition, heap_iso_by_decompose, retract_affine, retract_preserves
+from conftest import constant_index, conjugate_by_composition, heap_iso_by_decompose, retract_affine, retract_preserves
 
 import trusskit.baer_kaplansky as bk
 from trusskit import NotAnIsomorphism, build_endo_truss, heap_isos, parse_group_spec, verify_baer_kaplansky
@@ -125,6 +125,26 @@ def test_a_mutation_fails_exactly_its_row(left, right, monkeypatch):
     assert all(rejected.values()), rejected
 
 
+def test_a_coset_translate_is_seen_only_by_the_last_additive_column():
+    # the identity of E(Z/4) with the coset of the hom 2*id translated by
+    # the constant 1: no product of basis elements lands in the cosets of
+    # 2*id or 3*id, so of the whole certificate only the additive column of
+    # the last generator, (id, 0), rejects it
+    s, t, _, _, F = _block("4", "4")
+    e = np.arange(4)
+    row = np.arange(s.size)
+    row[s.encode(2, e)] = s.encode(2, (e + 1) % 4)
+    one = TrussMorphism(s, t, row)
+    assert one.is_bijective and not retract_affine(one)
+    block = F.copy()
+    r = next(i for i in range(len(F)) if np.array_equal(F[i], np.arange(s.size)))
+    block[r] = row
+    assert preserving_rows(s, t, block).tolist() == [i != r for i in range(len(F))]
+    expected = _expected(one)
+    assert expected == "morphism does not preserve the truss operations"
+    assert _outcome(heap_iso_from_truss_iso, one) == _outcome(extract_rows, s, t, block) == expected
+
+
 @pytest.mark.parametrize("left,right", BK_PAIRS)
 def test_basis_columns_decide_injectivity_like_whole_rows(left, right, monkeypatch):
     # a block with one row repeated: the verdict on {0} u S columns is
@@ -168,7 +188,7 @@ def test_an_ill_defined_generator_image_is_named_like_the_oracle(monkeypatch):
     # an element of order 4: no hom, as GroupHom words it
     monkeypatch.setattr(bk, "preserving_rows", lambda s, t, F, max_enum=None: np.ones(len(F), dtype=bool))
     s, t, _, _, F = _block("2,4", "2,4")
-    i, j = s.constant_index((1, 0)), s.constant_index((0, 1))
+    i, j = constant_index(s, (1, 0)), constant_index(s, (0, 1))
     block = F.copy()
     block[3, [i, j]] = block[3, [j, i]]
     expected = _outcome(heap_iso_by_decompose, TrussMorphism(s, t, block[3]))

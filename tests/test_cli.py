@@ -407,3 +407,14 @@ def test_validate_garbage_json_exits_cleanly(flag):
             assert any(r["passed"] is False for r in results) == (code == 1)
 
     check()
+
+
+@pytest.mark.parametrize("flag", list(_DOCS))
+def test_validate_deeply_nested_json_is_an_input_error(flag, tmp_path, capsys):
+    # json.loads gives up on deep nesting with RecursionError: malformed
+    # input (exit 2, one error line), not a violated theorem (exit 1)
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000)
+    code, out, err = run(capsys, "validate", flag, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1

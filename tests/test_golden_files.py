@@ -8,7 +8,7 @@ import shlex
 from pathlib import Path
 
 import pytest
-from conftest import decompose
+from conftest import decompose, heap_values, to_finite_truss
 
 from trusskit import (
     FiniteTruss,
@@ -29,7 +29,7 @@ def test_endo_z2_truss_golden():
     assert loaded.size == 4
     assert loaded.unit == 2
     assert validate_truss(loaded).passed
-    rebuilt = build_endo_truss(make_group([2])).to_finite_truss()
+    rebuilt = to_finite_truss(build_endo_truss(make_group([2])))
     assert loaded == rebuilt
 
 
@@ -41,8 +41,8 @@ def test_affine_morphism_golden():
     assert hm.to_json_dict() == data
     assert hm.is_isomorphism
     # x -> 3x + 3 on Z/4
-    assert hm.values() == ((3,), (2,), (1,), (0,))
-    assert decompose(z4, z4, hm.values()) == hm
+    assert heap_values(hm) == ((3,), (2,), (1,), (0,))
+    assert decompose(z4, z4, heap_values(hm)) == hm
 
 
 def readme_commands() -> list[list[str]]:

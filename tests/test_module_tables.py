@@ -13,7 +13,6 @@ from conftest import induced_action_report_by_loop, module_homs_by_loop, truss_i
 import trusskit.modules
 from trusskit import (
     FiniteHeap,
-    FiniteRing,
     FiniteTruss,
     InvalidEquivalence,
     ModuleEquivalence,
@@ -22,14 +21,11 @@ from trusskit import (
     build_linear_endo_truss,
     coordinate_module,
     equivalence_from_truss_iso,
-    equivalence_is_valid,
     find_module_equivalence,
     make_field_fp,
     make_group,
-    make_module,
     make_product_ring,
     make_ring_zn,
-    module_homs,
     module_zn,
     regular_module,
     truss_iso_from_equivalence,
@@ -37,6 +33,8 @@ from trusskit import (
 )
 from trusskit.cli import main
 from trusskit.groups import compose_homs, hom_enumerate, invert_hom
+from trusskit.modules import equivalence_is_valid, make_module, module_homs
+from trusskit.rings import FiniteRing
 
 DATA = Path(__file__).parent / "data"
 

@@ -1,7 +1,16 @@
 import itertools
 
 import pytest
-from conftest import heap_morphisms
+from conftest import (
+    carrier,
+    constant_index,
+    find_ring_isomorphism,
+    heap_morphisms,
+    is_linear_heap_morphism,
+    linear_heap_morphisms,
+    mult,
+    ternary,
+)
 
 from trusskit import (
     InvalidEquivalence,
@@ -14,19 +23,13 @@ from trusskit import (
     end_ring,
     enumerate_truss_isos,
     equivalence_from_truss_iso,
-    equivalence_is_valid,
     example_non_iso,
     find_module_equivalence,
-    find_ring_isomorphism,
     induced_action,
-    is_linear_heap_morphism,
-    linear_heap_morphisms,
     make_field_fp,
     make_group,
-    make_module,
     make_product_ring,
     make_ring_zn,
-    module_homs,
     module_zn,
     regular_module,
     truss_iso_from_equivalence,
@@ -34,6 +37,7 @@ from trusskit import (
     validate_module,
     validate_truss,
 )
+from trusskit.modules import equivalence_is_valid, make_module, module_homs
 
 F2 = make_field_fp(2)
 R22 = make_product_ring(F2, F2)
@@ -145,7 +149,7 @@ def test_closed_form_equals_brute_filter_of_heap_morphisms(m, n):
 def test_linear_endo_truss_of_zn_equals_full_endo_truss():
     e_linear = build_linear_endo_truss(M_Z4)
     e_full = build_endo_truss(make_group([4]))
-    assert set(e_linear.carrier) == set(e_full.carrier)
+    assert set(carrier(e_linear)) == set(carrier(e_full))
     assert validate_truss(e_linear).passed
 
 
@@ -153,12 +157,12 @@ def test_linear_endo_truss_is_closed_subtruss():
     e = build_linear_endo_truss(FX0)
     assert validate_truss(e).passed
     full = build_endo_truss(FX0.group)
-    assert set(e.carrier) <= set(full.carrier)
+    assert set(carrier(e)) <= set(carrier(full))
     for i in range(e.size):
         for j in range(e.size):
-            assert e.carrier[e.mult(i, j)] in set(e.carrier)
+            assert carrier(e)[mult(e, i, j)] in set(carrier(e))
             for k in range(e.size):
-                assert e.carrier[e.ternary(i, j, k)] in set(e.carrier)
+                assert carrier(e)[ternary(e, i, j, k)] in set(carrier(e))
 
 
 def test_closed_form_equals_every_base_point_filter():
@@ -187,13 +191,13 @@ def test_closed_form_equals_every_base_point_filter():
 
 def test_zero_map_absorbs_within_linear_part():
     e = build_linear_endo_truss(M_Z4)
-    zero_idx = e.constant_index(M_Z4.group.zero)
+    zero_idx = constant_index(e, M_Z4.group.zero)
     linear_part = [
-        i for i, phi in enumerate(e.carrier) if phi.translation == M_Z4.group.zero
+        i for i, phi in enumerate(carrier(e)) if phi.translation == M_Z4.group.zero
     ]
     for i in linear_part:
-        assert e.mult(i, zero_idx) == zero_idx
-        assert e.mult(zero_idx, i) == zero_idx
+        assert mult(e, i, zero_idx) == zero_idx
+        assert mult(e, zero_idx, i) == zero_idx
 
 
 def test_identity_equivalence_for_equal_modules():
@@ -227,10 +231,10 @@ def test_truss_iso_multiplicativity_exhaustive():
     s, t = phi.source, phi.target
     for i in range(s.size):
         for j in range(s.size):
-            assert phi.mapping[s.mult(i, j)] == t.mult(phi.mapping[i], phi.mapping[j])
+            assert phi.mapping[mult(s, i, j)] == mult(t, phi.mapping[i], phi.mapping[j])
             for k in range(s.size):
-                assert phi.mapping[s.ternary(i, j, k)] == t.ternary(
-                    phi.mapping[i], phi.mapping[j], phi.mapping[k]
+                assert phi.mapping[ternary(s, i, j, k)] == ternary(
+                    t, phi.mapping[i], phi.mapping[j], phi.mapping[k]
                 )
 
 

@@ -1,18 +1,16 @@
 import pytest
+from conftest import find_ring_isomorphism
 
 from trusskit import (
-    FiniteRing,
-    find_ring_isomorphism,
-    is_prime,
     make_field_fp,
     make_group,
     make_product_ring,
-    make_ring,
     make_ring_zn,
     ring_as_truss,
     validate_ring,
     validate_truss,
 )
+from trusskit.rings import FiniteRing, is_prime, make_ring
 
 
 def test_zn_and_field_factories():

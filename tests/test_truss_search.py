@@ -22,7 +22,6 @@ from trusskit import (
     heap_isos,
     make_field_fp,
     make_group,
-    make_module,
     make_product_ring,
     make_ring_zn,
     module_zn,
@@ -32,6 +31,7 @@ from trusskit import (
     truss_morphism_preserves,
 )
 from trusskit.cli import main
+from trusskit.modules import make_module
 
 
 @functools.lru_cache(maxsize=None)

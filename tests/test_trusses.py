@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from conftest import (
     dense_preserves,
+    identity_truss_morphism,
     is_truss_morphism,
     left_absorbers,
     retract_affine,
     retract_preserves,
     scan_distributivity,
     scan_heap_associativity,
+    to_finite_truss,
 )
 
 import trusskit.heaps
@@ -22,7 +24,6 @@ from trusskit import (
     enumerate_truss_isos,
     enumerate_truss_morphisms,
     heap_isos,
-    identity_truss_morphism,
     make_field_fp,
     make_group,
     make_product_ring,
@@ -63,7 +64,7 @@ def test_corrupted_mult_entry_is_located():
 def test_endo_truss_validates():
     e2 = build_endo_truss(make_group([2]))
     assert validate_truss(e2).passed
-    assert validate_truss(e2.to_finite_truss()).passed
+    assert validate_truss(to_finite_truss(e2)).passed
 
 
 def test_left_absorbers_of_ring_truss():
@@ -258,7 +259,7 @@ def test_generator_certificate_agrees_with_retract_oracle(spec, sample):
 def _truss_preset(spec):
     name, arg = spec.split(":")
     if name == "endo":
-        return build_endo_truss(parse_group_spec(arg)).to_finite_truss()
+        return to_finite_truss(build_endo_truss(parse_group_spec(arg)))
     if name == "zn":
         return ring_as_truss(make_ring_zn(int(arg)))
     field = make_field_fp(int(arg))

@@ -29,17 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .endo import EndoTruss, HeapMorphism, build_endo_truss, heap_isos
+from .endo import EndoTruss, HeapMorphism, _bijective_rows, _distinct_rows, build_endo_truss, heap_isos
 from .errors import BoundExceeded, NotAnIsomorphism, guard, resolve_max_enum
-from .groups import (
-    AbGroup,
-    GroupHom,
-    groups_isomorphic,
-    group_to_json,
-    matrix_images,
-    np_elements,
-    np_hom_images,
-)
+from .groups import AbGroup, GroupHom, groups_isomorphic, group_to_json, matrix_images, np_elements
 from .trusses import TrussMorphism, enumerate_truss_isos, preserving_rows
 
 
@@ -56,27 +48,6 @@ def _endo_ends(phi: TrussMorphism) -> tuple[EndoTruss, EndoTruss]:
 _BLOCK_ENTRIES = 1 << 14
 
 _NOT_ADDITIVE = "extracted map is not a heap morphism: translated table is not additive"
-
-
-def _bijective_rows(rows: np.ndarray, size: int) -> np.ndarray:
-    """Mask of the rows that are permutations of range(size)."""
-    if rows.shape[1] != size:
-        return np.zeros(len(rows), dtype=bool)
-    seen = np.zeros((len(rows), size), dtype=bool)
-    seen[np.arange(len(rows))[:, None], rows] = True
-    return seen.all(axis=1)
-
-
-def _distinct_rows(rows: np.ndarray, bound: int) -> int:
-    """The number of distinct rows of a non-empty array of entries in
-    [0, bound): each row is read as a base-`bound` integer one column at a
-    time, renumbered after each column so the codes stay below
-    len(rows) * bound. (The first np.unique(axis=0) of a process alone
-    costs about 1.5 MB of peak RSS.)"""
-    code = np.zeros(len(rows), dtype=np.int64)
-    for col in rows.T:
-        code = np.unique(code * bound + col, return_inverse=True)[1]
-    return int(code.max()) + 1
 
 
 def extract_rows(source: EndoTruss, target: EndoTruss, F: np.ndarray, max_enum: int | None = None) -> np.ndarray:
@@ -97,7 +68,7 @@ def extract_rows(source: EndoTruss, target: EndoTruss, F: np.ndarray, max_enum: 
     linear = ft.gadd[values, ft.gneg[values[:, :1]]]  # x -> values[x] - values[0]
     # coords[b, i, j]: coordinate j of the image of generator i, which
     # defines a hom iff ord(generator i) * coords[b, i, j] = 0 mod m_j
-    coords = np_elements(h).astype(np.uint64)[linear[:, source.generators]]
+    coords = np_elements(h).astype(np.uint64)[linear[:, g.generators]]
     defined = ((np.array(g.orders, dtype=np.uint64)[:, None] * coords) % np.array(h.orders, dtype=np.uint64) == 0)
     table = matrix_images(coords.swapaxes(1, 2), g, h)
     passed = np.stack([
@@ -145,19 +116,10 @@ def conjugate_rows(source: EndoTruss, target: EndoTruss, values: np.ndarray, max
     f = tgt.gadd[values, tgt.gneg[t]]
     f_inv = np.argsort(f, axis=1)
     # generator images of f u f^{-1}, then their positions in the target family
-    u_images = src.apply[:, f_inv[:, target.generators]].swapaxes(0, 1)
+    u_images = src.apply[:, f_inv[:, target.group.generators]].swapaxes(0, 1)
     conj = target.hom_positions(f[np.arange(len(f))[:, None, None], u_images])
     trans = tgt.gadd[values[:, None, :], tgt.gneg[tgt.apply[conj, t]][:, :, None]]
     return target.encode(conj[:, :, None], trans).reshape(len(values), -1)
-
-
-def _value_tables(hms, target: EndoTruss, max_enum: int | None) -> np.ndarray:
-    """(B, |G|) value tables, element indices of H, of heap morphisms G -> H."""
-    h = target.group
-    linear = np_hom_images([hm.linear for hm in hms], hms[0].source, h)
-    coords = np.array([hm.translation for hm in hms], dtype=np.int64).reshape(len(hms), h.rank)
-    translation = coords @ np.array(h._strides, dtype=np.int64)
-    return target.factored_tables(max_enum).gadd[linear, translation[:, None]]
 
 
 def heap_iso_from_truss_iso(phi: TrussMorphism, max_enum: int | None = None) -> HeapMorphism:
@@ -165,12 +127,7 @@ def heap_iso_from_truss_iso(phi: TrussMorphism, max_enum: int | None = None) -> 
     a -> Phi(constant at a)(0), by `extract_rows` on Phi's one row, which
     raises NotAnIsomorphism if Phi is not a truss isomorphism."""
     eg, eh = _endo_ends(phi)
-    values = extract_rows(eg, eh, phi._array[None], max_enum)[0]
-    h, ft = eh.group, eh.factored_tables(max_enum)
-    linear = ft.gadd[values, ft.gneg[values[0]]]
-    columns = [h.element_at(int(linear[x])) for x in eg.generators]
-    matrix = tuple(tuple(col[j] for col in columns) for j in range(h.rank))
-    return HeapMorphism(GroupHom(eg.group, h, matrix), h.element_at(int(values[0])))
+    return HeapMorphism.from_values(eg.group, eh.group, extract_rows(eg, eh, phi._array[None], max_enum)[0])
 
 
 def truss_iso_from_heap_iso(
@@ -178,12 +135,14 @@ def truss_iso_from_heap_iso(
 ) -> TrussMorphism:
     """Conjugation alpha -> hm o alpha o hm^{-1} as a truss isomorphism:
     `conjugate_rows` on hm's one row."""
-    if hm.source != source.group or hm.target != target.group:
+    g, h = source.group, target.group
+    if hm.source != g or hm.target != h:
         raise ValueError("heap morphism does not run between the truss base groups")
-    if not hm.is_isomorphism:
+    linear = matrix_images(np.array(hm.linear.matrix, dtype=np.int64).reshape(1, h.rank, g.rank), g, h)
+    if not _bijective_rows(linear, h.cardinality)[0]:
         raise NotAnIsomorphism("heap morphism is not bijective")
-    mapping = conjugate_rows(source, target, _value_tables([hm], target, max_enum), max_enum)[0]
-    return TrussMorphism(source, target, mapping)
+    values = target.factored_tables(max_enum).gadd[linear, h.index(hm.translation)]
+    return TrussMorphism(source, target, conjugate_rows(source, target, values, max_enum)[0])
 
 
 @dataclass(frozen=True)
@@ -234,18 +193,18 @@ def verify_baer_kaplansky(
     giso = groups_isomorphic(g, h)
     isos = heap_isos(g, h, max_enum)
     roundtrip, keys = True, []
-    if isos:
+    if len(isos):
         basis = eg.generator_tables(max_enum)[0]
         rows = max(1, _BLOCK_ENTRIES // eg.size)
         for start in range(0, len(isos), rows):
-            values = _value_tables(isos[start : start + rows], eh, max_enum)
+            values = isos[start : start + rows]
             F = conjugate_rows(eg, eh, values, max_enum)
             # extraction re-checks that each conjugation is a truss isomorphism
             roundtrip &= np.array_equal(extract_rows(eg, eh, F, max_enum), values)
             keys.append(F[:, basis])
     # rows that pass the certificate are affine, so two of them agree
     # everywhere iff they agree on the basis {0} u S
-    injective = not isos or _distinct_rows(np.concatenate(keys), eh.size) == len(isos)
+    injective = not len(isos) or _distinct_rows(np.concatenate(keys), eh.size) == len(isos)
 
     truss_iso_count: int | None = None
     enumerated = None
@@ -301,7 +260,7 @@ def check_inner_structure(phi: TrussMorphism, max_enum: int | None = None) -> di
     X = image[const].T
     # a row is a heap morphism iff x -> X[c, x] - X[c, 0] is additive on the generators
     lin = ht.gadd[X, ht.gneg[X[:, :1]]]
-    gens = eg.generators
+    gens = g.generators
     affine = (lin[:, gt.gadd[:, gens]] == ht.gadd[lin[:, :, None], lin[:, None, gens]]).all(axis=(1, 2))
     intertwines = (image[:, X] == X[:, alpha].swapaxes(0, 1)).all(axis=(0, 2))
     rows = np.flatnonzero(affine & intertwines)

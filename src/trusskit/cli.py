@@ -20,7 +20,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .baer_kaplansky import check_inner_structure, verify_baer_kaplansky
-from .endo import build_endo_truss, heap_isos
+from .endo import HeapMorphism, build_endo_truss, heap_isos
 from .errors import BoundExceeded
 from .groups import parse_group_spec
 from .heaps import FiniteHeap, heap_from_group, validate_heap
@@ -153,7 +153,10 @@ def cmd_bk(args, max_enum: int | None) -> ValidationReport:
     witnesses = None
     if 0 < result.heap_iso_count <= 8:
         witnesses = {
-            "heap_isos": [hm.to_json_dict() for hm in heap_isos(left, right, max_enum)]
+            "heap_isos": [
+                HeapMorphism.from_values(left, right, row).to_json_dict()
+                for row in heap_isos(left, right, max_enum)
+            ]
         }
     inputs = {"left": args.left, "right": args.right, "brute_force": args.brute_force}
     return ValidationReport("bk", checks, inputs, witnesses, document=result.to_json_dict())

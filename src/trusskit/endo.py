@@ -1,9 +1,9 @@
 """Heap morphisms between abelian groups and the endomorphism truss of a group.
 
 Every heap morphism G -> H splits uniquely as x -> f(x) + h0 with f a group
-homomorphism and h0 the image of zero, so morphisms are stored in that
-decomposed (linear, translation) form. Composition and the pointwise ternary
-operation then act on the pairs:
+homomorphism and h0 the image of zero (Baer; Certaine), so morphisms are
+stored in that decomposed (linear, translation) form. Composition and the
+pointwise ternary operation then act on the pairs:
 
     (f, a) o (g, b)      = (f o g, f(b) + a)
     [(f,a), (g,b), (h,c)] = (f - g + h, a - b + c)
@@ -12,6 +12,14 @@ The heap endomorphisms of G with these two operations form a truss E(G); the
 same construction restricted to any composition- and difference-closed set of
 homomorphisms (e.g. the module-linear ones) yields a sub-truss, so EndoTruss
 takes the homomorphism family as a parameter.
+
+Homomorphism families are (H, rank, rank) int64 matrix stacks in
+`hom_enumerate`'s order, and `heap_isos` hands out value tables, so building
+E(G), its tables and the heap isomorphisms makes no object per map. GroupHom
+and HeapMorphism objects are built only where the API hands one out:
+`HeapMorphism.from_values` for `heap_iso_from_truss_iso` and the `bk`
+witnesses, the argument of `truss_iso_from_heap_iso`, and the module layer's
+`ModuleEquivalence` and `end_ring`.
 """
 
 from __future__ import annotations
@@ -29,11 +37,11 @@ from .groups import (
     Element,
     GroupHom,
     compose_homs,
+    hom_count,
     hom_enumerate,
-    identity_hom,
+    matrix_images,
     np_add_table,
-    np_hom_images,
-    zero_hom,
+    np_elements,
 )
 
 
@@ -77,14 +85,60 @@ class HeapMorphism:
             "translation": list(self.translation),
         }
 
+    @classmethod
+    def from_values(cls, source: AbGroup, target: AbGroup, values) -> "HeapMorphism":
+        """The heap morphism with the affine value table `values` (element
+        indices of target, in source's element order): its value at zero and
+        the translated images of source's generators."""
+        coords = np_elements(target)[np.asarray(values)]
+        linear = (coords - coords[0]) % np.array(target.orders, dtype=np.int64)
+        return cls(GroupHom(source, target, linear[source.generators].T.tolist()), tuple(coords[0].tolist()))
 
-def heap_isos(g: AbGroup, h: AbGroup, max_enum: int | None = None) -> tuple[HeapMorphism, ...]:
-    """The bijective heap morphisms g -> h as (hom, translation) pairs,
-    hom-major order; count is |h| times the number of group isomorphisms
-    g -> h. Refused when the |Hom(g, h)| * |h| heap morphisms exceed the cap."""
-    homs = hom_enumerate(g, h, max_enum)
-    guard(len(homs) * h.cardinality, resolve_max_enum(max_enum), f"heap morphisms {g} -> {h}")
-    return tuple(HeapMorphism(hom, trans) for hom in homs if hom.is_bijective for trans in h.elements())
+
+def _bijective_rows(rows: np.ndarray, size: int) -> np.ndarray:
+    """Mask of the rows that are permutations of range(size)."""
+    if rows.shape[1] != size:
+        return np.zeros(len(rows), dtype=bool)
+    seen = np.zeros((len(rows), size), dtype=bool)
+    seen[np.arange(len(rows))[:, None], rows] = True
+    return seen.all(axis=1)
+
+
+def _distinct_rows(rows: np.ndarray, bound: int) -> int:
+    """The number of distinct rows of a non-empty array of entries in
+    [0, bound): each row is read as a base-`bound` integer one column at a
+    time, renumbered after each column so the codes stay below
+    len(rows) * bound. (The first np.unique(axis=0) of a process alone
+    costs about 1.5 MB of peak RSS.)"""
+    code = np.zeros(len(rows), dtype=np.int64)
+    for col in rows.T:
+        code = np.unique(code * bound + col, return_inverse=True)[1]
+    return int(code.max()) + 1
+
+
+def heap_isos(g: AbGroup, h: AbGroup, max_enum: int | None = None) -> np.ndarray:
+    """The bijective heap morphisms g -> h as a (K, |g|) array of value
+    tables, element indices of h: the bijective homs in `hom_enumerate`
+    order, each with every translation in element order, so K is |h| times
+    the number of group isomorphisms g -> h. Refused before Hom(g, h) is
+    enumerated when the |Hom(g, h)| * |h| heap morphisms exceed the cap, and
+    before the tables are built when their K * |g| entries do."""
+    limit = resolve_max_enum(max_enum)
+    guard(hom_count(g, h) * h.cardinality, limit, f"heap morphisms {g} -> {h}")
+    if g.cardinality != h.cardinality:
+        return np.empty((0, g.cardinality), dtype=np.int64)
+    images = matrix_images(hom_enumerate(g, h, max_enum), g, h)
+    linear = images[_bijective_rows(images, h.cardinality)]
+    guard(len(linear) * h.cardinality * g.cardinality, limit, f"value tables of the heap isomorphisms {g} -> {h}")
+    # |Hom(g, h)| >= |h| when |g| = |h|, so the guard covers h's |h|^2 table
+    add = np_add_table(h, max_enum)
+    return add[linear[:, None, :], np.arange(h.cardinality)[:, None]].reshape(-1, g.cardinality)
+
+
+# entries of the query arrays `factored_tables` passes to `hom_positions` at
+# a time. Set by measurement on E(Z/2^3): at 2^16 the tables take as long as
+# in one query, and the traced peak is 1.3 times the tables, not 5 times.
+_QUERY_ENTRIES = 1 << 16
 
 
 class FactoredTables(NamedTuple):
@@ -102,26 +156,32 @@ class FactoredTables(NamedTuple):
     gneg: np.ndarray  # (m,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EndoTruss:
     """The truss of heap endomorphisms of a group built on a homomorphism family.
 
     With `homs` = End(G) this is the full endomorphism truss E(G), realized as
     the semidirect-product carrier G x homs: carrier index h*|G| + e denotes the
-    morphism (homs[h], element e). The family must contain the zero and identity
-    maps and be closed under composition and pointwise difference; the full
-    End(G) and the module-linear subfamilies used elsewhere all qualify.
+    morphism (homs[h], element e). `homs` is an (H, rank, rank) int64 stack
+    of matrices, stored reduced mod the group's orders. The family must
+    contain the zero and identity maps and be closed under composition and
+    pointwise difference; the full End(G) and the module-linear subfamilies
+    used elsewhere all qualify.
     """
 
     group: AbGroup
-    homs: tuple[GroupHom, ...]
+    homs: np.ndarray
 
     def __post_init__(self) -> None:
-        for f in self.homs:
-            if f.source != self.group or f.target != self.group:
-                raise ValueError("every homomorphism must be an endomorphism of the group")
-        if len(set(h.matrix for h in self.homs)) != len(self.homs):
+        homs = np.asarray(self.homs, dtype=np.int64)
+        if homs.ndim != 3 or homs.shape[1:] != (self.group.rank,) * 2:
+            raise ValueError("every homomorphism must be an endomorphism of the group")
+        homs = homs % np.array(self.group.orders, dtype=np.int64)[:, None]
+        flat = homs.reshape(len(homs), -1)
+        if len(flat) and _distinct_rows(flat, int(flat.max(initial=0)) + 1) != len(flat):
             raise ValueError("homomorphism family contains duplicates")
+        homs.flags.writeable = False
+        object.__setattr__(self, "homs", homs)
 
     @property
     def size(self) -> int:
@@ -132,32 +192,19 @@ class EndoTruss:
         return self.group.cardinality
 
     @cached_property
-    def _hom_pos(self) -> dict[tuple, int]:
-        return {h.matrix: i for i, h in enumerate(self.homs)}
-
-    @cached_property
     def unit(self) -> int:
-        """Index of the identity morphism."""
-        ident = identity_hom(self.group)
-        return self._hom_index(ident) * self._m + self.group.index(self.group.zero)
+        """Index of the identity morphism: (id, 0)."""
+        return int(self.hom_positions(np.array(self.group.generators, dtype=np.int64))) * self._m
 
     @cached_property
     def _zero_hom_pos(self) -> int:
-        return self._hom_index(zero_hom(self.group, self.group))
+        return int(self.hom_positions(np.zeros(self.group.rank, dtype=np.int64)))
 
     @cached_property
     def constant_indices(self) -> tuple[int, ...]:
         """Carrier indices of the constant morphisms, in element order."""
         base = self._zero_hom_pos * self._m
         return tuple(base + j for j in range(self._m))
-
-    def _hom_index(self, f: GroupHom) -> int:
-        try:
-            return self._hom_pos[f.matrix]
-        except KeyError:
-            raise ValueError(
-                "homomorphism family is not closed under the required operation"
-            ) from None
 
     def decode(self, indices) -> tuple[np.ndarray, np.ndarray]:
         """(family positions, element indices) of carrier indices."""
@@ -172,17 +219,12 @@ class EndoTruss:
     @cached_property
     def _apply(self) -> np.ndarray:
         """(H, |G|): element index of homs[a] applied to element b."""
-        return np_hom_images(self.homs, self.group, self.group)
-
-    @cached_property
-    def generators(self) -> list[int]:
-        """Element indices of the cyclic generators, 1 in one coordinate."""
-        return [(1 % n) * s for n, s in zip(self.group.orders, self.group._strides)]
+        return matrix_images(self.homs, self.group, self.group)
 
     @cached_property
     def _generator_images(self) -> np.ndarray:
         """(H, rank): element indices of each hom's images of the generators."""
-        return self._apply[:, self.generators]
+        return self._apply[:, self.group.generators]
 
     def hom_positions(self, images: np.ndarray) -> np.ndarray:
         """Family positions of the homs whose generator images fill the last
@@ -217,13 +259,13 @@ class EndoTruss:
             gadd = np_add_table(self.group, max_enum)
             gneg = np.nonzero(gadd == 0)[1]
             apply, imgs = self._apply, self._generator_images
-            cached = FactoredTables(
-                compose=self.hom_positions(apply[:, imgs]),
-                add=self.hom_positions(gadd[imgs[:, None, :], imgs[None, :, :]]),
-                apply=apply,
-                gadd=gadd,
-                gneg=gneg,
-            )
+            compose, add = np.empty((H, H), dtype=np.int64), np.empty((H, H), dtype=np.int64)
+            step = max(1, _QUERY_ENTRIES // (H * max(1, self.group.rank)))
+            for a in range(0, H, step):  # the (rows, H, rank) queries, a block of rows at a time
+                rows = slice(a, a + step)
+                compose[rows] = self.hom_positions(apply[rows][:, imgs])
+                add[rows] = self.hom_positions(gadd[imgs[rows, None, :], imgs[None, :, :]])
+            cached = FactoredTables(compose=compose, add=add, apply=apply, gadd=gadd, gneg=gneg)
             self.__dict__["_factored_cache"] = cached
         return cached
 
@@ -247,7 +289,7 @@ class EndoTruss:
                 while not in_span[coset[0]]:
                     in_span[coset] = True
                     coset = ft.add[coset, hom_gens[-1]]
-            constants = self.encode(self._zero_hom_pos, np.array([0, *self.generators]))
+            constants = self.encode(self._zero_hom_pos, np.array([0, *self.group.generators]))
             basis = np.concatenate([constants, self.encode(hom_gens, 0)])
             sums = self.plus(np.arange(self.size)[:, None], basis[1:], max_enum)
             cached = (basis, sums, self.product(basis[:, None], basis[None, :], max_enum))
@@ -296,7 +338,7 @@ class EndoTruss:
 
 
 def build_endo_truss(g: AbGroup, max_enum: int | None = None) -> EndoTruss:
-    """E(g): all heap endomorphisms of g with composition and pointwise ternary."""
-    homs = hom_enumerate(g, g, max_enum)
-    guard(len(homs) * g.cardinality, resolve_max_enum(max_enum), f"carrier of E({g})")
-    return EndoTruss(g, homs)
+    """E(g): all heap endomorphisms of g with composition and pointwise
+    ternary; the carrier |Hom(g, g)| * |g| is guarded before End(g) is built."""
+    guard(hom_count(g, g) * g.cardinality, resolve_max_enum(max_enum), f"carrier of E({g})")
+    return EndoTruss(g, hom_enumerate(g, g, max_enum))

@@ -61,6 +61,11 @@ class AbGroup:
             acc *= n
         return tuple(reversed(out))
 
+    @cached_property
+    def generators(self) -> list[int]:
+        """Element indices of the cyclic generators, 1 in one coordinate."""
+        return [(1 % n) * s for n, s in zip(self.orders, self._strides)]
+
     def element(self, coords: Iterable[int]) -> Element:
         coords = tuple(coords)
         if len(coords) != len(self.orders):
@@ -206,46 +211,22 @@ def hom_count(g: AbGroup, h: AbGroup) -> int:
     )
 
 
-def hom_enumerate(g: AbGroup, h: AbGroup, max_enum: int | None = None) -> tuple[GroupHom, ...]:
-    """All homomorphisms g -> h in a fixed lexicographic matrix order.
+def hom_enumerate(g: AbGroup, h: AbGroup, max_enum: int | None = None) -> np.ndarray:
+    """All homomorphisms g -> h as a (|Hom|, rank h, rank g) int64 stack of
+    matrices, in a fixed lexicographic order.
 
-    Every admissible matrix entry runs over the multiples of m_j/gcd(n_i, m_j);
-    the all-zero map always comes first.
+    Entry [j][i] runs over the gcd(n_i, m_j) multiples of m_j/gcd(n_i, m_j),
+    the last entry fastest; the all-zero map always comes first.
     """
     total = hom_count(g, h)
     guard(total, resolve_max_enum(max_enum), f"Hom({g}, {h})")
-    positions = [(j, i) for j in range(h.rank) for i in range(g.rank)]
-    gcds = {
-        (j, i): math.gcd(g.orders[i], h.orders[j]) for j, i in positions
-    }
-    steps = {(j, i): h.orders[j] // gcds[j, i] for j, i in positions}
-    homs = []
-    for picks in itertools.product(*(range(gcds[pos]) for pos in positions)):
-        entries = dict(zip(positions, picks))
-        rows = tuple(
-            tuple(entries[j, i] * steps[j, i] for i in range(g.rank))
-            for j in range(h.rank)
-        )
-        homs.append(GroupHom(g, h, rows))
-    return tuple(homs)
-
-
-def invert_hom(f: GroupHom) -> GroupHom:
-    """Inverse of a bijective homomorphism, via preimages of target generators."""
-    if not f.is_bijective:
-        raise ValueError("homomorphism is not bijective")
-    preimage = {f(x): x for x in f.source.elements()}
-    cols = []
-    for j in range(f.target.rank):
-        gen = tuple(1 if k == j else 0 for k in range(f.target.rank))
-        cols.append(preimage[f.target.element(gen)])
-    rows = tuple(
-        tuple(cols[j][i] for j in range(f.target.rank)) for i in range(f.source.rank)
-    )
-    inv = GroupHom(f.target, f.source, rows)
-    if compose_homs(inv, f).matrix != identity_hom(f.source).matrix:
-        raise ValueError("inverse reconstruction failed")  # pragma: no cover
-    return inv
+    m_orders = np.array(h.orders, dtype=np.int64)
+    gcds = np.gcd.outer(m_orders, np.array(g.orders, dtype=np.int64))
+    stack = np.empty((total, *gcds.shape), dtype=np.int64)
+    digits = np.arange(total)
+    for j, i in reversed(list(np.ndindex(gcds.shape))):
+        digits, stack[:, j, i] = np.divmod(digits, gcds[j, i])
+    return stack * (m_orders[:, None] // gcds)
 
 
 def _prime_factors(n: int) -> dict[int, int]:
@@ -321,13 +302,6 @@ def np_add_table(g: AbGroup, max_enum: int | None = None) -> np.ndarray:
     return sums @ strides
 
 
-def np_hom_images(homs: Sequence[GroupHom], g: AbGroup, h: AbGroup) -> np.ndarray:
-    """(len(homs), |g|) table: the index in h of each hom's image of each
-    element of g, in enumeration order."""
-    mats = np.array([f.matrix for f in homs], dtype=np.uint64).reshape(len(homs), h.rank, g.rank)
-    return matrix_images(mats, g, h)
-
-
 def matrix_images(mats: np.ndarray, g: AbGroup, h: AbGroup) -> np.ndarray:
     """(k, |g|) table: the index in h of the image of each element of g
     under each of k hom matrices, given as a (k, rank h, rank g) array of
@@ -335,9 +309,13 @@ def matrix_images(mats: np.ndarray, g: AbGroup, h: AbGroup) -> np.ndarray:
     elems = np_elements(g).astype(np.uint64)
     mats = mats.astype(np.uint64)
     orders = np.array(h.orders, dtype=np.uint64)
-    # entries and coordinates are below 2**32, so each product fits in uint64
-    terms = (mats[:, None, :, :] * elems[None, :, None, :]) % orders[:, None]
-    coords = terms.sum(axis=-1) % orders
+    coords = np.zeros((len(mats), len(elems), h.rank), dtype=np.uint64)
+    for i in range(g.rank):  # one source coordinate at a time: k x |g| x rank h arrays
+        # entries and coordinates are below 2**32, so each product fits in uint64
+        term = mats[:, None, :, i] * elems[None, :, i, None]
+        term %= orders
+        coords += term
+        coords %= orders
     return (coords @ np.array(h._strides, dtype=np.uint64)).astype(np.int64)
 
 

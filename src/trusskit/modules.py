@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .baer_kaplansky import heap_iso_from_truss_iso, truss_iso_from_heap_iso
-from .endo import EndoTruss, HeapMorphism
+from .endo import EndoTruss, HeapMorphism, _bijective_rows
 from .errors import (
     InvalidEquivalence,
     NotAnIsomorphism,
@@ -52,10 +52,9 @@ from .groups import (
     hom_count,
     hom_enumerate,
     identity_hom,
-    invert_hom,
     make_group,
+    matrix_images,
     np_add_table,
-    np_hom_images,
     zero_hom,
 )
 from .rings import FiniteRing, make_field_fp, make_product_ring, make_ring_zn, validate_ring
@@ -203,32 +202,36 @@ def validate_induced_action(m: RModule, e: Element, max_enum: int | None = None)
 _HOM_CHUNK = 1 << 20
 
 
-def module_homs(m: RModule, n: RModule, max_enum: int | None = None) -> tuple[GroupHom, ...]:
-    """All additive maps commuting with the ring action (same ring required):
-    the homs whose image table F has F[act_M[r, x]] = act_N[r, F[x]],
-    filtered a chunk of homs at a time."""
+def module_homs(m: RModule, n: RModule, max_enum: int | None = None) -> np.ndarray:
+    """All additive maps commuting with the ring action (same ring required),
+    as the sub-stack of `hom_enumerate`'s matrices whose image table F has
+    F[act_M[r, x]] = act_N[r, F[x]], filtered a chunk of homs at a time."""
     if m.ring != n.ring:
         raise ValueError("modules must share the acting ring")
     homs = hom_enumerate(m.group, n.group, max_enum)
     act_m, act_n = m._action_array, n._action_array
     rn, mn = act_m.shape
     step = max(1, _HOM_CHUNK // (mn * max(rn, m.group.rank * n.group.rank)))
-    kept = []
+    kept = np.zeros(len(homs), dtype=bool)
     for start in range(0, len(homs), step):
-        chunk = homs[start : start + step]
-        F = np_hom_images(chunk, m.group, n.group)
-        ok = (F[:, act_m] == act_n[:, F].swapaxes(0, 1)).all(axis=(1, 2))
-        kept.extend(chunk[i] for i in np.flatnonzero(ok))
-    return tuple(kept)
+        F = matrix_images(homs[start : start + step], m.group, n.group)
+        kept[start : start + step] = (F[:, act_m] == act_n[:, F].swapaxes(0, 1)).all(axis=(1, 2))
+    return homs[kept]
 
 
-def _end_homs(m: RModule, max_enum: int | None) -> tuple[GroupHom, ...]:
+def _group_homs(stack: np.ndarray, g: AbGroup, h: AbGroup) -> tuple[GroupHom, ...]:
+    """One GroupHom per matrix of a (k, rank h, rank g) stack."""
+    return tuple(GroupHom(g, h, matrix) for matrix in stack.tolist())
+
+
+def _end_homs(m: RModule, max_enum: int | None) -> np.ndarray:
     """`module_homs(m, m)`, computed once per module; the cap on Hom(M, M)
-    is checked before the cached tuple is handed out."""
+    is checked before the cached stack is handed out."""
     guard(hom_count(m.group, m.group), resolve_max_enum(max_enum), f"Hom({m.group}, {m.group})")
     cached = m.__dict__.get("_end_cache")
     if cached is None:
         cached = m.__dict__["_end_cache"] = module_homs(m, m, max_enum)
+        cached.flags.writeable = False
     return cached
 
 
@@ -256,7 +259,7 @@ class EndomorphismRing:
 
 def end_ring(m: RModule, max_enum: int | None = None) -> EndomorphismRing:
     """Package the action-commuting endomorphisms as a validated unital ring."""
-    homs = _end_homs(m, max_enum)
+    homs = _group_homs(_end_homs(m, max_enum), m.group, m.group)
     pres = decompose_abelian(list(homs), hom_add, zero_hom(m.group, m.group))
     additive = pres.group
     size = additive.cardinality
@@ -306,16 +309,14 @@ def equivalence_is_valid(eq: ModuleEquivalence, max_enum: int | None = None) -> 
     """Recheck every defining identity of a claimed equivalence."""
     if not eq.mu.is_bijective:
         return False
-    end_m = _end_homs(eq.source, max_enum)
-    end_n = _end_homs(eq.target, max_enum)
+    end_m = _group_homs(_end_homs(eq.source, max_enum), eq.source.group, eq.source.group)
+    end_n = _group_homs(_end_homs(eq.target, max_enum), eq.target.group, eq.target.group)
     if {u.matrix for u, _ in eq.rho_pairs} != {u.matrix for u in end_m}:
         return False
     if {v.matrix for _, v in eq.rho_pairs} != {v.matrix for v in end_n}:
         return False
-    mu_inv = invert_hom(eq.mu)
+    # with mu bijective, v o mu = mu o u says v = mu u mu^{-1}
     for u, v in eq.rho_pairs:
-        if compose_homs(compose_homs(eq.mu, u), mu_inv).matrix != v.matrix:
-            return False
         if compose_homs(v, eq.mu).matrix != compose_homs(eq.mu, u).matrix:
             return False
     # ring-isomorphism laws for rho, checked directly on the stored pairs; if
@@ -337,25 +338,29 @@ def find_module_equivalence(
     """Search additive isomorphisms mu for one conjugating End(M) onto End(N).
 
     Candidates run in the deterministic homomorphism order; the first hit is
-    returned. Returns None when no additive bijection works (in particular
-    when the groups are not isomorphic)."""
+    returned. The search runs on image tables: for each bijective mu, the
+    tables of mu u mu^{-1} for u in End(M) are looked up among End(N)'s.
+    Returns None when no additive bijection works (in particular when the
+    groups are not isomorphic)."""
     if not groups_isomorphic(m.group, n.group):
         return None
-    end_m = _end_homs(m, max_enum)
-    end_n = _end_homs(n, max_enum)
+    g, h = m.group, n.group
+    end_m, end_n = _end_homs(m, max_enum), _end_homs(n, max_enum)
     if len(end_m) != len(end_n):
         return None
-    target_matrices = {v.matrix for v in end_n}
-    by_matrix = {v.matrix: v for v in end_n}
-    for mu in hom_enumerate(m.group, n.group, max_enum):
-        if not mu.is_bijective:
+    u_tables = matrix_images(end_m, g, g)
+    by_table = {row.tobytes(): j for j, row in enumerate(matrix_images(end_n, h, h))}
+    homs = hom_enumerate(g, h, max_enum)
+    mus = matrix_images(homs, g, h)
+    for pos in np.flatnonzero(_bijective_rows(mus, h.cardinality)):
+        mu = mus[pos]
+        # conjugation is injective, so every table found means the sets agree
+        found = [by_table.get(row.tobytes()) for row in mu[u_tables[:, np.argsort(mu)]]]
+        if None in found:
             continue
-        mu_inv = invert_hom(mu)
-        conj = [compose_homs(compose_homs(mu, u), mu_inv) for u in end_m]
-        if {c.matrix for c in conj} != target_matrices:
-            continue
-        pairs = tuple((u, by_matrix[c.matrix]) for u, c in zip(end_m, conj))
-        return ModuleEquivalence(m, n, mu, pairs)
+        rho = _group_homs(end_n[found], h, h)
+        pairs = tuple(zip(_group_homs(end_m, g, g), rho))
+        return ModuleEquivalence(m, n, GroupHom(g, h, homs[pos].tolist()), pairs)
     return None
 
 
@@ -398,7 +403,8 @@ def equivalence_from_truss_iso(
     mu = heap_iso_from_truss_iso(phi, max_enum).linear
     # the image of (u, 0) has hom rho(u)
     images = phi._array[source.encode(np.arange(len(source.homs)), 0)]
-    pairs = tuple(zip(source.homs, (target.homs[pos] for pos in target.decode(images)[0])))
+    rho = _group_homs(target.homs[target.decode(images)[0]], target.group, target.group)
+    pairs = tuple(zip(_group_homs(source.homs, source.group, source.group), rho))
     eq = ModuleEquivalence(source_module, target_module, mu, pairs)
     if not equivalence_is_valid(eq, max_enum):
         raise NotAnIsomorphism("extracted pair is not a module equivalence")
@@ -448,7 +454,7 @@ def example_non_iso(p: int = 2, max_enum: int | None = None) -> NonIsoExample:
         raise NotAnIsomorphism("expected an equivalence over the endomorphism rings")
     phi = truss_iso_from_equivalence(eq, max_enum=max_enum)
     homs = module_homs(left, right, max_enum)
-    iso_exists = any(f.is_bijective for f in homs)
+    iso_exists = bool(_bijective_rows(matrix_images(homs, left.group, right.group), right.group.cardinality).any())
     return NonIsoExample(
         p=p,
         left=left,

@@ -1,10 +1,11 @@
 """Shared test oracles, deliberately independent of the library's table
-kernels: the per-element view of heap morphisms, endomorphism trusses,
-retracts and linear heap morphisms (one object or one lookup per element),
-and brute-force searches that filter raw value tables / bijections by the
-defining identities, nothing else."""
+kernels: the per-element view of homomorphisms, heap morphisms,
+endomorphism trusses, retracts and linear heap morphisms (one object or one
+lookup per element), and brute-force searches that filter raw value tables /
+bijections by the defining identities, nothing else."""
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -25,7 +26,7 @@ from trusskit import (
 )
 from trusskit.endo import EndoTruss
 from trusskit.errors import guard, resolve_max_enum
-from trusskit.groups import Element, GroupHom, compose_homs, hom_enumerate, identity_hom, invert_hom, zero_hom
+from trusskit.groups import Element, GroupHom, compose_homs, hom_add, hom_count, identity_hom, zero_hom
 from trusskit.modules import module_homs
 from trusskit.trusses import TrussMorphism, dense_tables
 
@@ -35,6 +36,66 @@ class NotAHeapMorphism(TrussKitError):
 
 
 # ---------------------------------------------------------------- objects one element at a time
+
+
+def hom_enumerate_by_loop(g: AbGroup, h: AbGroup, max_enum: int | None = None) -> tuple[GroupHom, ...]:
+    """All homomorphisms g -> h, one GroupHom per matrix, in lexicographic
+    matrix order: entry [j][i] runs over the multiples of m_j/gcd(n_i, m_j),
+    the last entry fastest."""
+    guard(hom_count(g, h), resolve_max_enum(max_enum), f"Hom({g}, {h})")
+    positions = [(j, i) for j in range(h.rank) for i in range(g.rank)]
+    gcds = {(j, i): math.gcd(g.orders[i], h.orders[j]) for j, i in positions}
+    homs = []
+    for picks in itertools.product(*(range(gcds[pos]) for pos in positions)):
+        entries = dict(zip(positions, picks))
+        rows = tuple(
+            tuple(entries[j, i] * (h.orders[j] // gcds[j, i]) for i in range(g.rank))
+            for j in range(h.rank)
+        )
+        homs.append(GroupHom(g, h, rows))
+    return tuple(homs)
+
+
+def invert_hom(f: GroupHom) -> GroupHom:
+    """Inverse of a bijective homomorphism, via preimages of target generators."""
+    if not f.is_bijective:
+        raise ValueError("homomorphism is not bijective")
+    preimage = {f(x): x for x in f.source.elements()}
+    cols = []
+    for j in range(f.target.rank):
+        gen = tuple(1 if k == j else 0 for k in range(f.target.rank))
+        cols.append(preimage[f.target.element(gen)])
+    rows = tuple(
+        tuple(cols[j][i] for j in range(f.target.rank)) for i in range(f.source.rank)
+    )
+    inv = GroupHom(f.target, f.source, rows)
+    if compose_homs(inv, f).matrix != identity_hom(f.source).matrix:
+        raise ValueError("inverse reconstruction failed")  # pragma: no cover
+    return inv
+
+
+def as_objects(rows: np.ndarray, g: AbGroup, h: AbGroup) -> tuple:
+    """The library's arrays as objects: a (k, rank h, rank g) matrix stack
+    (`hom_enumerate`, `module_homs`, `EndoTruss.homs`) as GroupHoms, a
+    (k, |g|) array of value tables (`heap_isos`) as HeapMorphisms split by
+    `decompose`."""
+    if rows.ndim == 3:
+        return tuple(GroupHom(g, h, matrix) for matrix in rows.tolist())
+    return tuple(decompose(g, h, [h.element_at(v) for v in row]) for row in rows.tolist())
+
+
+def family(e: EndoTruss) -> tuple[GroupHom, ...]:
+    """E's hom family as objects, in family order."""
+    return _kept(e, "_oracle_family", lambda: as_objects(e.homs, e.group, e.group))
+
+
+def hom_index(e: EndoTruss, f: GroupHom) -> int:
+    """The family position of f, by matrix lookup; ValueError outside it."""
+    positions = _kept(e, "_oracle_positions", lambda: {u.matrix: i for i, u in enumerate(family(e))})
+    try:
+        return positions[f.matrix]
+    except KeyError:
+        raise ValueError("homomorphism family is not closed under the required operation") from None
 
 
 def heap_values(hm: HeapMorphism) -> tuple[Element, ...]:
@@ -88,7 +149,7 @@ def _kept(t: EndoTruss, key: str, build):
 def carrier(e: EndoTruss) -> tuple[HeapMorphism, ...]:
     """The heap morphism at every carrier index of E(G) or a sub-truss."""
     def build():
-        return tuple(HeapMorphism(hom, x) for hom in e.homs for x in e.group.elements())
+        return tuple(HeapMorphism(hom, x) for hom in family(e) for x in e.group.elements())
 
     return _kept(e, "_oracle_carrier", build)
 
@@ -96,7 +157,16 @@ def carrier(e: EndoTruss) -> tuple[HeapMorphism, ...]:
 def index_of(e: EndoTruss, phi: HeapMorphism) -> int:
     if phi.source != e.group or phi.target != e.group:
         raise ValueError("morphism does not act on this group")
-    return e._hom_index(phi.linear) * e.group.cardinality + e.group.index(phi.translation)
+    return hom_index(e, phi.linear) * e.group.cardinality + e.group.index(phi.translation)
+
+
+def factored_rows_by_composition(e: EndoTruss, rows) -> tuple[list, list]:
+    """Rows `rows` of E's factored compose and add tables: the family
+    positions of homs[a] o homs[b] and homs[a] + homs[b], one GroupHom each."""
+    homs = family(e)
+    compose = [[hom_index(e, compose_homs(homs[a], v)) for v in homs] for a in rows]
+    add = [[hom_index(e, hom_add(homs[a], v)) for v in homs] for a in rows]
+    return compose, add
 
 
 def constant_index(e: EndoTruss, a: Element) -> int:
@@ -112,9 +182,10 @@ def mult(t, i: int, j: int) -> int:
     elems = _kept(t, "_oracle_elements", lambda: tuple(g.elements()))
     memo = _kept(t, "_oracle_compose", dict)
     (h1, e1), (h2, e2) = divmod(i, m), divmod(j, m)
+    homs = family(t)
     if (h1, h2) not in memo:
-        memo[h1, h2] = t._hom_index(compose_homs(t.homs[h1], t.homs[h2]))
-    e = g.add(t.homs[h1](elems[e2]), elems[e1])
+        memo[h1, h2] = hom_index(t, compose_homs(homs[h1], homs[h2]))
+    e = g.add(homs[h1](elems[e2]), elems[e1])
     return memo[h1, h2] * m + g.index(e)
 
 
@@ -130,7 +201,8 @@ def ternary(t, i: int, j: int, k: int) -> int:
     memo = _kept(t, "_oracle_ternary", dict)
     (h1, e1), (h2, e2), (h3, e3) = divmod(i, m), divmod(j, m), divmod(k, m)
     if (h1, h2, h3) not in memo:
-        memo[h1, h2, h3] = t._hom_index(hom_ternary(t.homs[h1], t.homs[h2], t.homs[h3]))
+        homs = family(t)
+        memo[h1, h2, h3] = hom_index(t, hom_ternary(homs[h1], homs[h2], homs[h3]))
     e = g.ternary(elems[e1], elems[e2], elems[e3])
     return memo[h1, h2, h3] * m + g.index(e)
 
@@ -220,7 +292,7 @@ def find_ring_isomorphism(r, s, max_enum: int | None = None):
     """
     if r.size != s.size:
         return None
-    for f in hom_enumerate(r.additive, s.additive, max_enum):
+    for f in hom_enumerate_by_loop(r.additive, s.additive, max_enum):
         if not f.is_bijective:
             continue
         if f(r.one) != s.one:
@@ -237,7 +309,7 @@ def find_ring_isomorphism(r, s, max_enum: int | None = None):
 def linear_heap_morphisms(m, n, max_enum: int | None = None) -> tuple[HeapMorphism, ...]:
     """Heap morphisms whose linear part commutes with the action: all pairs
     (action-commuting hom, translation), hom-major order."""
-    homs = module_homs(m, n, max_enum)
+    homs = as_objects(module_homs(m, n, max_enum), m.group, n.group)
     guard(
         len(homs) * n.group.cardinality,
         resolve_max_enum(max_enum),
@@ -473,7 +545,7 @@ def module_homs_by_loop(m, n):
     f(r.x) = r.f(x) for every ring element r and module element x."""
     return tuple(
         f
-        for f in hom_enumerate(m.group, n.group)
+        for f in hom_enumerate_by_loop(m.group, n.group)
         if all(f(m.act(r, x)) == n.act(r, f(x)) for r in m.ring.elements() for x in m.group.elements())
     )
 
@@ -579,7 +651,7 @@ def decompose(
 
 def heap_morphisms(g: AbGroup, h: AbGroup, max_enum: int | None = None) -> tuple[HeapMorphism, ...]:
     """All heap morphisms g -> h as (hom, translation) pairs, hom-major order."""
-    homs = hom_enumerate(g, h, max_enum)
+    homs = hom_enumerate_by_loop(g, h, max_enum)
     guard(len(homs) * h.cardinality, resolve_max_enum(max_enum), f"heap morphisms {g} -> {h}")
     return tuple(HeapMorphism(hom, trans) for hom in homs for trans in h.elements())
 

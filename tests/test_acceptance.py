@@ -7,12 +7,14 @@ import itertools
 from contextlib import contextmanager
 
 from conftest import (
+    as_objects,
     brute_force_hom_count,
     carrier,
     constant_index,
     heap_morphisms,
     inner_structure,
     intertwiner_correspondence,
+    invert_hom,
     is_constant,
     is_truss_morphism,
     linear_heap_morphisms,
@@ -92,7 +94,7 @@ def test_criterion_2_theta_upsilon_bijection():
         for g in GROUPS:
             for h in GROUPS:
                 eg, eh = ENDO[g.orders], ENDO[h.orders]
-                isos = heap_isos(g, h)
+                isos = as_objects(heap_isos(g, h), g, h)
                 conjugations = [truss_iso_from_heap_iso(hm, eg, eh) for hm in isos]
                 for hm, phi in zip(isos, conjugations):
                     assert truss_morphism_preserves(phi) and phi.is_bijective
@@ -113,7 +115,7 @@ def test_criterion_3_negative_direction():
         e1, e2 = ENDO[(4,)], ENDO[(2, 2)]
         assert e1.size == 16 and e2.size == 64
         assert enumerate_truss_isos(e1, e2) == ()
-        assert heap_isos(z4, k4) == ()
+        assert as_objects(heap_isos(z4, k4), z4, k4) == ()
         from trusskit import verify_baer_kaplansky
         from trusskit.groups import groups_isomorphic
 
@@ -202,7 +204,7 @@ def test_criterion_7_example_non_iso():
             ex = example_non_iso(p)
             assert truss_morphism_preserves(ex.truss_iso)
             assert ex.truss_iso.is_bijective
-            homs = module_homs(ex.left, ex.right)
+            homs = as_objects(module_homs(ex.left, ex.right), ex.left.group, ex.right.group)
             assert not any(f.is_bijective for f in homs)
             assert ex.groups_isomorphic
 
@@ -224,8 +226,6 @@ def test_criterion_8_module_roundtrip():
             mu_inv_conj = {
                 u.matrix: back.rho_of(u).matrix for u, _ in back.rho_pairs
             }
-            from trusskit.groups import invert_hom
-
             mu_inv = invert_hom(back.mu)
             for u, _ in back.rho_pairs:
                 expected = compose_homs(compose_homs(back.mu, u), mu_inv)

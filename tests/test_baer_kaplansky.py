@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 from conftest import (
+    as_objects,
     carrier,
     conjugate_by_composition,
     constant_index,
@@ -51,7 +52,7 @@ def test_conjugation_of_identity():
 
 
 def test_conjugation_by_swap():
-    swap = next(m for m in heap_isos(Z2, Z2) if m.translation == (1,))
+    swap = next(m for m in as_objects(heap_isos(Z2, Z2), Z2, Z2) if m.translation == (1,))
     phi = truss_iso_from_heap_iso(swap, E2, E2)
     # carrier order: const0, const1, identity, swap
     assert phi.mapping == (1, 0, 2, 3)
@@ -60,11 +61,11 @@ def test_conjugation_by_swap():
 
 def test_brute_forced_isos_extract_to_the_two_heap_isos():
     extracted = {heap_iso_from_truss_iso(phi) for phi in enumerate_truss_isos(E2, E2)}
-    assert extracted == set(heap_isos(Z2, Z2))
+    assert extracted == set(as_objects(heap_isos(Z2, Z2), Z2, Z2))
 
 
 def test_six_distinct_truss_autos_of_e3():
-    isos = heap_isos(Z3, Z3)
+    isos = as_objects(heap_isos(Z3, Z3), Z3, Z3)
     assert len(isos) == 6
     conjugations = {truss_iso_from_heap_iso(hm, E3, E3).mapping for hm in isos}
     assert len(conjugations) == 6
@@ -83,7 +84,7 @@ def test_conjugation_rejects_non_iso_heap_morphism():
 
 
 def test_witness_satisfies_conjugation_law():
-    for hm in heap_isos(Z3, Z3):
+    for hm in as_objects(heap_isos(Z3, Z3), Z3, Z3):
         phi = truss_iso_from_heap_iso(hm, E3, E3)
         extracted = heap_iso_from_truss_iso(phi)
         assert extracted == hm
@@ -142,7 +143,7 @@ def test_verify_brute_force_beyond_nine_elements():
 
 
 def test_inner_structure_of_isomorphism_is_trivial():
-    swap = next(m for m in heap_isos(Z2, Z2) if m.translation == (1,))
+    swap = next(m for m in as_objects(heap_isos(Z2, Z2), Z2, Z2) if m.translation == (1,))
     phi = truss_iso_from_heap_iso(swap, E2, E2)
     inner = inner_structure(phi)
     assert all(all(v == 0 for v in row) for row in inner.idempotent.matrix)
@@ -217,9 +218,8 @@ def test_morphism_sending_all_to_unit_has_no_unique_intertwiner():
 def test_verify_sweep_on_larger_groups(left, right):
     result = verify_baer_kaplansky(make_group(left), make_group(right))
     assert result.consistent
-    expected_isos = make_group(right).cardinality * sum(
-        1 for f in hom_enumerate(make_group(left), make_group(right)) if f.is_bijective
-    )
+    g, h = make_group(left), make_group(right)
+    expected_isos = h.cardinality * sum(1 for f in as_objects(hom_enumerate(g, h), g, h) if f.is_bijective)
     assert result.heap_iso_count == expected_isos
 
 
@@ -255,7 +255,7 @@ def test_surjective_semigroup_morphisms_preserve_constants():
 def test_conjugation_agrees_with_per_element_composition(left, right):
     g, h = parse_group_spec(left), parse_group_spec(right)
     s, t = build_endo_truss(g), build_endo_truss(h)
-    isos = heap_isos(g, h)
+    isos = as_objects(heap_isos(g, h), g, h)
     assert isos
     for hm in isos:
         assert truss_iso_from_heap_iso(hm, s, t).mapping == conjugate_by_composition(hm, s, t)
@@ -269,7 +269,7 @@ def test_conjugation_on_linear_endo_truss_agrees_with_per_element_composition():
     e = build_linear_endo_truss(regular_module(make_product_ring(field, field)))
     assert len(e.homs) == 4
     kept = 0
-    for hm in heap_isos(e.group, e.group):
+    for hm in as_objects(heap_isos(e.group, e.group), e.group, e.group):
         try:
             expected = conjugate_by_composition(hm, e, e)
         except ValueError:

@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 import pytest
-from conftest import constant_index, conjugate_by_composition, heap_iso_by_decompose, retract_affine, retract_preserves
+from conftest import as_objects, constant_index, conjugate_by_composition, heap_iso_by_decompose, retract_affine, retract_preserves
 
 import trusskit.baer_kaplansky as bk
 from trusskit import NotAnIsomorphism, build_endo_truss, heap_isos, parse_group_spec, verify_baer_kaplansky
@@ -20,15 +20,14 @@ SAMPLE = {("3,3", "3,3"): 12}
 
 
 def _block(left, right):
-    """E(G), E(H), a seeded sample (or all) of the heap isomorphisms, their
-    value tables and their conjugations as one block."""
+    """E(G), E(H), a seeded sample (or all) of the heap isomorphisms as
+    objects, their value tables and their conjugations as one block."""
     g, h = parse_group_spec(left), parse_group_spec(right)
     s, t = build_endo_truss(g), build_endo_truss(h)
-    isos = heap_isos(g, h)
+    values = heap_isos(g, h)
     if (left, right) in SAMPLE:
-        isos = random.Random(left).sample(isos, SAMPLE[left, right])
-    values = bk._value_tables(isos, t, None)
-    return s, t, isos, values, conjugate_rows(s, t, values)
+        values = values[random.Random(left).sample(range(len(values)), SAMPLE[left, right])]
+    return s, t, as_objects(values, g, h), values, conjugate_rows(s, t, values)
 
 
 @pytest.mark.parametrize("left,right", BK_PAIRS + list(SAMPLE))
@@ -57,7 +56,7 @@ def _mutations(s, t, rng):
     add, zero = s.factored_tables().add, s.constant_indices[0]
     in_w = np.zeros(len(s.homs), dtype=bool)
     in_w[s.decode(zero)[0]] = True
-    for g in s.decode(s.generator_tables()[0][1 + len(s.generators):])[0][:-1]:
+    for g in s.decode(s.generator_tables()[0][1 + len(s.group.generators):])[0][:-1]:
         while not in_w[add[np.flatnonzero(in_w), g]].all():
             in_w[add[np.flatnonzero(in_w), g]] = True
     c = rng.choice([c for c in range(t.size) if t.plus(c, c) != t.constant_indices[0]])

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import resource
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -10,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trusskit.baer_kaplansky
-from trusskit import build_endo_truss
+from trusskit import HeapMorphism, build_endo_truss
 from trusskit.cli import main
+from trusskit.groups import GroupHom
 
 
 def run(capsys, *argv):
@@ -228,6 +232,40 @@ def test_bound_exceeded_exit_code(capsys):
                        "--max-enumeration", "10")
     assert code == 3
     assert "cap is 10" in err
+
+
+def test_bk_over_the_carrier_cap_is_refused_before_enumerating():
+    # Hom(Z/10^6, Z/10^6) passes the cap and E(Z/10^6)'s 10^12 elements do
+    # not: exit 3 in a 300 MB address space, before Hom is enumerated
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (300_000 * 1024,) * 2)
+
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-m", "trusskit.cli", "bk", "1000000", "2"],
+        capture_output=True, text=True, env=env, preexec_fn=limit, timeout=120,
+    )
+    assert done.returncode == 3, done.stderr
+    assert [line[:6] for line in done.stderr.splitlines()] == ["error:"]
+    assert "carrier of E(Z/1000000)" in done.stderr
+
+
+def test_bk_and_inner_build_no_hom_or_heap_morphism_objects(capsys, monkeypatch):
+    # Hom(G, H) and the heap isomorphisms stay arrays: bk 2,4 2,4 has 64
+    # heap isomorphisms, too many to print as witnesses; bk 2 2 prints its 2
+    # in the human form
+    built = []
+    for cls in (GroupHom, HeapMorphism):
+        real = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__", lambda self, real=real: (built.append(self), real(self))[1])
+    for argv in (["bk", "2,4", "2,4", "--json"], ["inner", "2", "3", "--json"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)
+    assert built == []
+    code, out, _ = run(capsys, "bk", "2", "2")
+    assert code == 0 and "witness heap_isos" in out
+    assert {type(x) for x in built} == {GroupHom, HeapMorphism}
 
 
 def test_env_var_bound(capsys, monkeypatch):

@@ -1,12 +1,18 @@
+import random
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import (
     NotAHeapMorphism,
+    as_objects,
     carrier,
     constant_index,
     constant_morphism,
     decompose,
+    factored_rows_by_composition,
     heap_inverse,
     heap_morphisms,
     heap_ternary,
@@ -19,6 +25,7 @@ from conftest import (
     ternary,
 )
 
+import trusskit.endo
 from trusskit import (
     BoundExceeded,
     EndoTruss,
@@ -61,7 +68,7 @@ def test_decompose_rejects_squaring():
 
 
 def test_decompose_additive_map_has_zero_translation():
-    for f in hom_enumerate(K4, K4):
+    for f in as_objects(hom_enumerate(K4, K4), K4, K4):
         hm = decompose(K4, K4, {x: f(x) for x in K4.elements()})
         assert hm.translation == K4.zero
         assert hm.linear.matrix == f.matrix
@@ -80,6 +87,13 @@ def test_heap_morphism_counts():
     assert len(heap_isos(Z3, Z3)) == 6
     assert len(heap_isos(Z4, K4)) == 0
     assert not groups_isomorphic(Z4, K4)
+
+
+def test_heap_iso_tables_are_refused_over_the_cap():
+    # 20 heap isomorphisms of Z/5, 100 table entries, from 25 heap morphisms
+    with pytest.raises(BoundExceeded, match="value tables of the heap isomorphisms"):
+        heap_isos(make_group([5]), make_group([5]), max_enum=99)
+    assert heap_isos(make_group([5]), make_group([5]), max_enum=100).shape == (20, 5)
 
 
 def test_endo_truss_sizes():
@@ -176,7 +190,7 @@ def test_index_of_roundtrip():
 
 
 def test_inverse_of_heap_iso():
-    for hm in heap_isos(Z4, Z4):
+    for hm in as_objects(heap_isos(Z4, Z4), Z4, Z4):
         inv = heap_inverse(hm)
         for x in Z4.elements():
             assert inv(hm(x)) == x
@@ -203,7 +217,7 @@ def test_dense_cache_does_not_bypass_the_cap():
 
 
 def test_family_missing_zero_raises_on_constants():
-    t = EndoTruss(Z2, (identity_hom(Z2),))
+    t = EndoTruss(Z2, [identity_hom(Z2).matrix])
     with pytest.raises(ValueError):
         _ = t.constant_indices
 
@@ -253,7 +267,7 @@ def test_morphism_level_heap_axioms(data):
 def test_heap_isos_match_filtered_heap_morphisms(left, right):
     g, h = parse_group_spec(left), parse_group_spec(right)
     filtered = tuple(m for m in heap_morphisms(g, h) if m.is_isomorphism)
-    assert heap_isos(g, h) == filtered
+    assert as_objects(heap_isos(g, h), g, h) == filtered
 
 
 @pytest.mark.parametrize("spec", ["", "6", "2,4", "3,3", "2,2,2"])
@@ -273,8 +287,51 @@ def test_hom_positions_refuse_a_hom_outside_the_family():
 
     # {0, id} on Z/2 x Z/2: the map taking the first generator as id does
     # and the second as 0 does matches one family row per column, not both
-    fam = EndoTruss(K4, (zero_hom(K4, K4), identity_hom(K4)))
+    fam = EndoTruss(K4, [zero_hom(K4, K4).matrix, identity_hom(K4).matrix])
     rows = fam._generator_images
     assert fam.hom_positions(rows[[1, 0, 1]]).tolist() == [1, 0, 1]
     with pytest.raises(ValueError, match="not closed"):
         fam.hom_positions(np.array([rows[1, 0], rows[0, 1]]))
+
+
+@pytest.mark.parametrize("spec", ["6", "2,4", "3,3"])
+def test_factored_tables_one_row_per_block_match_the_oracle(spec, monkeypatch):
+    monkeypatch.setattr(trusskit.endo, "_QUERY_ENTRIES", 1)
+    e = build_endo_truss(parse_group_spec(spec))
+    ft = e.factored_tables()
+    compose, add = factored_rows_by_composition(e, range(len(e.homs)))
+    assert ft.compose.tolist() == compose and ft.add.tolist() == add
+
+
+def test_factored_tables_of_e_2_2_2_match_one_query_and_the_oracle():
+    # built in blocks of rows, the tables equal the single (H, H, rank)
+    # query and, on a seeded sample of rows, composition of GroupHoms
+    e = build_endo_truss(parse_group_spec("2,2,2"))
+    ft = e.factored_tables()
+    imgs = e._generator_images
+    assert len(e.homs) * len(e.homs) * 3 > trusskit.endo._QUERY_ENTRIES
+    assert np.array_equal(ft.compose, e.hom_positions(ft.apply[:, imgs]))
+    assert np.array_equal(ft.add, e.hom_positions(ft.gadd[imgs[:, None, :], imgs[None, :, :]]))
+    rows = random.Random(222).sample(range(len(e.homs)), 8)
+    compose, add = factored_rows_by_composition(e, rows)
+    assert ft.compose[rows].tolist() == compose and ft.add[rows].tolist() == add
+
+
+def test_factored_tables_peak_stays_under_twice_their_bytes():
+    e = build_endo_truss(parse_group_spec("2,2,2"))
+    tracemalloc.start()
+    try:
+        ft = e.factored_tables()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * sum(table.nbytes for table in ft)
+
+
+def test_endo_truss_keeps_a_reduced_int64_stack_and_refuses_bad_families():
+    e = EndoTruss(Z4, [[[5]], [[0]], [[3]]])
+    assert e.homs.dtype == np.int64 and e.homs.tolist() == [[[1]], [[0]], [[3]]]
+    with pytest.raises(ValueError, match="duplicates"):
+        EndoTruss(Z4, [[[1]], [[0]], [[5]]])
+    with pytest.raises(ValueError, match="endomorphism"):
+        EndoTruss(K4, [[[1]]])

@@ -1,5 +1,6 @@
 import pytest
-from conftest import brute_force_group_iso_exists, brute_force_hom_count
+import numpy as np
+from conftest import as_objects, brute_force_group_iso_exists, brute_force_hom_count, hom_enumerate_by_loop, invert_hom
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,6 @@ from trusskit.groups import (
     hom_enumerate,
     identity_hom,
     invariant_factors,
-    invert_hom,
     zero_hom,
 )
 
@@ -61,7 +61,8 @@ def test_index_roundtrip():
 def test_hom_enumerate_examples():
     z2, z3, z4 = make_group([2]), make_group([3]), make_group([4])
     homs = hom_enumerate(z2, z4)
-    assert [h.matrix for h in homs] == [((0,),), ((2,),)]
+    assert homs.dtype == np.int64 and homs.shape == (2, 1, 1)
+    assert [h.matrix for h in as_objects(homs, z2, z4)] == [((0,),), ((2,),)]
     assert len(hom_enumerate(z2, z3)) == 1  # only the zero map
     assert len(hom_enumerate(make_group([2, 2]), make_group([2, 2]))) == 16
 
@@ -98,7 +99,7 @@ def test_hom_rejects_ill_defined_matrix():
 
 def test_homs_are_additive():
     g, h = make_group([2, 4]), make_group([8])
-    for f in hom_enumerate(g, h):
+    for f in as_objects(hom_enumerate(g, h), g, h):
         for a in g.elements():
             for b in g.elements():
                 assert f(g.add(a, b)) == h.add(f(a), f(b))
@@ -121,7 +122,7 @@ def test_isomorphism_agrees_with_bijection_search():
 
 def test_invert_hom():
     g = make_group([2, 4])
-    for f in hom_enumerate(g, g):
+    for f in as_objects(hom_enumerate(g, g), g, g):
         if not f.is_bijective:
             continue
         inv = invert_hom(f)
@@ -132,7 +133,21 @@ def test_invert_hom():
 
 def test_zero_hom_first_in_enumeration():
     g, h = make_group([4]), make_group([2, 4])
-    assert hom_enumerate(g, h)[0].matrix == zero_hom(g, h).matrix
+    assert as_objects(hom_enumerate(g, h), g, h)[0].matrix == zero_hom(g, h).matrix
+
+
+# the trivial group, order-1 factors, coprime and nested orders, and ranks 1-3
+DIFFERENTIAL_GROUPS = ["", "1", "2", "3", "4", "6", "8", "9", "12", "1,3", "2,2", "2,3", "2,4", "3,3", "3,9", "4,8", "2,2,2"]
+
+
+def test_hom_enumerate_matches_the_loop_on_every_pair():
+    for left in DIFFERENTIAL_GROUPS:
+        g = parse_group_spec(left)
+        for right in DIFFERENTIAL_GROUPS:
+            h = parse_group_spec(right)
+            stack = hom_enumerate(g, h)
+            assert stack.dtype == np.int64 and stack.shape == (hom_count(g, h), h.rank, g.rank)
+            assert stack.tolist() == [[list(row) for row in f.matrix] for f in hom_enumerate_by_loop(g, h)]
 
 
 def test_group_spec_parsing():
@@ -169,7 +184,7 @@ def test_decompose_abelian_recovers_structure(orders):
 
 def test_decompose_abelian_on_hom_group():
     g = make_group([4])
-    homs = list(hom_enumerate(g, g))
+    homs = list(as_objects(hom_enumerate(g, g), g, g))
     pres = decompose_abelian(homs, hom_add, zero_hom(g, g))
     assert pres.group.orders == (4,)
 

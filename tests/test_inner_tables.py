@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import heap_iso_by_decompose, inner_laws_by_composition
+from conftest import as_objects, heap_iso_by_decompose, inner_laws_by_composition
 
 import trusskit.baer_kaplansky as bk
 from trusskit import (
@@ -75,7 +75,7 @@ def test_a_row_that_intertwines_but_is_not_affine_is_no_intertwiner():
     # swap to y -> 1 - y is no truss morphism. Every row of X is then the
     # map 0 -> 0, 1 -> 1, which intertwines but is not a heap morphism.
     s, t = endo("2"), endo("4")
-    pos = {h.matrix[0][0]: i for i, h in enumerate(t.homs)}
+    pos = {h.matrix[0][0]: i for i, h in enumerate(as_objects(t.homs, t.group, t.group))}
     phi = TrussMorphism(s, t, tuple(t.encode([pos[0], pos[0], pos[1], pos[3]], [0, 1, 0, 1]).tolist()))
     results = check_inner_structure(phi)
     assert results == inner_laws_by_composition(phi)
@@ -116,7 +116,7 @@ def test_laws_refuse_over_the_cap():
 def _conjugations():
     for left, right in BK_ISO_PAIRS:
         s, t = endo(left), endo(right)
-        for hm in heap_isos(s.group, t.group):
+        for hm in as_objects(heap_isos(s.group, t.group), s.group, t.group):
             yield hm, truss_iso_from_heap_iso(hm, s, t)
 
 
@@ -150,7 +150,7 @@ def test_extraction_decodes_like_the_oracle_without_the_preservation_check(left,
     s, t = endo(left), endo(right)
     consts = list(s.constant_indices)
     outcomes = set()
-    for hm in heap_isos(s.group, t.group)[:8]:
+    for hm in as_objects(heap_isos(s.group, t.group)[:8], s.group, t.group):
         phi = truss_iso_from_heap_iso(hm, s, t)
         for i, j in [(consts[1], consts[-1]), (consts[2], consts[3]), (consts[0], s.unit)]:
             mapping = list(phi.mapping)

@@ -8,7 +8,7 @@ import json
 from pathlib import Path
 
 import pytest
-from conftest import induced_action_report_by_loop, module_homs_by_loop, truss_iso_by_element
+from conftest import hom_enumerate_by_loop, induced_action_report_by_loop, invert_hom, module_homs_by_loop, truss_iso_by_element
 
 import trusskit.modules
 from trusskit import (
@@ -32,7 +32,7 @@ from trusskit import (
     validate_induced_action,
 )
 from trusskit.cli import main
-from trusskit.groups import compose_homs, hom_enumerate, invert_hom
+from trusskit.groups import compose_homs
 from trusskit.modules import equivalence_is_valid, make_module, module_homs
 from trusskit.rings import FiniteRing
 
@@ -84,13 +84,14 @@ def mutations(m: RModule):
 
 
 def _matrices(homs):
-    return [f.matrix for f in homs]
+    """The matrices of GroupHom objects as a nested list, like a stack's `tolist()`."""
+    return [[list(row) for row in f.matrix] for f in homs]
 
 
 @pytest.mark.parametrize("left,right", RING_SHARING_PAIRS, ids=[f"{a}|{b}" for a, b in RING_SHARING_PAIRS])
 def test_module_homs_agree_with_loop_on_ring_sharing_pairs(left, right):
     m, n = MODULES[left], MODULES[right]
-    assert _matrices(module_homs(m, n)) == _matrices(module_homs_by_loop(m, n))
+    assert module_homs(m, n).tolist() == _matrices(module_homs_by_loop(m, n))
 
 
 @pytest.mark.parametrize("name", ["zn:4", "z2-over-z4", "z2sq-over-f2", "fpxfp:2", "fx0:2"])
@@ -99,7 +100,7 @@ def test_module_homs_agree_with_loop_on_action_mutations(name):
     cases = 0
     for bad in mutations(m):
         for s, t in ((bad, bad), (bad, m), (m, bad)):
-            assert _matrices(module_homs(s, t)) == _matrices(module_homs_by_loop(s, t))
+            assert module_homs(s, t).tolist() == _matrices(module_homs_by_loop(s, t))
             cases += 1
     assert cases == 3 * len(m.action_table) * (m.group.cardinality - 1)
 
@@ -108,7 +109,7 @@ def test_module_homs_agree_with_loop_on_action_mutations(name):
 def test_module_homs_agree_with_loop_one_hom_per_chunk(monkeypatch, left, right):
     monkeypatch.setattr(trusskit.modules, "_HOM_CHUNK", 1)
     m, n = MODULES[left], MODULES[right]
-    assert _matrices(module_homs(m, n)) == _matrices(module_homs_by_loop(m, n))
+    assert module_homs(m, n).tolist() == _matrices(module_homs_by_loop(m, n))
 
 
 @pytest.mark.parametrize("name", ["zn:4", "fpxfp:2", "fx0:3"])
@@ -130,7 +131,7 @@ def all_equivalences(m: RModule, n: RModule):
     equivalence; built from the loop oracle, not from the library's search."""
     end_m, end_n = module_homs_by_loop(m, m), module_homs_by_loop(n, n)
     by_matrix = {v.matrix: v for v in end_n}
-    for mu in hom_enumerate(m.group, n.group):
+    for mu in hom_enumerate_by_loop(m.group, n.group):
         if not mu.is_bijective:
             continue
         inv = invert_hom(mu)

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 from conftest import (
+    as_objects,
     carrier,
     constant_index,
     find_ring_isomorphism,
@@ -101,7 +102,7 @@ def test_induced_module_structures_validate_at_every_base_point(module):
 
 def test_module_homs_between_the_two_ideals():
     homs = module_homs(FX0, ZXF)
-    assert [f.matrix for f in homs] == [((0,),)]
+    assert [f.matrix for f in as_objects(homs, FX0.group, ZXF.group)] == [((0,),)]
 
 
 def test_module_homs_need_same_ring():

@@ -10,7 +10,7 @@ import tracemalloc
 from contextlib import redirect_stdout
 
 import pytest
-from conftest import brute_force_truss_isos, brute_force_truss_morphisms
+from conftest import as_objects, brute_force_truss_isos, brute_force_truss_morphisms
 
 from trusskit import (
     BoundExceeded,
@@ -114,7 +114,7 @@ ISO_COUNTS = {"2": 2, "3": 6, "4": 8, "2,2": 24, "5": 20, "6": 12, "8": 32}
 def test_isos_are_the_heap_iso_conjugations(spec):
     g, e = parse_group_spec(spec), endo(spec)
     found = [m.mapping for m in enumerate_truss_isos(e, e)]
-    conjugations = sorted(truss_iso_from_heap_iso(hm, e, e).mapping for hm in heap_isos(g, g))
+    conjugations = sorted(truss_iso_from_heap_iso(hm, e, e).mapping for hm in as_objects(heap_isos(g, g), g, g))
     assert found == conjugations
     assert len(found) == ISO_COUNTS[spec]
 

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 from conftest import (
+    as_objects,
     dense_preserves,
     identity_truss_morphism,
     is_truss_morphism,
@@ -180,7 +181,7 @@ def test_structural_preservation_agrees_with_dense_on_conjugations(left, right):
     s, t = build_endo_truss(g), build_endo_truss(h)
     assert s.size <= 100
     verdicts = []
-    for hm in heap_isos(g, h):
+    for hm in as_objects(heap_isos(g, h), g, h):
         conj = truss_iso_from_heap_iso(hm, s, t)
         for mapping in _mutations(conj.mapping, t.size, rng):
             tm = TrussMorphism(s, t, mapping)
@@ -232,7 +233,7 @@ def test_generator_certificate_agrees_with_retract_oracle(spec, sample):
     rng = random.Random(spec)
     t = _certificate_carrier(spec)
     hom, element = t.decode(np.arange(t.size))
-    isos = heap_isos(t.group, t.group)
+    isos = as_objects(heap_isos(t.group, t.group), t.group, t.group)
     if sample:
         isos = rng.sample(isos, sample)
     conjugations = []

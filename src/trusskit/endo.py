@@ -36,7 +36,9 @@ from .groups import (
     AbGroup,
     Element,
     GroupHom,
+    aut_count,
     compose_homs,
+    groups_isomorphic,
     hom_count,
     hom_enumerate,
     matrix_images,
@@ -120,16 +122,18 @@ def heap_isos(g: AbGroup, h: AbGroup, max_enum: int | None = None) -> np.ndarray
     """The bijective heap morphisms g -> h as a (K, |g|) array of value
     tables, element indices of h: the bijective homs in `hom_enumerate`
     order, each with every translation in element order, so K is |h| times
-    the number of group isomorphisms g -> h. Refused before Hom(g, h) is
-    enumerated when the |Hom(g, h)| * |h| heap morphisms exceed the cap, and
-    before the tables are built when their K * |g| entries do."""
+    the number of group isomorphisms g -> h, |Aut(g)| when g and h are
+    isomorphic and 0 otherwise. Refused before Hom(g, h) is enumerated when
+    the |Hom(g, h)| * |h| heap morphisms exceed the cap, or when the K * |g|
+    entries of the tables do."""
     limit = resolve_max_enum(max_enum)
     guard(hom_count(g, h) * h.cardinality, limit, f"heap morphisms {g} -> {h}")
-    if g.cardinality != h.cardinality:
+    autos = aut_count(g) if groups_isomorphic(g, h) else 0
+    guard(autos * h.cardinality * g.cardinality, limit, f"value tables of the heap isomorphisms {g} -> {h}")
+    if not autos:
         return np.empty((0, g.cardinality), dtype=np.int64)
     images = matrix_images(hom_enumerate(g, h, max_enum), g, h)
     linear = images[_bijective_rows(images, h.cardinality)]
-    guard(len(linear) * h.cardinality * g.cardinality, limit, f"value tables of the heap isomorphisms {g} -> {h}")
     # |Hom(g, h)| >= |h| when |g| = |h|, so the guard covers h's |h|^2 table
     add = np_add_table(h, max_enum)
     return add[linear[:, None, :], np.arange(h.cardinality)[:, None]].reshape(-1, g.cardinality)

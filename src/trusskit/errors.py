@@ -57,8 +57,10 @@ def json_int(value, what: str) -> int:
 
 
 def json_ints(value, what: str) -> tuple[int, ...]:
-    """`value` as a tuple if it is a JSON list of integers, else ValueError."""
-    if type(value) is not list or not all(type(x) is int for x in value):
+    """`value` as a tuple if it is a JSON list of integers, else ValueError.
+    The entry types are collected by `map` at C speed; a bool is not an int
+    here, since `type(True)` is `bool`."""
+    if type(value) is not list or not set(map(type, value)) <= {int}:
         raise ValueError(f"{what} must be a list of integers")
     return tuple(value)
 
@@ -66,12 +68,16 @@ def json_ints(value, what: str) -> tuple[int, ...]:
 def int_table(
     values, length: int, bound: int, wrong_length: str, out_of_range: str
 ) -> tuple[tuple[int, ...], np.ndarray]:
-    """`values` as a tuple of Python ints and as the read-only int64 array
-    numpy checked: `length` entries, each in [0, bound). Otherwise
+    """`values` (a sequence of ints or an integer array of any shape, read
+    in row-major order) as a tuple of Python ints and as the read-only int64
+    array numpy checked: `length` entries, each in [0, bound). Otherwise
     ValueError, also for entries beyond int64; `wrong_length` may name
-    `{need}` and `{got}`."""
+    `{need}` and `{got}`. An array is copied once, with no Python list in
+    between."""
     try:
         table = np.array(values, dtype=np.int64)
+        if isinstance(values, np.ndarray):
+            table = table.reshape(-1)
     except OverflowError:
         raise ValueError(out_of_range) from None
     if table.ndim != 1 or table.size != length:

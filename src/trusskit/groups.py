@@ -229,6 +229,20 @@ def hom_enumerate(g: AbGroup, h: AbGroup, max_enum: int | None = None) -> np.nda
     return stack * (m_orders[:, None] // gcds)
 
 
+def hom_codes(mats: np.ndarray, g: AbGroup, h: AbGroup) -> np.ndarray:
+    """The positions in `hom_enumerate(g, h)` of the homs in a (..., rank h,
+    rank g) stack of matrices reduced mod the target orders: entry [j][i]
+    is its digit times m_j/gcd(n_i, m_j), read in the enumeration's radix.
+    The codes stay below |Hom(g, h)|."""
+    m_orders = np.array(h.orders, dtype=np.int64)
+    gcds = np.gcd.outer(m_orders, np.array(g.orders, dtype=np.int64))
+    steps = m_orders[:, None] // gcds
+    code = np.zeros(mats.shape[:-2], dtype=np.int64)
+    for j, i in np.ndindex(gcds.shape):
+        code = code * gcds[j, i] + mats[..., j, i] // steps[j, i]
+    return code
+
+
 def _prime_factors(n: int) -> dict[int, int]:
     out: dict[int, int] = {}
     d = 2
@@ -260,6 +274,26 @@ def invariant_factors(g: AbGroup) -> AbGroup:
         factors.append(d)
     factors.reverse()
     return AbGroup(tuple(factors))
+
+
+def aut_count(g: AbGroup) -> int:
+    """|Aut(g)|, the product over the p-parts Z/p^e_1 x ... x Z/p^e_k
+    (e_1 <= ... <= e_k) of prod_j (p^d_j - p^(j-1)) p^(e_j (k - d_j))
+    p^((e_j - 1)(k - c_j + 1)), with d_j and c_j the last and first
+    positions of e_j (Hillar and Rhea, Amer. Math. Monthly 114, 2007)."""
+    exponents: dict[int, list[int]] = {}
+    for n in g.orders:
+        for p, e in _prime_factors(n).items():
+            exponents.setdefault(p, []).append(e)
+    total = 1
+    for p, es in exponents.items():
+        es.sort()
+        k = len(es)
+        for j, e in enumerate(es, start=1):
+            c = es.index(e) + 1
+            d = k - es[::-1].index(e)
+            total *= (p**d - p ** (j - 1)) * p ** (e * (k - d)) * p ** ((e - 1) * (k - c + 1))
+    return total
 
 
 def groups_isomorphic(g: AbGroup, h: AbGroup) -> bool:

@@ -66,7 +66,7 @@ def heap_from_group(g: AbGroup, max_enum: int | None = None) -> FiniteHeap:
     for a in range(n):
         diff = (elems[a][None, None, :] - elems[:, None, :] + elems[None, :, :]) % orders
         out[a] = diff @ strides
-    return FiniteHeap(n, tuple(out.reshape(-1).tolist()))
+    return FiniteHeap(n, out)
 
 
 def _malcev_check(T: np.ndarray) -> Check:

@@ -1,10 +1,16 @@
 """Finite modules over finite rings, their linear heap morphisms, and the
 module-level truss correspondence.
 
-A module is a ring, an abelian group, and a validated action table. Each
-element e of a module induces a deformed structure: addition a +_e b =
-a - e + b and action r ._e m = r.m - r.e + e, and `validate_induced_action`
-runs the laws of `validate_module` on those deformed tables. The heap
+A module is a ring, an abelian group, and a validated action table of
+element indices; `make_module` takes that table as integers, and the
+factories build it by broadcasting over element indices. `validate_module`
+decides the laws exhaustively by certificates over the generators of both
+groups: additivity in each argument on n |S| lookups, associativity on
+zero and generators once both additivities and the ring's distributivity
+hold, and a full scan otherwise (see `_action_checks`). Each element e of a
+module induces a deformed structure: addition a +_e b = a - e + b and
+action r ._e m = r.m - r.e + e, and `validate_induced_action` runs the laws
+of `validate_module` on those deformed tables. The heap
 morphisms whose linear part commutes with the action are exactly the maps
 respecting every one of those deformed module structures at once. They form
 a sub-truss E_R(M) of the endomorphism truss of the underlying group
@@ -49,17 +55,35 @@ from .groups import (
     decompose_abelian,
     groups_isomorphic,
     hom_add,
+    hom_codes,
     hom_count,
     hom_enumerate,
     identity_hom,
     make_group,
     matrix_images,
     np_add_table,
+    np_elements,
     zero_hom,
 )
-from .rings import FiniteRing, make_field_fp, make_product_ring, make_ring_zn, validate_ring
+from .rings import (
+    FiniteRing,
+    additivity_failures,
+    generator_columns,
+    make_field_fp,
+    make_product_ring,
+    make_ring_zn,
+    validate_ring,
+)
 from .trusses import TrussMorphism, truss_morphism_preserves
-from .validation import Check, ValidationReport, law_check, report_once
+from .validation import (
+    Check,
+    ValidationReport,
+    certified_check,
+    law_check,
+    multiadditive_check,
+    report_once,
+    sliced_scan,
+)
 
 
 @dataclass(frozen=True)
@@ -109,20 +133,15 @@ class RModule:
         return cls(ring, group, json_ints(mod["action"], "module 'action'"))
 
 
-def make_module(
-    ring: FiniteRing,
-    group: AbGroup,
-    action,
-    max_enum: int | None = None,
-) -> RModule:
-    """Materialize a module from an action callable (ring elt, module elt) -> elt."""
-    rn, mn = ring.size, group.cardinality
+def _guard_action(rn: int, mn: int, max_enum: int | None) -> None:
     guard(rn * mn, resolve_max_enum(max_enum), "module action table")
-    table = tuple(
-        group.index(group.element(action(r, m)))
-        for r in ring.elements()
-        for m in group.elements()
-    )
+
+
+def make_module(ring: FiniteRing, group: AbGroup, table, max_enum: int | None = None) -> RModule:
+    """The module whose action table `table` (ring element x module element
+    -> element index of group, as an array or a row-major sequence) passes
+    `validate_module`; ValueError otherwise."""
+    _guard_action(ring.size, group.cardinality, max_enum)
     module = RModule(ring, group, table)
     report_once(module, validate_module, max_enum).raise_on_failure("action does not satisfy the module axioms")
     return module
@@ -135,46 +154,77 @@ def module_zn(n: int, max_enum: int | None = None) -> RModule:
 
 def regular_module(ring: FiniteRing, max_enum: int | None = None) -> RModule:
     """The ring acting on its own additive group by left multiplication."""
-    return make_module(ring, ring.additive, ring.mul, max_enum)
+    return make_module(ring, ring.additive, ring._mult_array, max_enum)
 
 
 def coordinate_module(ring: FiniteRing, coord: int, max_enum: int | None = None) -> RModule:
     """For a product ring, the ideal supported on one coordinate, presented
-    abstractly on that factor's cyclic group."""
+    abstractly on that factor's cyclic group: r.m = r[coord] m."""
     orders = ring.additive.orders
     if not 0 <= coord < len(orders):
         raise ValueError("coordinate out of range")
-    group = make_group([orders[coord]])
-
-    def action(r: Element, m: Element) -> Element:
-        return ((r[coord] * m[0]) % orders[coord],)
-
-    return make_module(ring, group, action, max_enum)
+    p = orders[coord]
+    _guard_action(ring.size, p, max_enum)
+    table = (np_elements(ring.additive)[:, coord, None] * np.arange(p)) % p
+    return make_module(ring, make_group([p]), table, max_enum)
 
 
-def _action_checks(m: RModule, act: np.ndarray, add: np.ndarray, max_enum: int | None) -> tuple[Check, ...]:
+def _action_checks(
+    m: RModule, act: np.ndarray, add: np.ndarray, gens: list[int], zero: int, max_enum: int | None
+) -> tuple[Check, ...]:
     """Unitality, associativity and bi-additivity of an action table `act`
-    of m's ring over the group addition table `add`."""
+    of m's ring over the group addition table `add`, whose zero and
+    generators have element indices `zero` and `gens`.
+
+    Additivity in the module element is certified on the generators `gens`
+    (rn mn |gens| lookups), additivity in the ring element on the ring's
+    generators. Once both hold and the ring distributes on both sides,
+    (r*s).x and r.(s.x) are additive in each argument, so associativity is
+    decided on zero and generators; otherwise it is scanned in full. A
+    failure reports the law's lexicographically first counterexample when
+    its dense scan fits the cap, else the certificate's own case."""
     rn, mn = act.shape
-    add_r = np_add_table(m.ring.additive, max_enum)
-    mul_r = m.ring._mult_array
-    idx_r = np.arange(rn)
-    one = m.ring.additive.index(m.ring.one)
+    ring = m.ring
+    add_r = np_add_table(ring.additive, max_enum)
+    mul_r = ring._mult_array
+    gens_r = generator_columns(ring.additive)
+    limit = resolve_max_enum(max_enum)
+    in_module = additivity_failures(act, add, add, gens)  # (r, x, j): r.(x + g_j)
+    in_ring = additivity_failures(act.T, add_r, add, gens_r)  # (x, r, j): (r + g_j).x
+    ring_report = report_once(ring, validate_ring, max_enum)
+    distributes = all(ring_report.check(law).passed for law in ("left-distributivity", "right-distributivity"))
+    certified = distributes and not (in_module.any() or in_ring.any())
+    basis_r = np.array([0, *gens_r], dtype=np.int64)
+    one = ring.additive.index(ring.one)
     return (
         law_check("unital", act[one] != np.arange(mn)),
-        law_check("action-associativity", act[mul_r] != act[idx_r[:, None, None], act[None, :, :]]),
-        law_check(
-            "additive-in-module",
-            act[idx_r[:, None, None], add[None, :, :]] != add[act[:, :, None], act[:, None, :]],
+        # (r*s).x == r.(s.x)
+        multiadditive_check(
+            "action-associativity", lambda r, s, x: act[mul_r[r, s], x] != act[r, act[s, x]],
+            (basis_r, basis_r, np.array([zero, *gens], dtype=np.int64)), certified,
+            lambda: sliced_scan(lambda r: act[mul_r[r]] != act[r][act], rn), rn * rn * mn, rn * rn * mn <= limit,
         ),
-        law_check("additive-in-ring", act[add_r] != add[act[:, None, :], act[None, :, :]]),
+        # r.(x+y) == r.x + r.y
+        certified_check(
+            "additive-in-module", in_module, rn * mn * mn, lambda ce: (ce[0], ce[1], gens[ce[2]]),
+            (lambda: sliced_scan(lambda r: act[r][add] != add[act[r][:, None], act[r][None, :]], rn))
+            if rn * mn * mn <= limit else None,
+        ),
+        # (r+s).x == r.x + s.x
+        certified_check(
+            "additive-in-ring", in_ring, rn * rn * mn, lambda ce: (ce[1], gens_r[ce[2]], ce[0]),
+            (lambda: sliced_scan(lambda r: act[add_r[r]] != add[act[r][None, :], act], rn))
+            if rn * rn * mn <= limit else None,
+        ),
     )
 
 
 def validate_module(m: RModule, max_enum: int | None = None) -> ValidationReport:
-    """Exhaustive unitality, associativity and bi-additivity of the action."""
+    """Exhaustive unitality, associativity and bi-additivity of the action,
+    by the generator certificates of `_action_checks`."""
     rn, mn = m._action_array.shape
-    checks = _action_checks(m, m._action_array, np_add_table(m.group, max_enum), max_enum)
+    add = np_add_table(m.group, max_enum)
+    checks = _action_checks(m, m._action_array, add, generator_columns(m.group), 0, max_enum)
     return ValidationReport(f"module ({rn}-element ring on {mn} elements)", checks)
 
 
@@ -195,7 +245,9 @@ def validate_induced_action(m: RModule, e: Element, max_enum: int | None = None)
     act = m._action_array
     add_e = add[add[:, neg[i]]]
     act_e = add[add[act, neg[act[:, i]][:, None]], i]
-    return ValidationReport(f"induced action at {e}", _action_checks(m, act_e, add_e, max_enum))
+    # x -> x + e carries (M, +) onto (M, +_e), zero to e, generators to g + e
+    gens_e = add[generator_columns(g), i].tolist()
+    return ValidationReport(f"induced action at {e}", _action_checks(m, act_e, add_e, gens_e, i, max_enum))
 
 
 # entries of the largest array `module_homs` builds for one chunk of homs
@@ -248,13 +300,14 @@ class EndomorphismRing:
     homs_by_index: tuple[GroupHom, ...]
 
     def as_module(self, max_enum: int | None = None) -> RModule:
-        """The original module viewed over this endomorphism ring (evaluation)."""
-        additive = self.ring.additive
-
-        def action(u: Element, x: Element) -> Element:
-            return self.homs_by_index[additive.index(u)](x)
-
-        return make_module(self.ring, self.module.group, action, max_enum)
+        """The original module viewed over this endomorphism ring
+        (evaluation): row i of the action table is the image table of
+        homs_by_index[i]."""
+        group = self.module.group
+        _guard_action(self.ring.size, group.cardinality, max_enum)
+        stack = np.array([f.matrix for f in self.homs_by_index], dtype=np.int64)
+        stack = stack.reshape(len(self.homs_by_index), group.rank, group.rank)
+        return make_module(self.ring, group, matrix_images(stack, group, group), max_enum)
 
 
 def end_ring(m: RModule, max_enum: int | None = None) -> EndomorphismRing:
@@ -305,31 +358,61 @@ class ModuleEquivalence:
         return self._rho[u.matrix]
 
 
+def _matrix_stack(homs, g: AbGroup, h: AbGroup) -> np.ndarray | None:
+    """The (k, rank h, rank g) stack of GroupHoms g -> h, or None when one
+    of them runs between other groups."""
+    if any(f.source != g or f.target != h for f in homs):
+        return None
+    return np.array([f.matrix for f in homs], dtype=np.int64).reshape(len(homs), h.rank, g.rank)
+
+
 def equivalence_is_valid(eq: ModuleEquivalence, max_enum: int | None = None) -> bool:
-    """Recheck every defining identity of a claimed equivalence."""
+    """Recheck every defining identity of a claimed equivalence, on the
+    (k, r, r) stacks of its pairs: rho's domain and image are End(M) and
+    End(N), v o mu = mu o u for each pair, rho preserves products and sums
+    on all k^2 pairs, and rho(id) = id. Homs are compared by their
+    `hom_codes`. Entries stay below the orders, and the cap on Hom(M, M),
+    which has at least |M| maps, keeps their products far inside int64."""
     if not eq.mu.is_bijective:
         return False
-    end_m = _group_homs(_end_homs(eq.source, max_enum), eq.source.group, eq.source.group)
-    end_n = _group_homs(_end_homs(eq.target, max_enum), eq.target.group, eq.target.group)
-    if {u.matrix for u, _ in eq.rho_pairs} != {u.matrix for u in end_m}:
+    g, h = eq.source.group, eq.target.group
+    end_m, end_n = _end_homs(eq.source, max_enum), _end_homs(eq.target, max_enum)
+    mu = _matrix_stack([eq.mu], g, h)
+    U = _matrix_stack([u for u, _ in eq.rho_pairs], g, g)
+    V = _matrix_stack([v for _, v in eq.rho_pairs], h, h)
+    if mu is None or U is None or V is None:
         return False
-    if {v.matrix for _, v in eq.rho_pairs} != {v.matrix for v in end_n}:
+    cu, cv = hom_codes(U, g, g), hom_codes(V, h, h)
+    if not np.array_equal(np.unique(cu), hom_codes(end_m, g, g)):
         return False
-    # with mu bijective, v o mu = mu o u says v = mu u mu^{-1}
-    for u, v in eq.rho_pairs:
-        if compose_homs(v, eq.mu).matrix != compose_homs(eq.mu, u).matrix:
-            return False
-    # ring-isomorphism laws for rho, checked directly on the stored pairs; if
-    # the action is not additive, End(M) need not be closed under sums, and a
+    if not np.array_equal(np.unique(cv), hom_codes(end_n, h, h)):
+        return False
+    g_mod = np.array(g.orders, dtype=np.int64)[:, None]
+    h_mod = np.array(h.orders, dtype=np.int64)[:, None]
+    mu = mu[0]
+    # with mu bijective, v o mu = mu o u says v = mu u mu^{-1}, so pairs
+    # sharing a u share their v
+    if not np.array_equal((V @ mu) % h_mod, (mu @ U) % h_mod):
+        return False
+    # rho as a lookup from sorted domain codes to target codes; if the
+    # action is not additive, End(M) need not be closed under sums, and a
     # sum outside rho's domain fails the law
-    rho = {u.matrix: v.matrix for u, v in eq.rho_pairs}
-    for u1, v1 in eq.rho_pairs:
-        for u2, v2 in eq.rho_pairs:
-            if rho.get(compose_homs(u1, u2).matrix) != compose_homs(v1, v2).matrix:
+    order = np.argsort(cu)
+    domain, image = cu[order], cv[order]
+
+    def preserved(u_op: np.ndarray, v_op: np.ndarray) -> bool:
+        pos = np.minimum(np.searchsorted(domain, u_op), len(domain) - 1)
+        return bool((domain[pos] == u_op).all() and (image[pos] == v_op).all())
+
+    k = len(cu)
+    step = max(1, _HOM_CHUNK // (k * max(1, g.rank * g.rank, h.rank * h.rank)))
+    for start in range(0, k, step):  # the (rows, k) pairs of products and sums
+        U1, V1 = U[start : start + step, None], V[start : start + step, None]
+        for u_op, v_op in (((U1 @ U) % g_mod, (V1 @ V) % h_mod), ((U1 + U) % g_mod, (V1 + V) % h_mod)):
+            if not preserved(hom_codes(u_op, g, g), hom_codes(v_op, h, h)):
                 return False
-            if rho.get(hom_add(u1, u2).matrix) != hom_add(v1, v2).matrix:
-                return False
-    return rho.get(identity_hom(eq.source.group).matrix) == identity_hom(eq.target.group).matrix
+    one_m, one_n = np.eye(g.rank, dtype=np.int64), np.eye(h.rank, dtype=np.int64)
+    return preserved(hom_codes(one_m % g_mod, g, g), hom_codes(one_n % h_mod, h, h))
 
 
 def find_module_equivalence(

@@ -46,6 +46,46 @@ def law_check(law: str, bad: np.ndarray, checked: int | None = None) -> Check:
     return Check(law, ok, True, bad.size if checked is None else checked, None if ok else first(bad))
 
 
+def certified_check(law: str, bad: np.ndarray, checked: int, own, scan) -> Check:
+    """A law decided exhaustively by a certificate whose failed cases `bad`
+    marks. On failure the counterexample is `scan()`, the law's
+    lexicographically first, or, when `scan` is None, `own(first(bad))`,
+    the case of the law that the certificate's first failed case is."""
+    if not bad.any():
+        return Check(law, True, True, checked)
+    return Check(law, False, True, checked, scan() if scan is not None else own(first(bad)))
+
+
+def sliced_scan(slice_bad, count: int) -> tuple[int, ...] | None:
+    """The lexicographically first counterexample of a law, or None, one
+    slice at a time: `slice_bad(i)` marks the failures whose first
+    coordinate is i, for i in range(count)."""
+    for i in range(count):
+        bad = slice_bad(i)
+        if bad.any():
+            return first(bad, (i,))
+    return None
+
+
+def multiadditive_check(
+    law: str, bad_at, basis: tuple[np.ndarray, ...], certified: bool, scan, checked: int, dense: bool
+) -> Check:
+    """A law between two maps that are additive in each argument once
+    `certified` holds: then the law holds everywhere iff it holds on the
+    grid of `basis` (zero and generators of each argument's group), where
+    `bad_at` marks its failures on broadcast index arrays. Otherwise the
+    law is decided by `scan()`, its lexicographically first counterexample
+    or None; a failed grid reports that too when `dense`, else its own
+    case."""
+    if certified:
+        def own(ce):
+            return tuple(int(b[i]) for b, i in zip(basis, ce))
+
+        return certified_check(law, bad_at(*np.ix_(*basis)), checked, own, scan if dense else None)
+    ce = scan()
+    return Check(law, ce is None, True, checked, ce)
+
+
 def report_once(subject, validate, max_enum: int | None = None) -> ValidationReport:
     """`validate(subject, max_enum)`, run once per subject and kept on it
     (a frozen dataclass with one validator, such as a ring or a module), so

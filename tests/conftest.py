@@ -1,7 +1,8 @@
 """Shared test oracles, deliberately independent of the library's table
 kernels: the per-element view of homomorphisms, heap morphisms,
-endomorphism trusses, retracts and linear heap morphisms (one object or one
-lookup per element), and brute-force searches that filter raw value tables /
+endomorphism trusses, retracts, linear heap morphisms and ring and module
+tables built from callables (one object or one lookup per element), and
+brute-force searches that filter raw value tables /
 bijections by the defining identities, nothing else."""
 
 import itertools
@@ -26,9 +27,20 @@ from trusskit import (
 )
 from trusskit.endo import EndoTruss
 from trusskit.errors import guard, resolve_max_enum
-from trusskit.groups import Element, GroupHom, compose_homs, hom_add, hom_count, identity_hom, zero_hom
-from trusskit.modules import module_homs
+from trusskit.groups import (
+    Element,
+    GroupHom,
+    compose_homs,
+    hom_add,
+    hom_count,
+    identity_hom,
+    np_add_table,
+    zero_hom,
+)
+from trusskit.modules import make_module, module_homs
+from trusskit.rings import make_ring
 from trusskit.trusses import TrussMorphism, dense_tables
+from trusskit.validation import law_check
 
 
 class NotAHeapMorphism(TrussKitError):
@@ -538,6 +550,109 @@ def scan_distributivity(M: np.ndarray, T: np.ndarray, side: str):
         if bad.any():
             return (d,) + tuple(int(x) for x in np.argwhere(bad)[0])
     return None
+
+
+def ring_table(additive: AbGroup, mult) -> tuple[int, ...]:
+    """The row-major multiplication table of a callable on elements, one
+    element pair at a time."""
+    elems = list(additive.elements())
+    return tuple(additive.index(additive.element(mult(a, b))) for a in elems for b in elems)
+
+
+def module_table(ring, group: AbGroup, action) -> tuple[int, ...]:
+    """The row-major action table of a callable (ring element, module
+    element) -> module element, one pair at a time."""
+    return tuple(group.index(group.element(action(r, x))) for r in ring.elements() for x in group.elements())
+
+
+def ring_by_callable(additive: AbGroup, mult, one, max_enum: int | None = None):
+    """`make_ring` on the tabulated callable."""
+    return make_ring(additive, ring_table(additive, mult), one, max_enum)
+
+
+def module_by_callable(ring, group: AbGroup, action, max_enum: int | None = None):
+    """`make_module` on the tabulated callable."""
+    return make_module(ring, group, module_table(ring, group, action), max_enum)
+
+
+def last_generator_breaker(g: AbGroup) -> list[int]:
+    """On g = Z/2 x Z/3, the value table of (a, b) -> (a + h(b), 0) with
+    h = 0, 1, 1: additive along the generator (1, 0) but not along (0, 1),
+    so an additivity certificate without the last generator passes it."""
+    h = {0: 0, 1: 1, 2: 1}
+    return [g.index(((a + h[b]) % 2, 0)) for a, b in g.elements()]
+
+
+def ring_law_masks(r) -> dict[str, np.ndarray]:
+    """The failing cases of each ring law as a dense array over its domain:
+    (a, b, c) for associativity and distributivity, (a,) for the unit."""
+    M = r._mult_array
+    A = np_add_table(r.additive)
+    idx = np.arange(r.size)
+    one = r.additive.index(r.one)
+    return {
+        "mult-associativity": M[M] != M[idx[:, None, None], M[None, :, :]],
+        "left-distributivity": M[idx[:, None, None], A[None, :, :]] != A[M[:, :, None], M[:, None, :]],
+        "right-distributivity": M[A] != A[M[:, None, :], M[None, :, :]],
+        "unit": (M[one] != idx) | (M[:, one] != idx),
+    }
+
+
+def ring_report_dense(r) -> ValidationReport:
+    """`validate_ring`'s report from the dense arrays, failing at each law's
+    lexicographically first counterexample."""
+    checks = tuple(
+        law_check(law, bad, 2 * r.size if law == "unit" else None) for law, bad in ring_law_masks(r).items()
+    )
+    return ValidationReport(f"ring on {r.size} elements", checks)
+
+
+def module_law_masks(m) -> dict[str, np.ndarray]:
+    """The failing cases of each module law as a dense array: (r, s, x) for
+    associativity and additivity in the ring, (r, x, y) for additivity in
+    the module, (x,) for unitality."""
+    act, add = m._action_array, np_add_table(m.group)
+    add_r, mul_r = np_add_table(m.ring.additive), m.ring._mult_array
+    idx_r = np.arange(act.shape[0])
+    return {
+        "unital": act[m.ring.additive.index(m.ring.one)] != np.arange(act.shape[1]),
+        "action-associativity": act[mul_r] != act[idx_r[:, None, None], act[None, :, :]],
+        "additive-in-module": act[idx_r[:, None, None], add[None, :, :]] != add[act[:, :, None], act[:, None, :]],
+        "additive-in-ring": act[add_r] != add[act[:, None, :], act[None, :, :]],
+    }
+
+
+def module_report_dense(m) -> ValidationReport:
+    """`validate_module`'s report from the dense arrays of each law."""
+    rn, mn = m._action_array.shape
+    checks = tuple(law_check(law, bad) for law, bad in module_law_masks(m).items())
+    return ValidationReport(f"module ({rn}-element ring on {mn} elements)", checks)
+
+
+def equivalence_is_valid_by_objects(eq, max_enum: int | None = None) -> bool:
+    """Every defining identity of a claimed equivalence, one GroupHom pair
+    at a time: rho's domain and image are End(M) and End(N), v o mu = mu o u,
+    and rho preserves composition, sums and the identity."""
+    if not eq.mu.is_bijective:
+        return False
+    g, h = eq.source.group, eq.target.group
+    end_m = as_objects(module_homs(eq.source, eq.source, max_enum), g, g)
+    end_n = as_objects(module_homs(eq.target, eq.target, max_enum), h, h)
+    if {u.matrix for u, _ in eq.rho_pairs} != {u.matrix for u in end_m}:
+        return False
+    if {v.matrix for _, v in eq.rho_pairs} != {v.matrix for v in end_n}:
+        return False
+    for u, v in eq.rho_pairs:
+        if compose_homs(v, eq.mu).matrix != compose_homs(eq.mu, u).matrix:
+            return False
+    rho = {u.matrix: v.matrix for u, v in eq.rho_pairs}
+    for u1, v1 in eq.rho_pairs:
+        for u2, v2 in eq.rho_pairs:
+            if rho.get(compose_homs(u1, u2).matrix) != compose_homs(v1, v2).matrix:
+                return False
+            if rho.get(hom_add(u1, u2).matrix) != hom_add(v1, v2).matrix:
+                return False
+    return rho.get(identity_hom(g).matrix) == identity_hom(h).matrix
 
 
 def module_homs_by_loop(m, n):

@@ -18,6 +18,7 @@ from conftest import (
     is_constant,
     is_truss_morphism,
     linear_heap_morphisms,
+    module_by_callable,
     to_finite_truss,
     unique_intertwiner,
 )
@@ -53,7 +54,7 @@ from trusskit import (
     validate_truss,
 )
 from trusskit.groups import compose_homs
-from trusskit.modules import equivalence_is_valid, make_module, module_homs
+from trusskit.modules import equivalence_is_valid, module_homs
 
 GROUP_ORDERS = [(2,), (3,), (4,), (2, 2), (5,), (6,)]
 GROUPS = [make_group(o) for o in GROUP_ORDERS]
@@ -319,7 +320,7 @@ def test_criterion_9_mutation_detection():
         modules = [
             module_zn(4),
             coordinate_module(r22, 0),
-            make_module(make_ring_zn(4), make_group([2]),
+            module_by_callable(make_ring_zn(4), make_group([2]),
                         lambda r, x: ((r[0] * x[0]) % 2,)),
         ]
         for m in modules:

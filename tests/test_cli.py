@@ -234,21 +234,89 @@ def test_bound_exceeded_exit_code(capsys):
     assert "cap is 10" in err
 
 
-def test_bk_over_the_carrier_cap_is_refused_before_enumerating():
-    # Hom(Z/10^6, Z/10^6) passes the cap and E(Z/10^6)'s 10^12 elements do
-    # not: exit 3 in a 300 MB address space, before Hom is enumerated
+def run_limited(*argv) -> subprocess.CompletedProcess:
+    """The CLI in a child process with a 300 MB address space (and one
+    BLAS thread, whose stacks would otherwise count against it)."""
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (300_000 * 1024,) * 2)
 
     src = str(Path(__file__).parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-    done = subprocess.run(
-        [sys.executable, "-m", "trusskit.cli", "bk", "1000000", "2"],
+    return subprocess.run(
+        [sys.executable, "-m", "trusskit.cli", *argv],
         capture_output=True, text=True, env=env, preexec_fn=limit, timeout=120,
     )
+
+
+def test_bk_over_the_carrier_cap_is_refused_before_enumerating():
+    # Hom(Z/10^6, Z/10^6) passes the cap and E(Z/10^6)'s 10^12 elements do
+    # not: exit 3 in a 300 MB address space, before Hom is enumerated
+    done = run_limited("bk", "1000000", "2")
     assert done.returncode == 3, done.stderr
     assert [line[:6] for line in done.stderr.splitlines()] == ["error:"]
     assert "carrier of E(Z/1000000)" in done.stderr
+
+
+def test_ring_laws_fit_a_small_address_space():
+    # the ring and module laws are certified on generators, not on n^3
+    # arrays: Z/1000 reaches the n^3 heap-table guard (exit 3) instead of
+    # asking for 7.45 GiB, and the module Z/300 passes every law
+    done = run_limited("validate", "--truss", "zn:1000")
+    assert (done.returncode, done.stdout) == (3, ""), done.stderr
+    assert [line[:6] for line in done.stderr.splitlines()] == ["error:"]
+    assert "heap table of Z/1000 would enumerate 1000000000 objects" in done.stderr
+    done = run_limited("validate", "--module", "zn:300", "--json")
+    assert done.returncode == 0, done.stderr
+    results = json.loads(done.stdout)["results"]
+    assert len(results) == 8 and all(r["passed"] is True and r["exhaustive"] is True for r in results)
+
+
+def test_bk_heap_iso_tables_are_refused_in_a_small_address_space():
+    # |Aut(Z/2 x Z/2 x Z/16)| = 768 refuses the value tables before Hom is
+    # evaluated
+    done = run_limited("bk", "2,2,16", "2,2,16")
+    assert (done.returncode, done.stdout) == (3, ""), done.stderr
+    assert done.stderr == (
+        "error: value tables of the heap isomorphisms Z/2 x Z/2 x Z/16 -> Z/2 x Z/2 x Z/16 "
+        "would enumerate 3145728 objects; cap is 1000000 (raise max_enum to override)\n"
+    )
+
+
+def _contract_docs():
+    """(flag, document, path to a JSON list of integers in it) for a heap,
+    a truss and a module file that pass every law."""
+    from trusskit import heap_from_group, make_group, make_ring_zn, module_zn, ring_as_truss
+
+    heap = heap_from_group(make_group([2])).to_json_dict()
+    truss = ring_as_truss(make_ring_zn(2)).to_json_dict()
+    module = module_zn(2).to_json_dict()
+    yield "--heap", heap, ("ternary",)
+    for key in ("ternary", "mult"):
+        yield "--truss", truss, (key,)
+    for path in (("ring", "orders"), ("ring", "mult"), ("ring", "one"), ("module", "orders"), ("module", "action")):
+        yield "--module", module, path
+
+
+_CONTRACT = list(_contract_docs())
+_NOT_INTS = [True, False, 1.0, 0.5, "1", None, [0], [], 2**63, -(2**63) - 1, 10**40]
+
+
+@pytest.mark.parametrize("flag,doc,path", _CONTRACT, ids=["/".join((f, *p)) for f, _, p in _CONTRACT])
+def test_json_table_entries_that_are_not_int64_exit_2(flag, doc, path, tmp_path, capsys):
+    file = tmp_path / "doc.json"
+    file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", flag, str(file), "--json")
+    assert code == 0 and json.loads(out)
+    for value in _NOT_INTS:
+        spoiled = json.loads(json.dumps(doc))
+        entries = spoiled
+        for key in path:
+            entries = entries[key]
+        entries[0] = value
+        file.write_text(json.dumps(spoiled))
+        code, out, err = run(capsys, "validate", flag, str(file), "--json")
+        assert (code, out) == (2, ""), (value, err)
+        assert err.startswith("error: ") and err.count("\n") == 1, (value, err)
 
 
 def test_bk_and_inner_build_no_hom_or_heap_morphism_objects(capsys, monkeypatch):

@@ -35,7 +35,17 @@ from trusskit import (
     make_group,
     parse_group_spec,
 )
-from trusskit.groups import GroupHom, groups_isomorphic, hom_enumerate, identity_hom, zero_hom
+from trusskit.endo import _bijective_rows
+from trusskit.groups import (
+    GroupHom,
+    aut_count,
+    groups_isomorphic,
+    hom_count,
+    hom_enumerate,
+    identity_hom,
+    matrix_images,
+    zero_hom,
+)
 
 Z2 = make_group([2])
 Z3 = make_group([3])
@@ -94,6 +104,74 @@ def test_heap_iso_tables_are_refused_over_the_cap():
     with pytest.raises(BoundExceeded, match="value tables of the heap isomorphisms"):
         heap_isos(make_group([5]), make_group([5]), max_enum=99)
     assert heap_isos(make_group([5]), make_group([5]), max_enum=100).shape == (20, 5)
+
+
+def test_heap_iso_tables_are_refused_before_hom_is_evaluated(monkeypatch):
+    # |Aut(Z/2 x Z/2 x Z/16)| = 768 gives the 768 * 64 * 64 table entries
+    # without evaluating any of the 4096 homs
+    def evaluated(*args):
+        raise AssertionError("Hom(G, H) was evaluated")
+
+    monkeypatch.setattr(trusskit.endo, "hom_enumerate", evaluated)
+    monkeypatch.setattr(trusskit.endo, "matrix_images", evaluated)
+    g = make_group([2, 2, 16])
+    with pytest.raises(BoundExceeded) as info:
+        heap_isos(g, g)
+    assert str(info.value) == (
+        "value tables of the heap isomorphisms Z/2 x Z/2 x Z/16 -> Z/2 x Z/2 x Z/16 "
+        "would enumerate 3145728 objects; cap is 1000000 (raise max_enum to override)"
+    )
+    assert heap_isos(g, make_group([4, 4, 4])).shape == (0, 64)
+
+
+def _group_types(limit: int, prev: int = 1, size: int = 1):
+    """Every finite abelian group of order at most `limit`, once each, as its
+    invariant factors d_1 | d_2 | ..."""
+    yield ()
+    for d in range(max(2, prev), limit // size + 1):
+        if d % prev == 0:
+            for rest in _group_types(limit, d, size * d):
+                yield (d,) + rest
+
+
+# 109 of the 117 groups of order <= 64: the other eight have more than 2^16
+# endomorphisms to evaluate, which takes seconds each; a few of them are
+# checked against known orders below
+_AUT_GROUPS = [o for o in _group_types(64) if hom_count(make_group(o), make_group(o)) <= 2**16]
+_AUT_GROUPS += [(6,), (2, 3), (3, 4, 2), (10, 6), (1, 4, 1), (1,)]
+
+
+@pytest.mark.parametrize("orders", _AUT_GROUPS, ids=[",".join(map(str, o)) or "trivial" for o in _AUT_GROUPS])
+def test_aut_count_matches_the_bijective_homs(orders):
+    g = make_group(orders)
+    homs = hom_enumerate(g, g, 2**18)
+    step = 4096
+    found = sum(
+        int(_bijective_rows(matrix_images(homs[i : i + step], g, g), g.cardinality).sum())
+        for i in range(0, len(homs), step)
+    )
+    assert aut_count(g) == found
+
+
+def test_aut_count_of_large_groups_matches_known_orders():
+    # |GL_5(F_2)|, |GL_6(F_2)|, |GL_4(F_2)| * |Aut(Z/3)| and |GL_3(Z/4)| = 2^9 |GL_3(F_2)|
+    assert len(_AUT_GROUPS) == 109 + 6
+    known = {(2,) * 5: 9999360, (2,) * 6: 20158709760, (2, 2, 2, 6): 40320, (4, 4, 4): 86016}
+    for orders, count in known.items():
+        assert aut_count(make_group(orders)) == count
+
+
+def test_heap_iso_counts_of_the_benchmark_pairs():
+    import sys
+    from pathlib import Path
+
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    for (left, right), count in workloads.HEAP_ISO_COUNTS.items():
+        g, h = parse_group_spec(left), parse_group_spec(right)
+        assert (aut_count(g) * h.cardinality if groups_isomorphic(g, h) else 0) == count
+        assert len(heap_isos(g, h)) == count
 
 
 def test_endo_truss_sizes():

@@ -7,8 +7,21 @@ import itertools
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
-from conftest import hom_enumerate_by_loop, induced_action_report_by_loop, invert_hom, module_homs_by_loop, truss_iso_by_element
+from conftest import (
+    equivalence_is_valid_by_objects,
+    hom_enumerate_by_loop,
+    induced_action_report_by_loop,
+    invert_hom,
+    last_generator_breaker,
+    module_by_callable,
+    module_homs_by_loop,
+    module_law_masks,
+    module_report_dense,
+    module_table,
+    truss_iso_by_element,
+)
 
 import trusskit.modules
 from trusskit import (
@@ -20,7 +33,9 @@ from trusskit import (
     RModule,
     build_linear_endo_truss,
     coordinate_module,
+    end_ring,
     equivalence_from_truss_iso,
+    example_non_iso,
     find_module_equivalence,
     make_field_fp,
     make_group,
@@ -30,10 +45,11 @@ from trusskit import (
     regular_module,
     truss_iso_from_equivalence,
     validate_induced_action,
+    validate_module,
 )
 from trusskit.cli import main
-from trusskit.groups import compose_homs
-from trusskit.modules import equivalence_is_valid, make_module, module_homs
+from trusskit.groups import GroupHom, compose_homs, identity_hom
+from trusskit.modules import equivalence_is_valid, module_homs
 from trusskit.rings import FiniteRing
 
 DATA = Path(__file__).parent / "data"
@@ -44,7 +60,7 @@ R33 = make_product_ring(make_field_fp(3), make_field_fp(3))
 
 def _scalar_module(n: int, orders: list[int]) -> RModule:
     """Z/n acting on a product of cyclic groups by reducing scalars."""
-    return make_module(
+    return module_by_callable(
         make_ring_zn(n), make_group(orders),
         lambda r, x: tuple((r[0] * c) % k for c, k in zip(x, orders)),
     )
@@ -325,3 +341,140 @@ def test_cached_end_does_not_bypass_the_cap():
     assert equivalence_is_valid(eq)
     with pytest.raises(BoundExceeded, match="Hom"):
         equivalence_is_valid(eq, max_enum=15)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_module_factory_tables_match_the_callable_oracle(p):
+    f = make_field_fp(p)
+    r = make_product_ring(f, f)
+    for ring in (f, r):
+        m = regular_module(ring)
+        assert m.action_table == module_table(ring, ring.additive, ring.mul)
+    for coord in (0, 1):
+        m = coordinate_module(r, coord)
+        assert m.group.orders == (p,)
+        assert m.action_table == module_table(r, m.group, lambda a, x: ((a[coord] * x[0]) % p,))
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_end_ring_as_module_matches_the_callable_oracle(name):
+    er = end_ring(MODULES[name])
+    m = er.as_module()
+    index = er.ring.additive.index
+    assert m.action_table == module_table(er.ring, m.group, lambda u, x: er.homs_by_index[index(u)](x))
+
+
+def ring_mutations(ring: FiniteRing):
+    """Every ring with one multiplication entry changed, unvalidated."""
+    for pos, old in enumerate(ring.mult_table):
+        for new in range(ring.size):
+            if new != old:
+                table = list(ring.mult_table)
+                table[pos] = new
+                yield FiniteRing(ring.additive, tuple(table), ring.one)
+
+
+@pytest.mark.parametrize("name", ["zn:4", "z2-over-z4", "z2sq-over-f2", "fpxfp:2", "fx0:2", "fx0:3", "z3-over-z6"])
+def test_module_report_matches_the_dense_oracle_on_every_mutation(name):
+    # action mutations break the additivity certificates; ring mutations
+    # under the same action break the ring's distributivity, which the
+    # associativity certificate needs as well
+    m = MODULES[name]
+    modules = [m, *mutations(m), *(RModule(r, m.group, m.action_table) for r in ring_mutations(m.ring))]
+    for module in modules:
+        assert validate_module(module) == module_report_dense(module)
+    ring_broken = [RModule(r, m.group, m.action_table) for r in ring_mutations(m.ring)]
+    assert any(not module_report_dense(x).check("action-associativity").passed for x in ring_broken)
+
+
+@pytest.mark.parametrize("name", ["zn:4", "z2-over-z4", "fpxfp:2", "fx0:3"])
+def test_module_certificates_over_the_dense_cap_report_genuine_counterexamples(name):
+    # a cap that admits the addition tables but not the dense scans of
+    # associativity and additivity in the ring: a failed certificate
+    # reports its own case, which still breaks the law
+    m = MODULES[name]
+    rn, mn = m.ring.size, m.group.cardinality
+    cap = max(rn, mn) ** 2
+    assert rn * rn * mn > cap
+    for module in [*mutations(m), *(RModule(r, m.group, m.action_table) for r in ring_mutations(m.ring))]:
+        report, dense = validate_module(module, cap), module_report_dense(module)
+        masks = module_law_masks(module)
+        for check, want in zip(report.checks, dense.checks):
+            assert (check.law, check.passed, check.exhaustive) == (want.law, want.passed, True)
+            if not check.passed:
+                assert masks[check.law][check.counterexample]
+
+
+def test_module_certificates_need_every_generator():
+    # Z/2 x Z/3 acting on itself, with one row (a module element's
+    # additivity) or one column (a ring element's) replaced by a map that is
+    # additive along (1, 0) only
+    m = regular_module(make_product_ring(make_ring_zn(2), make_ring_zn(3)))
+    breaker = last_generator_breaker(m.group)
+    for law, transpose in (("additive-in-module", False), ("additive-in-ring", True)):
+        act = np.array(m.action_table).reshape(6, 6)
+        act = act.T.copy() if transpose else act
+        act[5] = breaker
+        bad = RModule(m.ring, m.group, tuple((act.T if transpose else act).reshape(-1).tolist()))
+        report = validate_module(bad)
+        assert report == module_report_dense(bad)
+        assert not report.check(law).passed
+
+
+def _equivalences_in_the_tests():
+    for left, right in EQUIVALENT_PAIRS:
+        yield from all_equivalences(MODULES[left], MODULES[right])
+    for m, n in [(module_zn(4), module_zn(4)), (coordinate_module(R22, 0), coordinate_module(R22, 1))]:
+        yield find_module_equivalence(m, n)
+    for p in (2, 3):
+        yield example_non_iso(p).equivalence
+
+
+def test_equivalence_check_agrees_with_the_object_oracle():
+    cases = []
+    for eq in _equivalences_in_the_tests():
+        cases.append(eq)
+        pairs = eq.rho_pairs
+        if len(pairs) > 1:  # rho with two images swapped
+            swapped = ((pairs[0][0], pairs[1][1]), (pairs[1][0], pairs[0][1]), *pairs[2:])
+            cases.append(ModuleEquivalence(eq.source, eq.target, eq.mu, swapped))
+    bad = _broken_zn4()
+    cases.append(find_module_equivalence(bad, bad))  # End(M) not closed under sums
+    # P = [[1, 1], [0, 1]] on Z/2 x Z/2: over F_2, with mu the identity and
+    # rho(u) = P u P^-1, rho is a ring automorphism of End(M) = M_2(F_2)
+    # but not conjugation by mu; over F_2 x F_2, with mu = P and
+    # u = P^-1 v P, the pairs conjugate correctly but their domain is not
+    # the diagonal End(M)
+    k4 = make_group([2, 2])
+    P = GroupHom(k4, k4, ((1, 1), (0, 1)))
+    P_inv = invert_hom(P)
+    m = MODULES["z2sq-over-f2"]
+    pairs = tuple((u, compose_homs(compose_homs(P, u), P_inv)) for u in hom_enumerate_by_loop(k4, k4))
+    cases.append(ModuleEquivalence(m, m, identity_hom(k4), pairs))
+    m = MODULES["fpxfp:2"]
+    end = [v for v in hom_enumerate_by_loop(k4, k4) if v.matrix[0][1] == v.matrix[1][0] == 0]
+    pairs = tuple((compose_homs(compose_homs(P_inv, v), P), v) for v in end)
+    cases.append(ModuleEquivalence(m, m, P, pairs))
+    verdicts = [equivalence_is_valid(eq) for eq in cases]
+    assert verdicts == [equivalence_is_valid_by_objects(eq) for eq in cases]
+    assert True in verdicts and False in verdicts
+
+
+def test_equivalence_check_agrees_with_the_object_oracle_on_rho_mutations():
+    # every single-pair change of the rho of example_non_iso(3): one pair's
+    # image, or one pair's argument, replaced by any other endomorphism of
+    # the group; plus a mu that is not bijective
+    eq = example_non_iso(3).equivalence
+    g, h = eq.source.group, eq.target.group
+    pairs = list(eq.rho_pairs)
+    cases = []
+    for i, (u, v) in enumerate(pairs):
+        changed = [(u, w) for w in hom_enumerate_by_loop(h, h) if w.matrix != v.matrix]
+        changed += [(w, v) for w in hom_enumerate_by_loop(g, g) if w.matrix != u.matrix]
+        for pair in changed:
+            cases.append(ModuleEquivalence(eq.source, eq.target, eq.mu, tuple(pairs[:i] + [pair] + pairs[i + 1 :])))
+    for mu in hom_enumerate_by_loop(g, h):
+        cases.append(ModuleEquivalence(eq.source, eq.target, mu, eq.rho_pairs))
+    verdicts = [equivalence_is_valid(case) for case in cases]
+    assert verdicts == [equivalence_is_valid_by_objects(case) for case in cases]
+    assert verdicts.count(True) == 2  # the two scalings mu = 1, 2 of Z/3

@@ -9,6 +9,7 @@ from conftest import (
     heap_morphisms,
     is_linear_heap_morphism,
     linear_heap_morphisms,
+    module_by_callable,
     mult,
     ternary,
 )
@@ -38,7 +39,7 @@ from trusskit import (
     validate_module,
     validate_truss,
 )
-from trusskit.modules import equivalence_is_valid, make_module, module_homs
+from trusskit.modules import equivalence_is_valid, module_homs
 
 F2 = make_field_fp(2)
 R22 = make_product_ring(F2, F2)
@@ -48,7 +49,7 @@ M_Z4 = module_zn(4)
 
 
 def z2_over_z4():
-    return make_module(make_ring_zn(4), make_group([2]), lambda r, m: ((r[0] * m[0]) % 2,))
+    return module_by_callable(make_ring_zn(4), make_group([2]), lambda r, m: ((r[0] * m[0]) % 2,))
 
 
 def test_coordinate_ideal_module_is_valid():

@@ -10,7 +10,7 @@ import tracemalloc
 from contextlib import redirect_stdout
 
 import pytest
-from conftest import as_objects, brute_force_truss_isos, brute_force_truss_morphisms
+from conftest import as_objects, brute_force_truss_isos, brute_force_truss_morphisms, module_by_callable
 
 from trusskit import (
     BoundExceeded,
@@ -31,7 +31,6 @@ from trusskit import (
     truss_morphism_preserves,
 )
 from trusskit.cli import main
-from trusskit.modules import make_module
 
 
 @functools.lru_cache(maxsize=None)
@@ -51,7 +50,7 @@ def linear(name: str):
         "0xf:3": lambda: coordinate_module(r33, 1),
         "zn:2": lambda: module_zn(2),
         "zn:3": lambda: module_zn(3),
-        "z2-over-z4": lambda: make_module(
+        "z2-over-z4": lambda: module_by_callable(
             make_ring_zn(4), make_group([2]), lambda r, m: ((r[0] * m[0]) % 2,)
         ),
     }

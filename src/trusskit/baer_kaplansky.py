@@ -185,8 +185,9 @@ def verify_baer_kaplansky(
     number of group isomorphisms, and that groups are isomorphic exactly when
     a truss isomorphism exists. The heap isomorphisms go through
     `conjugate_rows` and `extract_rows` a block of `_BLOCK_ENTRIES` carrier
-    entries at a time; only the basis columns {0} u S of each conjugation
-    are kept, for the injectivity check.
+    entries at a time; only the columns of the generator chain's basis,
+    0 and s_1..s_k, of each conjugation are kept, for the injectivity
+    check.
     """
     eg = build_endo_truss(g, max_enum)
     eh = build_endo_truss(h, max_enum)
@@ -194,7 +195,7 @@ def verify_baer_kaplansky(
     isos = heap_isos(g, h, max_enum)
     roundtrip, keys = True, []
     if len(isos):
-        basis = eg.generator_tables(max_enum)[0]
+        basis = eg.generator_chain(max_enum).basis
         rows = max(1, _BLOCK_ENTRIES // eg.size)
         for start in range(0, len(isos), rows):
             values = isos[start : start + rows]
@@ -203,7 +204,7 @@ def verify_baer_kaplansky(
             roundtrip &= np.array_equal(extract_rows(eg, eh, F, max_enum), values)
             keys.append(F[:, basis])
     # rows that pass the certificate are affine, so two of them agree
-    # everywhere iff they agree on the basis {0} u S
+    # everywhere iff they agree on the chain's basis
     injective = not len(isos) or _distinct_rows(np.concatenate(keys), eh.size) == len(isos)
 
     truss_iso_count: int | None = None

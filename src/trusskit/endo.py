@@ -160,6 +160,23 @@ class FactoredTables(NamedTuple):
     gneg: np.ndarray  # (m,)
 
 
+class GeneratorChain(NamedTuple):
+    """Generators s_1..s_k of a retract at the zero constant, each the least
+    carrier index outside span_{j-1} = <s_1..s_{j-1}> (span_0 = {0}).
+
+    span_j is order[:sizes[j]]: span_{j-1}, then the cosets span_{j-1} +
+    k*s_j for 0 < k < r_j, each in span_{j-1}'s order, where r_j is the
+    least r > 0 with r*s_j in span_{j-1}. shifted[j - 1] is span_j + s_j in
+    span_j's order; its last coset wraps into span_{j-1}.
+    """
+
+    basis: np.ndarray  # (k + 1,) the zero constant, then s_1..s_k
+    sizes: np.ndarray  # (k + 1,) |span_0| = 1, ..., |span_k| = n
+    order: np.ndarray  # (n,)
+    shifted: tuple[np.ndarray, ...]  # k arrays, sum_j |span_j| <= 2n entries in all
+    products: np.ndarray  # (k + 1, k + 1) basis[a] * basis[b]
+
+
 @dataclass(frozen=True, eq=False)
 class EndoTruss:
     """The truss of heap endomorphisms of a group built on a homomorphism family.
@@ -273,31 +290,30 @@ class EndoTruss:
             self.__dict__["_factored_cache"] = cached
         return cached
 
-    def generator_tables(self, max_enum: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(basis, sums, products), computed once from the factored tables:
-        the zero constant, then generators S of the retract (homs, +) x
-        (G, +) at it, the constants at the group's generators and (h, 0) for
-        greedy generators h of the family (each the least position outside
-        the span so far); sums[x, j] = x + S[j]; products of basis pairs."""
-        ft = self.factored_tables(max_enum)
-        cached = self.__dict__.get("_generators_cache")
+    def generator_chain(self, max_enum: int | None = None) -> GeneratorChain:
+        """The retract's generator chain, computed once by `plus` a coset at
+        a time: each coset of span_{j-1} lies wholly inside it or wholly
+        outside, and the first inside one is the wrap span_{j-1} + r_j*s_j."""
+        self.factored_tables(max_enum)  # its guard runs before the cache is read
+        cached = self.__dict__.get("_chain_cache")
         if cached is None:
-            in_span = np.zeros(len(self.homs), dtype=bool)
-            in_span[self._zero_hom_pos] = True
-            hom_gens = []
+            zero = self.constant_indices[0]
+            in_span = np.zeros(self.size, dtype=bool)
+            in_span[zero] = True
+            basis, order, shifted = [zero], np.array([zero]), []
             while not in_span.all():
-                hom_gens.append(int(np.argmin(in_span)))
-                # span + <h> is the union of the cosets span + k*h, each
-                # wholly inside the span or wholly outside it
-                coset = ft.add[np.flatnonzero(in_span), hom_gens[-1]]
-                while not in_span[coset[0]]:
-                    in_span[coset] = True
-                    coset = ft.add[coset, hom_gens[-1]]
-            constants = self.encode(self._zero_hom_pos, np.array([0, *self.group.generators]))
-            basis = np.concatenate([constants, self.encode(hom_gens, 0)])
-            sums = self.plus(np.arange(self.size)[:, None], basis[1:], max_enum)
-            cached = (basis, sums, self.product(basis[:, None], basis[None, :], max_enum))
-            self.__dict__["_generators_cache"] = cached
+                basis.append(int(np.argmin(in_span)))
+                cosets = [self.plus(order, basis[-1], max_enum)]
+                while not in_span[cosets[-1][0]]:
+                    in_span[cosets[-1]] = True
+                    cosets.append(self.plus(cosets[-1], basis[-1], max_enum))
+                order = np.concatenate([order, *cosets[:-1]])
+                shifted.append(np.concatenate(cosets))
+            basis = np.array(basis)
+            sizes = np.array([1] + [len(xs) for xs in shifted])
+            products = self.product(basis[:, None], basis[None, :], max_enum)
+            cached = GeneratorChain(basis, sizes, order, tuple(shifted), products)
+            self.__dict__["_chain_cache"] = cached
         return cached
 
     def product(self, x, y, max_enum: int | None = None) -> np.ndarray:
@@ -316,8 +332,8 @@ class EndoTruss:
 
     def _retract_tables(self, max_enum: int | None = None) -> tuple[np.ndarray, np.ndarray, int]:
         """(mult, add, zero): the n x n tables of `product` and `plus` and the
-        zero constant, for the affine search and the dense tables. Guarded by
-        n^2 before the cache is read."""
+        zero constant, for the target side of the affine search and the
+        dense tables. Guarded by n^2 before the cache is read."""
         n = self.size
         guard(n * n, resolve_max_enum(max_enum), f"multiplication and retract tables of a {n}-element endomorphism truss")
         cached = self.__dict__.get("_retract_cache")

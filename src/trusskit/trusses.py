@@ -8,12 +8,13 @@ Carriers are given by dense tables (FiniteTruss) or by any object with
 tables); the endomorphism trusses of `endo` plug in that way, and
 `validate_truss` reads only those. The endomorphism trusses also expose
 their factored tables through a vectorised `product`, the retract's `plus`
-and the retract's generators, on which `preserving_rows` certifies a block
-of maps with no n x n table, and `_retract_tables` (n x n multiplication and
-retract addition), which the morphism and isomorphism enumerators read.
-Those three take only such carriers. Morphisms are total maps preserving
-both operations; units, when present, are not required to map to units
-(only heap + semigroup structure is preserved).
+and the retract's `generator_chain`. `preserving_rows` certifies a block
+of maps on the source's chain with no n x n table; the morphism and
+isomorphism enumerators extend maps along the same chain into the target's
+`_retract_tables` (n x n multiplication and retract addition). Those three
+take only such carriers. Morphisms are total maps preserving both
+operations; units, when present, are not required to map to units (only
+heap + semigroup structure is preserved).
 """
 
 from __future__ import annotations
@@ -82,17 +83,19 @@ def dense_tables(t, max_enum: int | None = None) -> tuple[np.ndarray, np.ndarray
     return fn(max_enum)
 
 
-def _distributes(L: np.ndarray, T: np.ndarray) -> bool:
-    """Whether every row x -> L[d, x] preserves the heap T: a map between
-    heaps does iff f(a + c) = [f(a), f(0), f(c)] in the retract at 0."""
+def _first_nondistributive_row(L: np.ndarray, T: np.ndarray) -> int | None:
+    """The first d whose row x -> L[d, x] does not preserve the heap T, or
+    None; T must be a certified heap. A map between heaps preserves it iff
+    f(a + c) = [f(a), f(0), f(c)] in the retract at 0."""
     A = T[:, 0, :]
-    return not (L[:, A] != T[L[:, :, None], L[:, 0, None, None], L[:, None, :]]).any()
+    bad = (L[:, A] != T[L[:, :, None], L[:, 0, None, None], L[:, None, :]]).any(axis=(1, 2))
+    return int(np.argmax(bad)) if bad.any() else None
 
 
-def _distributivity_scan(L: np.ndarray, T: np.ndarray) -> tuple[int, ...] | None:
-    """The lexicographically first (d,a,b,c) with L[d, [a,b,c]] !=
-    [L[d,a], L[d,b], L[d,c]], or None; one n^3 slice per d."""
-    for d in range(L.shape[0]):
+def _distributivity_scan(L: np.ndarray, T: np.ndarray, start: int = 0) -> tuple[int, ...] | None:
+    """The lexicographically first (d,a,b,c) with d >= start and
+    L[d, [a,b,c]] != [L[d,a], L[d,b], L[d,c]], or None; one n^3 slice per d."""
+    for d in range(start, L.shape[0]):
         Ld = L[d]
         bad = Ld[T] != T[Ld[:, None, None], Ld[None, :, None], Ld[None, None, :]]
         if bad.any():
@@ -117,8 +120,9 @@ def validate_truss(t, max_enum: int | None = None) -> ValidationReport:
     table, and the unit law when a unit is designated.
 
     Once the heap is certified, distributivity is checked through its
-    retract in n^3 lookups; otherwise, or when that check fails, the n^4
-    scan reports the lexicographically first counterexample.
+    retract in n^3 lookups, and when that check fails the scan starts at
+    the first failing row d; otherwise the n^4 scan runs from d = 0. Either
+    way it reports the lexicographically first counterexample.
     """
     M, T = dense_tables(t, max_enum)
     n = int(M.shape[0])
@@ -128,7 +132,8 @@ def validate_truss(t, max_enum: int | None = None) -> ValidationReport:
 
     is_heap = heap[0].passed and heap[1].passed
     for law, L in (("left-distributivity", M), ("right-distributivity", M.T)):
-        ce = None if is_heap and _distributes(L, T) else _distributivity_scan(L, T)
+        start = _first_nondistributive_row(L, T) if is_heap else 0
+        ce = None if start is None else _distributivity_scan(L, T, start)
         checks.append(Check(law, ce is None, True, n**4, ce))
 
     unit = getattr(t, "unit", None)
@@ -170,111 +175,92 @@ def truss_morphism_preserves(tm: TrussMorphism, max_enum: int | None = None) -> 
 
 def preserving_rows(s, t, F: np.ndarray, max_enum: int | None = None) -> np.ndarray:
     """Mask of the rows of F, a (B, |s|) array of maps s -> t by target
-    index, that preserve mult and ternary, certified on the generators S of
-    the source retract at the zero constant (`generator_tables`); carriers
-    without factored tables raise TypeError.
+    index, that preserve mult and ternary, certified on the source's
+    `generator_chain`; carriers without factored tables raise TypeError.
 
     A map of abelian heaps preserves [a,b,c] = a - b + c iff it is affine
-    (Baer; Certaine): f(x + y) + f(0) = f(x) + f(y) in the retracts, which
-    holds for every y once it holds for every y in S (n*|S| lookups a row).
+    (Baer; Certaine): g = f - f(0) is additive in the retracts. g is
+    additive on span_j iff it is on span_{j-1} and f(x + s_j) + f(0) =
+    f(x) + f(s_j) for every x in span_j: the cosets give g(v + k*s_j) =
+    g(v) + k*g(s_j), and the last one wraps to the relation
+    g(r_j*s_j) = r_j*g(s_j). That is sum_j |span_j| <= 2n lookups a row.
     For affine f, y -> f(x*y) and y -> f(x)*f(y) are affine by
     distributivity, and so are both sides in x; affine maps agreeing on
-    {0} u S agree everywhere, so f preserves mult iff f(x*y) = f(x)*f(y) on
-    ({0} u S)^2.
+    the basis 0, s_1..s_k agree everywhere, so f preserves mult iff
+    f(x*y) = f(x)*f(y) on the basis pairs.
     """
     for end in (s, t):
         if not hasattr(end, "factored_tables"):
             raise TypeError(f"{type(end).__name__} does not expose factored tables")
-    basis, sums, products = s.generator_tables(max_enum)
-    fb = F[:, basis]
-    ok = (F[:, products] == t.product(fb[:, :, None], fb[:, None, :], max_enum)).all(axis=(1, 2))
-    for j in range(len(basis) - 1):  # one generator at a time: B x n arrays, not B x n x |S|
-        ok &= (t.plus(F[:, sums[:, j]], fb[:, :1], max_enum) == t.plus(F, fb[:, j + 1, None], max_enum)).all(axis=1)
+    chain = s.generator_chain(max_enum)
+    fb = F[:, chain.basis]
+    ok = (F[:, chain.products] == t.product(fb[:, :, None], fb[:, None, :], max_enum)).all(axis=(1, 2))
+    for j, xs in enumerate(chain.shifted, 1):  # one level at a time: B x |span_j| arrays
+        x = F[:, chain.order[: len(xs)]]
+        ok &= (t.plus(F[:, xs], fb[:, :1], max_enum) == t.plus(x, fb[:, j, None], max_enum)).all(axis=1)
     return ok
-
-
-def _respects_mult(F: np.ndarray, x: np.ndarray, z: np.ndarray, sm: np.ndarray, tm: np.ndarray) -> np.ndarray:
-    """Mask of the rows of F (partial maps, by source index) with
-    F[x*z] = F[x]*F[z] for every pair (x[i], z[i]), checked a block of pairs
-    at a time on the rows still alive. Blocks start at one pair and double,
-    up to 2^20 lookups, so rows that fail early cost few lookups."""
-    keep = np.ones(len(F), dtype=bool)
-    start, step = 0, 1
-    while start < len(x):
-        live = np.flatnonzero(keep)
-        if not len(live):
-            break
-        step = min(step, max(1, (1 << 20) // len(live)))
-        xs, zs, rows = x[start : start + step], z[start : start + step], live[:, None]
-        keep[live] = (F[rows, sm[xs, zs]] == tm[F[rows, xs], F[rows, zs]]).all(axis=1)
-        start, step = start + step, 2 * step
-    return keep
 
 
 def _affine_search(s, t, injective: bool, max_enum: int | None) -> tuple[TrussMorphism, ...]:
     """Every truss morphism s -> t (every injective one if asked), sorted by
-    mapping, for carriers that expose `_retract_tables`.
+    mapping, from the source's `generator_chain` and the target's
+    `_retract_tables`.
 
     A map between abelian heaps preserves [a,b,c] iff it is f = L + c with
     L additive on the retracts and c = f(0) (Baer; Certaine). The search
-    fixes c, then extends L one generator g of the source retract at a
-    time: the least element outside the span so far. With r the least k > 0
-    such that k*g lies in that span, each image y of g must satisfy
-    r*y = L(r*g), which for r = ord(g) is ord(g)*y = 0, and sets
-    L(v + k*g) = L(v) + k*y for v in the span and 0 < k < r. All |t| images
-    are tried at once per partial map. A partial map survives while f
-    preserves every product x*z with x, z and x*z in its span and, for
-    isomorphisms, while L sends no nonzero element to 0. The images tried
-    are counted against `max_enum` as the search runs. The partial maps are
-    extended and pruned a block of rows at a time, so the tables built for
-    one generator stay near 2^20 entries however many images are tried.
+    fixes c, then extends L one generator s_j at a time: each image y of
+    s_j must satisfy r_j*y = L(r_j*s_j), and sets L(v + k*s_j) = L(v) + k*y
+    for v in span_{j-1} and 0 < k < r_j. All |t| images are tried at once
+    per partial map. At level j a partial map is pruned on the basis pairs
+    (a, b) in ({0} u s_1..s_j)^2 with a*b in span_j, each pair once, and,
+    for isomorphisms, when L sends a nonzero element to 0. At the last
+    level f is affine, and both sides of f(a*b) = f(a)*f(b) are affine in
+    a and in b, so the basis pairs decide it. The images tried are counted
+    against `max_enum` as the search runs. Partial maps are extended and
+    pruned a block of rows at a time, so the tables built for one generator
+    stay near 2^20 entries however many images are tried.
     """
-    for end in (s, t):
-        if not hasattr(end, "_retract_tables"):
-            raise TypeError(f"{type(end).__name__} does not expose retract tables")
+    if not hasattr(s, "factored_tables"):
+        raise TypeError(f"{type(s).__name__} does not expose factored tables")
+    if not hasattr(t, "_retract_tables"):
+        raise TypeError(f"{type(t).__name__} does not expose retract tables")
     ns, nt = s.size, t.size
     if injective and ns != nt:
         return ()
-    (sm, sa, s0), (tm, ta, t0) = s._retract_tables(max_enum), t._retract_tables(max_enum)
+    chain = s.generator_chain(max_enum)
+    tm, ta, t0 = t._retract_tables(max_enum)
     limit = resolve_max_enum(max_enum)
     what = "truss morphism search (candidate images tried)"
     tried = nt
     guard(tried, limit, what)
+    # the level at which each basis pair is checked: that of its later
+    # factor or of its product, whichever enters the span last
+    position = np.argsort(chain.order)  # the inverse permutation
+    depth = np.arange(len(chain.basis))
+    due = np.maximum(np.maximum(depth[:, None], depth), np.searchsorted(chain.sizes, position[chain.products], "right"))
+
+    def multiplicative(L: np.ndarray, c: np.ndarray, level: int) -> np.ndarray:
+        a, b = np.nonzero(due == level)
+        fa, fb, fab = (ta[L[:, cols], c[:, None]] for cols in (chain.basis[a], chain.basis[b], chain.products[a, b]))
+        return (fab == tm[fa, fb]).all(axis=1)
+
     c = np.arange(nt)  # f(0), one partial map per row
     L = np.full((nt, ns), t0, dtype=np.int64)  # defined on the span's columns
-    in_span = np.zeros(ns, dtype=bool)
-    in_span[s0] = True
-    checked = np.zeros((ns, ns), dtype=bool)  # pairs whose product was checked
-    ys = np.arange(nt)
-
-    def unchecked_pairs():
-        nonlocal checked
-        defined = in_span[:, None] & in_span[None, :] & in_span[sm]
-        x, z = np.nonzero(defined & ~checked)
-        checked = defined
-        return x, z
-
-    keep = _respects_mult(ta[L, c[:, None]], *unchecked_pairs(), sm, tm)
+    keep = multiplicative(L, c, 0)
     c, L = c[keep], L[keep]
+    ys = np.arange(nt)
     block = max(1, (1 << 20) // ns)  # rows extended at a time: bounds the tables built
-    while len(c) and not in_span.all():
-        g = int(np.argmin(in_span))
-        steps = [g]  # k*g for 0 < k < r
-        rg = int(sa[g, g])
-        while not in_span[rg]:
-            steps.append(rg)
-            rg = int(sa[rg, g])
+    for level in range(1, len(chain.basis)):
+        g, prev, size = chain.basis[level], chain.sizes[level - 1], chain.sizes[level]
+        rg = chain.shifted[level - 1][size - prev]  # (r-1)*g + g = r*g, in span_{j-1}
         ky = [np.full(nt, t0)]  # ky[k][y] = k*y in the target retract, k <= r
-        while len(ky) <= len(steps) + 1:
+        while len(ky) <= size // prev:
             ky.append(ta[ky[-1], ys])
         tried += len(c) * nt
         guard(tried, limit, what)
         rows, y = np.nonzero(ky[-1][None, :] == L[:, rg][:, None])
-        span = np.flatnonzero(in_span)
-        new = sa[span[None, :], np.array(steps)[:, None]].reshape(-1)
+        span, new = chain.order[:prev], chain.order[prev:size]
         multiples = np.stack(ky[1:-1])  # multiples[k - 1][y] = k*y, 0 < k < r
-        in_span[new] = True
-        x, z = unchecked_pairs()
         cs, Ls = [c[:0]], [L[:0]]
         for start in range(0, len(rows), block):
             r, yb = rows[start : start + block], y[start : start + block]
@@ -284,7 +270,7 @@ def _affine_search(s, t, injective: bool, max_enum: int | None) -> tuple[TrussMo
                 ok = (vals != t0).all(axis=1)
                 Lb, cb, vals = Lb[ok], cb[ok], vals[ok]
             Lb[:, new] = vals
-            keep = _respects_mult(ta[Lb, cb[:, None]], x, z, sm, tm)
+            keep = multiplicative(Lb, cb, level)
             cs.append(cb[keep])
             Ls.append(Lb[keep])
         c, L = np.concatenate(cs), np.concatenate(Ls)

@@ -12,7 +12,7 @@ from conftest import as_objects, constant_index, conjugate_by_composition, heap_
 import trusskit.baer_kaplansky as bk
 from trusskit import NotAnIsomorphism, build_endo_truss, heap_isos, parse_group_spec, verify_baer_kaplansky
 from trusskit.baer_kaplansky import conjugate_rows, extract_rows, heap_iso_from_truss_iso
-from trusskit.trusses import TrussMorphism, preserving_rows
+from trusskit.trusses import TrussMorphism, preserving_rows, truss_morphism_preserves
 
 # the isomorphic pairs of the benchmark's bk workload, and E(Z/3 x Z/3)
 BK_PAIRS = [("2,2", "2,2"), ("8", "8"), ("9", "9"), ("12", "12"), ("16", "16"), ("2,4", "2,4"), ("6", "2,3")]
@@ -46,21 +46,18 @@ def _mutations(s, t, rng):
     """Maps near a conjugation row: one entry changed (not bijective), two
     translates y -> row(y) +_0 c, a fibre twist (u, e) -> row(u, sigma(e))
     by a transposition sigma of two nonzero group elements, and a coset
-    shift y -> row(y) +_0 c for y = (u, e) with u outside the span W of
-    every hom generator of S but the last, with c + c != 0: additive along
-    every generator but that one."""
+    shift y -> row(y) +_0 c for y outside span_{k-1} of the source's
+    generator chain, with c + c != 0: additive along every generator of
+    the chain but the last, s_k."""
     k, step = rng.randrange(s.size), rng.randrange(1, t.size)
     hom, element = s.decode(np.arange(s.size))
     a, b = rng.sample(range(1, s.group.cardinality), 2)
     twist = s.encode(hom, np.where(element == a, b, np.where(element == b, a, element)))
-    add, zero = s.factored_tables().add, s.constant_indices[0]
-    in_w = np.zeros(len(s.homs), dtype=bool)
-    in_w[s.decode(zero)[0]] = True
-    for g in s.decode(s.generator_tables()[0][1 + len(s.group.generators):])[0][:-1]:
-        while not in_w[add[np.flatnonzero(in_w), g]].all():
-            in_w[add[np.flatnonzero(in_w), g]] = True
+    chain = s.generator_chain()
+    outside = np.ones(s.size, dtype=bool)
+    outside[chain.order[: chain.sizes[-2]]] = False
     c = rng.choice([c for c in range(t.size) if t.plus(c, c) != t.constant_indices[0]])
-    shift = np.where(in_w[hom], t.constant_indices[0], c)
+    shift = np.where(outside, c, t.constant_indices[0])
 
     def changed(row):
         row = row.copy()
@@ -142,6 +139,28 @@ def test_a_coset_translate_is_seen_only_by_the_last_additive_column():
     expected = _expected(one)
     assert expected == "morphism does not preserve the truss operations"
     assert _outcome(heap_iso_from_truss_iso, one) == _outcome(extract_rows, s, t, block) == expected
+
+
+def test_a_map_that_breaks_only_the_wrap_relation_is_rejected():
+    # (u, e) -> (u, 0) from E(Z/2) to E(Z/4) is multiplicative, and every
+    # chain sum but those of the last cosets holds: (id, 0) + (id, 0) is 0
+    # in E(Z/2) but (2 id, 0) in E(Z/4), so only the wrap relation
+    # r_j*f(s_j) = f(r_j*s_j) rejects it
+    s, t = build_endo_truss(parse_group_spec("2")), build_endo_truss(parse_group_spec("4"))
+    one = TrussMorphism(s, t, (0, 0, 4, 4))
+    f = one._array
+    sm, tm = s._retract_tables()[0], t._retract_tables()[0]
+    assert (f[sm] == tm[f[:, None], f[None, :]]).all()
+    chain = s.generator_chain()
+    bad = []
+    for j, xs in enumerate(chain.shifted, 1):
+        fails = t.plus(f[xs], f[chain.basis[0]]) != t.plus(f[chain.order[: len(xs)]], f[chain.basis[j]])
+        # the last coset, the last sizes[j - 1] entries, is the wrap
+        assert not fails[: len(xs) - chain.sizes[j - 1]].any()
+        bad.append(fails.any())
+    assert any(bad)
+    assert preserving_rows(s, t, f[None]).tolist() == [False] == [retract_preserves(one)]
+    assert truss_morphism_preserves(one) is retract_preserves(one) is False
 
 
 @pytest.mark.parametrize("left,right", BK_PAIRS)

@@ -160,6 +160,16 @@ def test_search_counts_its_own_candidates_against_the_cap():
         enumerate_truss_isos(s, s, max_enum=10**4)
 
 
+def test_search_pruning_is_pinned_by_its_candidate_count():
+    # the images tried on E(Z/2 x Z/2): a weaker pruning would try more and
+    # turn these exact answers into refusals
+    s = endo("2,2")
+    for search, tried, found in ((enumerate_truss_morphisms, 51648, 65), (enumerate_truss_isos, 14976, 24)):
+        assert len(search(s, s, max_enum=tried)) == found
+        with pytest.raises(BoundExceeded, match="truss morphism search"):
+            search(s, s, max_enum=tried - 1)
+
+
 def test_search_extends_a_block_of_rows_at_a_time():
     # E(Z/2 x Z/4) has 256 elements; extending every partial map at once
     # traced over 180 MiB of tables, a block of rows at a time under 50
@@ -176,7 +186,7 @@ def test_search_extends_a_block_of_rows_at_a_time():
 
 def test_carriers_without_retract_tables_are_refused():
     t = ring_as_truss(make_ring_zn(2))
-    with pytest.raises(TypeError, match="retract tables"):
+    with pytest.raises(TypeError, match="factored tables"):
         enumerate_truss_morphisms(t, endo("2"))
     with pytest.raises(TypeError, match="retract tables"):
         enumerate_truss_isos(endo("2"), t)

@@ -332,8 +332,8 @@ class EndoTruss:
 
     def _retract_tables(self, max_enum: int | None = None) -> tuple[np.ndarray, np.ndarray, int]:
         """(mult, add, zero): the n x n tables of `product` and `plus` and the
-        zero constant, for the target side of the affine search and the
-        dense tables. Guarded by n^2 before the cache is read."""
+        zero constant, for the target side of the affine search and for
+        `validate_truss`. Guarded by n^2 before the cache is read."""
         n = self.size
         guard(n * n, resolve_max_enum(max_enum), f"multiplication and retract tables of a {n}-element endomorphism truss")
         cached = self.__dict__.get("_retract_cache")
@@ -341,19 +341,6 @@ class EndoTruss:
             x, y = np.arange(n)[:, None], np.arange(n)
             cached = (self.product(x, y, max_enum), self.plus(x, y, max_enum), self.constant_indices[0])
             self.__dict__["_retract_cache"] = cached
-        return cached
-
-    def _dense_tables(self, max_enum: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """(mult, ternary) with [x,y,z] = x - y + z in the retract; guarded
-        by n^3 before the cache is read."""
-        n = self.size
-        guard(n**3, resolve_max_enum(max_enum), f"dense tables of a {n}-element endomorphism truss")
-        cached = self.__dict__.get("_dense_cache")
-        if cached is None:
-            mult, add, zero = self._retract_tables(max_enum)
-            neg = np.nonzero(add == zero)[1]
-            cached = (mult, add[add[:, neg]])
-            self.__dict__["_dense_cache"] = cached
         return cached
 
 

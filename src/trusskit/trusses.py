@@ -3,20 +3,15 @@ distributes over the ternary operation on both sides,
 
     d[a,b,c] = [da,db,dc]  and  [a,b,c]d = [ad,bd,cd].
 
-Carriers are given by dense tables (FiniteTruss) or by any object with
-`size`, `unit` and `_dense_tables` (the n x n multiplication and n^3 ternary
-tables); the endomorphism trusses of `endo` plug in that way, and
-`validate_truss` reads only those. The endomorphism trusses also expose
-their factored tables through a vectorised `product`, the retract's `plus`
-and the retract's `generator_chain`. `preserving_rows` certifies a block
-of maps on the source's chain with no n x n table; the morphism and
-isomorphism enumerators extend maps along the same chain into the target's
-`_retract_tables` (n x n multiplication and retract addition). Those three
-take only such carriers. Morphisms are total maps preserving both
-operations; units, when present, are not required to map to units (only
-heap + semigroup structure is preserved).
+Carriers are dense tables (FiniteTruss) or the endomorphism trusses of
+`endo`, read through their factored tables: a vectorised `product`, the
+retract's `plus` and `generator_chain`, and the n x n `_retract_tables`.
+`validate_truss` certifies the laws on generators of the retract, and
+`preserving_rows` a block of maps on the source's chain; the enumerators
+extend maps along that chain into the target's retract tables. Morphisms
+are total maps preserving both operations; units, when present, need not
+map to units (only heap + semigroup structure is preserved).
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
@@ -26,7 +21,7 @@ import numpy as np
 
 from .errors import guard, int_table, json_int, json_ints, resolve_max_enum
 from .heaps import FiniteHeap, _heap_checks
-from .validation import Check, ValidationReport, first, law_check
+from .validation import Check, ValidationReport, certified_check, first, law_check, multiadditive_check, sliced_scan
 
 
 @dataclass(frozen=True)
@@ -53,9 +48,6 @@ class FiniteTruss:
     def size(self) -> int:
         return self.heap.size
 
-    def _dense_tables(self, max_enum: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        return self._mult_array, self.heap._array
-
     def to_json_dict(self) -> dict:
         return {
             "size": self.size,
@@ -74,38 +66,9 @@ class FiniteTruss:
         return cls(heap, json_ints(data["mult"], "'mult'"), unit)
 
 
-def dense_tables(t, max_enum: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(mult, ternary) index tables for any truss-like object, materializing on
-    demand for lazily represented carriers."""
-    fn = getattr(t, "_dense_tables", None)
-    if fn is None:
-        raise TypeError(f"{type(t).__name__} does not expose truss tables")
-    return fn(max_enum)
-
-
-def _first_nondistributive_row(L: np.ndarray, T: np.ndarray) -> int | None:
-    """The first d whose row x -> L[d, x] does not preserve the heap T, or
-    None; T must be a certified heap. A map between heaps preserves it iff
-    f(a + c) = [f(a), f(0), f(c)] in the retract at 0."""
-    A = T[:, 0, :]
-    bad = (L[:, A] != T[L[:, :, None], L[:, 0, None, None], L[:, None, :]]).any(axis=(1, 2))
-    return int(np.argmax(bad)) if bad.any() else None
-
-
-def _distributivity_scan(L: np.ndarray, T: np.ndarray, start: int = 0) -> tuple[int, ...] | None:
-    """The lexicographically first (d,a,b,c) with d >= start and
-    L[d, [a,b,c]] != [L[d,a], L[d,b], L[d,c]], or None; one n^3 slice per d."""
-    for d in range(start, L.shape[0]):
-        Ld = L[d]
-        bad = Ld[T] != T[Ld[:, None, None], Ld[None, :, None], Ld[None, None, :]]
-        if bad.any():
-            return first(bad, (d,))
-    return None
-
-
-def mult_associativity(M: np.ndarray) -> Check:
-    """(a*b)*c = a*(b*c) on a multiplication table, over n^3 cases."""
-    return law_check("mult-associativity", M[M] != M[np.arange(len(M))[:, None, None], M[None, :, :]])
+def dense_tables(t: FiniteTruss) -> tuple[np.ndarray, np.ndarray]:
+    """(mult, ternary): the n x n and n^3 index tables of a FiniteTruss."""
+    return t._mult_array, t.heap._array
 
 
 def unit_law(M: np.ndarray, unit: int) -> Check:
@@ -114,31 +77,80 @@ def unit_law(M: np.ndarray, unit: int) -> Check:
     return law_check("unit", (M[unit] != idx) | (M[:, unit] != idx), 2 * len(M))
 
 
+def _factored_heap_checks(t, max_enum: int | None) -> tuple[Check, Check, Check]:
+    """The heap laws of an endomorphism truss G x homs, on its factors: the
+    ternary operation acts on each factor apart, so a law fails at a
+    carrier tuple iff it fails at its hom positions or at its elements. The
+    first carrier counterexample is the lesser of the factors' firsts, each
+    lifted with the other coordinate at index 0."""
+    ft, m = t.factored_tables(max_enum), t._m
+    guard(len(ft.add) ** 3 + m**3, resolve_max_enum(max_enum), f"heap tables of the factors of E({t.group})")
+    factors = ((ft.add, t._zero_hom_pos), (ft.gadd, 0))  # each with its heap [a,b,c] = a - b + c
+    homs, elems = (_heap_checks(add[add[:, np.nonzero(add == zero)[1]]]) for add, zero in factors)
+    checks = []
+    for hom, elem in zip(homs, elems):
+        lifted = (hom.counterexample and tuple(h * m for h in hom.counterexample), elem.counterexample)
+        found = [ce for ce in lifted if ce]
+        checks.append(Check(hom.law, not found, True, hom.checked * elem.checked, min(found, default=None)))
+    return tuple(checks)
+
+
 def validate_truss(t, max_enum: int | None = None) -> ValidationReport:
-    """Exhaustively verify the axioms of the underlying abelian heap,
-    semigroup associativity, two-sided distributivity over the ternary
-    table, and the unit law when a unit is designated.
+    """Exhaustively verify the heap laws, semigroup associativity, two-sided
+    distributivity over the ternary operation, and the unit law when a unit
+    is designated, on a FiniteTruss or an endomorphism truss.
 
-    Once the heap is certified, distributivity is checked through its
-    retract in n^3 lookups, and when that check fails the scan starts at
-    the first failing row d; otherwise the n^4 scan runs from d = 0. Either
-    way it reports the lexicographically first counterexample.
+    Once the heap holds, the laws are certified on its retract at z, with
+    addition A and generators S (every element of a FiniteTruss, the
+    generator chain of an endomorphism truss). A map of heaps preserves
+    [a,b,c] iff it is affine (Baer; Certaine), iff f(x + s) = [fx, fz, fs]
+    for every x and s in S: n^2 |S| lookups for the rows x -> d*x, as many
+    for the columns. Then (a*b)*c and a*(b*c) are affine in each argument,
+    so ({z} u S)^3 decides associativity. A failure reports the first
+    counterexample by a scan from the certificate's first failing row (from
+    0 if the heap fails), one n^3 slice per row, which an endomorphism truss
+    runs only when n^3 fits the cap; otherwise the certificate's own case.
     """
-    M, T = dense_tables(t, max_enum)
-    n = int(M.shape[0])
-    heap = _heap_checks(T)
-    checks = [replace(c, law="heap-" + c.law) for c in heap]
-    checks.append(mult_associativity(M))
-
+    if isinstance(t, FiniteTruss):
+        M, T = dense_tables(t)
+        A, z, heap = T[:, 0, :], 0, _heap_checks(T)
+    else:
+        heap, (M, A, z), T = _factored_heap_checks(t, max_enum), t._retract_tables(max_enum), None
+    n = len(M)
+    dense = T is not None or n**3 <= resolve_max_enum(max_enum)
+    neg = np.nonzero(A == z)[1]
     is_heap = heap[0].passed and heap[1].passed
-    for law, L in (("left-distributivity", M), ("right-distributivity", M.T)):
-        start = _first_nondistributive_row(L, T) if is_heap else 0
-        ce = None if start is None else _distributivity_scan(L, T, start)
-        checks.append(Check(law, ce is None, True, n**4, ce))
+    # a generator chain needs a group: on a broken one its coset walk may not end
+    basis = np.arange(n) if T is not None or not is_heap else t.generator_chain(max_enum).basis
+    S = basis[1:] if n > 1 else basis
 
-    unit = getattr(t, "unit", None)
-    if unit is not None:
-        checks.append(unit_law(M, unit))
+    def scan(L: np.ndarray, start: int) -> tuple[int, ...] | None:
+        # (d, a, b, c) with L[d, [a,b,c]] != [L[d,a], L[d,b], L[d,c]]. An endomorphism
+        # truss's heap holds (its family is closed under +), so it scans only when dense
+        T3 = A[A[:, neg]] if T is None else T
+        return sliced_scan(lambda d: L[d][T3] != T3[np.ix_(L[d], L[d], L[d])], n, start)
+
+    def distributivity(law: str, L: np.ndarray) -> Check:
+        if not is_heap:
+            ce = scan(L, 0)
+            return Check(law, ce is None, True, n**4, ce)
+        # bad[d, x, j]: L[d, x + s_j] != [L[d,x], L[d,z], L[d,s_j]], a block of rows of
+        # about 2^18 entries at a time
+        step = max(1, (1 << 18) // (n * len(S)))
+        Ls = (L[d : d + step] for d in range(0, n, step))
+        bad = np.concatenate([Ld[:, A[:, S]] != A[A[Ld, neg[Ld[:, z, None]]][:, :, None], Ld[:, None, S]] for Ld in Ls])
+        return certified_check(
+            law, bad, n**4, lambda ce: (ce[0], ce[1], z, int(S[ce[2]])), (lambda: scan(L, first(bad)[0])) if dense else None
+        )
+
+    left, right = distributivity("left-distributivity", M), distributivity("right-distributivity", M.T)
+    assoc = multiadditive_check(  # (a*b)*c == a*(b*c)
+        "mult-associativity", lambda a, b, c: M[M[a, b], c] != M[a, M[b, c]], (basis,) * 3,
+        is_heap and left.passed and right.passed, lambda: sliced_scan(lambda a: M[M[a]] != M[a][M], n), n**3, dense,
+    )
+    checks = [*(replace(c, law="heap-" + c.law) for c in heap), assoc, left, right]
+    if t.unit is not None:
+        checks.append(unit_law(M, t.unit))
     return ValidationReport(f"truss on {n} elements", tuple(checks))
 
 

@@ -56,11 +56,11 @@ def certified_check(law: str, bad: np.ndarray, checked: int, own, scan) -> Check
     return Check(law, False, True, checked, scan() if scan is not None else own(first(bad)))
 
 
-def sliced_scan(slice_bad, count: int) -> tuple[int, ...] | None:
+def sliced_scan(slice_bad, count: int, start: int = 0) -> tuple[int, ...] | None:
     """The lexicographically first counterexample of a law, or None, one
     slice at a time: `slice_bad(i)` marks the failures whose first
-    coordinate is i, for i in range(count)."""
-    for i in range(count):
+    coordinate is i, for i in range(start, count)."""
+    for i in range(start, count):
         bad = slice_bad(i)
         if bad.any():
             return first(bad, (i,))
@@ -70,7 +70,7 @@ def sliced_scan(slice_bad, count: int) -> tuple[int, ...] | None:
 def multiadditive_check(
     law: str, bad_at, basis: tuple[np.ndarray, ...], certified: bool, scan, checked: int, dense: bool
 ) -> Check:
-    """A law between two maps that are additive in each argument once
+    """A law between two maps that are affine in each argument once
     `certified` holds: then the law holds everywhere iff it holds on the
     grid of `basis` (zero and generators of each argument's group), where
     `bad_at` marks its failures on broadcast index arrays. Otherwise the

@@ -7,7 +7,7 @@ bijections by the defining identities, nothing else."""
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -37,6 +37,7 @@ from trusskit.groups import (
     np_add_table,
     zero_hom,
 )
+from trusskit.heaps import _heap_checks
 from trusskit.modules import make_module, module_homs
 from trusskit.rings import make_ring
 from trusskit.trusses import TrussMorphism, dense_tables
@@ -219,9 +220,20 @@ def ternary(t, i: int, j: int, k: int) -> int:
     return memo[h1, h2, h3] * m + g.index(e)
 
 
+def truss_tables(t, max_enum: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(mult, ternary): the n x n and n^3 index tables of a FiniteTruss, or
+    of an endomorphism truss with [x,y,z] = x - y + z in the retract at the
+    zero constant, read from its n x n tables and guarded by n^3."""
+    if isinstance(t, FiniteTruss):
+        return dense_tables(t)
+    guard(t.size**3, resolve_max_enum(max_enum), f"dense tables of a {t.size}-element endomorphism truss")
+    mult, add, zero = t._retract_tables(max_enum)
+    return mult, add[add[:, np.nonzero(add == zero)[1]]]
+
+
 def to_finite_truss(e: EndoTruss, max_enum: int | None = None) -> FiniteTruss:
     """E(G) as dense tables."""
-    mult_table, tern = e._dense_tables(max_enum)
+    mult_table, tern = truss_tables(e, max_enum)
     heap = FiniteHeap(e.size, tuple(int(x) for x in tern.reshape(-1)))
     return FiniteTruss(heap, tuple(int(x) for x in mult_table.reshape(-1)), unit=e.unit)
 
@@ -389,8 +401,8 @@ def brute_force_group_iso_exists(g: AbGroup, h: AbGroup) -> bool:
 def dense_preserves(tm, max_enum: int = 10**9) -> bool:
     """Preservation of mult and ternary checked entry by entry on the dense
     (n^2, n^3) tables, for carriers of any kind."""
-    sm, st = dense_tables(tm.source, max_enum)
-    tm_m, tm_t = dense_tables(tm.target, max_enum)
+    sm, st = truss_tables(tm.source, max_enum)
+    tm_m, tm_t = truss_tables(tm.target, max_enum)
     f = np.array(tm.mapping, dtype=np.int64)
     if (f[sm] != tm_m[f[:, None], f[None, :]]).any():
         return False
@@ -453,8 +465,8 @@ def brute_force_truss_morphisms(s, t) -> tuple[tuple[int, ...], ...]:
     |t|^|s| total maps, in lexicographic map order."""
     ns, nt = s.size, t.size
     total = nt**ns
-    sm, st = dense_tables(s, 10**9)
-    tm, tt = dense_tables(t, 10**9)
+    sm, st = truss_tables(s, 10**9)
+    tm, tt = truss_tables(t, 10**9)
     found = []
     chunk = 1 << 14
     for start in range(0, total, chunk):
@@ -466,7 +478,7 @@ def brute_force_truss_morphisms(s, t) -> tuple[tuple[int, ...], ...]:
 
 def left_absorbers(t) -> tuple[int, ...]:
     """Elements x with x*y = x for every y."""
-    M, _ = dense_tables(t)
+    M, _ = truss_tables(t)
     n = M.shape[0]
     return tuple(int(i) for i in range(n) if bool((M[i] == i).all()))
 
@@ -509,8 +521,8 @@ def brute_force_truss_isos(s, t) -> tuple[tuple[int, ...], ...]:
             for src, dst in zip(rest_s, pr):
                 row[src] = dst
             rows.append(row)
-    sm, st = dense_tables(s, 10**9)
-    tm, tt = dense_tables(t, 10**9)
+    sm, st = truss_tables(s, 10**9)
+    tm, tt = truss_tables(t, 10**9)
     kept = filter_candidates(np.array(rows, dtype=np.int64).reshape(-1, n), sm, st, tm, tt)
     return tuple(sorted(tuple(int(x) for x in row) for row in kept))
 
@@ -538,11 +550,11 @@ def scan_heap_associativity(T: np.ndarray):
     return None
 
 
-def scan_distributivity(M: np.ndarray, T: np.ndarray, side: str):
-    """The lexicographically first (d,a,b,c) with d*[a,b,c] != [da,db,dc]
-    (side "left") or [a,b,c]*d != [ad,bd,cd] (side "right"), or None: all
-    n^4 cases."""
-    for d in range(M.shape[0]):
+def scan_distributivity(M: np.ndarray, T: np.ndarray, side: str, start: int = 0):
+    """The lexicographically first (d,a,b,c) with d >= start and d*[a,b,c]
+    != [da,db,dc] (side "left") or [a,b,c]*d != [ad,bd,cd] (side "right"),
+    or None: all n^4 cases from d = start on."""
+    for d in range(start, M.shape[0]):
         Md = M[d] if side == "left" else M[:, d]
         lhs = Md[T]
         rhs = T[Md[:, None, None], Md[None, :, None], Md[None, None, :]]
@@ -550,6 +562,32 @@ def scan_distributivity(M: np.ndarray, T: np.ndarray, side: str):
         if bad.any():
             return (d,) + tuple(int(x) for x in np.argwhere(bad)[0])
     return None
+
+
+def dense_truss_checks(t, max_enum: int | None = 10**9) -> tuple[Check, ...]:
+    """The checks `validate_truss` reports, computed on the dense tables
+    (`truss_tables`): the heap laws of the n^3 ternary table, associativity
+    over all n^3 triples, each distributivity by `scan_distributivity`, and
+    the unit law. Once the heap holds, the scan starts at the first row d
+    with d(a + c) != [da, d0, dc] in the retract at 0, since a map of heaps
+    preserves [a,b,c] iff it does so through a retract; every earlier row
+    passes."""
+    M, T = truss_tables(t, max_enum)
+    n = len(M)
+    idx = np.arange(n)
+    heap = _heap_checks(T)
+    checks = [replace(c, law="heap-" + c.law) for c in heap]
+    checks.append(law_check("mult-associativity", M[M] != M[idx[:, None, None], M[None, :, :]]))
+    for side, L in (("left", M), ("right", M.T)):
+        start = 0
+        if heap[0].passed and heap[1].passed:
+            bad = (L[:, T[:, 0, :]] != T[L[:, :, None], L[:, 0, None, None], L[:, None, :]]).any(axis=(1, 2))
+            start = int(np.argmax(bad)) if bad.any() else n
+        ce = scan_distributivity(M, T, side, start)
+        checks.append(Check(f"{side}-distributivity", ce is None, True, n**4, ce))
+    if t.unit is not None:
+        checks.append(law_check("unit", (M[t.unit] != idx) | (M[:, t.unit] != idx), 2 * n))
+    return tuple(checks)
 
 
 def ring_table(additive: AbGroup, mult) -> tuple[int, ...]:

@@ -15,6 +15,7 @@ from conftest import (
     intertwiner_at,
     intertwiner_correspondence,
     is_constant,
+    truss_tables,
     unique_intertwiner,
 )
 
@@ -34,7 +35,7 @@ from trusskit import (
 from trusskit.groups import hom_enumerate
 from trusskit.modules import build_linear_endo_truss, regular_module
 from trusskit.rings import make_field_fp, make_product_ring
-from trusskit.trusses import TrussMorphism, dense_tables
+from trusskit.trusses import TrussMorphism
 
 Z2 = make_group([2])
 Z3 = make_group([3])
@@ -236,7 +237,7 @@ def test_trivial_group_and_padded_presentation():
 
 def test_surjective_semigroup_morphisms_preserve_constants():
     # mult-only morphisms (heap structure ignored), surjective ones
-    ms, _ = dense_tables(E2)
+    ms, _ = truss_tables(E2)
     mt = ms
     found = []
     for cand in itertools.product(range(4), repeat=4):

@@ -30,6 +30,14 @@ def test_validate_truss_preset(capsys):
     assert "[PASS]" in out and "[FAIL]" not in out
 
 
+def test_validate_trivial_endomorphism_truss(capsys):
+    # E(1) has one element, and its generator chain no generator
+    code, out, _ = run(capsys, "validate", "--truss", "endo:", "--json")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert len(results) == 7 and all(r["passed"] is True and r["exhaustive"] is True for r in results)
+
+
 def test_validate_heap_preset(capsys):
     code, out, _ = run(capsys, "validate", "--heap", "from-group:4")
     assert code == 0
@@ -269,6 +277,19 @@ def test_ring_laws_fit_a_small_address_space():
     assert done.returncode == 0, done.stderr
     results = json.loads(done.stdout)["results"]
     assert len(results) == 8 and all(r["passed"] is True and r["exhaustive"] is True for r in results)
+
+
+def test_endomorphism_truss_laws_fit_a_small_address_space():
+    # E(Z/3 x Z/3) has 729 elements: its laws are certified on factored and
+    # n x n tables, so a cap that admits n^3 asks for no n^3 array. E((Z/2)^3)
+    # has 4096 elements, whose n x n tables the default cap refuses.
+    done = run_limited("validate", "--truss", "endo:3,3", "--max-enumeration", "1000000000", "--json")
+    assert done.returncode == 0, done.stderr
+    results = json.loads(done.stdout)["results"]
+    assert len(results) == 7 and all(r["passed"] is True and r["exhaustive"] is True for r in results)
+    done = run_limited("validate", "--truss", "endo:2,2,2")
+    assert (done.returncode, done.stdout) == (3, ""), done.stderr
+    assert [line[:6] for line in done.stderr.splitlines()] == ["error:"]
 
 
 def test_bk_heap_iso_tables_are_refused_in_a_small_address_space():

@@ -23,6 +23,7 @@ from conftest import (
     left_absorbers,
     mult,
     ternary,
+    truss_tables,
 )
 
 import trusskit.endo
@@ -277,7 +278,7 @@ def test_inverse_of_heap_iso():
 
 def test_dense_tables_agree_with_on_demand_operations():
     e = build_endo_truss(make_group([6]))
-    mult_table, tern = e._dense_tables()
+    mult_table, tern = truss_tables(e)
     for i in range(e.size):
         for j in range(e.size):
             assert int(mult_table[i, j]) == mult(e, i, j)
@@ -285,13 +286,6 @@ def test_dense_tables_agree_with_on_demand_operations():
         for j in range(0, e.size, 5):
             for k in range(0, e.size, 5):
                 assert int(tern[i, j, k]) == ternary(e, i, j, k)
-
-
-def test_dense_cache_does_not_bypass_the_cap():
-    e = build_endo_truss(make_group([12]))  # n = 144, n^3 over the default cap
-    e._dense_tables(10**9)
-    with pytest.raises(BoundExceeded):
-        e._dense_tables()
 
 
 def test_family_missing_zero_raises_on_constants():

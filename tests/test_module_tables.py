@@ -51,6 +51,7 @@ from trusskit.cli import main
 from trusskit.groups import GroupHom, compose_homs, identity_hom
 from trusskit.modules import equivalence_is_valid, module_homs
 from trusskit.rings import FiniteRing
+from trusskit.trusses import dense_tables
 
 DATA = Path(__file__).parent / "data"
 
@@ -308,14 +309,14 @@ def test_tables_keep_the_array_they_were_checked_as():
     truss = FiniteTruss(heap, (0, 0, 0, 1))
     for table, array, shape in [
         (heap.ternary_table, heap._array, (2, 2, 2)),
-        (truss.mult_table, truss._dense_tables()[0], (2, 2)),
+        (truss.mult_table, dense_tables(truss)[0], (2, 2)),
         (ring.mult_table, ring._mult_array, (4, 4)),
         (m.action_table, m._action_array, (4, 4)),
     ]:
         assert array.shape == shape and array.reshape(-1).tolist() == list(table)
         assert not array.flags.writeable
     assert heap.ternary_table[0] == 0 and source.flags.writeable
-    assert truss._dense_tables()[1] is heap._array
+    assert dense_tables(truss)[1] is heap._array
 
 
 def test_module_bk_computes_each_end_once(monkeypatch, capsys):

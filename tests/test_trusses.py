@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     as_objects,
     dense_preserves,
+    dense_truss_checks,
     identity_truss_morphism,
     is_truss_morphism,
     left_absorbers,
@@ -14,11 +15,13 @@ from conftest import (
     scan_distributivity,
     scan_heap_associativity,
     to_finite_truss,
+    truss_tables,
 )
 
 import trusskit.heaps
 import trusskit.trusses
 from trusskit import (
+    BoundExceeded,
     FiniteHeap,
     FiniteTruss,
     build_endo_truss,
@@ -37,6 +40,7 @@ from trusskit import (
     truss_morphism_preserves,
     validate_truss,
 )
+from trusskit.endo import EndoTruss
 from trusskit.modules import build_linear_endo_truss
 from trusskit.trusses import TrussMorphism
 
@@ -116,8 +120,6 @@ def test_enumerated_morphisms_between_different_trusses():
 
 
 def test_morphism_enumeration_bound():
-    from trusskit import BoundExceeded
-
     e3 = build_endo_truss(make_group([3]))
     # the search tries 135 candidate images; a cap of 100 still admits the
     # 81-entry retract tables it reads
@@ -310,7 +312,80 @@ def test_valid_trusses_need_no_scan(monkeypatch):
         raise AssertionError("scanned a table the certificate should pass")
 
     monkeypatch.setattr(trusskit.heaps, "_assoc_scan", no_scan)
-    monkeypatch.setattr(trusskit.trusses, "_distributivity_scan", no_scan)
+    monkeypatch.setattr(trusskit.trusses, "sliced_scan", no_scan)
     for spec in ["endo:2", "endo:4", "endo:2,2", "zn:6", "fpxfp:2", "zn:9"]:
         assert validate_truss(_truss_preset(spec)).passed, spec
     assert validate_truss(build_endo_truss(parse_group_spec("3"))).passed
+
+
+@pytest.mark.parametrize("spec", ["", "1", "2", "3", "4", "5", "6", "8", "9", "2,2", "2,3", "12"])
+def test_factored_validation_agrees_with_the_dense_oracle(spec):
+    e = build_endo_truss(parse_group_spec(spec))
+    assert validate_truss(e).checks == dense_truss_checks(e)
+
+
+def test_linear_sub_truss_validation_agrees_with_the_dense_oracle():
+    f2 = make_field_fp(2)
+    e = build_linear_endo_truss(regular_module(make_product_ring(f2, f2)))
+    assert len(e.homs) == 4 < len(build_endo_truss(e.group).homs)
+    assert validate_truss(e).checks == dense_truss_checks(e)
+
+
+def test_validation_caches_do_not_bypass_the_cap():
+    e = build_endo_truss(make_group([12]))  # n = 144
+    assert validate_truss(e, 10**9).passed
+    with pytest.raises(BoundExceeded, match="retract tables"):
+        validate_truss(e, max_enum=e.size**2 - 1)
+
+
+def _corrupted_trusses(spec):
+    """(changed tables, a fresh E(G) whose factored tables differ from the
+    true ones there) for every one-entry change of compose and apply, every
+    one of add and gadd that keeps one zero in each row, and every pair of
+    an add and a gadd change, which breaks the heap on both factors."""
+    base = build_endo_truss(parse_group_spec(spec))
+    ft = base.factored_tables()
+    zeros = {"add": base._zero_hom_pos, "gadd": 0}
+    changes = []
+    for name, bound in (("compose", len(ft.compose)), ("apply", base._m), ("add", len(ft.add)), ("gadd", base._m)):
+        table = getattr(ft, name)
+        for pos, old in np.ndenumerate(table):
+            for new in range(bound):
+                if new != old and zeros.get(name) not in (old, new):
+                    changed = table.copy()
+                    changed[pos] = new
+                    changes.append((name, changed))
+    both = [[a, g] for a in changes if a[0] == "add" for g in changes if g[0] == "gadd"]
+    for fields in [[change] for change in changes] + both:
+        e = EndoTruss(base.group, base.homs)
+        e.__dict__["_factored_cache"] = ft._replace(**dict(fields))
+        yield "+".join(name for name, _ in fields), e
+
+
+VIOLATED = {  # whether the dense tables (M, T) break a law at a case
+    "mult-associativity": lambda M, T, a, b, c: M[M[a, b], c] != M[a, M[b, c]],
+    "left-distributivity": lambda M, T, d, a, b, c: M[d, T[a, b, c]] != T[M[d, a], M[d, b], M[d, c]],
+    "right-distributivity": lambda M, T, d, a, b, c: M[T[a, b, c], d] != T[M[a, d], M[b, d], M[c, d]],
+}
+
+
+@pytest.mark.parametrize("spec", ["2", "3"])
+def test_factored_validation_agrees_with_the_dense_oracle_on_corrupted_tables(spec):
+    # each law's verdict, domain and first counterexample must match, on
+    # the heap's factors as on the multiplication
+    failed = dict.fromkeys(["compose", "apply", "add", "gadd", "add+gadd"], 0)
+    for name, e in _corrupted_trusses(spec):
+        report = validate_truss(e)
+        assert report.checks == dense_truss_checks(e), name
+        failed[name] += not report.passed
+        if name in ("compose", "apply"):
+            # with no room for the n^3 scan, a failed certificate reports
+            # its own case, which must still break the law
+            M, T = truss_tables(e)
+            capped = validate_truss(e, max_enum=e.size**3 - 1)
+            assert [c.passed for c in capped.checks] == [c.passed for c in report.checks], name
+            for c in capped.failures():
+                assert c.law not in VIOLATED or VIOLATED[c.law](M, T, *c.counterexample), (name, c)
+    assert failed["compose"] and failed["apply"], failed
+    if spec == "3":  # Z/2 leaves no entry to change in a table of two elements
+        assert (failed["add"], failed["gadd"], failed["add+gadd"]) == (6, 6, 36), failed

@@ -25,7 +25,7 @@ carrier element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -149,12 +149,17 @@ def truss_iso_from_heap_iso(
 class BKVerification:
     left: AbGroup
     right: AbGroup
-    heap_iso_count: int
+    # (K, |left|) value tables of the heap isomorphisms, in `heap_isos` order
+    heap_isos: np.ndarray = field(compare=False, repr=False)
     truss_iso_count: int | None
     theta_upsilon_roundtrip: bool
     upsilon_injective: bool
     groups_isomorphic: bool
     consistent: bool
+
+    @property
+    def heap_iso_count(self) -> int:
+        return len(self.heap_isos)
 
     def to_json_dict(self) -> dict:
         return {
@@ -187,10 +192,10 @@ def verify_baer_kaplansky(
     `conjugate_rows` and `extract_rows` a block of `_BLOCK_ENTRIES` carrier
     entries at a time; only the columns of the generator chain's basis,
     0 and s_1..s_k, of each conjugation are kept, for the injectivity
-    check.
+    check. When h == g, one E(g) serves as both source and target.
     """
     eg = build_endo_truss(g, max_enum)
-    eh = build_endo_truss(h, max_enum)
+    eh = eg if h == g else build_endo_truss(h, max_enum)
     giso = groups_isomorphic(g, h)
     isos = heap_isos(g, h, max_enum)
     roundtrip, keys = True, []
@@ -229,7 +234,7 @@ def verify_baer_kaplansky(
         if enumerated is not None:
             consistent = consistent and truss_iso_count == len(isos)
     return BKVerification(
-        g, h, len(isos), truss_iso_count, roundtrip, injective, giso, consistent
+        g, h, isos, truss_iso_count, roundtrip, injective, giso, consistent
     )
 
 
@@ -247,7 +252,7 @@ def check_inner_structure(phi: TrussMorphism, max_enum: int | None = None) -> di
     eg, eh = _endo_ends(phi)
     g, h = eg.group, eh.group
     m, k = g.cardinality, h.cardinality
-    guard(k * m * max(eg.size, k), resolve_max_enum(max_enum), f"intertwiner check E({g}) -> E({h})")
+    guard(k * m * max(eg.size, k), resolve_max_enum(max_enum), "intertwiner check E({}) -> E({})", g, h)
     gt, ht = eg.factored_tables(max_enum), eh.factored_tables(max_enum)
 
     def ternary(a, b, c):

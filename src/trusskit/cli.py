@@ -6,12 +6,18 @@ was violated, which means a build bug); 2 input or parse error; 3 an
 enumeration bound was exceeded. Bounds default to 10**6 enumerated objects per
 call and follow --max-enumeration or the TRUSSKIT_MAX_ENUM environment
 variable. JSON output is byte-deterministic for fixed inputs; elapsed time is
-only shown in the human-readable form.
+only shown in the human-readable form. When stdout is closed before the report
+is written (`trusskit ... | head -1`), the status is still the findings' own,
+0 or 1, and no traceback is printed.
+
+`main(argv)` may be called repeatedly in one process: the argument parser is
+built on the first call and reused, and nothing else is kept between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -20,7 +26,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .baer_kaplansky import check_inner_structure, verify_baer_kaplansky
-from .endo import HeapMorphism, build_endo_truss, heap_isos
+from .endo import HeapMorphism, build_endo_truss
 from .errors import BoundExceeded
 from .groups import parse_group_spec
 from .heaps import FiniteHeap, heap_from_group, validate_heap
@@ -153,10 +159,7 @@ def cmd_bk(args, max_enum: int | None) -> ValidationReport:
     witnesses = None
     if 0 < result.heap_iso_count <= 8:
         witnesses = {
-            "heap_isos": [
-                HeapMorphism.from_values(left, right, row).to_json_dict()
-                for row in heap_isos(left, right, max_enum)
-            ]
+            "heap_isos": [HeapMorphism.from_values(left, right, row).to_json_dict() for row in result.heap_isos]
         }
     inputs = {"left": args.left, "right": args.right, "brute_force": args.brute_force}
     return ValidationReport("bk", checks, inputs, witnesses, document=result.to_json_dict())
@@ -166,7 +169,7 @@ def cmd_inner(args, max_enum: int | None) -> ValidationReport:
     left = parse_group_spec(args.left)
     right = parse_group_spec(args.right)
     source = build_endo_truss(left, max_enum)
-    target = build_endo_truss(right, max_enum)
+    target = source if right == left else build_endo_truss(right, max_enum)
     inputs = {"left": args.left, "right": args.right}
     try:
         morphisms = enumerate_truss_morphisms(source, target, max_enum)
@@ -281,9 +284,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every `main` call in this process, built on the first
+    one, so the parser tree is not rebuilt per call. Parsing leaves it
+    unchanged, and it holds nothing from any call's arguments."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     max_enum = args.max_enumeration
     if max_enum is None:
         env = os.environ.get("TRUSSKIT_MAX_ENUM")
@@ -311,11 +321,20 @@ def main(argv=None) -> int:
         return 2
     elapsed = time.perf_counter() - start
 
-    if args.json:
-        print(json.dumps(report.to_json_dict(), indent=2, sort_keys=False))
-    else:
-        print(report.human(elapsed))
-    return 0 if report.passed else 1
+    status = 0 if report.passed else 1
+    try:
+        if args.json:
+            print(json.dumps(report.to_json_dict(), indent=2, sort_keys=False))
+        else:
+            print(report.human(elapsed))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (`| head`): the findings still decide the
+        # status, and what is left in the buffer goes to devnull at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return status
 
 
 if __name__ == "__main__":

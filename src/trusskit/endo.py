@@ -127,9 +127,9 @@ def heap_isos(g: AbGroup, h: AbGroup, max_enum: int | None = None) -> np.ndarray
     the |Hom(g, h)| * |h| heap morphisms exceed the cap, or when the K * |g|
     entries of the tables do."""
     limit = resolve_max_enum(max_enum)
-    guard(hom_count(g, h) * h.cardinality, limit, f"heap morphisms {g} -> {h}")
+    guard(hom_count(g, h) * h.cardinality, limit, "heap morphisms {} -> {}", g, h)
     autos = aut_count(g) if groups_isomorphic(g, h) else 0
-    guard(autos * h.cardinality * g.cardinality, limit, f"value tables of the heap isomorphisms {g} -> {h}")
+    guard(autos * h.cardinality * g.cardinality, limit, "value tables of the heap isomorphisms {} -> {}", g, h)
     if not autos:
         return np.empty((0, g.cardinality), dtype=np.int64)
     images = matrix_images(hom_enumerate(g, h, max_enum), g, h)
@@ -274,7 +274,7 @@ class EndoTruss:
         """The small tables E(G) = G x homs is built from; guarded by the
         larger of H^2 and |G|^2 before any cached copy is handed out."""
         H, m = len(self.homs), self._m
-        guard(max(H, m) ** 2, resolve_max_enum(max_enum), f"factored tables of E({self.group})")
+        guard(max(H, m) ** 2, resolve_max_enum(max_enum), "factored tables of E({})", self.group)
         cached = self.__dict__.get("_factored_cache")
         if cached is None:
             gadd = np_add_table(self.group, max_enum)
@@ -335,7 +335,7 @@ class EndoTruss:
         zero constant, for the target side of the affine search and for
         `validate_truss`. Guarded by n^2 before the cache is read."""
         n = self.size
-        guard(n * n, resolve_max_enum(max_enum), f"multiplication and retract tables of a {n}-element endomorphism truss")
+        guard(n * n, resolve_max_enum(max_enum), "multiplication and retract tables of a {}-element endomorphism truss", n)
         cached = self.__dict__.get("_retract_cache")
         if cached is None:
             x, y = np.arange(n)[:, None], np.arange(n)
@@ -347,5 +347,5 @@ class EndoTruss:
 def build_endo_truss(g: AbGroup, max_enum: int | None = None) -> EndoTruss:
     """E(g): all heap endomorphisms of g with composition and pointwise
     ternary; the carrier |Hom(g, g)| * |g| is guarded before End(g) is built."""
-    guard(hom_count(g, g) * g.cardinality, resolve_max_enum(max_enum), f"carrier of E({g})")
+    guard(hom_count(g, g) * g.cardinality, resolve_max_enum(max_enum), "carrier of E({})", g)
     return EndoTruss(g, hom_enumerate(g, g, max_enum))

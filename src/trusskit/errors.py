@@ -44,9 +44,12 @@ def resolve_max_enum(value: int | None) -> int:
     return value
 
 
-def guard(needed: int, limit: int, what: str) -> None:
+def guard(needed: int, limit: int, what: str, *args) -> None:
+    """Raise BoundExceeded when `needed` exceeds `limit`. Its subject is
+    `what.format(*args)`, built only then: guards sit on hot paths, where
+    formatting a group name on every call would cost more than the check."""
     if needed > limit:
-        raise BoundExceeded(what, needed, limit)
+        raise BoundExceeded(what.format(*args), needed, limit)
 
 
 def json_int(value, what: str) -> int:

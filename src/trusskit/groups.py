@@ -219,7 +219,7 @@ def hom_enumerate(g: AbGroup, h: AbGroup, max_enum: int | None = None) -> np.nda
     the last entry fastest; the all-zero map always comes first.
     """
     total = hom_count(g, h)
-    guard(total, resolve_max_enum(max_enum), f"Hom({g}, {h})")
+    guard(total, resolve_max_enum(max_enum), "Hom({}, {})", g, h)
     m_orders = np.array(h.orders, dtype=np.int64)
     gcds = np.gcd.outer(m_orders, np.array(g.orders, dtype=np.int64))
     stack = np.empty((total, *gcds.shape), dtype=np.int64)
@@ -326,7 +326,7 @@ def np_elements(g: AbGroup) -> np.ndarray:
 def np_add_table(g: AbGroup, max_enum: int | None = None) -> np.ndarray:
     """(n, n) table of element indices for the group addition."""
     n = g.cardinality
-    guard(n * n, resolve_max_enum(max_enum), f"addition table of {g}")
+    guard(n * n, resolve_max_enum(max_enum), "addition table of {}", g)
     if g.rank == 0:
         return np.zeros((1, 1), dtype=np.int64)
     elems = np_elements(g)

@@ -56,7 +56,7 @@ class FiniteHeap:
 def heap_from_group(g: AbGroup, max_enum: int | None = None) -> FiniteHeap:
     """Materialize the heap [a,b,c] = a - b + c over g's enumerated elements."""
     n = g.cardinality
-    guard(n**3, resolve_max_enum(max_enum), f"heap table of {g}")
+    guard(n**3, resolve_max_enum(max_enum), "heap table of {}", g)
     if g.rank == 0 or n == 1:
         return FiniteHeap(n, (0,) * n**3)
     elems = np_elements(g)

@@ -279,7 +279,7 @@ def _group_homs(stack: np.ndarray, g: AbGroup, h: AbGroup) -> tuple[GroupHom, ..
 def _end_homs(m: RModule, max_enum: int | None) -> np.ndarray:
     """`module_homs(m, m)`, computed once per module; the cap on Hom(M, M)
     is checked before the cached stack is handed out."""
-    guard(hom_count(m.group, m.group), resolve_max_enum(max_enum), f"Hom({m.group}, {m.group})")
+    guard(hom_count(m.group, m.group), resolve_max_enum(max_enum), "Hom({0}, {0})", m.group)
     cached = m.__dict__.get("_end_cache")
     if cached is None:
         cached = m.__dict__["_end_cache"] = module_homs(m, m, max_enum)

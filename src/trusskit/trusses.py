@@ -84,7 +84,7 @@ def _factored_heap_checks(t, max_enum: int | None) -> tuple[Check, Check, Check]
     first carrier counterexample is the lesser of the factors' firsts, each
     lifted with the other coordinate at index 0."""
     ft, m = t.factored_tables(max_enum), t._m
-    guard(len(ft.add) ** 3 + m**3, resolve_max_enum(max_enum), f"heap tables of the factors of E({t.group})")
+    guard(len(ft.add) ** 3 + m**3, resolve_max_enum(max_enum), "heap tables of the factors of E({})", t.group)
     factors = ((ft.add, t._zero_hom_pos), (ft.gadd, 0))  # each with its heap [a,b,c] = a - b + c
     homs, elems = (_heap_checks(add[add[:, np.nonzero(add == zero)[1]]]) for add, zero in factors)
     checks = []

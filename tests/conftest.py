@@ -55,7 +55,7 @@ def hom_enumerate_by_loop(g: AbGroup, h: AbGroup, max_enum: int | None = None) -
     """All homomorphisms g -> h, one GroupHom per matrix, in lexicographic
     matrix order: entry [j][i] runs over the multiples of m_j/gcd(n_i, m_j),
     the last entry fastest."""
-    guard(hom_count(g, h), resolve_max_enum(max_enum), f"Hom({g}, {h})")
+    guard(hom_count(g, h), resolve_max_enum(max_enum), "Hom({}, {})", g, h)
     positions = [(j, i) for j in range(h.rank) for i in range(g.rank)]
     gcds = {(j, i): math.gcd(g.orders[i], h.orders[j]) for j, i in positions}
     homs = []
@@ -226,7 +226,7 @@ def truss_tables(t, max_enum: int | None = None) -> tuple[np.ndarray, np.ndarray
     zero constant, read from its n x n tables and guarded by n^3."""
     if isinstance(t, FiniteTruss):
         return dense_tables(t)
-    guard(t.size**3, resolve_max_enum(max_enum), f"dense tables of a {t.size}-element endomorphism truss")
+    guard(t.size**3, resolve_max_enum(max_enum), "dense tables of a {}-element endomorphism truss", t.size)
     mult, add, zero = t._retract_tables(max_enum)
     return mult, add[add[:, np.nonzero(add == zero)[1]]]
 
@@ -805,7 +805,7 @@ def decompose(
 def heap_morphisms(g: AbGroup, h: AbGroup, max_enum: int | None = None) -> tuple[HeapMorphism, ...]:
     """All heap morphisms g -> h as (hom, translation) pairs, hom-major order."""
     homs = hom_enumerate_by_loop(g, h, max_enum)
-    guard(len(homs) * h.cardinality, resolve_max_enum(max_enum), f"heap morphisms {g} -> {h}")
+    guard(len(homs) * h.cardinality, resolve_max_enum(max_enum), "heap morphisms {} -> {}", g, h)
     return tuple(HeapMorphism(hom, trans) for hom in homs for trans in h.elements())
 
 

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trusskit.baer_kaplansky
-from trusskit import HeapMorphism, build_endo_truss
+import trusskit.cli
+from trusskit import EndoTruss, HeapMorphism, build_endo_truss
 from trusskit.cli import main
 from trusskit.groups import GroupHom
 
@@ -446,7 +447,23 @@ def test_bk_certifies_preservation_without_retract_tables(capsys, monkeypatch):
     assert code == 0
     data = json.loads(out)
     assert data["heap_iso_count"] == 432 and data["consistent"] is True
-    assert len(built) == 2 and all("_retract_cache" not in t.__dict__ for t in built)
+    # one E(3,3) serves as both source and target
+    assert len(built) == 1 and all("_retract_cache" not in t.__dict__ for t in built)
+
+
+@pytest.mark.parametrize(
+    "argv, trusses",
+    [(["bk", "2", "2", "--brute-force"], 1), (["inner", "2", "2"], 1), (["bk", "6", "2,3"], 2), (["inner", "2", "3"], 2)],
+)
+def test_one_endomorphism_truss_per_named_group(argv, trusses, capsys, monkeypatch):
+    # E(G) is built once when both sides name the same group (bk 3,3 3,3 is
+    # counted above); 6 and 2,3 are isomorphic but not the same group
+    built = []
+    real = EndoTruss.__post_init__
+    monkeypatch.setattr(EndoTruss, "__post_init__", lambda self: (built.append(self), real(self))[1])
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0 and json.loads(out)
+    assert len(built) == trusses
 
 
 def test_bk_non_isomorphic_pair_is_not_refused(capsys):
@@ -545,3 +562,77 @@ def test_validate_deeply_nested_json_is_an_input_error(flag, tmp_path, capsys):
     code, out, err = run(capsys, "validate", flag, str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# a refused command prints one line, the same one whatever the guard's
+# subject costs to format
+@pytest.mark.parametrize("argv, message", [
+    (["bk", "1000000", "2"], "carrier of E(Z/1000000) would enumerate 1000000000000 objects; cap is 1000000"),
+    (["bk", "2,2,16", "2,2,16"], "value tables of the heap isomorphisms Z/2 x Z/2 x Z/16 -> Z/2 x Z/2 x Z/16 "
+     "would enumerate 3145728 objects; cap is 1000000"),
+    (["validate", "--truss", "zn:1000"], "heap table of Z/1000 would enumerate 1000000000 objects; cap is 1000000"),
+    (["bk", "2,2,4", "2,2,4"], "factored tables of E(Z/2 x Z/2 x Z/4) would enumerate 1048576 objects; "
+     "cap is 1000000"),
+    (["validate", "--truss", "endo:2,2,2"], "heap tables of the factors of E(Z/2 x Z/2 x Z/2) would enumerate "
+     "134218240 objects; cap is 1000000"),
+    (["validate", "--heap", "from-group:2,2", "--max-enumeration", "63"],
+     "heap table of Z/2 x Z/2 would enumerate 64 objects; cap is 63"),
+])
+def test_refusal_messages(argv, message, capsys):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == f"error: {message} (raise max_enum to override)\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["inner", "2,2", "2,2", "--json"], 0),
+    (["validate", "--truss", "tests/data/endo_z2_truss_corrupt_mult.json"], 1),
+])
+def test_closed_stdout_keeps_the_findings_status(argv, code):
+    # the reader of stdout is gone before the report is written (as in
+    # `| head -1`): the status is still the findings' own, with no traceback
+    read, write = os.pipe()
+    os.close(read)
+    root = Path(__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    try:
+        done = subprocess.run([sys.executable, "-m", "trusskit.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=env, cwd=root, timeout=120)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (code, "")
+
+
+def test_parse_errors_and_help_leave_later_calls_unchanged(capsys):
+    first = run(capsys, "bk", "2", "2", "--json")
+    assert first[0] == 0
+    for argv in (["bk", "2", "2", "--brute-force", "--max-enumeration", "5", "--bogus"], ["bk"], ["--help"],
+                 ["bk", "--help"], ["validate", "--heap", "from-group:2", "--truss", "zn:2"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    assert run(capsys, "bk", "2", "2", "--brute-force", "--json")[0] == 0
+    assert run(capsys, "bk", "2", "2", "--json") == first
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    calls = []
+    real = trusskit.cli.build_parser
+    monkeypatch.setattr(trusskit.cli, "build_parser", lambda: (calls.append(1), real())[1])
+    trusskit.cli._parser.cache_clear()
+    try:
+        for argv in (["bk", "2", "2"], ["inner", "2", "2"], ["validate", "--truss", "endo:2"], ["bk", "x", "2"]):
+            run(capsys, *argv)
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert len(calls) == 1
+    finally:
+        trusskit.cli._parser.cache_clear()
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = str(Path(__file__).parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", "import trusskit.cli as c; print(c._parser.cache_info().currsize)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr

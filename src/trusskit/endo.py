@@ -14,12 +14,11 @@ homomorphisms (e.g. the module-linear ones) yields a sub-truss, so EndoTruss
 takes the homomorphism family as a parameter.
 
 Homomorphism families are (H, rank, rank) int64 matrix stacks in
-`hom_enumerate`'s order, and `heap_isos` hands out value tables, so building
-E(G), its tables and the heap isomorphisms makes no object per map. GroupHom
-and HeapMorphism objects are built only where the API hands one out:
-`HeapMorphism.from_values` for `heap_iso_from_truss_iso` and the `bk`
-witnesses, the argument of `truss_iso_from_heap_iso`, and the module layer's
-`ModuleEquivalence` and `end_ring`.
+`hom_enumerate`'s order, and `heap_isos` hands out value tables, so E(G) and
+the heap isomorphisms make no object per map; GroupHom and HeapMorphism
+objects are built only where the API hands one out. EndoTruss offers the
+carrier interface of `trusses` (`zero`, the retract's `plus`, `product` and
+`generator_chain`) on its small factored tables, and builds no n x n table.
 """
 
 from __future__ import annotations
@@ -45,6 +44,7 @@ from .groups import (
     np_add_table,
     np_elements,
 )
+from .trusses import GeneratorChain, walk_chain
 
 
 @dataclass(frozen=True)
@@ -160,23 +160,6 @@ class FactoredTables(NamedTuple):
     gneg: np.ndarray  # (m,)
 
 
-class GeneratorChain(NamedTuple):
-    """Generators s_1..s_k of a retract at the zero constant, each the least
-    carrier index outside span_{j-1} = <s_1..s_{j-1}> (span_0 = {0}).
-
-    span_j is order[:sizes[j]]: span_{j-1}, then the cosets span_{j-1} +
-    k*s_j for 0 < k < r_j, each in span_{j-1}'s order, where r_j is the
-    least r > 0 with r*s_j in span_{j-1}. shifted[j - 1] is span_j + s_j in
-    span_j's order; its last coset wraps into span_{j-1}.
-    """
-
-    basis: np.ndarray  # (k + 1,) the zero constant, then s_1..s_k
-    sizes: np.ndarray  # (k + 1,) |span_0| = 1, ..., |span_k| = n
-    order: np.ndarray  # (n,)
-    shifted: tuple[np.ndarray, ...]  # k arrays, sum_j |span_j| <= 2n entries in all
-    products: np.ndarray  # (k + 1, k + 1) basis[a] * basis[b]
-
-
 @dataclass(frozen=True, eq=False)
 class EndoTruss:
     """The truss of heap endomorphisms of a group built on a homomorphism family.
@@ -218,14 +201,14 @@ class EndoTruss:
         return int(self.hom_positions(np.array(self.group.generators, dtype=np.int64))) * self._m
 
     @cached_property
-    def _zero_hom_pos(self) -> int:
-        return int(self.hom_positions(np.zeros(self.group.rank, dtype=np.int64)))
+    def zero(self) -> int:
+        """Index of the zero constant (0, 0), the retract's base point."""
+        return int(self.hom_positions(np.zeros(self.group.rank, dtype=np.int64))) * self._m
 
     @cached_property
     def constant_indices(self) -> tuple[int, ...]:
         """Carrier indices of the constant morphisms, in element order."""
-        base = self._zero_hom_pos * self._m
-        return tuple(base + j for j in range(self._m))
+        return tuple(self.zero + j for j in range(self._m))
 
     def decode(self, indices) -> tuple[np.ndarray, np.ndarray]:
         """(family positions, element indices) of carrier indices."""
@@ -291,57 +274,24 @@ class EndoTruss:
         return cached
 
     def generator_chain(self, max_enum: int | None = None) -> GeneratorChain:
-        """The retract's generator chain, computed once by `plus` a coset at
-        a time: each coset of span_{j-1} lies wholly inside it or wholly
-        outside, and the first inside one is the wrap span_{j-1} + r_j*s_j."""
+        """The retract's generator chain (`walk_chain`)."""
         self.factored_tables(max_enum)  # its guard runs before the cache is read
-        cached = self.__dict__.get("_chain_cache")
-        if cached is None:
-            zero = self.constant_indices[0]
-            in_span = np.zeros(self.size, dtype=bool)
-            in_span[zero] = True
-            basis, order, shifted = [zero], np.array([zero]), []
-            while not in_span.all():
-                basis.append(int(np.argmin(in_span)))
-                cosets = [self.plus(order, basis[-1], max_enum)]
-                while not in_span[cosets[-1][0]]:
-                    in_span[cosets[-1]] = True
-                    cosets.append(self.plus(cosets[-1], basis[-1], max_enum))
-                order = np.concatenate([order, *cosets[:-1]])
-                shifted.append(np.concatenate(cosets))
-            basis = np.array(basis)
-            sizes = np.array([1] + [len(xs) for xs in shifted])
-            products = self.product(basis[:, None], basis[None, :], max_enum)
-            cached = GeneratorChain(basis, sizes, order, tuple(shifted), products)
-            self.__dict__["_chain_cache"] = cached
-        return cached
+        return walk_chain(self, max_enum)
 
     def product(self, x, y, max_enum: int | None = None) -> np.ndarray:
         """Carrier indices of x*y = (u o v, u(b) + a) for x = (u, a) and
-        y = (v, b), broadcast over arrays of carrier indices."""
-        ft = self.factored_tables(max_enum)
+        y = (v, b), broadcast; tables are read by (faster) flat gathers."""
+        ft, H, m = self.factored_tables(max_enum), len(self.homs), self._m
         (u, a), (v, b) = self.decode(x), self.decode(y)
-        return self.encode(ft.compose[u, v], ft.gadd[ft.apply[u, b], a])
+        ub = ft.apply.ravel()[u * m + b]
+        return self.encode(ft.compose.ravel()[u * H + v], ft.gadd.ravel()[ub * m + a])
 
     def plus(self, x, y, max_enum: int | None = None) -> np.ndarray:
         """Carrier indices of x + y = (u + v, a + b) in the retract at the
         zero constant, broadcast over arrays of carrier indices."""
-        ft = self.factored_tables(max_enum)
+        ft, H, m = self.factored_tables(max_enum), len(self.homs), self._m
         (u, a), (v, b) = self.decode(x), self.decode(y)
-        return self.encode(ft.add[u, v], ft.gadd[a, b])
-
-    def _retract_tables(self, max_enum: int | None = None) -> tuple[np.ndarray, np.ndarray, int]:
-        """(mult, add, zero): the n x n tables of `product` and `plus` and the
-        zero constant, for the target side of the affine search and for
-        `validate_truss`. Guarded by n^2 before the cache is read."""
-        n = self.size
-        guard(n * n, resolve_max_enum(max_enum), "multiplication and retract tables of a {}-element endomorphism truss", n)
-        cached = self.__dict__.get("_retract_cache")
-        if cached is None:
-            x, y = np.arange(n)[:, None], np.arange(n)
-            cached = (self.product(x, y, max_enum), self.plus(x, y, max_enum), self.constant_indices[0])
-            self.__dict__["_retract_cache"] = cached
-        return cached
+        return self.encode(ft.add.ravel()[u * H + v], ft.gadd.ravel()[a * m + b])
 
 
 def build_endo_truss(g: AbGroup, max_enum: int | None = None) -> EndoTruss:

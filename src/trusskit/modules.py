@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .baer_kaplansky import heap_iso_from_truss_iso, truss_iso_from_heap_iso
+from .baer_kaplansky import _endo_ends, heap_iso_from_truss_iso, truss_iso_from_heap_iso
 from .endo import EndoTruss, HeapMorphism, _bijective_rows
 from .errors import (
     InvalidEquivalence,
@@ -474,9 +474,7 @@ def equivalence_from_truss_iso(
     mu is the linear part of the heap isomorphism `heap_iso_from_truss_iso`
     extracts; rho(u) is the linear part of Phi(u, 0). The pair is checked
     with `equivalence_is_valid`."""
-    if not isinstance(phi.source, EndoTruss) or not isinstance(phi.target, EndoTruss):
-        raise TypeError("morphism must run between endomorphism trusses")
-    source, target = phi.source, phi.target
+    source, target = _endo_ends(phi)
     if source.group != source_module.group or target.group != target_module.group:
         raise ValueError("truss morphism does not match the given modules")
     mu = heap_iso_from_truss_iso(phi, max_enum).linear

@@ -140,7 +140,7 @@ def additivity_failures(F: np.ndarray, add_src: np.ndarray, add_tgt: np.ndarray,
 def validate_ring(r: FiniteRing, max_enum: int | None = None) -> ValidationReport:
     """Exhaustive associativity, distributivity and unit checks, by the
     generator certificates of the module docstring."""
-    M, n = r._mult_array, r.size
+    M, n, one = r._mult_array, r.size, r.additive.index(r.one)
     A = np_add_table(r.additive, max_enum)
     gens = generator_columns(r.additive)
     left = additivity_failures(M, A, A, gens)  # (a, x, j): a*(x + g_j)
@@ -163,7 +163,7 @@ def validate_ring(r: FiniteRing, max_enum: int | None = None) -> ValidationRepor
             "right-distributivity", right, n**3, lambda ce: (ce[1], gens[ce[2]], ce[0]),
             (lambda: sliced_scan(lambda a: M[A[a]] != A[M[a][None, :], M], n)) if dense else None,
         ),
-        unit_law(M, r.additive.index(r.one)),
+        unit_law(M[one], M[:, one]),
     )
     return ValidationReport(f"ring on {n} elements", checks)
 

@@ -3,25 +3,65 @@ distributes over the ternary operation on both sides,
 
     d[a,b,c] = [da,db,dc]  and  [a,b,c]d = [ad,bd,cd].
 
-Carriers are dense tables (FiniteTruss) or the endomorphism trusses of
-`endo`, read through their factored tables: a vectorised `product`, the
-retract's `plus` and `generator_chain`, and the n x n `_retract_tables`.
-`validate_truss` certifies the laws on generators of the retract, and
-`preserving_rows` a block of maps on the source's chain; the enumerators
-extend maps along that chain into the target's retract tables. Morphisms
-are total maps preserving both operations; units, when present, need not
-map to units (only heap + semigroup structure is preserved).
+Every carrier has one interface: `size`, `unit`, `zero` (the retract's base
+point), the retract's `plus` and `product` on index arrays, and
+`generator_chain` (`walk_chain`), read from the dense tables of a FiniteTruss
+or the factored ones of an endomorphism truss (`endo`). Along the chain
+`validate_truss` certifies the laws and `preserving_rows` a block of maps,
+both by one affinity check (`affine_rows`), and the enumerators extend maps.
+Morphisms preserve both operations; units need not map to units.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import guard, int_table, json_int, json_ints, resolve_max_enum
 from .heaps import FiniteHeap, _heap_checks
-from .validation import Check, ValidationReport, certified_check, first, law_check, multiadditive_check, sliced_scan
+from .validation import Check, ValidationReport, first, law_check, multiadditive_check, sliced_scan
+
+
+class GeneratorChain(NamedTuple):
+    """Generators s_1..s_k of a retract at its zero, each the least carrier
+    index outside span_{j-1} = <s_1..s_{j-1}> (span_0 = {0}). span_j is
+    order[:sizes[j]]: span_{j-1}, then the cosets span_{j-1} + k*s_j for
+    0 < k < r_j, each in span_{j-1}'s order, where r_j is the least r > 0
+    with r*s_j in span_{j-1}. shifted[j - 1] is span_j + s_j in span_j's
+    order; its last coset wraps into span_{j-1}."""
+
+    basis: np.ndarray  # (k + 1,) the zero, then s_1..s_k
+    sizes: np.ndarray  # (k + 1,) |span_0| = 1, ..., |span_k| = n
+    order: np.ndarray  # (n,)
+    shifted: tuple[np.ndarray, ...]  # k arrays, sum_j |span_j| <= 2n entries in all
+    products: np.ndarray  # (k + 1, k + 1) basis[a] * basis[b]
+
+
+def walk_chain(t, max_enum: int | None = None) -> GeneratorChain:
+    """t's generator chain, walked once by `plus` a coset at a time and kept
+    on t: each coset of span_{j-1} lies wholly inside it or wholly outside,
+    and the first inside one is the wrap span_{j-1} + r_j*s_j. On a retract
+    that is not an abelian group the walk may not end."""
+    if "_chain_cache" in t.__dict__:
+        return t.__dict__["_chain_cache"]
+    in_span = np.zeros(t.size, dtype=bool)
+    in_span[t.zero] = True
+    basis, order, shifted = [t.zero], np.array([t.zero]), []
+    while not in_span.all():
+        basis.append(int(np.argmin(in_span)))
+        cosets = [t.plus(order, basis[-1], max_enum)]
+        while not in_span[cosets[-1][0]]:
+            in_span[cosets[-1]] = True
+            cosets.append(t.plus(cosets[-1], basis[-1], max_enum))
+        order = np.concatenate([order, *cosets[:-1]])
+        shifted.append(np.concatenate(cosets))
+    basis = np.array(basis)
+    sizes = np.array([1] + [len(xs) for xs in shifted])
+    products = t.product(basis[:, None], basis, max_enum)
+    chain = t.__dict__["_chain_cache"] = GeneratorChain(basis, sizes, order, tuple(shifted), products)
+    return chain
 
 
 @dataclass(frozen=True)
@@ -32,6 +72,7 @@ class FiniteTruss:
     heap: FiniteHeap
     mult_table: tuple[int, ...]
     unit: int | None = None
+    zero = 0  # the retract's base point, not a field
 
     def __post_init__(self) -> None:
         n = self.heap.size
@@ -48,13 +89,26 @@ class FiniteTruss:
     def size(self) -> int:
         return self.heap.size
 
+    def plus(self, x, y, max_enum: int | None = None) -> np.ndarray:
+        """x + y = [x, 0, y], broadcast over index arrays like `product`."""
+        return dense_tables(self)[1][x, 0, y]
+
+    def product(self, x, y, max_enum: int | None = None) -> np.ndarray:
+        return dense_tables(self)[0][x, y]
+
+    @cached_property
+    def _heap_report(self) -> tuple[Check, Check, Check]:  # run once for the validator and the chain
+        return _heap_checks(dense_tables(self)[1])
+
+    def generator_chain(self, max_enum: int | None = None) -> GeneratorChain:
+        """`walk_chain`, or ValueError when the ternary table fails a heap law."""
+        if not all(c.passed for c in self._heap_report):
+            raise ValueError("ternary table is not an abelian heap: its retract has no generator chain")
+        return walk_chain(self)
+
     def to_json_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "ternary": list(self.heap.ternary_table),
-            "mult": list(self.mult_table),
-            "unit": self.unit,
-        }
+        heap = self.heap.ternary_table
+        return {"size": self.size, "ternary": list(heap), "mult": list(self.mult_table), "unit": self.unit}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FiniteTruss":
@@ -71,10 +125,10 @@ def dense_tables(t: FiniteTruss) -> tuple[np.ndarray, np.ndarray]:
     return t._mult_array, t.heap._array
 
 
-def unit_law(M: np.ndarray, unit: int) -> Check:
-    """unit*a = a = a*unit on a multiplication table, over 2n cases."""
-    idx = np.arange(len(M))
-    return law_check("unit", (M[unit] != idx) | (M[:, unit] != idx), 2 * len(M))
+def unit_law(left: np.ndarray, right: np.ndarray) -> Check:
+    """unit*a = a = a*unit over 2n cases, on the rows unit*a and a*unit."""
+    idx = np.arange(len(left))
+    return law_check("unit", (left != idx) | (right != idx), 2 * len(left))
 
 
 def _factored_heap_checks(t, max_enum: int | None) -> tuple[Check, Check, Check]:
@@ -85,7 +139,7 @@ def _factored_heap_checks(t, max_enum: int | None) -> tuple[Check, Check, Check]
     lifted with the other coordinate at index 0."""
     ft, m = t.factored_tables(max_enum), t._m
     guard(len(ft.add) ** 3 + m**3, resolve_max_enum(max_enum), "heap tables of the factors of E({})", t.group)
-    factors = ((ft.add, t._zero_hom_pos), (ft.gadd, 0))  # each with its heap [a,b,c] = a - b + c
+    factors = ((ft.add, t.zero // m), (ft.gadd, 0))  # each with its heap [a,b,c] = a - b + c
     homs, elems = (_heap_checks(add[add[:, np.nonzero(add == zero)[1]]]) for add, zero in factors)
     checks = []
     for hom, elem in zip(homs, elems):
@@ -95,62 +149,83 @@ def _factored_heap_checks(t, max_enum: int | None) -> tuple[Check, Check, Check]
     return tuple(checks)
 
 
-def validate_truss(t, max_enum: int | None = None) -> ValidationReport:
-    """Exhaustively verify the heap laws, semigroup associativity, two-sided
-    distributivity over the ternary operation, and the unit law when a unit
-    is designated, on a FiniteTruss or an endomorphism truss.
-
-    Once the heap holds, the laws are certified on its retract at z, with
-    addition A and generators S (every element of a FiniteTruss, the
-    generator chain of an endomorphism truss). A map of heaps preserves
-    [a,b,c] iff it is affine (Baer; Certaine), iff f(x + s) = [fx, fz, fs]
-    for every x and s in S: n^2 |S| lookups for the rows x -> d*x, as many
-    for the columns. Then (a*b)*c and a*(b*c) are affine in each argument,
-    so ({z} u S)^3 decides associativity. A failure reports the first
-    counterexample by a scan from the certificate's first failing row (from
-    0 if the heap fails), one n^3 slice per row, which an endomorphism truss
-    runs only when n^3 fits the cap; otherwise the certificate's own case.
+def affine_rows(t, F: np.ndarray, chain: GeneratorChain, max_enum: int | None = None):
+    """(mask, case): which rows f of F, maps into t by target index from the
+    carrier `chain` walks, are affine, and a case (r, x, s_j) of the first
+    row r that is not, with f(x + s_j) + f(z) != f(x) + f(s_j), or None.
+    A map of abelian heaps preserves [a,b,c] = a - b + c iff it is affine
+    (Baer; Certaine): g = f - f(z) is additive. g is additive on span_j iff
+    it is on span_{j-1} and f(x + s_j) + f(z) = f(x) + f(s_j) for every x
+    in span_j: the cosets give g(v + k*s_j) = g(v) + k*g(s_j), and the last
+    wraps to g(r_j*s_j) = r_j*g(s_j). That is at most 2|F[0]| lookups a row.
     """
-    if isinstance(t, FiniteTruss):
-        M, T = dense_tables(t)
-        A, z, heap = T[:, 0, :], 0, _heap_checks(T)
-    else:
-        heap, (M, A, z), T = _factored_heap_checks(t, max_enum), t._retract_tables(max_enum), None
-    n = len(M)
-    dense = T is not None or n**3 <= resolve_max_enum(max_enum)
-    neg = np.nonzero(A == z)[1]
-    is_heap = heap[0].passed and heap[1].passed
-    # a generator chain needs a group: on a broken one its coset walk may not end
-    basis = np.arange(n) if T is not None or not is_heap else t.generator_chain(max_enum).basis
-    S = basis[1:] if n > 1 else basis
+    fz = F[:, chain.basis[:1]]
+    ok, cases = np.ones(len(F), dtype=bool), []
+    for j, xs in enumerate(chain.shifted, 1):  # one level at a time: B x |span_j| arrays
+        x = chain.order[: len(xs)]
+        bad = t.plus(F[:, xs], fz, max_enum) != t.plus(F[:, x], F[:, chain.basis[j], None], max_enum)
+        if bad.any():
+            r, i = first(bad)
+            cases.append((r, int(x[i]), int(chain.basis[j])))
+            ok &= ~bad.any(axis=1)
+    return ok, min(cases, default=None)
 
-    def scan(L: np.ndarray, start: int) -> tuple[int, ...] | None:
-        # (d, a, b, c) with L[d, [a,b,c]] != [L[d,a], L[d,b], L[d,c]]. An endomorphism
-        # truss's heap holds (its family is closed under +), so it scans only when dense
-        T3 = A[A[:, neg]] if T is None else T
-        return sliced_scan(lambda d: L[d][T3] != T3[np.ix_(L[d], L[d], L[d])], n, start)
 
-    def distributivity(law: str, L: np.ndarray) -> Check:
-        if not is_heap:
-            ce = scan(L, 0)
+def validate_truss(t, max_enum: int | None = None) -> ValidationReport:
+    """Exhaustively verify the heap laws (on the dense table of a
+    FiniteTruss, on the two factors of an endomorphism truss), semigroup
+    associativity, two-sided distributivity and the unit law if any.
+
+    Once the heap holds, each distributivity is `affine_rows` on the rows
+    x -> d*x (left) or x -> x*d (right), made by `product` about 2^18
+    entries at a time up to the first failing block; then the chain's
+    triples decide associativity, both sides being affine in each argument.
+    A failure is scanned from the certificate's first failing row (from 0
+    if the heap fails), one n^3 slice per row, if the carrier holds its n^3
+    table or n^3 fits the cap; else the certificate's case is reported."""
+    n, z, idx = t.size, t.zero, np.arange(t.size)
+    finite = isinstance(t, FiniteTruss)
+    heap = t._heap_report if finite else _factored_heap_checks(t, max_enum)
+    limit = resolve_max_enum(max_enum)
+    guard(n * n, limit, "products of a {}-element truss", n)
+    dense = finite or n**3 <= limit
+    chain = t.generator_chain(max_enum) if all(c.passed for c in heap) else None
+
+    def mul(a, b):
+        return t.product(a, b, max_enum)
+
+    def distributivity(law: str, rows) -> Check:
+        def scan(start: int) -> tuple[int, ...] | None:  # (d, a, b, c): L[d, [a,b,c]] != [L[d,a], L[d,b], L[d,c]]
+            A = None if finite else t.plus(idx[:, None], idx, max_enum)  # T = a - b + c in the retract
+            T = dense_tables(t)[1] if finite else A[A[:, np.nonzero(A == z)[1]]]
+            return sliced_scan(lambda d: rows(d)[T] != T[np.ix_(*(rows(d),) * 3)], n, start)
+
+        if chain is None:
+            ce = scan(0)
             return Check(law, ce is None, True, n**4, ce)
-        # bad[d, x, j]: L[d, x + s_j] != [L[d,x], L[d,z], L[d,s_j]], a block of rows of
-        # about 2^18 entries at a time
-        step = max(1, (1 << 18) // (n * len(S)))
-        Ls = (L[d : d + step] for d in range(0, n, step))
-        bad = np.concatenate([Ld[:, A[:, S]] != A[A[Ld, neg[Ld[:, z, None]]][:, :, None], Ld[:, None, S]] for Ld in Ls])
-        return certified_check(
-            law, bad, n**4, lambda ce: (ce[0], ce[1], z, int(S[ce[2]])), (lambda: scan(L, first(bad)[0])) if dense else None
-        )
+        step = max(1, (1 << 18) // n)
+        for d in range(0, n, step):
+            case = affine_rows(t, rows(idx[d : d + step, None]), chain, max_enum)[1]
+            if case is not None:
+                r, x, s = case
+                return Check(law, False, True, n**4, scan(d + r) if dense else (d + r, x, z, s))
+        return Check(law, True, True, n**4)
 
-    left, right = distributivity("left-distributivity", M), distributivity("right-distributivity", M.T)
+    left = distributivity("left-distributivity", lambda d: mul(d, idx))
+    right = distributivity("right-distributivity", lambda d: mul(idx, d))
+
+    def assoc_scan() -> tuple[int, ...] | None:
+        M = mul(idx[:, None], idx)
+        return sliced_scan(lambda a: M[M[a]] != M[a][M], n)
+
     assoc = multiadditive_check(  # (a*b)*c == a*(b*c)
-        "mult-associativity", lambda a, b, c: M[M[a, b], c] != M[a, M[b, c]], (basis,) * 3,
-        is_heap and left.passed and right.passed, lambda: sliced_scan(lambda a: M[M[a]] != M[a][M], n), n**3, dense,
+        "mult-associativity", lambda a, b, c: mul(mul(a, b), c) != mul(a, mul(b, c)),
+        (idx if chain is None else chain.basis,) * 3, chain is not None and left.passed and right.passed,
+        assoc_scan, n**3, dense,
     )
     checks = [*(replace(c, law="heap-" + c.law) for c in heap), assoc, left, right]
     if t.unit is not None:
-        checks.append(unit_law(M, t.unit))
+        checks.append(unit_law(mul(t.unit, idx), mul(idx, t.unit)))
     return ValidationReport(f"truss on {n} elements", tuple(checks))
 
 
@@ -179,44 +254,26 @@ class TrussMorphism:
 
 
 def truss_morphism_preserves(tm: TrussMorphism, max_enum: int | None = None) -> bool:
-    """Whether a TrussMorphism between carriers with factored tables (the
-    endomorphism trusses and their linear sub-trusses) preserves mult and
-    ternary: `preserving_rows` on its one row."""
+    """Whether a TrussMorphism preserves both operations: `preserving_rows`."""
     return bool(preserving_rows(tm.source, tm.target, tm._array[None], max_enum)[0])
 
 
 def preserving_rows(s, t, F: np.ndarray, max_enum: int | None = None) -> np.ndarray:
     """Mask of the rows of F, a (B, |s|) array of maps s -> t by target
-    index, that preserve mult and ternary, certified on the source's
-    `generator_chain`; carriers without factored tables raise TypeError.
-
-    A map of abelian heaps preserves [a,b,c] = a - b + c iff it is affine
-    (Baer; Certaine): g = f - f(0) is additive in the retracts. g is
-    additive on span_j iff it is on span_{j-1} and f(x + s_j) + f(0) =
-    f(x) + f(s_j) for every x in span_j: the cosets give g(v + k*s_j) =
-    g(v) + k*g(s_j), and the last one wraps to the relation
-    g(r_j*s_j) = r_j*g(s_j). That is sum_j |span_j| <= 2n lookups a row.
-    For affine f, y -> f(x*y) and y -> f(x)*f(y) are affine by
-    distributivity, and so are both sides in x; affine maps agreeing on
-    the basis 0, s_1..s_k agree everywhere, so f preserves mult iff
-    f(x*y) = f(x)*f(y) on the basis pairs.
-    """
-    for end in (s, t):
-        if not hasattr(end, "factored_tables"):
-            raise TypeError(f"{type(end).__name__} does not expose factored tables")
+    index, that preserve both operations: the `affine_rows` on the source's
+    `generator_chain` that are multiplicative on its basis 0, s_1..s_k. For
+    affine f both sides of f(x*y) = f(x)*f(y) are affine in x and in y (by
+    distributivity), and affine maps agreeing on the basis agree everywhere."""
     chain = s.generator_chain(max_enum)
     fb = F[:, chain.basis]
     ok = (F[:, chain.products] == t.product(fb[:, :, None], fb[:, None, :], max_enum)).all(axis=(1, 2))
-    for j, xs in enumerate(chain.shifted, 1):  # one level at a time: B x |span_j| arrays
-        x = F[:, chain.order[: len(xs)]]
-        ok &= (t.plus(F[:, xs], fb[:, :1], max_enum) == t.plus(x, fb[:, j, None], max_enum)).all(axis=1)
-    return ok
+    return ok & affine_rows(t, F, chain, max_enum)[0]
 
 
 def _affine_search(s, t, injective: bool, max_enum: int | None) -> tuple[TrussMorphism, ...]:
     """Every truss morphism s -> t (every injective one if asked), sorted by
-    mapping, from the source's `generator_chain` and the target's
-    `_retract_tables`.
+    mapping, from the source's `generator_chain` and the target's n x n
+    tables of `product` and `plus`, built once per call.
 
     A map between abelian heaps preserves [a,b,c] iff it is f = L + c with
     L additive on the retracts and c = f(0) (Baer; Certaine). The search
@@ -228,22 +285,18 @@ def _affine_search(s, t, injective: bool, max_enum: int | None) -> tuple[TrussMo
     for isomorphisms, when L sends a nonzero element to 0. At the last
     level f is affine, and both sides of f(a*b) = f(a)*f(b) are affine in
     a and in b, so the basis pairs decide it. The images tried are counted
-    against `max_enum` as the search runs. Partial maps are extended and
-    pruned a block of rows at a time, so the tables built for one generator
-    stay near 2^20 entries however many images are tried.
-    """
-    if not hasattr(s, "factored_tables"):
-        raise TypeError(f"{type(s).__name__} does not expose factored tables")
-    if not hasattr(t, "_retract_tables"):
-        raise TypeError(f"{type(t).__name__} does not expose retract tables")
+    against `max_enum` as the search runs. Partial maps are extended a block
+    of rows at a time, so the tables built per generator stay near 2^20
+    entries however many images are tried."""
     ns, nt = s.size, t.size
     if injective and ns != nt:
         return ()
     chain = s.generator_chain(max_enum)
-    tm, ta, t0 = t._retract_tables(max_enum)
     limit = resolve_max_enum(max_enum)
-    what = "truss morphism search (candidate images tried)"
-    tried = nt
+    guard(nt * nt, limit, "multiplication and retract tables of a {}-element endomorphism truss", nt)
+    ys = np.arange(nt)
+    tm, ta, t0 = t.product(ys[:, None], ys, max_enum), t.plus(ys[:, None], ys, max_enum), t.zero
+    what, tried = "truss morphism search (candidate images tried)", nt
     guard(tried, limit, what)
     # the level at which each basis pair is checked: that of its later
     # factor or of its product, whichever enters the span last
@@ -260,7 +313,6 @@ def _affine_search(s, t, injective: bool, max_enum: int | None) -> tuple[TrussMo
     L = np.full((nt, ns), t0, dtype=np.int64)  # defined on the span's columns
     keep = multiplicative(L, c, 0)
     c, L = c[keep], L[keep]
-    ys = np.arange(nt)
     block = max(1, (1 << 20) // ns)  # rows extended at a time: bounds the tables built
     for level in range(1, len(chain.basis)):
         g, prev, size = chain.basis[level], chain.sizes[level - 1], chain.sizes[level]

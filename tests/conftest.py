@@ -220,15 +220,24 @@ def ternary(t, i: int, j: int, k: int) -> int:
     return memo[h1, h2, h3] * m + g.index(e)
 
 
+def grid_tables(t, max_enum: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(mult, add): the n x n tables of a carrier's `product` and `plus`
+    over the whole grid, guarded by n^2 and kept on the carrier."""
+    n = t.size
+    guard(n * n, resolve_max_enum(max_enum), "grid tables of a {}-element truss", n)
+    x, y = np.arange(n)[:, None], np.arange(n)
+    return _kept(t, "_oracle_grid", lambda: (t.product(x, y, max_enum), t.plus(x, y, max_enum)))
+
+
 def truss_tables(t, max_enum: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(mult, ternary): the n x n and n^3 index tables of a FiniteTruss, or
     of an endomorphism truss with [x,y,z] = x - y + z in the retract at the
-    zero constant, read from its n x n tables and guarded by n^3."""
+    zero constant, read from its grid tables and guarded by n^3."""
     if isinstance(t, FiniteTruss):
         return dense_tables(t)
     guard(t.size**3, resolve_max_enum(max_enum), "dense tables of a {}-element endomorphism truss", t.size)
-    mult, add, zero = t._retract_tables(max_enum)
-    return mult, add[add[:, np.nonzero(add == zero)[1]]]
+    mult, add = grid_tables(t, max_enum)
+    return mult, add[add[:, np.nonzero(add == t.zero)[1]]]
 
 
 def to_finite_truss(e: EndoTruss, max_enum: int | None = None) -> FiniteTruss:
@@ -410,23 +419,19 @@ def dense_preserves(tm, max_enum: int = 10**9) -> bool:
 
 
 def retract_affine(tm, max_enum: int = 10**9) -> bool:
-    """Whether f(x + y) + f(0) = f(x) + f(y) for every pair, on the n x n
-    retract-addition tables of two endomorphism trusses: f preserves the
-    ternary operation."""
+    """Whether f(x + y) + f(z) = f(x) + f(y) for every pair, on the grid
+    tables of the two retracts: f preserves the ternary operation."""
     s, t = tm.source, tm.target
     f = np.array(tm.mapping, dtype=np.int64)
-    _, sa, s0 = s._retract_tables(max_enum)
-    _, ta, _ = t._retract_tables(max_enum)
-    return not (ta[:, f[s0]][f[sa]] != ta[f[:, None], f[None, :]]).any()
+    sa, ta = grid_tables(s, max_enum)[1], grid_tables(t, max_enum)[1]
+    return not (ta[:, f[s.zero]][f[sa]] != ta[f[:, None], f[None, :]]).any()
 
 
 def retract_preserves(tm, max_enum: int = 10**9) -> bool:
-    """Preservation of mult and ternary on the n x n retract tables of two
-    endomorphism trusses, entry by entry for mult, for carriers too large
-    for `dense_preserves`."""
+    """Preservation of mult and ternary on the grid tables, entry by entry
+    for mult, for carriers too large for `dense_preserves`."""
     f = np.array(tm.mapping, dtype=np.int64)
-    sm = tm.source._retract_tables(max_enum)[0]
-    tm_m = tm.target._retract_tables(max_enum)[0]
+    sm, tm_m = grid_tables(tm.source, max_enum)[0], grid_tables(tm.target, max_enum)[0]
     return not (f[sm] != tm_m[f[:, None], f[None, :]]).any() and retract_affine(tm, max_enum)
 
 

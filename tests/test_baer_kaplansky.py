@@ -280,3 +280,19 @@ def test_conjugation_on_linear_endo_truss_agrees_with_per_element_composition():
         assert truss_iso_from_heap_iso(hm, e, e).mapping == expected
         kept += 1
     assert 0 < kept < len(heap_isos(e.group, e.group))
+
+
+def test_morphisms_of_dense_trusses_are_refused():
+    # a dense copy of E(Z/2) has truss morphisms of its own, but the
+    # correspondence reads the factored tables of endomorphism trusses
+    from conftest import to_finite_truss
+
+    from trusskit import equivalence_from_truss_iso, module_zn
+
+    dense = to_finite_truss(E2)
+    phi = enumerate_truss_isos(dense, dense)[0]
+    for refused in (heap_iso_from_truss_iso, check_inner_structure):
+        with pytest.raises(TypeError, match="endomorphism trusses"):
+            refused(phi)
+    with pytest.raises(TypeError, match="endomorphism trusses"):
+        equivalence_from_truss_iso(phi, module_zn(2), module_zn(2))

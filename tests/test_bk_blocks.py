@@ -7,7 +7,15 @@ import random
 
 import numpy as np
 import pytest
-from conftest import as_objects, constant_index, conjugate_by_composition, heap_iso_by_decompose, retract_affine, retract_preserves
+from conftest import (
+    as_objects,
+    constant_index,
+    conjugate_by_composition,
+    grid_tables,
+    heap_iso_by_decompose,
+    retract_affine,
+    retract_preserves,
+)
 
 import trusskit.baer_kaplansky as bk
 from trusskit import NotAnIsomorphism, build_endo_truss, heap_isos, parse_group_spec, verify_baer_kaplansky
@@ -149,7 +157,7 @@ def test_a_map_that_breaks_only_the_wrap_relation_is_rejected():
     s, t = build_endo_truss(parse_group_spec("2")), build_endo_truss(parse_group_spec("4"))
     one = TrussMorphism(s, t, (0, 0, 4, 4))
     f = one._array
-    sm, tm = s._retract_tables()[0], t._retract_tables()[0]
+    sm, tm = grid_tables(s)[0], grid_tables(t)[0]
     assert (f[sm] == tm[f[:, None], f[None, :]]).all()
     chain = s.generator_chain()
     bad = []

@@ -8,6 +8,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -281,9 +282,10 @@ def test_ring_laws_fit_a_small_address_space():
 
 
 def test_endomorphism_truss_laws_fit_a_small_address_space():
-    # E(Z/3 x Z/3) has 729 elements: its laws are certified on factored and
-    # n x n tables, so a cap that admits n^3 asks for no n^3 array. E((Z/2)^3)
-    # has 4096 elements, whose n x n tables the default cap refuses.
+    # E(Z/3 x Z/3) has 729 elements: its laws are certified on its factored
+    # tables and generator chain, so a cap that admits n^3 asks for no n^3
+    # array. E((Z/2)^3) has 4096 elements; the default cap refuses the heap
+    # tables of its factors.
     done = run_limited("validate", "--truss", "endo:3,3", "--max-enumeration", "1000000000", "--json")
     assert done.returncode == 0, done.stderr
     results = json.loads(done.stdout)["results"]
@@ -291,6 +293,15 @@ def test_endomorphism_truss_laws_fit_a_small_address_space():
     done = run_limited("validate", "--truss", "endo:2,2,2")
     assert (done.returncode, done.stdout) == (3, ""), done.stderr
     assert [line[:6] for line in done.stderr.splitlines()] == ["error:"]
+
+
+def test_e_z64_laws_hold_no_n_by_n_table():
+    # E(Z/64) has 4096 elements: a block of rows at a time, its laws need no
+    # 128 MiB n x n table, which a 300 MB address space could not hold twice
+    done = run_limited("validate", "--truss", "endo:64", "--max-enumeration", "20000000", "--json")
+    assert done.returncode == 0, done.stderr
+    results = json.loads(done.stdout)["results"]
+    assert len(results) == 7 and all(r["passed"] is True and r["exhaustive"] is True for r in results)
 
 
 def test_bk_heap_iso_tables_are_refused_in_a_small_address_space():
@@ -435,7 +446,7 @@ def test_bk_refuses_over_cap_tables_before_conjugating(capsys, monkeypatch, left
 
 def test_bk_certifies_preservation_without_retract_tables(capsys, monkeypatch):
     # every extraction checks preservation on the retract's generators, so
-    # bk builds no n x n table, here for n = 729
+    # bk keeps no n x n table, here for n = 729
     built = []
 
     def recording(g, max_enum=None):
@@ -448,7 +459,18 @@ def test_bk_certifies_preservation_without_retract_tables(capsys, monkeypatch):
     data = json.loads(out)
     assert data["heap_iso_count"] == 432 and data["consistent"] is True
     # one E(3,3) serves as both source and target
-    assert len(built) == 1 and all("_retract_cache" not in t.__dict__ for t in built)
+    assert len(built) == 1
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, tuple):
+            for item in value:
+                yield from arrays(item)
+
+    n = built[0].size
+    kept = [a.size for value in vars(built[0]).values() for a in arrays(value)]
+    assert kept and max(kept) < n * n
 
 
 @pytest.mark.parametrize(

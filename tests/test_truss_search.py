@@ -10,7 +10,13 @@ import tracemalloc
 from contextlib import redirect_stdout
 
 import pytest
-from conftest import as_objects, brute_force_truss_isos, brute_force_truss_morphisms, module_by_callable
+from conftest import (
+    as_objects,
+    brute_force_truss_isos,
+    brute_force_truss_morphisms,
+    module_by_callable,
+    to_finite_truss,
+)
 
 from trusskit import (
     BoundExceeded,
@@ -174,7 +180,7 @@ def test_search_extends_a_block_of_rows_at_a_time():
     # E(Z/2 x Z/4) has 256 elements; extending every partial map at once
     # traced over 180 MiB of tables, a block of rows at a time under 50
     s = endo("2,4")
-    s._retract_tables()
+    s.generator_chain()  # the factored tables and chain are cached on E(G)
     tracemalloc.start()
     try:
         assert len(enumerate_truss_isos(s, s)) == 64
@@ -184,9 +190,19 @@ def test_search_extends_a_block_of_rows_at_a_time():
     assert peak < 96 * 2**20
 
 
-def test_carriers_without_retract_tables_are_refused():
-    t = ring_as_truss(make_ring_zn(2))
-    with pytest.raises(TypeError, match="factored tables"):
-        enumerate_truss_morphisms(t, endo("2"))
-    with pytest.raises(TypeError, match="retract tables"):
-        enumerate_truss_isos(endo("2"), t)
+# the ring trusses Z/2 and Z/3, and E(Z/2) as dense and as factored tables
+CARRIERS = {
+    "zn:2": lambda: ring_as_truss(make_ring_zn(2)),
+    "zn:3": lambda: ring_as_truss(make_ring_zn(3)),
+    "dense-endo:2": lambda: to_finite_truss(endo("2")),
+    "endo:2": lambda: endo("2"),
+}
+
+
+@pytest.mark.parametrize("a,b", [(a, b) for a in CARRIERS for b in CARRIERS if (a, b) != ("endo:2", "endo:2")])
+def test_dense_and_mixed_carriers_match_the_oracle(a, b):
+    # every carrier has one interface: the search runs from and into a
+    # dense truss as it does between endomorphism trusses
+    s, t = CARRIERS[a](), CARRIERS[b]()
+    assert tuple(m.mapping for m in enumerate_truss_morphisms(s, t)) == brute_force_truss_morphisms(s, t)
+    assert tuple(m.mapping for m in enumerate_truss_isos(s, t)) == brute_force_truss_isos(s, t)

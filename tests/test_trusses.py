@@ -42,7 +42,7 @@ from trusskit import (
 )
 from trusskit.endo import EndoTruss
 from trusskit.modules import build_linear_endo_truss
-from trusskit.trusses import TrussMorphism
+from trusskit.trusses import TrussMorphism, preserving_rows
 
 # count of truss endomorphisms of E(Z/2) among all 4^4 maps, frozen from the
 # exhaustive oracle (re-derived below against the plain-loop checker)
@@ -133,9 +133,8 @@ def test_identity_morphism_preserves():
     ident = identity_truss_morphism(t)
     assert ident.is_bijective
     assert truss_morphism_preserves(ident)
-    # dense carriers have no factored tables to certify on
-    with pytest.raises(TypeError, match="factored tables"):
-        truss_morphism_preserves(identity_truss_morphism(ring_as_truss(make_ring_zn(3))))
+    # a dense carrier is certified on its own generator chain
+    assert truss_morphism_preserves(identity_truss_morphism(ring_as_truss(make_ring_zn(3))))
 
 
 def test_unitless_truss_validates_without_unit_check():
@@ -320,8 +319,46 @@ def test_valid_trusses_need_no_scan(monkeypatch):
 
 @pytest.mark.parametrize("spec", ["", "1", "2", "3", "4", "5", "6", "8", "9", "2,2", "2,3", "12"])
 def test_factored_validation_agrees_with_the_dense_oracle(spec):
+    # and the one validator gives the same checks on E(G)'s dense copy
     e = build_endo_truss(parse_group_spec(spec))
-    assert validate_truss(e).checks == dense_truss_checks(e)
+    assert validate_truss(e).checks == dense_truss_checks(e) == validate_truss(to_finite_truss(e, 10**9), 10**9).checks
+
+
+@pytest.mark.parametrize("spec", ["zn:4", "zn:6", "fpxfp:2", "endo:2", "endo:3", "endo:4"])
+def test_dense_preservation_certificate_agrees_with_dense(spec):
+    # identities, every truss endomorphism, every constant map and the
+    # mutations of each, on ring trusses and dense copies of E(G)
+    rng = random.Random(spec)
+    t = _truss_preset(spec)
+    maps = [tuple(range(t.size))] + [(c,) * t.size for c in range(t.size)]
+    maps += [m.mapping for m in enumerate_truss_morphisms(t, t)]
+    verdicts = set()
+    for base in maps:
+        for mapping in _mutations(base, t.size, rng):
+            tm = TrussMorphism(t, t, mapping)
+            verdict = truss_morphism_preserves(tm)
+            assert verdict == dense_preserves(tm), mapping
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("spec", ["zn:3", "endo:2"])
+def test_broken_dense_heaps_have_no_generator_chain(spec):
+    # every one-entry change of the ternary table breaks a heap law, on
+    # which the coset walk of the chain might never end: ValueError instead
+    t = _truss_preset(spec)
+    n = t.size
+    tern = np.array(t.heap.ternary_table, dtype=np.int64)
+    for pos in range(tern.size):
+        for wrong in {int(tern[pos]) + 1, int(tern[pos]) - 1} - {-1, n}:
+            table = tern.copy()
+            table[pos] = wrong
+            broken = FiniteTruss(FiniteHeap(n, tuple(table.tolist())), t.mult_table, t.unit)
+            with pytest.raises(ValueError, match="not an abelian heap"):
+                preserving_rows(broken, broken, np.arange(n)[None])
+            with pytest.raises(ValueError, match="not an abelian heap"):
+                enumerate_truss_morphisms(broken, broken)
+            assert not validate_truss(broken).passed
 
 
 def test_linear_sub_truss_validation_agrees_with_the_dense_oracle():
@@ -332,10 +369,18 @@ def test_linear_sub_truss_validation_agrees_with_the_dense_oracle():
 
 
 def test_validation_caches_do_not_bypass_the_cap():
-    e = build_endo_truss(make_group([12]))  # n = 144
+    # the factored tables and the chain are cached by the first run; a
+    # second run under a lower cap is still refused, by the n^2 products
+    # and by the factored tables' own guard
+    e = build_endo_truss(make_group([12]))  # n = 144, H = m = 12
     assert validate_truss(e, 10**9).passed
-    with pytest.raises(BoundExceeded, match="retract tables"):
+    assert "_factored_cache" in e.__dict__ and "_chain_cache" in e.__dict__
+    with pytest.raises(BoundExceeded, match="products of a 144-element truss"):
         validate_truss(e, max_enum=e.size**2 - 1)
+    with pytest.raises(BoundExceeded, match="factored tables"):
+        validate_truss(e, max_enum=12**2 - 1)
+    with pytest.raises(BoundExceeded, match="factored tables"):
+        e.generator_chain(max_enum=12**2 - 1)
 
 
 def _corrupted_trusses(spec):
@@ -345,7 +390,7 @@ def _corrupted_trusses(spec):
     an add and a gadd change, which breaks the heap on both factors."""
     base = build_endo_truss(parse_group_spec(spec))
     ft = base.factored_tables()
-    zeros = {"add": base._zero_hom_pos, "gadd": 0}
+    zeros = {"add": base.zero // base._m, "gadd": 0}
     changes = []
     for name, bound in (("compose", len(ft.compose)), ("apply", base._m), ("add", len(ft.add)), ("gadd", base._m)):
         table = getattr(ft, name)

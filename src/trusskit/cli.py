@@ -205,14 +205,13 @@ def cmd_module_bk(args, max_enum: int | None) -> ValidationReport:
         return ValidationReport("module-bk", checks, {"example": args.first}, witnesses)
 
     left = _valid_module(args.first, max_enum)
-    right = _valid_module(args.second, max_enum)
+    right = left if args.second == args.first else _valid_module(args.second, max_enum)
     inputs = {"left": args.first, "right": args.second}
     eq = find_module_equivalence(left, right, max_enum)
     checks = [Check("equivalent_over_end_rings", None, value=eq is not None)]
     witnesses = None
     if eq is None:
-        source = build_linear_endo_truss(left, max_enum)
-        target = build_linear_endo_truss(right, max_enum)
+        source, target = build_linear_endo_truss(left, max_enum), build_linear_endo_truss(right, max_enum)
         try:
             iso_exists, certified = bool(enumerate_truss_isos(source, target, max_enum)), True
         except BoundExceeded:

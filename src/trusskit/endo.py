@@ -167,10 +167,10 @@ class EndoTruss:
     With `homs` = End(G) this is the full endomorphism truss E(G), realized as
     the semidirect-product carrier G x homs: carrier index h*|G| + e denotes the
     morphism (homs[h], element e). `homs` is an (H, rank, rank) int64 stack
-    of matrices, stored reduced mod the group's orders. The family must
-    contain the zero and identity maps and be closed under composition and
-    pointwise difference; the full End(G) and the module-linear subfamilies
-    used elsewhere all qualify.
+    of homomorphism matrices, stored reduced mod the group's orders. The
+    family must contain the zero and identity maps and be closed under
+    composition and pointwise difference; the full End(G) and the
+    module-linear subfamilies used elsewhere all qualify.
     """
 
     group: AbGroup
@@ -180,7 +180,10 @@ class EndoTruss:
         homs = np.asarray(self.homs, dtype=np.int64)
         if homs.ndim != 3 or homs.shape[1:] != (self.group.rank,) * 2:
             raise ValueError("every homomorphism must be an endomorphism of the group")
-        homs = homs % np.array(self.group.orders, dtype=np.int64)[:, None]
+        orders = np.array(self.group.orders, dtype=np.int64)
+        homs = homs % orders[:, None]
+        if (homs % (orders[:, None] // np.gcd.outer(orders, orders))).any():  # n_i A[j][i] != 0 mod m_j
+            raise ValueError("family contains a matrix that is not a homomorphism of the group")
         flat = homs.reshape(len(homs), -1)
         if len(flat) and _distinct_rows(flat, int(flat.max(initial=0)) + 1) != len(flat):
             raise ValueError("homomorphism family contains duplicates")

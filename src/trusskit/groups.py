@@ -182,28 +182,6 @@ def compose_homs(f: GroupHom, g: GroupHom) -> GroupHom:
     return GroupHom(g.source, f.target, tuple(rows))
 
 
-def hom_add(f: GroupHom, g: GroupHom) -> GroupHom:
-    """The pointwise sum f + g, entrywise on the matrices."""
-    if f.source != g.source or f.target != g.target:
-        raise ValueError("homomorphisms must share source and target")
-    rows = tuple(
-        tuple((x + y) % m for x, y in zip(rf, rg))
-        for rf, rg, m in zip(f.matrix, g.matrix, f.target.orders)
-    )
-    return GroupHom(f.source, f.target, rows)
-
-
-def zero_hom(g: AbGroup, h: AbGroup) -> GroupHom:
-    return GroupHom(g, h, tuple((0,) * g.rank for _ in range(h.rank)))
-
-
-def identity_hom(g: AbGroup) -> GroupHom:
-    rows = tuple(
-        tuple(1 if i == j else 0 for i in range(g.rank)) for j in range(g.rank)
-    )
-    return GroupHom(g, g, rows)
-
-
 def hom_count(g: AbGroup, h: AbGroup) -> int:
     """|Hom(g, h)| by the gcd formula over all factor pairs."""
     return math.prod(
@@ -229,20 +207,6 @@ def hom_enumerate(g: AbGroup, h: AbGroup, max_enum: int | None = None) -> np.nda
     return stack * (m_orders[:, None] // gcds)
 
 
-def hom_codes(mats: np.ndarray, g: AbGroup, h: AbGroup) -> np.ndarray:
-    """The positions in `hom_enumerate(g, h)` of the homs in a (..., rank h,
-    rank g) stack of matrices reduced mod the target orders: entry [j][i]
-    is its digit times m_j/gcd(n_i, m_j), read in the enumeration's radix.
-    The codes stay below |Hom(g, h)|."""
-    m_orders = np.array(h.orders, dtype=np.int64)
-    gcds = np.gcd.outer(m_orders, np.array(g.orders, dtype=np.int64))
-    steps = m_orders[:, None] // gcds
-    code = np.zeros(mats.shape[:-2], dtype=np.int64)
-    for j, i in np.ndindex(gcds.shape):
-        code = code * gcds[j, i] + mats[..., j, i] // steps[j, i]
-    return code
-
-
 def _prime_factors(n: int) -> dict[int, int]:
     out: dict[int, int] = {}
     d = 2
@@ -256,12 +220,18 @@ def _prime_factors(n: int) -> dict[int, int]:
     return out
 
 
-def invariant_factors(g: AbGroup) -> AbGroup:
-    """Canonical divisor-chain form d_1 | d_2 | ... | d_l with every d_i >= 2."""
+def _prime_exponents(g: AbGroup) -> dict[int, list[int]]:
+    """The exponents of each prime p | |g| in g's cyclic orders, in order."""
     exponents: dict[int, list[int]] = {}
     for n in g.orders:
         for p, e in _prime_factors(n).items():
             exponents.setdefault(p, []).append(e)
+    return exponents
+
+
+def invariant_factors(g: AbGroup) -> AbGroup:
+    """Canonical divisor-chain form d_1 | d_2 | ... | d_l with every d_i >= 2."""
+    exponents = _prime_exponents(g)
     for plist in exponents.values():
         plist.sort(reverse=True)
     depth = max((len(v) for v in exponents.values()), default=0)
@@ -281,12 +251,8 @@ def aut_count(g: AbGroup) -> int:
     (e_1 <= ... <= e_k) of prod_j (p^d_j - p^(j-1)) p^(e_j (k - d_j))
     p^((e_j - 1)(k - c_j + 1)), with d_j and c_j the last and first
     positions of e_j (Hillar and Rhea, Amer. Math. Monthly 114, 2007)."""
-    exponents: dict[int, list[int]] = {}
-    for n in g.orders:
-        for p, e in _prime_factors(n).items():
-            exponents.setdefault(p, []).append(e)
     total = 1
-    for p, es in exponents.items():
+    for p, es in _prime_exponents(g).items():
         es.sort()
         k = len(es)
         for j, e in enumerate(es, start=1):

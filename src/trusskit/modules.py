@@ -13,21 +13,23 @@ action r ._e m = r.m - r.e + e, and `validate_induced_action` runs the laws
 of `validate_module` on those deformed tables. The heap
 morphisms whose linear part commutes with the action are exactly the maps
 respecting every one of those deformed module structures at once. They form
-a sub-truss E_R(M) of the endomorphism truss of the underlying group
-(`build_linear_endo_truss`); `module_homs` finds their linear parts by
-filtering Hom(M, N) on the action tables.
+a sub-truss E_R(M) of the endomorphism truss of the underlying group, built
+once per module by `build_linear_endo_truss` on End(M) = `module_homs(M, M)`,
+which filters Hom(M, N) on the action tables. Every question "is this hom in
+End(M)?" is answered by that truss's `hom_positions`, and `end_ring` reads
+the ring End(M) off its factored tables.
 
 Two modules over possibly different rings are equivalent over their
 endomorphism rings when some additive isomorphism mu conjugates one
-endomorphism ring onto the other; `find_module_equivalence` searches for such
-a mu. The truss isomorphisms between the E_R are then the group-level
-conjugations by the heap isomorphism (mu, 0): `truss_iso_from_equivalence`
-builds one with `truss_iso_from_heap_iso`, and `equivalence_from_truss_iso`
-reads mu back with `heap_iso_from_truss_iso` and rho(u) off the image of
-(u, 0). `example_non_iso` builds the classic witness that the truss
-isomorphism class is coarser than the module isomorphism class: over
-F_p x F_p the ideals F_p x 0 and 0 x F_p have isomorphic linear endomorphism
-trusses yet admit no module isomorphism.
+endomorphism ring onto the other; `find_module_equivalence` searches Hom(M, N)
+a block at a time for such a mu. The truss isomorphisms between the E_R are
+then the group-level conjugations by the heap isomorphism (mu, 0):
+`truss_iso_from_equivalence` builds one with `truss_iso_from_heap_iso`, and
+`equivalence_from_truss_iso` reads mu back with `heap_iso_from_truss_iso` and
+rho(u) off the image of (u, 0). `example_non_iso` builds the classic witness
+that the truss isomorphism class is coarser than the module isomorphism
+class: over F_p x F_p the ideals F_p x 0 and 0 x F_p have isomorphic linear
+endomorphism trusses yet admit no module isomorphism.
 """
 
 from __future__ import annotations
@@ -51,19 +53,14 @@ from .groups import (
     AbGroup,
     Element,
     GroupHom,
-    compose_homs,
     decompose_abelian,
     groups_isomorphic,
-    hom_add,
-    hom_codes,
     hom_count,
     hom_enumerate,
-    identity_hom,
     make_group,
     matrix_images,
     np_add_table,
     np_elements,
-    zero_hom,
 )
 from .rings import (
     FiniteRing,
@@ -276,17 +273,6 @@ def _group_homs(stack: np.ndarray, g: AbGroup, h: AbGroup) -> tuple[GroupHom, ..
     return tuple(GroupHom(g, h, matrix) for matrix in stack.tolist())
 
 
-def _end_homs(m: RModule, max_enum: int | None) -> np.ndarray:
-    """`module_homs(m, m)`, computed once per module; the cap on Hom(M, M)
-    is checked before the cached stack is handed out."""
-    guard(hom_count(m.group, m.group), resolve_max_enum(max_enum), "Hom({0}, {0})", m.group)
-    cached = m.__dict__.get("_end_cache")
-    if cached is None:
-        cached = m.__dict__["_end_cache"] = module_homs(m, m, max_enum)
-        cached.flags.writeable = False
-    return cached
-
-
 @dataclass(frozen=True, eq=False)
 class EndomorphismRing:
     """End(M) over the acting ring, presented as a FiniteRing.
@@ -305,38 +291,37 @@ class EndomorphismRing:
         homs_by_index[i]."""
         group = self.module.group
         _guard_action(self.ring.size, group.cardinality, max_enum)
-        stack = np.array([f.matrix for f in self.homs_by_index], dtype=np.int64)
-        stack = stack.reshape(len(self.homs_by_index), group.rank, group.rank)
+        stack = _matrix_stack(self.homs_by_index, group, group)
         return make_module(self.ring, group, matrix_images(stack, group, group), max_enum)
 
 
 def end_ring(m: RModule, max_enum: int | None = None) -> EndomorphismRing:
-    """Package the action-commuting endomorphisms as a validated unital ring."""
-    homs = _group_homs(_end_homs(m, max_enum), m.group, m.group)
-    pres = decompose_abelian(list(homs), hom_add, zero_hom(m.group, m.group))
-    additive = pres.group
-    size = additive.cardinality
-    by_index = tuple(pres.from_coords[additive.element_at(i)] for i in range(size))
-    lookup = {f.matrix: i for i, f in enumerate(by_index)}
-    table = []
-    for u in by_index:
-        for v in by_index:
-            table.append(lookup[compose_homs(u, v).matrix])
-    one = pres.to_coords[identity_hom(m.group)]
-    ring = FiniteRing(additive, tuple(table), one)
+    """Package the action-commuting endomorphisms as a validated unital ring:
+    `decompose_abelian` runs over E_R(M)'s family positions with its factored
+    sum table, and the ring's table is its composition table relabelled."""
+    e = build_linear_endo_truss(m, max_enum)
+    ft, family = e.factored_tables(max_enum), range(len(e.homs))
+    zero, one = e.decode([e.zero, e.unit])[0].tolist()
+    add = ft.add.tolist()
+    pres = decompose_abelian(family, lambda a, b: add[a][b], zero)
+    index = np.array([pres.group.index(pres.to_coords[a]) for a in family])  # ring element of each position
+    positions = np.argsort(index)  # family position of each ring element
+    ring = FiniteRing(pres.group, index[ft.compose[np.ix_(positions, positions)]], pres.to_coords[one])
     validate_ring(ring, max_enum).raise_on_failure("endomorphism ring failed validation")
-    return EndomorphismRing(m, ring, by_index)
+    return EndomorphismRing(m, ring, _group_homs(e.homs[positions], m.group, m.group))
 
 
 def build_linear_endo_truss(m: RModule, max_enum: int | None = None) -> EndoTruss:
-    """The sub-truss of E(M) on the action-commuting heap endomorphisms."""
-    homs = _end_homs(m, max_enum)
-    guard(
-        len(homs) * m.group.cardinality,
-        resolve_max_enum(max_enum),
-        "linear endomorphism truss carrier",
-    )
-    return EndoTruss(m.group, homs)
+    """The sub-truss E_R(M) of E(M) on the action-commuting heap
+    endomorphisms, built once per module. The caps on Hom(M, M) and then on
+    the carrier are checked before the cached truss is handed out."""
+    limit = resolve_max_enum(max_enum)
+    guard(hom_count(m.group, m.group), limit, "Hom({0}, {0})", m.group)
+    cached = m.__dict__.get("_end_cache")
+    if cached is None:
+        cached = m.__dict__["_end_cache"] = EndoTruss(m.group, module_homs(m, m, max_enum))
+    guard(cached.size, limit, "linear endomorphism truss carrier")
+    return cached
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,45 +354,38 @@ def _matrix_stack(homs, g: AbGroup, h: AbGroup) -> np.ndarray | None:
 def equivalence_is_valid(eq: ModuleEquivalence, max_enum: int | None = None) -> bool:
     """Recheck the defining identities of a claimed equivalence, on the
     (k, r, r) stacks of its pairs: rho's domain and image are End(M) and
-    End(N), v o mu = mu o u for each pair, and rho preserves sums on all
-    k^2 pairs. Homs are compared by their `hom_codes`. Entries stay below
-    the orders, and the cap on Hom(M, M), which has at least |M| maps,
-    keeps their products far inside int64."""
+    End(N) (by `hom_positions` in E_R(M) and E_R(N)), v o mu = mu o u for
+    each pair, and End(M) is closed under sums. Entries stay below the
+    orders, and the cap on Hom(M, M), which has at least |M| maps, keeps
+    their products far inside int64."""
     if not eq.mu.is_bijective:
         return False
     g, h = eq.source.group, eq.target.group
-    end_m, end_n = _end_homs(eq.source, max_enum), _end_homs(eq.target, max_enum)
+    source, target = build_linear_endo_truss(eq.source, max_enum), build_linear_endo_truss(eq.target, max_enum)
     mu = _matrix_stack([eq.mu], g, h)
     U = _matrix_stack([u for u, _ in eq.rho_pairs], g, g)
     V = _matrix_stack([v for _, v in eq.rho_pairs], h, h)
     if mu is None or U is None or V is None:
         return False
-    cu, cv = hom_codes(U, g, g), hom_codes(V, h, h)
-    if not np.array_equal(np.unique(cu), hom_codes(end_m, g, g)):
+    try:
+        pu = source.hom_positions(matrix_images(U, g, g)[:, g.generators])
+        pv = target.hom_positions(matrix_images(V, h, h)[:, h.generators])
+    except ValueError:  # a pair leaves End(M) or End(N)
         return False
-    if not np.array_equal(np.unique(cv), hom_codes(end_n, h, h)):
+    if len(np.unique(pu)) != len(source.homs) or len(np.unique(pv)) != len(target.homs):
         return False
-    g_mod = np.array(g.orders, dtype=np.int64)[:, None]
     h_mod = np.array(h.orders, dtype=np.int64)[:, None]
-    mu = mu[0]
     # with mu bijective, v o mu = mu o u says v = mu u mu^{-1}, so pairs
     # sharing a u share their v
-    if not np.array_equal((V @ mu) % h_mod, (mu @ U) % h_mod):
+    if not np.array_equal((V @ mu[0]) % h_mod, (mu[0] @ U) % h_mod):
         return False
-    # rho is now u -> mu u mu^{-1} on End(M), so it preserves products and
-    # the identity. Sums can still fail: if the action is not additive,
-    # End(M) need not be closed under them, and a sum outside rho's domain
-    # fails the law. rho is a lookup from sorted domain codes to target codes
-    order = np.argsort(cu)
-    domain, image = cu[order], cv[order]
-    k = len(cu)
-    step = max(1, _HOM_CHUNK // (k * max(1, g.rank * g.rank, h.rank * h.rank)))
-    for start in range(0, k, step):  # the (rows, k) pairs of sums
-        u_op = hom_codes((U[start : start + step, None] + U) % g_mod, g, g)
-        v_op = hom_codes((V[start : start + step, None] + V) % h_mod, h, h)
-        pos = np.minimum(np.searchsorted(domain, u_op), len(domain) - 1)
-        if not ((domain[pos] == u_op).all() and (image[pos] == v_op).all()):
-            return False
+    # rho is now u -> mu u mu^{-1} on End(M), so it preserves products, the
+    # identity and each sum inside End(M). If the action is not additive, a
+    # sum may leave End(M): then its factored tables do not build
+    try:
+        source.factored_tables(max_enum)
+    except ValueError:
+        return False
     return True
 
 
@@ -416,30 +394,30 @@ def find_module_equivalence(
 ) -> ModuleEquivalence | None:
     """Search additive isomorphisms mu for one conjugating End(M) onto End(N).
 
-    Candidates run in the deterministic homomorphism order; the first hit is
-    returned. The search runs on image tables: for each bijective mu, the
-    tables of mu u mu^{-1} for u in End(M) are looked up among End(N)'s.
-    Returns None when no additive bijection works (in particular when the
-    groups are not isomorphic)."""
+    Candidates run in the deterministic homomorphism order, a block of
+    Hom(M, N) at a time; the first hit is returned. A bijective mu is a hit
+    when the generator images of mu u mu^{-1}, for every u in End(M), have
+    positions in E_R(N). Returns None when no additive bijection works (in
+    particular when the groups are not isomorphic)."""
     if not groups_isomorphic(m.group, n.group):
         return None
     g, h = m.group, n.group
-    end_m, end_n = _end_homs(m, max_enum), _end_homs(n, max_enum)
-    if len(end_m) != len(end_n):
+    source, target = build_linear_endo_truss(m, max_enum), build_linear_endo_truss(n, max_enum)
+    if len(source.homs) != len(target.homs):
         return None
-    u_tables = matrix_images(end_m, g, g)
-    by_table = {row.tobytes(): j for j, row in enumerate(matrix_images(end_n, h, h))}
     homs = hom_enumerate(g, h, max_enum)
-    mus = matrix_images(homs, g, h)
-    for pos in np.flatnonzero(_bijective_rows(mus, h.cardinality)):
-        mu = mus[pos]
-        # conjugation is injective, so every table found means the sets agree
-        found = [by_table.get(row.tobytes()) for row in mu[u_tables[:, np.argsort(mu)]]]
-        if None in found:
-            continue
-        rho = _group_homs(end_n[found], h, h)
-        pairs = tuple(zip(_group_homs(end_m, g, g), rho))
-        return ModuleEquivalence(m, n, GroupHom(g, h, homs[pos].tolist()), pairs)
+    step = max(1, _HOM_CHUNK // (g.cardinality * max(1, h.rank)))
+    for start in range(0, len(homs), step):
+        mus = matrix_images(homs[start : start + step], g, h)
+        for pos in np.flatnonzero(_bijective_rows(mus, h.cardinality)):
+            mu = mus[pos]
+            try:  # the generator images of mu u mu^{-1}
+                found = target.hom_positions(mu[source._apply[:, np.argsort(mu)[h.generators]]])
+            except ValueError:
+                continue
+            # conjugation is injective, so the positions cover End(N)
+            pairs = tuple(zip(_group_homs(source.homs, g, g), _group_homs(target.homs[found], h, h)))
+            return ModuleEquivalence(m, n, GroupHom(g, h, homs[start + pos].tolist()), pairs)
     return None
 
 
@@ -452,12 +430,8 @@ def truss_iso_from_equivalence(eq: ModuleEquivalence, max_enum: int | None = Non
     InvalidEquivalence (the input pair did not satisfy its contract)."""
     if not equivalence_is_valid(eq, max_enum):
         raise InvalidEquivalence("equivalence fails its defining identities")
-    phi = truss_iso_from_heap_iso(
-        HeapMorphism(eq.mu, eq.target.group.zero),
-        build_linear_endo_truss(eq.source, max_enum),
-        build_linear_endo_truss(eq.target, max_enum),
-        max_enum,
-    )
+    source, target = build_linear_endo_truss(eq.source, max_enum), build_linear_endo_truss(eq.target, max_enum)
+    phi = truss_iso_from_heap_iso(HeapMorphism(eq.mu, eq.target.group.zero), source, target, max_enum)
     if not phi.is_bijective or not truss_morphism_preserves(phi, max_enum):
         raise InvalidEquivalence("induced map is not a truss isomorphism")
     return phi

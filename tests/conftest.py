@@ -31,11 +31,8 @@ from trusskit.groups import (
     Element,
     GroupHom,
     compose_homs,
-    hom_add,
     hom_count,
-    identity_hom,
     np_add_table,
-    zero_hom,
 )
 from trusskit.heaps import _heap_checks
 from trusskit.modules import make_module, module_homs
@@ -49,6 +46,28 @@ class NotAHeapMorphism(TrussKitError):
 
 
 # ---------------------------------------------------------------- objects one element at a time
+
+
+def hom_add(f: GroupHom, g: GroupHom) -> GroupHom:
+    """The pointwise sum f + g, entrywise on the matrices."""
+    if f.source != g.source or f.target != g.target:
+        raise ValueError("homomorphisms must share source and target")
+    rows = tuple(
+        tuple((x + y) % m for x, y in zip(rf, rg))
+        for rf, rg, m in zip(f.matrix, g.matrix, f.target.orders)
+    )
+    return GroupHom(f.source, f.target, rows)
+
+
+def zero_hom(g: AbGroup, h: AbGroup) -> GroupHom:
+    return GroupHom(g, h, tuple((0,) * g.rank for _ in range(h.rank)))
+
+
+def identity_hom(g: AbGroup) -> GroupHom:
+    rows = tuple(
+        tuple(1 if i == j else 0 for i in range(g.rank)) for j in range(g.rank)
+    )
+    return GroupHom(g, g, rows)
 
 
 def hom_enumerate_by_loop(g: AbGroup, h: AbGroup, max_enum: int | None = None) -> tuple[GroupHom, ...]:

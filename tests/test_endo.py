@@ -17,6 +17,7 @@ from conftest import (
     heap_morphisms,
     heap_ternary,
     heap_values,
+    identity_hom,
     identity_morphism,
     index_of,
     is_constant,
@@ -24,6 +25,7 @@ from conftest import (
     mult,
     ternary,
     truss_tables,
+    zero_hom,
 )
 
 import trusskit.endo
@@ -43,9 +45,7 @@ from trusskit.groups import (
     groups_isomorphic,
     hom_count,
     hom_enumerate,
-    identity_hom,
     matrix_images,
-    zero_hom,
 )
 
 Z2 = make_group([2])
@@ -407,3 +407,13 @@ def test_endo_truss_keeps_a_reduced_int64_stack_and_refuses_bad_families():
         EndoTruss(Z4, [[[1]], [[0]], [[5]]])
     with pytest.raises(ValueError, match="endomorphism"):
         EndoTruss(K4, [[[1]]])
+
+
+def test_endo_truss_refuses_a_matrix_that_is_not_a_homomorphism():
+    # [[1, 0], [1, 1]] on Z/2 x Z/4 sends the order-2 generator to (1, 1),
+    # of order 4: 2 * 1 is not 0 mod 4
+    g = make_group([2, 4])
+    homs = hom_enumerate(g, g).tolist()
+    assert len(EndoTruss(g, homs).homs) == 32
+    with pytest.raises(ValueError, match="not a homomorphism"):
+        EndoTruss(g, homs + [[[1, 0], [1, 1]]])

@@ -1,6 +1,15 @@
 import pytest
 import numpy as np
-from conftest import as_objects, brute_force_group_iso_exists, brute_force_hom_count, hom_enumerate_by_loop, invert_hom
+from conftest import (
+    as_objects,
+    brute_force_group_iso_exists,
+    brute_force_hom_count,
+    hom_add,
+    hom_enumerate_by_loop,
+    identity_hom,
+    invert_hom,
+    zero_hom,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,12 +19,9 @@ from trusskit.groups import (
     compose_homs,
     group_to_json,
     groups_isomorphic,
-    hom_add,
     hom_count,
     hom_enumerate,
-    identity_hom,
     invariant_factors,
-    zero_hom,
 )
 
 

@@ -12,6 +12,7 @@ import pytest
 from conftest import (
     equivalence_is_valid_by_objects,
     hom_enumerate_by_loop,
+    identity_hom,
     induced_action_report_by_loop,
     invert_hom,
     last_generator_breaker,
@@ -20,6 +21,7 @@ from conftest import (
     module_law_masks,
     module_report_dense,
     module_table,
+    ring_by_callable,
     truss_iso_by_element,
 )
 
@@ -48,7 +50,7 @@ from trusskit import (
     validate_module,
 )
 from trusskit.cli import main
-from trusskit.groups import GroupHom, compose_homs, identity_hom
+from trusskit.groups import GroupHom, compose_homs
 from trusskit.modules import equivalence_is_valid, module_homs
 from trusskit.rings import FiniteRing
 from trusskit.trusses import dense_tables
@@ -330,7 +332,74 @@ def test_module_bk_computes_each_end_once(monkeypatch, capsys):
     monkeypatch.setattr(trusskit.modules, "module_homs", counted)
     code, out, _ = run(capsys, "module-bk", "fpxfp:2", "fpxfp:2", "--json")
     assert code == 0 and json.loads(out)["witnesses"]["mu"]
-    assert len(calls) == 2 and all(m is n for m, n in calls)
+    assert len(calls) == 1 and all(m is n for m, n in calls)
+
+
+def test_cached_truss_does_not_bypass_the_carrier_cap():
+    from trusskit import BoundExceeded
+
+    # E_R(M) is built once per module. Hom(Z/4, Z/4) has 4 maps, E_R(Z/4)
+    # has 16 elements: a cap of 15 passes the first guard and refuses the
+    # cached carrier on every path
+    m = module_zn(4)
+    assert build_linear_endo_truss(m) is build_linear_endo_truss(m)
+    eq = find_module_equivalence(m, m)
+    assert equivalence_is_valid(eq) and end_ring(m).ring.size == 4
+    for call in (
+        lambda: build_linear_endo_truss(m, 15),
+        lambda: find_module_equivalence(m, m, 15),
+        lambda: equivalence_is_valid(eq, 15),
+        lambda: end_ring(m, 15),
+    ):
+        with pytest.raises(BoundExceeded, match="linear endomorphism truss carrier"):
+            call()
+
+
+def _dual_numbers_module() -> RModule:
+    """F_2[x]/(x^2) acting on itself: a 4-element End(M) on Z/2 x Z/2, like
+    F_2 x F_2's, but not conjugate to it."""
+    ring = ring_by_callable(make_group([2, 2]), lambda a, b: (a[0] * b[0] % 2, (a[0] * b[1] + a[1] * b[0]) % 2), (1, 0))
+    return regular_module(ring)
+
+
+def _search_pairs():
+    pairs = [(MODULES[a], MODULES[b]) for a, b in EQUIVALENT_PAIRS]
+    pairs += [(MODULES[a], MODULES[b]) for a, b in [("zn:4", "zn:6"), ("zn:6", "fp:5"), ("fpxfp:2", "z2sq-over-f2")]]
+    pairs += [(_dual_numbers_module(), MODULES["fpxfp:2"]), (_broken_zn4(), _broken_zn4())]
+    pairs += [(example.left, example.right) for example in (example_non_iso(2), example_non_iso(3))]
+    return pairs
+
+
+def _as_matrices(eq):
+    if eq is None:
+        return None
+    return eq.mu.matrix, [(u.matrix, v.matrix) for u, v in eq.rho_pairs]
+
+
+def test_search_one_hom_per_block_agrees_with_the_default(monkeypatch):
+    pairs = _search_pairs()
+    default = [_as_matrices(find_module_equivalence(m, n)) for m, n in pairs]
+    monkeypatch.setattr(trusskit.modules, "_HOM_CHUNK", 1)
+    assert [_as_matrices(find_module_equivalence(m, n)) for m, n in pairs] == default
+    assert None in default and default.count(None) < len(default)
+
+
+def test_search_evaluates_hom_one_block_at_a_time(monkeypatch):
+    # Hom(Z/2 x Z/2, Z/2 x Z/2) has 16 maps; a chunk of 24 entries is 3
+    # maps' (4, 2) coordinate arrays, and no map conjugates End(M) onto End(N)
+    m, n = _dual_numbers_module(), MODULES["fpxfp:2"]
+    build_linear_endo_truss(m), build_linear_endo_truss(n)
+    sizes = []
+    real = trusskit.modules.matrix_images
+
+    def counted(mats, g, h):
+        sizes.append(len(mats))
+        return real(mats, g, h)
+
+    monkeypatch.setattr(trusskit.modules, "matrix_images", counted)
+    monkeypatch.setattr(trusskit.modules, "_HOM_CHUNK", 24)
+    assert find_module_equivalence(m, n) is None
+    assert sizes == [3] * 5 + [1]
 
 
 def test_cached_end_does_not_bypass_the_cap():
@@ -479,3 +548,16 @@ def test_equivalence_check_agrees_with_the_object_oracle_on_rho_mutations():
     verdicts = [equivalence_is_valid(case) for case in cases]
     assert verdicts == [equivalence_is_valid_by_objects(case) for case in cases]
     assert verdicts.count(True) == 2  # the two scalings mu = 1, 2 of Z/3
+
+
+def test_equivalence_check_agrees_with_the_object_oracle_on_dropped_and_repeated_pairs():
+    # the pairs must cover End(M) and End(N); a repeated pair is accepted,
+    # as the object oracle accepts it
+    cases = []
+    for eq in (example_non_iso(3).equivalence, find_module_equivalence(MODULES["fpxfp:2"], MODULES["fpxfp:2"])):
+        pairs = list(eq.rho_pairs)
+        for changed in [pairs[:i] + pairs[i + 1 :] for i in range(len(pairs))] + [pairs + [p] for p in pairs]:
+            cases.append(ModuleEquivalence(eq.source, eq.target, eq.mu, tuple(changed)))
+    verdicts = [equivalence_is_valid(eq) for eq in cases]
+    assert verdicts == [equivalence_is_valid_by_objects(eq) for eq in cases]
+    assert verdicts == ([False] * 3 + [True] * 3) + ([False] * 4 + [True] * 4)

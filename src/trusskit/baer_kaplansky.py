@@ -18,7 +18,9 @@ morphism Phi between endomorphism trusses carries an inner structure: the
 image of the zero constant splits into an idempotent endomorphism plus an
 offset annihilated by it, and the heap morphisms intertwining Phi (those xi
 with Phi(alpha) o xi = xi o alpha) are classified by the coset offset +
-image of the idempotent (`check_inner_structure`). Everything here reads the
+image of the idempotent. `inner_structure_rows` checks these laws on a
+block of maps at once, each set of elements of H a bool mask per row, and
+`check_inner_structure` is its one-row case. Everything here reads the
 factored tables of E(G) and E(H), never one heap morphism object per
 carrier element.
 """
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .endo import EndoTruss, HeapMorphism, _bijective_rows, _distinct_rows, build_endo_truss, heap_isos
+from .endo import EndoTruss, HeapMorphism, _bijective_rows, _distinct_rows, _row_ids, build_endo_truss, heap_isos
 from .errors import BoundExceeded, NotAnIsomorphism, guard, resolve_max_enum
 from .groups import AbGroup, GroupHom, groups_isomorphic, group_to_json, matrix_images, np_elements
 from .trusses import TrussMorphism, enumerate_truss_isos, preserving_rows
@@ -238,8 +240,26 @@ def verify_baer_kaplansky(
     )
 
 
-def check_inner_structure(phi: TrussMorphism, max_enum: int | None = None) -> dict[str, bool]:
-    """Boolean summary of the inner-structure laws for one truss morphism.
+# Columns of the law table of `inner_structure_rows`, in the key order of
+# `check_inner_structure`.
+INNER_LAWS = (
+    "idempotent", "offset_annihilated", "intertwiners_nonempty", "count_matches_image",
+    "correspondence_bijective", "values_at_zero_in_coset", "corollary_unique",
+)
+
+# Entries of the largest array `inner_structure_rows` builds at a time, the
+# (rows, n, |H|, |G|) intertwining comparison.
+_LAW_BLOCK_ENTRIES = 1 << 18
+
+
+def inner_structure_rows(
+    source: EndoTruss, target: EndoTruss, F: np.ndarray, max_enum: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The inner-structure laws of the rows Phi of F, a (K, n) array of maps
+    E(G) -> E(H) by target index: a (K, 7) bool table with the columns
+    `INNER_LAWS`, and the (K,) mask of the rows where corollary_unique
+    applies (Phi sends some constant to a constant); elsewhere its column
+    reads True.
 
     An intertwiner xi satisfies xi(a) = Phi(constant at a)(xi(0)) (take
     alpha = constant at a), so it is row xi(0) of the |H| x |G| table
@@ -247,51 +267,79 @@ def check_inner_structure(phi: TrussMorphism, max_enum: int | None = None) -> di
     distinct rows that are heap morphisms and satisfy Phi(alpha)(X[c, x]) =
     X[c, alpha(x)] for every alpha and x, one per value at zero. The laws
     compare them with the split Phi(constant at 0) = idempotent + offset and
-    the coset offset + image(idempotent).
+    the coset offset + image(idempotent). Each set of elements of H is a
+    (rows, |H|) mask, and rows of X are compared by their `_row_ids`. F is
+    read a block of about `_LAW_BLOCK_ENTRIES` entries at a time; the guard
+    counts the |H| |G| max(n, |H|) entries of one row.
     """
-    eg, eh = _endo_ends(phi)
-    g, h = eg.group, eh.group
+    g, h = source.group, target.group
     m, k = g.cardinality, h.cardinality
-    guard(k * m * max(eg.size, k), resolve_max_enum(max_enum), "intertwiner check E({}) -> E({})", g, h)
-    gt, ht = eg.factored_tables(max_enum), eh.factored_tables(max_enum)
-
-    def ternary(a, b, c):
-        return ht.gadd[ht.gadd[a, ht.gneg[b]], c]
-
-    u, e = eg.decode(np.arange(eg.size))
+    per_row = k * m * max(source.size, k)
+    guard(per_row, resolve_max_enum(max_enum), "intertwiner check E({}) -> E({})", g, h)
+    gt, ht = source.factored_tables(max_enum), target.factored_tables(max_enum)
+    u, e = source.decode(np.arange(source.size))
     alpha = gt.gadd[gt.apply[u], e[:, None]]  # alpha[i, x]: element i of E(G) at x
-    v, t = eh.decode(phi._array)
-    image = ht.gadd[ht.apply[v], t[:, None]]  # image[i, y]: Phi(element i) at y
-    const = list(eg.constant_indices)
-    X = image[const].T
-    # a row is a heap morphism iff x -> X[c, x] - X[c, 0] is additive on the generators
-    lin = ht.gadd[X, ht.gneg[X[:, :1]]]
-    gens = g.generators
-    affine = (lin[:, gt.gadd[:, gens]] == ht.gadd[lin[:, :, None], lin[:, None, gens]]).all(axis=(1, 2))
-    intertwines = (image[:, X] == X[:, alpha].swapaxes(0, 1)).all(axis=(0, 2))
-    rows = np.flatnonzero(affine & intertwines)
-    at_zero = np.unique(X[rows, 0])  # one value per intertwiner
-    eps, off = v[const[0]], t[const[0]]
-    eps_image = np.unique(ht.apply[eps])
-    coset = np.unique(ht.gadd[eps_image, off])
-    # c -> row c on the coset preserves every ternary iff it preserves
-    # [c1, off, c3] for all c1, c3: a map of heaps is affine at any base point
-    c1, c3 = coset[:, None], coset[None, :]
-    tern = ternary(c1, off, c3)
-    closed = np.isin(tern, coset).all() and (X[tern] == ternary(X[c1], X[off], X[c3])).all()
-    coset_rows = np.unique(X[coset], axis=0)
-    results = {
-        "idempotent": bool(ht.compose[eps, eps] == eps),
-        "offset_annihilated": bool(ht.apply[eps, off] == 0),
-        "intertwiners_nonempty": len(rows) > 0,
-        "count_matches_image": len(at_zero) == len(eps_image),
-        "correspondence_bijective": bool(
-            len(coset_rows) == len(coset)
-            and np.array_equal(coset_rows, np.unique(X[rows], axis=0))
-            and closed
-        ),
-        "values_at_zero_in_coset": bool(np.isin(at_zero, coset).all()),
-    }
-    if np.isin(phi._array[const], eh.constant_indices).any():
-        results["corollary_unique"] = len(at_zero) == 1
-    return results
+    const, gens, ks = list(source.constant_indices), g.generators, np.arange(k)
+    zero_hom = target.decode(target.zero)[0]
+    laws = np.empty((len(F), len(INNER_LAWS)), dtype=bool)
+    applies = np.empty(len(F), dtype=bool)
+    step = max(1, _LAW_BLOCK_ENTRIES // per_row)
+    for start in range(0, len(F), step):
+        v, t = target.decode(F[start : start + step])
+        B = len(v)
+        b = np.arange(B)[:, None]
+        image = ht.gadd[ht.apply[v], t[:, :, None]]  # image[r, i, y]: Phi_r(element i) at y
+        X = image[:, const].swapaxes(1, 2)
+        # a row is a heap morphism iff x -> X[c, x] - X[c, 0] is additive on the generators
+        lin = ht.gadd[X, ht.gneg[X[:, :, :1]]]
+        affine = (lin[:, :, gt.gadd[:, gens]] == ht.gadd[lin[..., None], lin[:, :, None, gens]]).all(axis=(2, 3))
+        intertwines = (image[b[:, :, None, None], np.arange(len(alpha))[:, None, None], X[:, None]]
+                       == X[:, :, alpha].swapaxes(1, 2)).all(axis=(1, 3))
+        inter = affine & intertwines
+        eps, off = v[:, const[0]], t[:, const[0]]
+        at_zero, eps_image, coset = np.zeros((3, B, k), dtype=bool)
+        at_zero[np.nonzero(inter)[0], X[:, :, 0][inter]] = True  # one value per intertwiner
+        eps_image[b, ht.apply[eps]] = True
+        coset[b, ht.gadd[ht.apply[eps], off[:, None]]] = True
+        # c -> row c on the coset preserves every ternary iff it preserves
+        # [c1, off, c3] for all c1, c3: a map of heaps is affine at any base point
+        tern = ht.gadd[ht.gadd[ks, ht.gneg[off][:, None]][:, :, None], ks]  # c1 - off + c3
+        lhs = X[b[:, :, None], tern]
+        rhs = ht.gadd[ht.gadd[X, ht.gneg[X[b, off[:, None]]]][:, :, None], X[:, None]]
+        ok = coset[b[:, :, None], tern] & (lhs == rhs).all(axis=3)
+        closed = (ok | ~(coset[:, :, None] & coset[:, None, :])).all(axis=(1, 2))
+        # ids sort by row of F first, so each row's ids are a range from its least
+        ids = _row_ids(X.reshape(B * k, m), k, np.repeat(np.arange(B), k)).reshape(B, k)
+        ids -= ids.min(axis=1, keepdims=True)
+        coset_rows, inter_rows = np.zeros((2, B, k), dtype=bool)
+        coset_rows[np.nonzero(coset)[0], ids[coset]] = True
+        inter_rows[np.nonzero(inter)[0], ids[inter]] = True
+        count = at_zero.sum(axis=1)
+        rows = slice(start, start + B)
+        applies[rows] = (v[:, const] == zero_hom).any(axis=1)
+        laws[rows] = np.stack([
+            ht.compose[eps, eps] == eps,
+            ht.apply[eps, off] == 0,
+            inter.any(axis=1),
+            count == eps_image.sum(axis=1),
+            (coset_rows.sum(axis=1) == coset.sum(axis=1)) & (coset_rows == inter_rows).all(axis=1) & closed,
+            ~(at_zero & ~coset).any(axis=1),
+            (count == 1) | ~applies[rows],
+        ], axis=1)
+    return laws, applies
+
+
+def laws_passed(laws: np.ndarray, applies: np.ndarray) -> dict[str, bool]:
+    """Each law of `inner_structure_rows` by name, True iff every row passes
+    it; corollary_unique only when it applies to some row."""
+    passed = dict(zip(INNER_LAWS, laws.all(axis=0).tolist()))
+    if not applies.any():
+        del passed["corollary_unique"]
+    return passed
+
+
+def check_inner_structure(phi: TrussMorphism, max_enum: int | None = None) -> dict[str, bool]:
+    """Boolean summary of the inner-structure laws for one truss morphism:
+    `inner_structure_rows` on Phi's one row."""
+    eg, eh = _endo_ends(phi)
+    return laws_passed(*inner_structure_rows(eg, eh, phi._array[None], max_enum))

@@ -106,16 +106,22 @@ def _bijective_rows(rows: np.ndarray, size: int) -> np.ndarray:
     return seen.all(axis=1)
 
 
-def _distinct_rows(rows: np.ndarray, bound: int) -> int:
-    """The number of distinct rows of a non-empty array of entries in
-    [0, bound): each row is read as a base-`bound` integer one column at a
-    time, renumbered after each column so the codes stay below
-    len(rows) * bound. (The first np.unique(axis=0) of a process alone
-    costs about 1.5 MB of peak RSS.)"""
-    code = np.zeros(len(rows), dtype=np.int64)
+def _row_ids(rows: np.ndarray, bound: int, code: np.ndarray | None = None) -> np.ndarray:
+    """Ids 0, 1, ... of the rows of an array of entries in [0, bound), equal
+    exactly where the rows and their starting `code`s (default 0) are, and
+    in the lexicographic order of (code, row): each row is read as a
+    base-`bound` integer one column at a time, renumbered after each column
+    so the codes stay below len(rows) * bound. (The first np.unique(axis=0)
+    of a process alone costs about 1.5 MB of peak RSS.)"""
+    code = np.zeros(len(rows), dtype=np.int64) if code is None else code
     for col in rows.T:
         code = np.unique(code * bound + col, return_inverse=True)[1]
-    return int(code.max()) + 1
+    return code
+
+
+def _distinct_rows(rows: np.ndarray, bound: int) -> int:
+    """The number of distinct rows of a non-empty array of entries in [0, bound)."""
+    return int(_row_ids(rows, bound).max()) + 1
 
 
 def heap_isos(g: AbGroup, h: AbGroup, max_enum: int | None = None) -> np.ndarray:
@@ -233,27 +239,37 @@ class EndoTruss:
         """(H, rank): element indices of each hom's images of the generators."""
         return self._apply[:, self.group.generators]
 
-    def hom_positions(self, images: np.ndarray) -> np.ndarray:
-        """Family positions of the homs whose generator images fill the last
-        axis of `images`; raises ValueError for a hom outside the family."""
+    @cached_property
+    def _family_keys(self) -> tuple[list[np.ndarray], np.ndarray]:
+        """The sorted codes of the family's generator-image prefixes, one
+        array per column, and the family position of each full code. Each
+        row is read as a mixed-radix integer, base |G|, one column at a
+        time; after each column the codes are renumbered by the family's
+        prefixes, so they stay below H * |G| where |G|^rank could overflow."""
         family = self._generator_images
-        shape = images.shape[:-1]
-        queries = images.reshape(math.prod(shape), family.shape[1])
-        # each row read as a mixed-radix integer, base |G|, one column at a
-        # time; after each column the codes are renumbered by the family's
-        # prefixes, so they stay below H * |G| where |G|^rank could overflow
-        fam = np.zeros(len(family), dtype=np.int64)
-        code = np.zeros(len(queries), dtype=np.int64)
-        missing = np.zeros(len(queries), dtype=bool)
-        for col in range(family.shape[1]):
-            keys, fam = np.unique(fam * self._m + family[:, col], return_inverse=True)
-            raw = code * self._m + queries[:, col]
-            code = np.minimum(np.searchsorted(keys, raw), len(keys) - 1)
-            missing |= keys[code] != raw
-        if missing.any():
-            raise ValueError("homomorphism family is not closed under the required operation")
+        fam, keys = np.zeros(len(family), dtype=np.int64), []
+        for col in family.T:
+            key, fam = np.unique(fam * self._m + col, return_inverse=True)
+            keys.append(key)
         pos = np.empty(len(family), dtype=np.int64)
         pos[fam] = np.arange(len(family))
+        return keys, pos
+
+    def hom_positions(self, images: np.ndarray) -> np.ndarray:
+        """Family positions of the homs whose generator images fill the last
+        axis of `images`, by `searchsorted` in the cached `_family_keys`;
+        raises ValueError for a hom outside the family."""
+        keys, pos = self._family_keys
+        shape = images.shape[:-1]
+        queries = images.reshape(math.prod(shape), self.group.rank)
+        code = np.zeros(len(queries), dtype=np.int64)
+        missing = np.zeros(len(queries), dtype=bool)
+        for col, key in enumerate(keys):
+            raw = code * self._m + queries[:, col]
+            code = np.minimum(np.searchsorted(key, raw), len(key) - 1)
+            missing |= key[code] != raw
+        if missing.any():
+            raise ValueError("homomorphism family is not closed under the required operation")
         return pos[code].reshape(shape)
 
     def factored_tables(self, max_enum: int | None = None) -> FactoredTables:

@@ -62,6 +62,14 @@ class AbGroup:
         return tuple(reversed(out))
 
     @cached_property
+    def _np_elements(self) -> np.ndarray:
+        """`np_elements`, built once: coordinate j of element i is (i // stride_j) % n_j."""
+        strides, orders = (np.array(a, dtype=np.int64) for a in (self._strides, self.orders))
+        elems = (np.arange(self.cardinality)[:, None] // strides) % orders
+        elems.flags.writeable = False
+        return elems
+
+    @cached_property
     def generators(self) -> list[int]:
         """Element indices of the cyclic generators, 1 in one coordinate."""
         return [(1 % n) * s for n, s in zip(self.orders, self._strides)]
@@ -283,10 +291,8 @@ def group_to_json(g: AbGroup) -> dict:
 
 
 def np_elements(g: AbGroup) -> np.ndarray:
-    """(|g|, rank) array of coordinates in enumeration order."""
-    if g.rank == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    return np.array(list(g.elements()), dtype=np.int64)
+    """(|g|, rank) read-only array of coordinates in enumeration order."""
+    return g._np_elements
 
 
 def np_add_table(g: AbGroup, max_enum: int | None = None) -> np.ndarray:

@@ -354,6 +354,17 @@ def test_hom_positions_agree_with_a_row_lookup(spec):
     assert e.hom_positions(queries).tolist() == [[lookup[tuple(r)]] for r in rows[order].tolist()]
 
 
+def test_hom_positions_sort_the_family_once(monkeypatch):
+    e = build_endo_truss(parse_group_spec("2,4"))
+    rows = e._generator_images
+    first = e.hom_positions(rows)
+    sorts = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: sorts.append(1) or unique(*a, **k))
+    assert np.array_equal(e.hom_positions(rows[::-1]), first[::-1])
+    assert not sorts
+
+
 def test_hom_positions_refuse_a_hom_outside_the_family():
     import numpy as np
 

@@ -53,9 +53,12 @@ def readme_commands() -> list[list[str]]:
 
 
 # README's examples exit 0; the corrupted table pins a [FAIL] line with its
-# counterexample, and exit 1.
+# counterexample, and exit 1. The two `inner` runs pin the laws of 65 maps,
+# corollary_unique applying to some of them only, and of 28 maps.
 CLI_RUNS = [(argv, 0) for argv in readme_commands()] + [
-    (["validate", "--truss", "tests/data/endo_z2_truss_corrupt_mult.json"], 1)
+    (["validate", "--truss", "tests/data/endo_z2_truss_corrupt_mult.json"], 1),
+    (["inner", "2,2", "2,2"], 0),
+    (["inner", "2", "6", "--max-enumeration", "100000000"], 0),
 ]
 
 

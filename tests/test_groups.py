@@ -22,6 +22,7 @@ from trusskit.groups import (
     hom_count,
     hom_enumerate,
     invariant_factors,
+    np_elements,
 )
 
 
@@ -220,3 +221,12 @@ def test_ternary_is_malcev(orders, data):
     assert g.ternary(b, a, a) == b
     c = data.draw(st.sampled_from(elems))
     assert g.ternary(a, b, c) == g.ternary(c, b, a)
+
+
+@pytest.mark.parametrize("orders", [(), (1,), (6,), (2, 4), (3, 1, 2), (2, 2, 2)])
+def test_np_elements_lists_the_elements_once_read_only(orders):
+    g = make_group(orders)
+    elems = np_elements(g)
+    assert elems.dtype == np.int64 and elems.shape == (g.cardinality, g.rank)
+    assert [tuple(row) for row in elems.tolist()] == list(g.elements())
+    assert np_elements(g) is elems and not elems.flags.writeable

@@ -11,18 +11,20 @@ trusses are, and the two directions are explicit:
 Both run on blocks of rows: a (B, n) int64 array of carrier maps, or a
 (B, |G|) array of heap-morphism value tables. `heap_iso_from_truss_iso` and
 `truss_iso_from_heap_iso` are their one-row cases. The two directions are
-mutually inverse; `verify_baer_kaplansky` certifies that on concrete groups
-by feeding every heap isomorphism through both, a block of rows at a time,
-so no object is built per isomorphism. Beyond isomorphisms, every truss
-morphism Phi between endomorphism trusses carries an inner structure: the
-image of the zero constant splits into an idempotent endomorphism plus an
-offset annihilated by it, and the heap morphisms intertwining Phi (those xi
-with Phi(alpha) o xi = xi o alpha) are classified by the coset offset +
-image of the idempotent. `inner_structure_rows` checks these laws on a
-block of maps at once, each set of elements of H a bool mask per row, and
-`check_inner_structure` is its one-row case. Everything here reads the
-factored tables of E(G) and E(H), never one heap morphism object per
-carrier element.
+mutually inverse; `verify_correspondence` certifies that by feeding heap
+isomorphisms through both, a block of rows at a time, so no object is built
+per isomorphism. It checks both of the paper's theorems: `bk` runs it on
+E(G) and E(H), `module-bk` on the linear sub-trusses E_R(M) and E_R(N).
+
+Beyond isomorphisms, every truss morphism Phi between endomorphism trusses
+carries an inner structure: the image of the zero constant splits into an
+idempotent endomorphism plus an offset annihilated by it, and the heap
+morphisms intertwining Phi (those xi with Phi(alpha) o xi = xi o alpha) are
+classified by the coset offset + image of the idempotent.
+`inner_structure_rows` checks these laws on a block of maps at once, each
+set of elements of H a bool mask per row, and `check_inner_structure` is
+its one-row case. Everything here reads the factored tables of E(G) and
+E(H), never one heap morphism object per carrier element.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ def _endo_ends(phi: TrussMorphism) -> tuple[EndoTruss, EndoTruss]:
     return phi.source, phi.target
 
 
-# Carrier-map entries (rows x n) that `verify_baer_kaplansky` conjugates and
+# Carrier-map entries (rows x n) that `verify_correspondence` conjugates and
 # extracts at a time, which bounds every rows x n array the kernels build.
 # Set by measurement: 2^15 and more raised the peak RSS of the `bk`
 # benchmark, and at n = 4096 blocks of 4 rows ran as fast as blocks of 16.
@@ -178,66 +180,71 @@ class BKVerification:
         }
 
 
-def verify_baer_kaplansky(
-    g: AbGroup,
-    h: AbGroup,
-    brute_force: bool = False,
-    max_enum: int | None = None,
-) -> BKVerification:
-    """Certify both directions of the correspondence between g and h.
-
-    Checks that extraction undoes conjugation on every heap isomorphism, that
-    conjugation is injective into the truss isomorphisms, that the brute-force
-    isomorphism count (when requested and feasible) matches |h| times the
-    number of group isomorphisms, and that groups are isomorphic exactly when
-    a truss isomorphism exists. The heap isomorphisms go through
-    `conjugate_rows` and `extract_rows` a block of `_BLOCK_ENTRIES` carrier
-    entries at a time; only the columns of the generator chain's basis,
-    0 and s_1..s_k, of each conjugation are kept, for the injectivity
-    check. When h == g, one E(g) serves as both source and target.
-    """
-    eg = build_endo_truss(g, max_enum)
-    eh = eg if h == g else build_endo_truss(h, max_enum)
-    giso = groups_isomorphic(g, h)
-    isos = heap_isos(g, h, max_enum)
+def verify_correspondence(
+    source: EndoTruss, target: EndoTruss, isos: np.ndarray, brute_force: bool = False, max_enum: int | None = None
+) -> tuple[bool, bool, int | None]:
+    """(roundtrip, injective, truss_iso_count) of the heap isomorphisms
+    G -> H whose value tables are the rows of `isos`, between endomorphism
+    trusses on G and H, full or linear. Each row is conjugated and extracted
+    back, a block of `_BLOCK_ENTRIES` carrier entries at a time, and the
+    conjugations are compared on the source chain's basis 0, s_1..s_k.
+    The count is 0 for carriers of unequal size, else, when `brute_force`
+    is set and the search fits the cap, the number of `enumerate_truss_isos`,
+    each of which must come back from extraction and conjugation; else
+    None."""
     roundtrip, keys = True, []
     if len(isos):
-        basis = eg.generator_chain(max_enum).basis
-        rows = max(1, _BLOCK_ENTRIES // eg.size)
+        basis = source.generator_chain(max_enum).basis
+        rows = max(1, _BLOCK_ENTRIES // source.size)
         for start in range(0, len(isos), rows):
             values = isos[start : start + rows]
-            F = conjugate_rows(eg, eh, values, max_enum)
+            F = conjugate_rows(source, target, values, max_enum)
             # extraction re-checks that each conjugation is a truss isomorphism
-            roundtrip &= np.array_equal(extract_rows(eg, eh, F, max_enum), values)
+            roundtrip &= np.array_equal(extract_rows(source, target, F, max_enum), values)
             keys.append(F[:, basis])
     # rows that pass the certificate are affine, so two of them agree
     # everywhere iff they agree on the chain's basis
-    injective = not len(isos) or _distinct_rows(np.concatenate(keys), eh.size) == len(isos)
+    injective = not len(isos) or _distinct_rows(np.concatenate(keys), target.size) == len(isos)
 
     truss_iso_count: int | None = None
-    enumerated = None
-    if eg.size != eh.size:
+    if source.size != target.size:
         truss_iso_count = 0
     elif brute_force:
         try:
-            enumerated = enumerate_truss_isos(eg, eh, max_enum)
+            enumerated = enumerate_truss_isos(source, target, max_enum)
         except BoundExceeded:
             pass  # reported as not enumerated
         else:
             truss_iso_count = len(enumerated)
             if enumerated:
                 F = np.stack([phi._array for phi in enumerated])
-                back = conjugate_rows(eg, eh, extract_rows(eg, eh, F, max_enum), max_enum)
+                back = conjugate_rows(source, target, extract_rows(source, target, F, max_enum), max_enum)
                 roundtrip &= np.array_equal(back, F)
+    return roundtrip, injective, truss_iso_count
 
+
+def verify_baer_kaplansky(
+    g: AbGroup,
+    h: AbGroup,
+    brute_force: bool = False,
+    max_enum: int | None = None,
+) -> BKVerification:
+    """Certify both directions of the correspondence between g and h:
+    `verify_correspondence` on E(g), E(h) and every heap isomorphism, whose
+    number the brute-force count (when requested and feasible) must match;
+    and g, h are isomorphic exactly when a truss isomorphism exists. When
+    h == g, one E(g) serves as both source and target."""
+    eg = build_endo_truss(g, max_enum)
+    eh = eg if h == g else build_endo_truss(h, max_enum)
+    giso = groups_isomorphic(g, h)
+    isos = heap_isos(g, h, max_enum)
+    roundtrip, injective, truss_iso_count = verify_correspondence(eg, eh, isos, brute_force, max_enum)
     consistent = injective and roundtrip and (giso == (len(isos) > 0))
     if truss_iso_count is not None:
         consistent = consistent and (giso == (truss_iso_count > 0))
-        if enumerated is not None:
+        if brute_force:
             consistent = consistent and truss_iso_count == len(isos)
-    return BKVerification(
-        g, h, isos, truss_iso_count, roundtrip, injective, giso, consistent
-    )
+    return BKVerification(g, h, isos, truss_iso_count, roundtrip, injective, giso, consistent)
 
 
 # Columns of the law table of `inner_structure_rows`, in the key order of

@@ -27,25 +27,29 @@ from pathlib import Path
 
 import numpy as np
 
-from .baer_kaplansky import inner_structure_rows, laws_passed, verify_baer_kaplansky
+from .baer_kaplansky import (
+    conjugate_rows,
+    inner_structure_rows,
+    laws_passed,
+    verify_baer_kaplansky,
+    verify_correspondence,
+)
 from .endo import HeapMorphism, build_endo_truss
 from .errors import BoundExceeded
-from .groups import parse_group_spec
+from .groups import matrix_images, parse_group_spec
 from .heaps import FiniteHeap, heap_from_group, validate_heap
 from .modules import (
     RModule,
+    _matrix_stack,
     build_linear_endo_truss,
     coordinate_module,
-    equivalence_from_truss_iso,
     example_non_iso,
     find_module_equivalence,
-    module_zn,
     regular_module,
-    truss_iso_from_equivalence,
     validate_module,
 )
-from .rings import make_field_fp, make_product_ring, make_ring_zn, ring_as_truss, validate_ring
-from .trusses import FiniteTruss, enumerate_truss_isos, enumerate_truss_morphisms, validate_truss
+from .rings import FiniteRing, make_field_fp, make_product_ring, make_ring_zn, ring_as_truss, validate_ring
+from .trusses import FiniteTruss, enumerate_truss_morphisms, validate_truss
 from .validation import Check, ValidationReport, report_once
 
 
@@ -74,19 +78,25 @@ def _heap_from_spec(spec: str, max_enum: int | None) -> FiniteHeap:
     raise ValueError(f"unknown heap preset {name!r}; use from-group:SPEC or a .json file")
 
 
+def _ring_preset(name: str, arg: str, max_enum: int | None) -> FiniteRing | None:
+    """The ring of a zn:N, fp:P or fpxfp:P preset, or None for another name."""
+    if name == "zn":
+        return make_ring_zn(int(arg), max_enum)
+    if name in ("fp", "fpxfp"):
+        field = make_field_fp(int(arg), max_enum)
+        return field if name == "fp" else make_product_ring(field, field, max_enum)
+    return None
+
+
 def _truss_from_spec(spec: str, max_enum: int | None):
     if spec.endswith(".json"):
         return FiniteTruss.from_json_dict(_load_json(spec))
     name, arg = _split_preset(spec)
     if name == "endo":
         return build_endo_truss(parse_group_spec(arg), max_enum)
-    if name == "zn":
-        return ring_as_truss(make_ring_zn(int(arg), max_enum), max_enum)
-    if name == "fp":
-        return ring_as_truss(make_field_fp(int(arg), max_enum), max_enum)
-    if name == "fpxfp":
-        field = make_field_fp(int(arg), max_enum)
-        return ring_as_truss(make_product_ring(field, field, max_enum), max_enum)
+    ring = _ring_preset(name, arg, max_enum)
+    if ring is not None:
+        return ring_as_truss(ring, max_enum)
     raise ValueError(
         f"unknown truss preset {name!r}; use endo:SPEC, zn:N, fp:P, fpxfp:P or a .json file"
     )
@@ -96,17 +106,11 @@ def _module_from_spec(spec: str, max_enum: int | None) -> RModule:
     if spec.endswith(".json"):
         return RModule.from_json_dict(_load_json(spec))
     name, arg = _split_preset(spec)
-    if name == "zn":
-        return module_zn(int(arg), max_enum)
-    if name == "fp":
-        return regular_module(make_field_fp(int(arg), max_enum), max_enum)
-    if name == "fpxfp":
-        field = make_field_fp(int(arg), max_enum)
-        return regular_module(make_product_ring(field, field, max_enum), max_enum)
     if name == "example-non-iso":
-        field = make_field_fp(int(arg), max_enum)
-        ring = make_product_ring(field, field, max_enum)
-        return coordinate_module(ring, 0, max_enum)
+        return coordinate_module(_ring_preset("fpxfp", arg, max_enum), 0, max_enum)
+    ring = _ring_preset(name, arg, max_enum)
+    if ring is not None:
+        return regular_module(ring, max_enum)
     raise ValueError(
         f"unknown module preset {name!r}; use zn:N, fp:P, fpxfp:P, "
         f"example-non-iso:P or a .json file"
@@ -209,33 +213,29 @@ def cmd_module_bk(args, max_enum: int | None) -> ValidationReport:
     right = left if args.second == args.first else _valid_module(args.second, max_enum)
     inputs = {"left": args.first, "right": args.second}
     eq = find_module_equivalence(left, right, max_enum)
+    g, h = left.group, right.group
+    source, target = build_linear_endo_truss(left, max_enum), build_linear_endo_truss(right, max_enum)
+    # the value table of the heap isomorphism (mu, 0); the brute force runs only without one
+    values = matrix_images(_matrix_stack([] if eq is None else [eq.mu], g, h), g, h)
+    roundtrip, injective, count = verify_correspondence(source, target, values, eq is None, max_enum)
     checks = [Check("equivalent_over_end_rings", None, value=eq is not None)]
     witnesses = None
     if eq is None:
-        source, target = build_linear_endo_truss(left, max_enum), build_linear_endo_truss(right, max_enum)
-        try:
-            iso_exists, certified = bool(enumerate_truss_isos(source, target, max_enum)), True
-        except BoundExceeded:
-            iso_exists, certified = None, False
-        checks.append(
-            Check("truss_iso_exists", None, certified, value="unknown" if iso_exists is None else iso_exists)
-        )
+        certified = count is not None
+        checks.append(Check("truss_iso_exists", None, certified, value=count > 0 if certified else "unknown"))
         # the correspondence demands: no equivalence <=> no truss isomorphism
-        consistent = None if iso_exists is None else (iso_exists is False)
-        checks.append(Check("consistent", consistent, certified))
+        checks.append(Check("consistent", count == 0 if certified else None, certified))
     else:
-        phi = truss_iso_from_equivalence(eq, max_enum=max_enum)
-        back = equivalence_from_truss_iso(phi, left, right, max_enum)
-        roundtrip = back.mu.matrix == eq.mu.matrix and all(
-            back.rho_of(u).matrix == v.matrix for u, v in eq.rho_pairs
-        )
+        phi = conjugate_rows(source, target, values, max_enum)[0]
+        # the pairs (u, v) must run over E_R(M)'s homs u, with v the hom of Phi(u, 0)
+        rho = target.decode(phi[source.encode(np.arange(len(source.homs)), 0)])[0]
+        us = _matrix_stack([u for u, _ in eq.rho_pairs], g, g)
+        vs = _matrix_stack([v for _, v in eq.rho_pairs], h, h)
+        roundtrip = roundtrip and np.array_equal(us, source.homs) and np.array_equal(vs, target.homs[rho])
         checks.append(Check("truss_iso_exists", True))
         checks.append(Check("roundtrip_recovers_equivalence", roundtrip))
-        checks.append(Check("consistent", roundtrip))
-        witnesses = {
-            "mu": [list(row) for row in eq.mu.matrix],
-            "truss_iso_mapping": list(phi.mapping),
-        }
+        checks.append(Check("consistent", roundtrip and injective))
+        witnesses = {"mu": [list(row) for row in eq.mu.matrix], "truss_iso_mapping": phi.tolist()}
     return ValidationReport("module-bk", tuple(checks), inputs, witnesses)
 
 

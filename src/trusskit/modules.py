@@ -4,32 +4,34 @@ module-level truss correspondence.
 A module is a ring, an abelian group, and a validated action table of
 element indices; `make_module` takes that table as integers, and the
 factories build it by broadcasting over element indices. `validate_module`
-decides the laws exhaustively by certificates over the generators of both
-groups: additivity in each argument on n |S| lookups, associativity on
-zero and generators once both additivities and the ring's distributivity
-hold, and a full scan otherwise (see `_action_checks`). Each element e of a
-module induces a deformed structure: addition a +_e b = a - e + b and
-action r ._e m = r.m - r.e + e, and `validate_induced_action` runs the laws
-of `validate_module` on those deformed tables. The heap
-morphisms whose linear part commutes with the action are exactly the maps
-respecting every one of those deformed module structures at once. They form
-a sub-truss E_R(M) of the endomorphism truss of the underlying group, built
-once per module by `build_linear_endo_truss` on End(M) = `module_homs(M, M)`,
-which filters Hom(M, N) on the action tables. Every question "is this hom in
-End(M)?" is answered by that truss's `hom_positions`, and `end_ring` reads
-the ring End(M) off its factored tables.
+checks unitality and then runs `rings.action_laws`, the law kernel that
+also validates rings, with the ring's distributivity as the gate of its
+associativity certificate. Each element e of a module induces a deformed
+structure: addition a +_e b = a - e + b and action r ._e m = r.m - r.e + e,
+and `validate_induced_action` runs the same laws on those deformed tables.
+The heap morphisms whose linear part commutes with the action are exactly
+the maps respecting every one of those deformed module structures at once.
+They form a sub-truss E_R(M) of the endomorphism truss of the underlying
+group, built once per module by `build_linear_endo_truss` on End(M) =
+`module_homs(M, M)`, which filters Hom(M, N) on the action tables. Every
+question "is this hom in End(M)?" is answered by that truss's
+`hom_positions`, and `end_ring` reads the ring End(M) off its factored
+tables.
 
 Two modules over possibly different rings are equivalent over their
 endomorphism rings when some additive isomorphism mu conjugates one
 endomorphism ring onto the other; `find_module_equivalence` searches Hom(M, N)
 a block at a time for such a mu. The truss isomorphisms between the E_R are
-then the group-level conjugations by the heap isomorphism (mu, 0):
-`truss_iso_from_equivalence` builds one with `truss_iso_from_heap_iso`, and
-`equivalence_from_truss_iso` reads mu back with `heap_iso_from_truss_iso` and
-rho(u) off the image of (u, 0). `example_non_iso` builds the classic witness
-that the truss isomorphism class is coarser than the module isomorphism
-class: over F_p x F_p the ideals F_p x 0 and 0 x F_p have isomorphic linear
-endomorphism trusses yet admit no module isomorphism.
+then the group-level conjugations by the heap isomorphisms (mu, t), so
+`baer_kaplansky.verify_correspondence` checks their round trip on E_R(M)
+and E_R(N) as it does on E(G) and E(H). On one equivalence,
+`truss_iso_from_equivalence` builds the conjugation by (mu, 0) with
+`truss_iso_from_heap_iso`, and `equivalence_from_truss_iso` reads mu back
+with `heap_iso_from_truss_iso` and rho(u) off the image of (u, 0).
+`example_non_iso` builds the classic witness that the truss isomorphism
+class is coarser than the module isomorphism class: over F_p x F_p the
+ideals F_p x 0 and 0 x F_p have isomorphic linear endomorphism trusses yet
+admit no module isomorphism.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from .groups import (
 )
 from .rings import (
     FiniteRing,
-    additivity_failures,
+    action_laws,
     generator_columns,
     make_field_fp,
     make_product_ring,
@@ -72,15 +74,7 @@ from .rings import (
     validate_ring,
 )
 from .trusses import TrussMorphism, truss_morphism_preserves
-from .validation import (
-    Check,
-    ValidationReport,
-    certified_check,
-    law_check,
-    multiadditive_check,
-    report_once,
-    sliced_scan,
-)
+from .validation import Check, ValidationReport, law_check, report_once
 
 
 @dataclass(frozen=True)
@@ -169,56 +163,23 @@ def coordinate_module(ring: FiniteRing, coord: int, max_enum: int | None = None)
 def _action_checks(
     m: RModule, act: np.ndarray, add: np.ndarray, gens: list[int], zero: int, max_enum: int | None
 ) -> tuple[Check, ...]:
-    """Unitality, associativity and bi-additivity of an action table `act`
+    """Unitality, then the laws of `action_laws`, of an action table `act`
     of m's ring over the group addition table `add`, whose zero and
-    generators have element indices `zero` and `gens`.
-
-    Additivity in the module element is certified on the generators `gens`
-    (rn mn |gens| lookups), additivity in the ring element on the ring's
-    generators. Once both hold and the ring distributes on both sides,
-    (r*s).x and r.(s.x) are additive in each argument, so associativity is
-    decided on zero and generators; otherwise it is scanned in full. A
-    failure reports the law's lexicographically first counterexample when
-    its dense scan fits the cap, else the certificate's own case."""
-    rn, mn = act.shape
+    generators have element indices `zero` and `gens`."""
     ring = m.ring
     add_r = np_add_table(ring.additive, max_enum)
-    mul_r = ring._mult_array
-    gens_r = generator_columns(ring.additive)
-    limit = resolve_max_enum(max_enum)
-    in_module = additivity_failures(act, add, add, gens)  # (r, x, j): r.(x + g_j)
-    in_ring = additivity_failures(act.T, add_r, add, gens_r)  # (x, r, j): (r + g_j).x
     ring_report = report_once(ring, validate_ring, max_enum)
     distributes = all(ring_report.check(law).passed for law in ("left-distributivity", "right-distributivity"))
-    certified = distributes and not (in_module.any() or in_ring.any())
-    basis_r = np.array([0, *gens_r], dtype=np.int64)
-    one = ring.additive.index(ring.one)
-    return (
-        law_check("unital", act[one] != np.arange(mn)),
-        # (r*s).x == r.(s.x)
-        multiadditive_check(
-            "action-associativity", lambda r, s, x: act[mul_r[r, s], x] != act[r, act[s, x]],
-            (basis_r, basis_r, np.array([zero, *gens], dtype=np.int64)), certified,
-            lambda: sliced_scan(lambda r: act[mul_r[r]] != act[r][act], rn), rn * rn * mn, rn * rn * mn <= limit,
-        ),
-        # r.(x+y) == r.x + r.y
-        certified_check(
-            "additive-in-module", in_module, rn * mn * mn, lambda ce: (ce[0], ce[1], gens[ce[2]]),
-            (lambda: sliced_scan(lambda r: act[r][add] != add[act[r][:, None], act[r][None, :]], rn))
-            if rn * mn * mn <= limit else None,
-        ),
-        # (r+s).x == r.x + s.x
-        certified_check(
-            "additive-in-ring", in_ring, rn * rn * mn, lambda ce: (ce[1], gens_r[ce[2]], ce[0]),
-            (lambda: sliced_scan(lambda r: act[add_r[r]] != add[act[r][None, :], act], rn))
-            if rn * rn * mn <= limit else None,
-        ),
+    laws = action_laws(
+        act, add, gens, zero, ring._mult_array, add_r, generator_columns(ring.additive), distributes,
+        ("action-associativity", "additive-in-module", "additive-in-ring"), max_enum,
     )
+    return (law_check("unital", act[ring.additive.index(ring.one)] != np.arange(act.shape[1])), *laws)
 
 
 def validate_module(m: RModule, max_enum: int | None = None) -> ValidationReport:
-    """Exhaustive unitality, associativity and bi-additivity of the action,
-    by the generator certificates of `_action_checks`."""
+    """Exhaustive unitality, associativity and bi-additivity of the action:
+    `_action_checks` on the action table."""
     rn, mn = m._action_array.shape
     add = np_add_table(m.group, max_enum)
     checks = _action_checks(m, m._action_array, add, generator_columns(m.group), 0, max_enum)

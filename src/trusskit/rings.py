@@ -5,15 +5,11 @@ elements and a designated unit. `make_ring` takes that table as integers
 (element indices, row-major); the factories for Z/n, prime fields and
 binary products build it by broadcasting over element indices.
 
-`validate_ring` decides associativity, two-sided distributivity and the
-unit law exhaustively, by certificates over the additive generators S:
-each row x -> a*x is additive iff a*(x+g) = a*x + a*g for every x and every
-g in S (n^2 |S| lookups), and the columns likewise. Once both
-distributivities hold, (a*b)*c and a*(b*c) are additive in each argument,
-so associativity needs only the triples of ({0} u S)^3; otherwise it is
-scanned in full, one n^2 slice at a time. A failed certificate reports the
-law's lexicographically first counterexample when the n^3 scan fits the
-cap, and the certificate's own case, itself a counterexample, when not.
+`action_laws` is the one law kernel of rings and modules: associativity
+and additivity in each argument of a ring acting on a group, each by a
+certificate on generators with a dense scan behind each failure.
+`validate_ring` runs it on the ring acting on itself, where additivity in
+each argument is distributivity on each side, and adds the unit law.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ from .errors import guard, int_table, json_ints, resolve_max_enum
 from .groups import AbGroup, Element, _prime_factors, make_group, np_add_table
 from .heaps import heap_from_group
 from .trusses import FiniteTruss, unit_law
-from .validation import ValidationReport, certified_check, multiadditive_check, report_once, sliced_scan
+from .validation import Check, ValidationReport, certified_check, multiadditive_check, report_once, sliced_scan
 
 
 @dataclass(frozen=True)
@@ -137,35 +133,60 @@ def additivity_failures(F: np.ndarray, add_src: np.ndarray, add_tgt: np.ndarray,
     return F[:, add_src[:, gens]] != add_tgt[F[:, :, None], F[:, None, gens]]
 
 
-def validate_ring(r: FiniteRing, max_enum: int | None = None) -> ValidationReport:
-    """Exhaustive associativity, distributivity and unit checks, by the
-    generator certificates of the module docstring."""
-    M, n, one = r._mult_array, r.size, r.additive.index(r.one)
-    A = np_add_table(r.additive, max_enum)
-    gens = generator_columns(r.additive)
-    left = additivity_failures(M, A, A, gens)  # (a, x, j): a*(x + g_j)
-    right = additivity_failures(M.T, A, A, gens)  # (c, x, j): (x + g_j)*c
-    dense = n**3 <= resolve_max_enum(max_enum)
-    basis = np.array([0, *gens], dtype=np.int64)
-    checks = (
-        # (a*b)*c == a*(b*c)
+def action_laws(
+    act: np.ndarray, add: np.ndarray, gens, zero: int, mul_r: np.ndarray, add_r: np.ndarray, gens_r,
+    distributes: bool, laws: tuple[str, str, str], max_enum: int | None,
+) -> tuple[Check, Check, Check]:
+    """The laws `laws`, associativity and additivity in the module and in the
+    ring element, of an (rn, mn) action table `act` on the group with
+    addition `add`, zero `zero` and generators `gens`, by the ring with
+    multiplication `mul_r`, addition `add_r` and generators `gens_r`, whose
+    two-sided distributivity is `distributes`.
+
+    Each additivity is certified on its generators (rn mn |gens| and
+    mn rn |gens_r| lookups). Once both hold and the ring distributes,
+    (r*s).x and r.(s.x) are additive in each argument, so associativity is
+    decided on zero and generators; else it is scanned one slice per ring
+    element. A failure reports the law's lexicographically first
+    counterexample when its dense scan fits the cap, else the certificate's
+    own case, itself a counterexample."""
+    rn, mn = act.shape
+    limit = resolve_max_enum(max_enum)
+    in_module = additivity_failures(act, add, add, gens)  # (r, x, j): r.(x + g_j)
+    in_ring = additivity_failures(act.T, add_r, add, gens_r)  # (x, r, j): (r + g_j).x
+    certified = distributes and not (in_module.any() or in_ring.any())
+    basis_r = np.array([0, *gens_r], dtype=np.int64)
+    return (
+        # (r*s).x == r.(s.x)
         multiadditive_check(
-            "mult-associativity", lambda a, b, c: M[M[a, b], c] != M[a, M[b, c]], (basis,) * 3,
-            not (left.any() or right.any()), lambda: sliced_scan(lambda a: M[M[a]] != M[a][M], n), n**3, dense,
+            laws[0], lambda r, s, x: act[mul_r[r, s], x] != act[r, act[s, x]],
+            (basis_r, basis_r, np.array([zero, *gens], dtype=np.int64)), certified,
+            lambda: sliced_scan(lambda r: act[mul_r[r]] != act[r][act], rn), rn * rn * mn, rn * rn * mn <= limit,
         ),
-        # a*(b+c) == a*b + a*c
+        # r.(x+y) == r.x + r.y
         certified_check(
-            "left-distributivity", left, n**3, lambda ce: (ce[0], ce[1], gens[ce[2]]),
-            (lambda: sliced_scan(lambda a: M[a][A] != A[M[a][:, None], M[a][None, :]], n)) if dense else None,
+            laws[1], in_module, rn * mn * mn, lambda ce: (ce[0], ce[1], gens[ce[2]]),
+            (lambda: sliced_scan(lambda r: act[r][add] != add[act[r][:, None], act[r][None, :]], rn))
+            if rn * mn * mn <= limit else None,
         ),
-        # (a+b)*c == a*c + b*c
+        # (r+s).x == r.x + s.x
         certified_check(
-            "right-distributivity", right, n**3, lambda ce: (ce[1], gens[ce[2]], ce[0]),
-            (lambda: sliced_scan(lambda a: M[A[a]] != A[M[a][None, :], M], n)) if dense else None,
+            laws[2], in_ring, rn * rn * mn, lambda ce: (ce[1], gens_r[ce[2]], ce[0]),
+            (lambda: sliced_scan(lambda r: act[add_r[r]] != add[act[r][None, :], act], rn))
+            if rn * rn * mn <= limit else None,
         ),
-        unit_law(M[one], M[:, one]),
     )
-    return ValidationReport(f"ring on {n} elements", checks)
+
+
+def validate_ring(r: FiniteRing, max_enum: int | None = None) -> ValidationReport:
+    """Exhaustive associativity, distributivity and unit checks: `action_laws`
+    on the ring acting on itself, whose additivity in each argument is the
+    distributivity that gates it, then the two-sided unit."""
+    M, one, gens = r._mult_array, r.additive.index(r.one), generator_columns(r.additive)
+    A = np_add_table(r.additive, max_enum)
+    names = ("mult-associativity", "left-distributivity", "right-distributivity")
+    laws = action_laws(M, A, gens, 0, M, A, gens, True, names, max_enum)
+    return ValidationReport(f"ring on {r.size} elements", (*laws, unit_law(M[one], M[:, one])))
 
 
 def ring_as_truss(r: FiniteRing, max_enum: int | None = None) -> FiniteTruss:

@@ -293,7 +293,7 @@ def _affine_search(s, t, injective: bool, max_enum: int | None) -> tuple[TrussMo
         return ()
     chain = s.generator_chain(max_enum)
     limit = resolve_max_enum(max_enum)
-    guard(nt * nt, limit, "multiplication and retract tables of a {}-element endomorphism truss", nt)
+    guard(nt * nt, limit, "multiplication and retract tables of a {}-element truss", nt)
     ys = np.arange(nt)
     tm, ta, t0 = t.product(ys[:, None], ys, max_enum), t.plus(ys[:, None], ys, max_enum), t.zero
     what, tried = "truss morphism search (candidate images tried)", nt

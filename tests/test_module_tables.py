@@ -49,6 +49,7 @@ from trusskit import (
     validate_induced_action,
     validate_module,
 )
+from trusskit.baer_kaplansky import verify_correspondence
 from trusskit.cli import main
 from trusskit.groups import GroupHom, compose_homs
 from trusskit.modules import equivalence_is_valid, module_homs
@@ -561,3 +562,49 @@ def test_equivalence_check_agrees_with_the_object_oracle_on_dropped_and_repeated
     verdicts = [equivalence_is_valid(eq) for eq in cases]
     assert verdicts == [equivalence_is_valid_by_objects(eq) for eq in cases]
     assert verdicts == ([False] * 3 + [True] * 3) + ([False] * 4 + [True] * 4)
+
+
+# the equivalent pairs of the benchmark's module jobs and the coordinate
+# ideals over F_3 x F_3, each with its number of truss isomorphisms:
+# equivalences times |N|
+THEOREM_PAIRS = {
+    "zn:4|zn:4": (lambda: (module_zn(4), module_zn(4)), 8),
+    "zn:6|zn:6": (lambda: (module_zn(6), module_zn(6)), 12),
+    "zn:9|zn:9": (lambda: (module_zn(9), module_zn(9)), 54),
+    "fp:5|fp:5": (lambda: (regular_module(make_field_fp(5)),) * 2, 20),
+    "zn:5|fp:5": (lambda: (module_zn(5), regular_module(make_field_fp(5))), 20),
+    "fpxfp:2|fpxfp:2": (lambda: (regular_module(R22),) * 2, 8),
+    "fpxfp:3|fpxfp:3": (lambda: (regular_module(R33),) * 2, 72),
+    "fx0:3|0xf:3": (lambda: (coordinate_module(R33, 0), coordinate_module(R33, 1)), 6),
+}
+
+
+def _translations(eq) -> np.ndarray:
+    """The value tables of the heap isomorphisms (mu, t), t in N, of an
+    equivalence, element indices of N."""
+    g, h = eq.source.group, eq.target.group
+    images = [eq.mu(g.element_at(i)) for i in range(g.cardinality)]
+    return np.array([[h.index(h.add(y, t)) for y in images] for t in h.elements()], dtype=np.int64)
+
+
+@pytest.mark.parametrize("name", sorted(THEOREM_PAIRS))
+def test_module_theorem_in_both_directions_on_the_shared_check(name):
+    # every translation of every equivalence, found by a loop over
+    # Hom(M, N), conjugates to a truss isomorphism that extraction undoes,
+    # and the brute-force search finds no other
+    build, expected = THEOREM_PAIRS[name]
+    m, n = build()
+    equivalences = list(all_equivalences(m, n))
+    isos = np.concatenate([_translations(eq) for eq in equivalences])
+    source, target = build_linear_endo_truss(m), build_linear_endo_truss(n)
+    assert verify_correspondence(source, target, isos, brute_force=True) == (True, True, expected)
+    assert len(isos) == len(equivalences) * n.group.cardinality == expected
+
+
+def test_module_theorem_counts_no_truss_isomorphism_between_unequal_groups():
+    # E_R(F_3 x F_3) and E_R(Z/9) both have 81 elements, so the search runs
+    m, n = regular_module(R33), module_zn(9)
+    source, target = build_linear_endo_truss(m), build_linear_endo_truss(n)
+    assert source.size == target.size == 81
+    isos = np.zeros((0, m.group.cardinality), dtype=np.int64)
+    assert verify_correspondence(source, target, isos, brute_force=True) == (True, True, 0)

@@ -206,3 +206,24 @@ def test_dense_and_mixed_carriers_match_the_oracle(a, b):
     s, t = CARRIERS[a](), CARRIERS[b]()
     assert tuple(m.mapping for m in enumerate_truss_morphisms(s, t)) == brute_force_truss_morphisms(s, t)
     assert tuple(m.mapping for m in enumerate_truss_isos(s, t)) == brute_force_truss_isos(s, t)
+
+
+def test_a_refused_search_names_a_truss_of_any_carrier():
+    # the search reads `product` and `plus` of any carrier, so its guard
+    # names a truss, dense or factored; `inner` prints the refusal as its
+    # skipped enumeration
+    dense = ring_as_truss(make_ring_zn(5))
+    for s, t in ((dense, dense), (endo("2"), endo("2"))):
+        with pytest.raises(BoundExceeded) as info:
+            enumerate_truss_morphisms(s, t, max_enum=t.size**2 - 1)
+        assert info.value.what == f"multiplication and retract tables of a {t.size}-element truss"
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["inner", "2", "2,2,2", "--json"]) == 0
+    assert json.loads(out.getvalue())["results"] == [{
+        "name": "enumeration",
+        "passed": None,
+        "value": "skipped: multiplication and retract tables of a 4096-element truss would enumerate "
+        "16777216 objects; cap is 1000000 (raise max_enum to override)",
+        "exhaustive": False,
+    }]

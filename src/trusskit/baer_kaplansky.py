@@ -33,7 +33,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .endo import EndoTruss, HeapMorphism, _bijective_rows, _distinct_rows, _row_ids, build_endo_truss, heap_isos
+from .endo import (
+    EndoTruss,
+    HeapMorphism,
+    _bijective_rows,
+    _distinct_rows,
+    _heap_isos,
+    _row_ids,
+    build_endo_truss,
+    heap_isos,
+)
 from .errors import BoundExceeded, NotAnIsomorphism, guard, resolve_max_enum
 from .groups import AbGroup, GroupHom, groups_isomorphic, group_to_json, matrix_images, np_elements
 from .trusses import TrussMorphism, enumerate_truss_isos, preserving_rows
@@ -46,9 +55,12 @@ def _endo_ends(phi: TrussMorphism) -> tuple[EndoTruss, EndoTruss]:
 
 
 # Carrier-map entries (rows x n) that `verify_correspondence` conjugates and
-# extracts at a time, which bounds every rows x n array the kernels build.
-# Set by measurement: 2^15 and more raised the peak RSS of the `bk`
-# benchmark, and at n = 4096 blocks of 4 rows ran as fast as blocks of 16.
+# extracts at a time, which bounds every rows x n array the kernels build,
+# with a floor of 8 rows a block. Set by measurement: 2^15 and more raised
+# the peak RSS of the `bk` benchmark, and at n = 4096 blocks of 4 rows ran as
+# fast as blocks of 16. Above n = 2^11 the floor wins: one row a block made
+# per-call costs dominate (`bk 101 101`, n = 10201: 9.6 s -> 6.4-8.3 s, peak
+# RSS 42 -> 44 MB).
 _BLOCK_ENTRIES = 1 << 14
 
 _NOT_ADDITIVE = "extracted map is not a heap morphism: translated table is not additive"
@@ -131,7 +143,7 @@ def heap_iso_from_truss_iso(phi: TrussMorphism, max_enum: int | None = None) -> 
     a -> Phi(constant at a)(0), by `extract_rows` on Phi's one row, which
     raises NotAnIsomorphism if Phi is not a truss isomorphism."""
     eg, eh = _endo_ends(phi)
-    return HeapMorphism.from_values(eg.group, eh.group, extract_rows(eg, eh, phi._array[None], max_enum)[0])
+    return HeapMorphism.from_values(eg.group, eh.group, extract_rows(eg, eh, phi.mapping[None], max_enum)[0])
 
 
 def truss_iso_from_heap_iso(
@@ -186,8 +198,9 @@ def verify_correspondence(
     """(roundtrip, injective, truss_iso_count) of the heap isomorphisms
     G -> H whose value tables are the rows of `isos`, between endomorphism
     trusses on G and H, full or linear. Each row is conjugated and extracted
-    back, a block of `_BLOCK_ENTRIES` carrier entries at a time, and the
-    conjugations are compared on the source chain's basis 0, s_1..s_k.
+    back, a block of `_BLOCK_ENTRIES` carrier entries (at least 8 rows) at
+    a time, and the conjugations are compared on the source chain's basis
+    0, s_1..s_k.
     The count is 0 for carriers of unequal size, else, when `brute_force`
     is set and the search fits the cap, the number of `enumerate_truss_isos`,
     each of which must come back from extraction and conjugation; else
@@ -195,7 +208,7 @@ def verify_correspondence(
     roundtrip, keys = True, []
     if len(isos):
         basis = source.generator_chain(max_enum).basis
-        rows = max(1, _BLOCK_ENTRIES // source.size)
+        rows = max(8, _BLOCK_ENTRIES // source.size)
         for start in range(0, len(isos), rows):
             values = isos[start : start + rows]
             F = conjugate_rows(source, target, values, max_enum)
@@ -217,7 +230,7 @@ def verify_correspondence(
         else:
             truss_iso_count = len(enumerated)
             if enumerated:
-                F = np.stack([phi._array for phi in enumerated])
+                F = np.stack([phi.mapping for phi in enumerated])
                 back = conjugate_rows(source, target, extract_rows(source, target, F, max_enum), max_enum)
                 roundtrip &= np.array_equal(back, F)
     return roundtrip, injective, truss_iso_count
@@ -233,11 +246,14 @@ def verify_baer_kaplansky(
     `verify_correspondence` on E(g), E(h) and every heap isomorphism, whose
     number the brute-force count (when requested and feasible) must match;
     and g, h are isomorphic exactly when a truss isomorphism exists. When
-    h == g, one E(g) serves as both source and target."""
+    h == g, one E(g) serves as both source and target, and its End(g) value
+    table yields the heap isomorphisms."""
     eg = build_endo_truss(g, max_enum)
-    eh = eg if h == g else build_endo_truss(h, max_enum)
     giso = groups_isomorphic(g, h)
-    isos = heap_isos(g, h, max_enum)
+    if h == g:  # End(g) is enumerated and evaluated once, for E(g) and its isomorphisms
+        eh, isos = eg, _heap_isos(g, g, lambda: eg._apply, max_enum)
+    else:
+        eh, isos = build_endo_truss(h, max_enum), heap_isos(g, h, max_enum)
     roundtrip, injective, truss_iso_count = verify_correspondence(eg, eh, isos, brute_force, max_enum)
     consistent = injective and roundtrip and (giso == (len(isos) > 0))
     if truss_iso_count is not None:
@@ -349,4 +365,4 @@ def check_inner_structure(phi: TrussMorphism, max_enum: int | None = None) -> di
     """Boolean summary of the inner-structure laws for one truss morphism:
     `inner_structure_rows` on Phi's one row."""
     eg, eh = _endo_ends(phi)
-    return laws_passed(*inner_structure_rows(eg, eh, phi._array[None], max_enum))
+    return laws_passed(*inner_structure_rows(eg, eh, phi.mapping[None], max_enum))

@@ -3,7 +3,9 @@ checks, with human-readable or JSON reports.
 
 Exit codes: 0 all findings pass; 1 a mathematical finding failed (a theorem
 was violated, which means a build bug); 2 input or parse error; 3 an
-enumeration bound was exceeded. Bounds default to 10**6 enumerated objects per
+enumeration bound was exceeded, or an array the bounds admitted did not fit
+in memory (reported as one `error: out of memory: ...` line naming the
+allocation). Bounds default to 10**6 enumerated objects per
 call and follow --max-enumeration or the TRUSSKIT_MAX_ENUM environment
 variable. JSON output is byte-deterministic for fixed inputs; elapsed time is
 only shown in the human-readable form. When stdout is closed before the report
@@ -182,7 +184,7 @@ def cmd_inner(args, max_enum: int | None) -> ValidationReport:
     except BoundExceeded as exc:
         return ValidationReport("inner", (Check("enumeration", None, False, value=f"skipped: {exc}"),), inputs)
     # the zero constant is always a morphism, so F has a row
-    F = np.stack([phi._array for phi in morphisms])
+    F = np.stack([phi.mapping for phi in morphisms])
     passed = laws_passed(*inner_structure_rows(source, target, F, max_enum))
     checks = [Check("truss_morphism_count", None, value=len(morphisms))]
     checks += [Check(law, ok) for law, ok in sorted(passed.items())]
@@ -315,6 +317,9 @@ def main(argv=None) -> int:
         report = handlers[args.command](args, max_enum)
     except BoundExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # an allocation the object caps admitted but memory could not hold
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

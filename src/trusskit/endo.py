@@ -132,13 +132,20 @@ def heap_isos(g: AbGroup, h: AbGroup, max_enum: int | None = None) -> np.ndarray
     isomorphic and 0 otherwise. Refused before Hom(g, h) is enumerated when
     the |Hom(g, h)| * |h| heap morphisms exceed the cap, or when the K * |g|
     entries of the tables do."""
+    return _heap_isos(g, h, lambda: matrix_images(hom_enumerate(g, h, max_enum), g, h), max_enum)
+
+
+def _heap_isos(g: AbGroup, h: AbGroup, hom_images, max_enum: int | None) -> np.ndarray:
+    """`heap_isos`, with the (|Hom(g, h)|, |g|) value tables of Hom(g, h),
+    in `hom_enumerate` order, from `hom_images()`, called only once both
+    guards pass. For g = h these are the `_apply` table of E(g)."""
     limit = resolve_max_enum(max_enum)
     guard(hom_count(g, h) * h.cardinality, limit, "heap morphisms {} -> {}", g, h)
     autos = aut_count(g) if groups_isomorphic(g, h) else 0
     guard(autos * h.cardinality * g.cardinality, limit, "value tables of the heap isomorphisms {} -> {}", g, h)
     if not autos:
         return np.empty((0, g.cardinality), dtype=np.int64)
-    images = matrix_images(hom_enumerate(g, h, max_enum), g, h)
+    images = hom_images()
     linear = images[_bijective_rows(images, h.cardinality)]
     # |Hom(g, h)| >= |h| when |g| = |h|, so the guard covers h's |h|^2 table
     add = np_add_table(h, max_enum)

@@ -1,7 +1,10 @@
-"""Exceptions, enumeration guards, JSON input checks and table-entry checks
-shared across the package."""
+"""Exceptions, enumeration guards, JSON input checks, table-entry checks
+and the value equality of table-holding objects, shared across the package."""
 
 from __future__ import annotations
+
+import math
+from dataclasses import fields
 
 import numpy as np
 
@@ -59,24 +62,22 @@ def json_int(value, what: str) -> int:
     return value
 
 
-def json_ints(value, what: str) -> tuple[int, ...]:
-    """`value` as a tuple if it is a JSON list of integers, else ValueError.
-    The entry types are collected by `map` at C speed; a bool is not an int
-    here, since `type(True)` is `bool`."""
+def json_ints(value, what: str) -> list:
+    """`value` if it is a JSON list of integers, else ValueError. The entry
+    types are collected by `map` at C speed; a bool is not an int here,
+    since `type(True)` is `bool`."""
     if type(value) is not list or not set(map(type, value)) <= {int}:
         raise ValueError(f"{what} must be a list of integers")
-    return tuple(value)
+    return value
 
 
-def int_table(
-    values, length: int, bound: int, wrong_length: str, out_of_range: str
-) -> tuple[tuple[int, ...], np.ndarray]:
+def int_table(values, shape: tuple[int, ...], bound: int, wrong_length: str, out_of_range: str) -> np.ndarray:
     """`values` (a sequence of ints or an integer array of any shape, read
-    in row-major order) as a tuple of Python ints and as the read-only int64
-    array numpy checked: `length` entries, each in [0, bound). Otherwise
-    ValueError, also for entries beyond int64; `wrong_length` may name
-    `{need}` and `{got}`. An array is copied once, with no Python list in
-    between."""
+    in row-major order) as a read-only int64 array of `shape`, each entry in
+    [0, bound). Otherwise ValueError, also for entries beyond int64;
+    `wrong_length` may name `{need}` and `{got}`. The array is a new copy,
+    made once, and is the table's only representation."""
+    length = math.prod(shape)
     try:
         table = np.array(values, dtype=np.int64)
         if isinstance(values, np.ndarray):
@@ -87,5 +88,28 @@ def int_table(
         raise ValueError(wrong_length.format(need=length, got=table.size))
     if length and (table.min() < 0 or table.max() >= bound):
         raise ValueError(out_of_range)
+    table = table.reshape(shape)
     table.flags.writeable = False
-    return tuple(table.tolist()), table
+    return table
+
+
+class TableFields:
+    """Value equality and hashing for a frozen dataclass, declared with
+    eq=False, whose fields may hold `int_table` arrays: two objects are
+    equal when each field is, an array when its shape and entries are."""
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(_same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+    def __hash__(self) -> int:
+        return hash(tuple(_hash_key(getattr(self, f.name)) for f in fields(self)))
+
+
+def _same(a, b) -> bool:
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+def _hash_key(value):
+    return (value.shape, value.tobytes()) if isinstance(value, np.ndarray) else value

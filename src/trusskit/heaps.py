@@ -20,31 +20,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import guard, int_table, json_int, json_ints, resolve_max_enum
-from .groups import AbGroup, np_elements
+from .errors import TableFields, guard, int_table, json_int, json_ints, resolve_max_enum
+from .groups import AbGroup, np_add_table
 from .validation import Check, ValidationReport, first, law_check
 
 
-@dataclass(frozen=True)
-class FiniteHeap:
-    """Explicit heap on carrier {0, ..., size-1} with a row-major ternary table."""
+@dataclass(frozen=True, eq=False)
+class FiniteHeap(TableFields):
+    """Explicit heap on carrier {0, ..., size-1}; `ternary_table[a, b, c]`
+    is [a,b,c], a read-only (size, size, size) int64 array. Built from a
+    row-major sequence or an array of any shape."""
 
     size: int
-    ternary_table: tuple[int, ...]
+    ternary_table: np.ndarray
 
     def __post_init__(self) -> None:
         n = self.size
         if n < 1:
             raise ValueError("carrier must be nonempty")
-        table, array = int_table(
-            self.ternary_table, n**3, n,
+        table = int_table(
+            self.ternary_table, (n, n, n), n,
             "ternary table needs {need} entries, got {got}", "ternary table entry out of carrier range",
         )
         object.__setattr__(self, "ternary_table", table)
-        object.__setattr__(self, "_array", array.reshape(n, n, n))
 
     def to_json_dict(self) -> dict:
-        return {"size": self.size, "ternary": list(self.ternary_table)}
+        return {"size": self.size, "ternary": self.ternary_table.ravel().tolist()}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FiniteHeap":
@@ -54,19 +55,13 @@ class FiniteHeap:
 
 
 def heap_from_group(g: AbGroup, max_enum: int | None = None) -> FiniteHeap:
-    """Materialize the heap [a,b,c] = a - b + c over g's enumerated elements."""
+    """The heap [a,b,c] = a - b + c over g's enumerated elements, by one
+    gather over g's addition table: add[add[a, -b], c]."""
     n = g.cardinality
     guard(n**3, resolve_max_enum(max_enum), "heap table of {}", g)
-    if g.rank == 0 or n == 1:
-        return FiniteHeap(n, (0,) * n**3)
-    elems = np_elements(g)
-    orders = np.array(g.orders, dtype=np.int64)
-    strides = np.array(g._strides, dtype=np.int64)
-    out = np.empty((n, n, n), dtype=np.int64)
-    for a in range(n):
-        diff = (elems[a][None, None, :] - elems[:, None, :] + elems[None, :, :]) % orders
-        out[a] = diff @ strides
-    return FiniteHeap(n, out)
+    add = np_add_table(g, max_enum)
+    neg = np.nonzero(add == 0)[1]
+    return FiniteHeap(n, add[add[:, neg][:, :, None], np.arange(n)])
 
 
 def _malcev_check(T: np.ndarray) -> Check:
@@ -117,4 +112,4 @@ def validate_heap(h: FiniteHeap) -> ValidationReport:
 
     Each law reports its first counterexample in lexicographic scan order.
     """
-    return ValidationReport(f"heap on {h.size} elements", _heap_checks(h._array))
+    return ValidationReport(f"heap on {h.size} elements", _heap_checks(h.ternary_table))

@@ -46,6 +46,7 @@ from .endo import EndoTruss, HeapMorphism, _bijective_rows
 from .errors import (
     InvalidEquivalence,
     NotAnIsomorphism,
+    TableFields,
     guard,
     int_table,
     json_ints,
@@ -77,26 +78,26 @@ from .trusses import TrussMorphism, truss_morphism_preserves
 from .validation import Check, ValidationReport, law_check, report_once
 
 
-@dataclass(frozen=True)
-class RModule:
+@dataclass(frozen=True, eq=False)
+class RModule(TableFields):
     """Left module: action table rows indexed by ring elements, columns by
-    module elements, entries element indices of the module group."""
+    module elements, entries element indices of the module group; a
+    read-only (|ring|, |group|) int64 array."""
 
     ring: FiniteRing
     group: AbGroup
-    action_table: tuple[int, ...]
+    action_table: np.ndarray
 
     def __post_init__(self) -> None:
         rn, mn = self.ring.size, self.group.cardinality
-        table, array = int_table(
-            self.action_table, rn * mn, mn,
+        table = int_table(
+            self.action_table, (rn, mn), mn,
             "action table needs {need} entries", "action table entry out of module range",
         )
         object.__setattr__(self, "action_table", table)
-        object.__setattr__(self, "_action_array", array.reshape(rn, mn))
 
     def act_index(self, i: int, j: int) -> int:
-        return self.action_table[i * self.group.cardinality + j]
+        return int(self.action_table[i, j])
 
     def act(self, r: Element, m: Element) -> Element:
         i = self.ring.additive.index(r)
@@ -108,7 +109,7 @@ class RModule:
             "ring": self.ring.to_json_dict(),
             "module": {
                 "orders": list(self.group.orders),
-                "action": list(self.action_table),
+                "action": self.action_table.ravel().tolist(),
             },
         }
 
@@ -145,7 +146,7 @@ def module_zn(n: int, max_enum: int | None = None) -> RModule:
 
 def regular_module(ring: FiniteRing, max_enum: int | None = None) -> RModule:
     """The ring acting on its own additive group by left multiplication."""
-    return make_module(ring, ring.additive, ring._mult_array, max_enum)
+    return make_module(ring, ring.additive, ring.mult_table, max_enum)
 
 
 def coordinate_module(ring: FiniteRing, coord: int, max_enum: int | None = None) -> RModule:
@@ -171,7 +172,7 @@ def _action_checks(
     ring_report = report_once(ring, validate_ring, max_enum)
     distributes = all(ring_report.check(law).passed for law in ("left-distributivity", "right-distributivity"))
     laws = action_laws(
-        act, add, gens, zero, ring._mult_array, add_r, generator_columns(ring.additive), distributes,
+        act, add, gens, zero, ring.mult_table, add_r, generator_columns(ring.additive), distributes,
         ("action-associativity", "additive-in-module", "additive-in-ring"), max_enum,
     )
     return (law_check("unital", act[ring.additive.index(ring.one)] != np.arange(act.shape[1])), *laws)
@@ -180,9 +181,9 @@ def _action_checks(
 def validate_module(m: RModule, max_enum: int | None = None) -> ValidationReport:
     """Exhaustive unitality, associativity and bi-additivity of the action:
     `_action_checks` on the action table."""
-    rn, mn = m._action_array.shape
+    rn, mn = m.action_table.shape
     add = np_add_table(m.group, max_enum)
-    checks = _action_checks(m, m._action_array, add, generator_columns(m.group), 0, max_enum)
+    checks = _action_checks(m, m.action_table, add, generator_columns(m.group), 0, max_enum)
     return ValidationReport(f"module ({rn}-element ring on {mn} elements)", checks)
 
 
@@ -200,7 +201,7 @@ def validate_induced_action(m: RModule, e: Element, max_enum: int | None = None)
     add = np_add_table(g, max_enum)
     neg = np.nonzero(add == 0)[1]
     i = g.index(g.element(e))
-    act = m._action_array
+    act = m.action_table
     add_e = add[add[:, neg[i]]]
     act_e = add[add[act, neg[act[:, i]][:, None]], i]
     # x -> x + e carries (M, +) onto (M, +_e), zero to e, generators to g + e
@@ -219,7 +220,7 @@ def module_homs(m: RModule, n: RModule, max_enum: int | None = None) -> np.ndarr
     if m.ring != n.ring:
         raise ValueError("modules must share the acting ring")
     homs = hom_enumerate(m.group, n.group, max_enum)
-    act_m, act_n = m._action_array, n._action_array
+    act_m, act_n = m.action_table, n.action_table
     rn, mn = act_m.shape
     step = max(1, _HOM_CHUNK // (mn * max(rn, m.group.rank * n.group.rank)))
     kept = np.zeros(len(homs), dtype=bool)
@@ -414,7 +415,7 @@ def equivalence_from_truss_iso(
         raise ValueError("truss morphism does not match the given modules")
     mu = heap_iso_from_truss_iso(phi, max_enum).linear
     # the image of (u, 0) has hom rho(u)
-    images = phi._array[source.encode(np.arange(len(source.homs)), 0)]
+    images = phi.mapping[source.encode(np.arange(len(source.homs)), 0)]
     rho = _group_homs(target.homs[target.decode(images)[0]], target.group, target.group)
     pairs = tuple(zip(_group_homs(source.homs, source.group, source.group), rho))
     eq = ModuleEquivalence(source_module, target_module, mu, pairs)
@@ -444,7 +445,7 @@ class NonIsoExample:
         return {
             "p": self.p,
             "truss_iso_exists": True,
-            "truss_iso_mapping": list(self.truss_iso.mapping),
+            "truss_iso_mapping": self.truss_iso.mapping.tolist(),
             "equivalence_mu": [list(row) for row in self.equivalence.mu.matrix],
             "module_hom_count": self.module_hom_count,
             "module_iso_exists": self.module_iso_exists,

@@ -18,29 +18,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import guard, int_table, json_ints, resolve_max_enum
+from .errors import TableFields, guard, int_table, json_ints, resolve_max_enum
 from .groups import AbGroup, Element, _prime_factors, make_group, np_add_table
 from .heaps import heap_from_group
 from .trusses import FiniteTruss, unit_law
 from .validation import Check, ValidationReport, certified_check, multiadditive_check, report_once, sliced_scan
 
 
-@dataclass(frozen=True)
-class FiniteRing:
+@dataclass(frozen=True, eq=False)
+class FiniteRing(TableFields):
+    """`mult_table[i, j]` is the element index of the product of elements
+    i and j, a read-only (n, n) int64 array."""
+
     additive: AbGroup
-    mult_table: tuple[int, ...]
+    mult_table: np.ndarray
     one: Element
 
     def __post_init__(self) -> None:
         n = self.additive.cardinality
-        table, array = int_table(
-            self.mult_table, n * n, n,
+        table = int_table(
+            self.mult_table, (n, n), n,
             "multiplication table needs {need} entries", "multiplication table entry out of range",
         )
         if not self.additive.contains(self.one):
             raise ValueError("unit is not an element of the additive group")
         object.__setattr__(self, "mult_table", table)
-        object.__setattr__(self, "_mult_array", array.reshape(n, n))
 
     @property
     def size(self) -> int:
@@ -50,7 +52,7 @@ class FiniteRing:
         return self.additive.elements()
 
     def mul_index(self, i: int, j: int) -> int:
-        return self.mult_table[i * self.size + j]
+        return int(self.mult_table[i, j])
 
     def mul(self, a: Element, b: Element) -> Element:
         g = self.additive
@@ -59,7 +61,7 @@ class FiniteRing:
     def to_json_dict(self) -> dict:
         return {
             "orders": list(self.additive.orders),
-            "mult": list(self.mult_table),
+            "mult": self.mult_table.ravel().tolist(),
             "one": list(self.one),
         }
 
@@ -69,7 +71,7 @@ class FiniteRing:
             raise ValueError("ring JSON must carry 'orders', 'mult' and 'one'")
         additive = make_group(json_ints(data["orders"], "ring 'orders'"))
         mult = json_ints(data["mult"], "ring 'mult'")
-        return cls(additive, mult, json_ints(data["one"], "ring 'one'"))
+        return cls(additive, mult, tuple(json_ints(data["one"], "ring 'one'")))
 
 
 def _guard_mult(n: int, max_enum: int | None) -> None:
@@ -109,7 +111,7 @@ def make_product_ring(r: FiniteRing, s: FiniteRing, max_enum: int | None = None)
     """Componentwise product of two rings. The element (a, b) has index
     i_a |s| + i_b, so the table is R[i, j] |s| + S[k, l] at row i|s| + k
     and column j|s| + l."""
-    R, S = r._mult_array, s._mult_array
+    R, S = r.mult_table, s.mult_table
     _guard_mult(r.size * s.size, max_enum)
     table = R[:, None, :, None] * s.size + S[None, :, None, :]
     g = make_group(r.additive.orders + s.additive.orders)
@@ -182,7 +184,7 @@ def validate_ring(r: FiniteRing, max_enum: int | None = None) -> ValidationRepor
     """Exhaustive associativity, distributivity and unit checks: `action_laws`
     on the ring acting on itself, whose additivity in each argument is the
     distributivity that gates it, then the two-sided unit."""
-    M, one, gens = r._mult_array, r.additive.index(r.one), generator_columns(r.additive)
+    M, one, gens = r.mult_table, r.additive.index(r.one), generator_columns(r.additive)
     A = np_add_table(r.additive, max_enum)
     names = ("mult-associativity", "left-distributivity", "right-distributivity")
     laws = action_laws(M, A, gens, 0, M, A, gens, True, names, max_enum)
@@ -192,4 +194,4 @@ def validate_ring(r: FiniteRing, max_enum: int | None = None) -> ValidationRepor
 def ring_as_truss(r: FiniteRing, max_enum: int | None = None) -> FiniteTruss:
     """View a ring as a truss: heap a - b + c, ring multiplication, ring unit."""
     heap = heap_from_group(r.additive, max_enum)
-    return FiniteTruss(heap, r._mult_array, unit=r.additive.index(r.one))
+    return FiniteTruss(heap, r.mult_table, unit=r.additive.index(r.one))

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import guard, int_table, json_int, json_ints, resolve_max_enum
+from .errors import TableFields, guard, int_table, json_int, json_ints, resolve_max_enum
 from .heaps import FiniteHeap, _heap_checks
 from .validation import Check, ValidationReport, first, law_check, multiadditive_check, sliced_scan
 
@@ -64,26 +64,26 @@ def walk_chain(t, max_enum: int | None = None) -> GeneratorChain:
     return chain
 
 
-@dataclass(frozen=True)
-class FiniteTruss:
-    """Dense-table truss; `unit` is the index of a two-sided multiplicative
-    identity or None."""
+@dataclass(frozen=True, eq=False)
+class FiniteTruss(TableFields):
+    """Dense-table truss: `mult_table[a, b]` is a*b, a read-only (n, n)
+    int64 array; `unit` is the index of a two-sided multiplicative identity
+    or None."""
 
     heap: FiniteHeap
-    mult_table: tuple[int, ...]
+    mult_table: np.ndarray
     unit: int | None = None
     zero = 0  # the retract's base point, not a field
 
     def __post_init__(self) -> None:
         n = self.heap.size
-        table, array = int_table(
-            self.mult_table, n**2, n,
+        table = int_table(
+            self.mult_table, (n, n), n,
             "multiplication table needs {need} entries", "multiplication table entry out of range",
         )
         if self.unit is not None and not 0 <= self.unit < n:
             raise ValueError("unit index out of range")
         object.__setattr__(self, "mult_table", table)
-        object.__setattr__(self, "_mult_array", array.reshape(n, n))
 
     @property
     def size(self) -> int:
@@ -107,8 +107,8 @@ class FiniteTruss:
         return walk_chain(self)
 
     def to_json_dict(self) -> dict:
-        heap = self.heap.ternary_table
-        return {"size": self.size, "ternary": list(heap), "mult": list(self.mult_table), "unit": self.unit}
+        heap = self.heap.to_json_dict()
+        return {**heap, "mult": self.mult_table.ravel().tolist(), "unit": self.unit}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FiniteTruss":
@@ -122,7 +122,7 @@ class FiniteTruss:
 
 def dense_tables(t: FiniteTruss) -> tuple[np.ndarray, np.ndarray]:
     """(mult, ternary): the n x n and n^3 index tables of a FiniteTruss."""
-    return t._mult_array, t.heap._array
+    return t.mult_table, t.heap.ternary_table
 
 
 def unit_law(left: np.ndarray, right: np.ndarray) -> Check:
@@ -229,33 +229,32 @@ def validate_truss(t, max_enum: int | None = None) -> ValidationReport:
     return ValidationReport(f"truss on {n} elements", tuple(checks))
 
 
-@dataclass(frozen=True)
-class TrussMorphism:
+@dataclass(frozen=True, eq=False)
+class TrussMorphism(TableFields):
     """Total map between truss carriers, by target indices."""
 
     source: object
     target: object
-    mapping: tuple[int, ...]  # also taken as an int64 array, stored as a tuple
+    mapping: np.ndarray  # taken as a sequence or an array, stored as a read-only int64 array
 
     def __post_init__(self) -> None:
-        mapping, array = int_table(
-            self.mapping, self.source.size, self.target.size,
+        mapping = int_table(
+            self.mapping, (self.source.size,), self.target.size,
             "mapping length differs from source carrier size", "mapping value outside target carrier",
         )
         object.__setattr__(self, "mapping", mapping)
-        object.__setattr__(self, "_array", array)
 
     def __call__(self, i: int) -> int:
-        return self.mapping[i]
+        return int(self.mapping[i])
 
     @cached_property
     def is_bijective(self) -> bool:
-        return self.source.size == self.target.size and len(set(self.mapping)) == len(self.mapping)
+        return self.source.size == self.target.size and len(np.unique(self.mapping)) == len(self.mapping)
 
 
 def truss_morphism_preserves(tm: TrussMorphism, max_enum: int | None = None) -> bool:
     """Whether a TrussMorphism preserves both operations: `preserving_rows`."""
-    return bool(preserving_rows(tm.source, tm.target, tm._array[None], max_enum)[0])
+    return bool(preserving_rows(tm.source, tm.target, tm.mapping[None], max_enum)[0])
 
 
 def preserving_rows(s, t, F: np.ndarray, max_enum: int | None = None) -> np.ndarray:

@@ -209,7 +209,7 @@ def mult(t, i: int, j: int) -> int:
     """x*y by carrier index: a table lookup in a FiniteTruss, a composition
     of (hom, translation) pairs in an EndoTruss."""
     if not isinstance(t, EndoTruss):
-        return t.mult_table[i * t.size + j]
+        return int(t.mult_table[i, j])
     g, m = t.group, t.group.cardinality
     elems = _kept(t, "_oracle_elements", lambda: tuple(g.elements()))
     memo = _kept(t, "_oracle_compose", dict)
@@ -227,7 +227,7 @@ def ternary(t, i: int, j: int, k: int) -> int:
     EndoTruss."""
     if not isinstance(t, EndoTruss):
         h = t.heap if isinstance(t, FiniteTruss) else t
-        return h.ternary_table[(i * h.size + j) * h.size + k]
+        return int(h.ternary_table[i, j, k])
     g, m = t.group, t.group.cardinality
     elems = _kept(t, "_oracle_elements", lambda: tuple(g.elements()))
     memo = _kept(t, "_oracle_ternary", dict)
@@ -262,8 +262,7 @@ def truss_tables(t, max_enum: int | None = None) -> tuple[np.ndarray, np.ndarray
 def to_finite_truss(e: EndoTruss, max_enum: int | None = None) -> FiniteTruss:
     """E(G) as dense tables."""
     mult_table, tern = truss_tables(e, max_enum)
-    heap = FiniteHeap(e.size, tuple(int(x) for x in tern.reshape(-1)))
-    return FiniteTruss(heap, tuple(int(x) for x in mult_table.reshape(-1)), unit=e.unit)
+    return FiniteTruss(FiniteHeap(e.size, tern), mult_table, unit=e.unit)
 
 
 def _is_heap(h: FiniteHeap) -> bool:
@@ -648,7 +647,7 @@ def last_generator_breaker(g: AbGroup) -> list[int]:
 def ring_law_masks(r) -> dict[str, np.ndarray]:
     """The failing cases of each ring law as a dense array over its domain:
     (a, b, c) for associativity and distributivity, (a,) for the unit."""
-    M = r._mult_array
+    M = r.mult_table
     A = np_add_table(r.additive)
     idx = np.arange(r.size)
     one = r.additive.index(r.one)
@@ -673,8 +672,8 @@ def module_law_masks(m) -> dict[str, np.ndarray]:
     """The failing cases of each module law as a dense array: (r, s, x) for
     associativity and additivity in the ring, (r, x, y) for additivity in
     the module, (x,) for unitality."""
-    act, add = m._action_array, np_add_table(m.group)
-    add_r, mul_r = np_add_table(m.ring.additive), m.ring._mult_array
+    act, add = m.action_table, np_add_table(m.group)
+    add_r, mul_r = np_add_table(m.ring.additive), m.ring.mult_table
     idx_r = np.arange(act.shape[0])
     return {
         "unital": act[m.ring.additive.index(m.ring.one)] != np.arange(act.shape[1]),
@@ -686,7 +685,7 @@ def module_law_masks(m) -> dict[str, np.ndarray]:
 
 def module_report_dense(m) -> ValidationReport:
     """`validate_module`'s report from the dense arrays of each law."""
-    rn, mn = m._action_array.shape
+    rn, mn = m.action_table.shape
     checks = tuple(law_check(law, bad) for law, bad in module_law_masks(m).items())
     return ValidationReport(f"module ({rn}-element ring on {mn} elements)", checks)
 

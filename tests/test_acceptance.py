@@ -100,7 +100,7 @@ def test_criterion_2_theta_upsilon_bijection():
                 for hm, phi in zip(isos, conjugations):
                     assert truss_morphism_preserves(phi) and phi.is_bijective
                     assert heap_iso_from_truss_iso(phi) == hm
-                assert len({phi.mapping for phi in conjugations}) == len(conjugations)
+                assert len({tuple(phi.mapping.tolist()) for phi in conjugations}) == len(conjugations)
         # raw search over all 24 bijections of the 4-element carriers
         e2 = ENDO[(2,)]
         raw = [
@@ -252,7 +252,7 @@ def test_criterion_8_module_roundtrip():
 
 
 def _detects_all_heap_mutations(heap: FiniteHeap) -> bool:
-    base = list(heap.ternary_table)
+    base = heap.ternary_table.ravel().tolist()
     n = heap.size
     for pos in range(len(base)):
         for wrong in range(n):
@@ -267,7 +267,7 @@ def _detects_all_heap_mutations(heap: FiniteHeap) -> bool:
 
 def _detects_all_truss_mutations(t: FiniteTruss) -> bool:
     n = t.size
-    tern = list(t.heap.ternary_table)
+    tern = t.heap.ternary_table.ravel().tolist()
     for pos in range(len(tern)):
         for wrong in range(n):
             if wrong == tern[pos]:
@@ -277,7 +277,7 @@ def _detects_all_truss_mutations(t: FiniteTruss) -> bool:
             bad = FiniteTruss(FiniteHeap(n, tuple(mutated)), t.mult_table, t.unit)
             if validate_truss(bad).passed:
                 return False
-    mult = list(t.mult_table)
+    mult = t.mult_table.ravel().tolist()
     for pos in range(len(mult)):
         for wrong in range(n):
             if wrong == mult[pos]:
@@ -291,7 +291,7 @@ def _detects_all_truss_mutations(t: FiniteTruss) -> bool:
 
 
 def _detects_all_module_mutations(m: RModule) -> bool:
-    base = list(m.action_table)
+    base = m.action_table.ravel().tolist()
     size = m.group.cardinality
     for pos in range(len(base)):
         for wrong in range(size):

@@ -156,7 +156,7 @@ def test_a_map_that_breaks_only_the_wrap_relation_is_rejected():
     # r_j*f(s_j) = f(r_j*s_j) rejects it
     s, t = build_endo_truss(parse_group_spec("2")), build_endo_truss(parse_group_spec("4"))
     one = TrussMorphism(s, t, (0, 0, 4, 4))
-    f = one._array
+    f = one.mapping
     sm, tm = grid_tables(s)[0], grid_tables(t)[0]
     assert (f[sm] == tm[f[:, None], f[None, :]]).all()
     chain = s.generator_chain()

@@ -267,6 +267,16 @@ def test_bk_over_the_carrier_cap_is_refused_before_enumerating():
     assert "carrier of E(Z/1000000)" in done.stderr
 
 
+def test_an_allocation_over_the_address_space_exits_3():
+    # the object caps admit the 1 GiB (512, 512, 512) heap table of E(Z/2 x
+    # Z/2 x Z/2)'s hom factor at this cap, but 300 MB cannot hold it: exit
+    # 3 with one error line naming the array, not exit 1 with a traceback
+    done = run_limited("validate", "--truss", "endo:2,2,2", "--max-enumeration", "1000000000")
+    assert (done.returncode, done.stdout) == (3, ""), done.stderr
+    assert [line[:6] for line in done.stderr.splitlines()] == ["error:"]
+    assert "out of memory: Unable to allocate" in done.stderr and "(512, 512, 512)" in done.stderr
+
+
 def test_ring_laws_fit_a_small_address_space():
     # the ring and module laws are certified on generators, not on n^3
     # arrays: Z/1000 reaches the n^3 heap-table guard (exit 3) instead of

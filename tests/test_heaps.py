@@ -26,6 +26,15 @@ def test_ternary_from_group_examples():
     assert ternary(hk, i((1, 0)), i((1, 1)), i((0, 1))) == i((0, 0))
 
 
+@pytest.mark.parametrize("orders", [[32], [2, 16], [2, 2, 8], [3, 9], [30], [2, 2, 2, 2, 2], [1], []])
+def test_heap_from_group_is_the_coordinate_formula(orders):
+    # the gather over the addition table against a - b + c, coordinate by coordinate
+    g = make_group(orders)
+    elems = list(g.elements())
+    expected = [g.index(g.ternary(a, b, c)) for a in elems for b in elems for c in elems]
+    assert heap_from_group(g).ternary_table.ravel().tolist() == expected
+
+
 @pytest.mark.parametrize("orders", SMALL_GROUPS)
 def test_group_heaps_validate(orders):
     h = heap_from_group(make_group(orders))
@@ -54,7 +63,7 @@ def test_validator_flags_malcev_violation():
 
 def test_validator_rejects_every_single_mutation_z4():
     h = heap_from_group(make_group([4]))
-    base = list(h.ternary_table)
+    base = h.ternary_table.ravel().tolist()
     for pos in range(len(base)):
         for wrong in range(4):
             if wrong == base[pos]:
@@ -73,14 +82,14 @@ def test_every_law_exhaustive_above_32(orders):
 
 
 def test_mutated_heap_above_32_fails_exhaustively():
-    table = list(heap_from_group(make_group([33])).ternary_table)
+    table = heap_from_group(make_group([33])).ternary_table.ravel().tolist()
     pos = (5 * 33 + 7) * 33 + 11  # [5,7,11] = 9 becomes 10
     table[pos] = (table[pos] + 1) % 33
     bad = FiniteHeap(33, tuple(table))
     report = validate_heap(bad)
     assert not report.passed and report.exhaustive
     ce = report.check("associativity").counterexample
-    assert ce is not None and ce == scan_heap_associativity(bad._array)
+    assert ce is not None and ce == scan_heap_associativity(bad.ternary_table)
 
 
 def test_retract_at_zero_reproduces_group_table():
@@ -147,7 +156,7 @@ def test_retract_iso_additive_for_every_base_pair(orders):
 
 def test_validator_rejects_every_single_mutation_order_eight():
     h = heap_from_group(make_group([8]))
-    base = list(h.ternary_table)
+    base = h.ternary_table.ravel().tolist()
     for pos in range(len(base)):
         for wrong in range(8):
             if wrong == base[pos]:
@@ -190,7 +199,7 @@ def test_associativity_certificate_agrees_with_scan_on_every_mutation(spec):
     # must give the same verdict and counterexample as the n^5 scan
     h = heap_from_group(parse_group_spec(spec))
     n = h.size
-    base = np.array(h.ternary_table, dtype=np.int64)
+    base = h.ternary_table.flatten()
     failures = 0
     for pos in range(base.size):
         for wrong in range(n):

@@ -50,7 +50,7 @@ def single_entry_mutations(phi: TrussMorphism, count: int):
     carrier, each entry moved to the next target index."""
     n, nt = phi.source.size, phi.target.size
     for i in sorted(set(np.linspace(0, n - 1, min(count, n)).astype(int).tolist())):
-        mapping = list(phi.mapping)
+        mapping = phi.mapping.tolist()
         mapping[i] = (mapping[i] + 1) % nt
         yield TrussMorphism(phi.source, phi.target, tuple(mapping))
 
@@ -192,7 +192,7 @@ def test_extraction_decodes_like_the_oracle_without_the_preservation_check(left,
     for hm in as_objects(heap_isos(s.group, t.group)[:8], s.group, t.group):
         phi = truss_iso_from_heap_iso(hm, s, t)
         for i, j in [(consts[1], consts[-1]), (consts[2], consts[3]), (consts[0], s.unit)]:
-            mapping = list(phi.mapping)
+            mapping = phi.mapping.tolist()
             mapping[i], mapping[j] = mapping[j], mapping[i]
             bad = TrussMorphism(s, t, tuple(mapping))
             got = _outcome(heap_iso_from_truss_iso, bad)
@@ -218,7 +218,7 @@ def _maps(s: EndoTruss, t: EndoTruss) -> list[TrussMorphism]:
 
 
 def _stack(maps: list[TrussMorphism]) -> np.ndarray:
-    return np.stack([phi._array for phi in maps])
+    return np.stack([phi.mapping for phi in maps])
 
 
 @pytest.mark.parametrize("left,right", KERNEL_PAIRS)

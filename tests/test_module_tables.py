@@ -30,6 +30,7 @@ from trusskit import (
     FiniteHeap,
     FiniteTruss,
     InvalidEquivalence,
+    TrussMorphism,
     ModuleEquivalence,
     NotAnIsomorphism,
     RModule,
@@ -39,12 +40,14 @@ from trusskit import (
     equivalence_from_truss_iso,
     example_non_iso,
     find_module_equivalence,
+    heap_from_group,
     make_field_fp,
     make_group,
     make_product_ring,
     make_ring_zn,
     module_zn,
     regular_module,
+    ring_as_truss,
     truss_iso_from_equivalence,
     validate_induced_action,
     validate_module,
@@ -95,10 +98,10 @@ RING_SHARING_PAIRS = [
 def mutations(m: RModule):
     """Every module table with one action entry changed, unvalidated."""
     size = m.group.cardinality
-    for pos, old in enumerate(m.action_table):
+    for pos, old in enumerate(m.action_table.ravel().tolist()):
         for new in range(size):
             if new != old:
-                table = list(m.action_table)
+                table = m.action_table.ravel().tolist()
                 table[pos] = new
                 yield RModule(m.ring, m.group, tuple(table))
 
@@ -122,7 +125,7 @@ def test_module_homs_agree_with_loop_on_action_mutations(name):
         for s, t in ((bad, bad), (bad, m), (m, bad)):
             assert module_homs(s, t).tolist() == _matrices(module_homs_by_loop(s, t))
             cases += 1
-    assert cases == 3 * len(m.action_table) * (m.group.cardinality - 1)
+    assert cases == 3 * m.action_table.size * (m.group.cardinality - 1)
 
 
 @pytest.mark.parametrize("left,right", [("fpxfp:2", "fpxfp:2"), ("zn:6", "z3-over-z6"), ("fx0:3", "0xf:3")])
@@ -142,7 +145,7 @@ def test_induced_action_agrees_with_loop_on_every_mutation(name):
             assert report == induced_action_report_by_loop(module, e)
             cases += 1
             failing += not report.passed
-    assert cases == (1 + len(m.action_table) * (m.group.cardinality - 1)) * m.group.cardinality
+    assert cases == (1 + m.action_table.size * (m.group.cardinality - 1)) * m.group.cardinality
     assert failing == cases - m.group.cardinality  # every mutation breaks a law at every base point
 
 
@@ -174,7 +177,7 @@ def test_truss_iso_from_equivalence_agrees_with_per_element_map(left, right):
     assert equivalences
     for eq in equivalences:
         phi = truss_iso_from_equivalence(eq)
-        assert phi.mapping == truss_iso_by_element(eq, source, target)
+        assert tuple(phi.mapping.tolist()) == truss_iso_by_element(eq, source, target)
         back = equivalence_from_truss_iso(phi, m, n)
         assert back.mu.matrix == eq.mu.matrix
         assert all(back.rho_of(u).matrix == v.matrix for u, v in eq.rho_pairs)
@@ -192,7 +195,7 @@ def test_extraction_rejects_a_truss_iso_onto_the_wrong_family():
 
 def _broken_zn4() -> RModule:
     m = module_zn(4)
-    table = list(m.action_table)
+    table = m.action_table.ravel().tolist()
     table[5] = (table[5] + 1) % 4
     return RModule(m.ring, m.group, tuple(table))
 
@@ -215,7 +218,7 @@ def run(capsys, *argv):
 def test_module_bk_refuses_a_module_file_that_breaks_a_law(tmp_path, capsys):
     data = module_zn(4).to_json_dict()
     bad_action = json.loads(json.dumps(data))
-    bad_action["module"]["action"] = list(_broken_zn4().action_table)
+    bad_action["module"]["action"] = _broken_zn4().action_table.ravel().tolist()
     bad_ring = json.loads(json.dumps(data))
     bad_ring["ring"]["mult"][5] = (bad_ring["ring"]["mult"][5] + 1) % 4
     action_path, ring_path = tmp_path / "bad.json", tmp_path / "bad_ring.json"
@@ -281,11 +284,19 @@ def test_table_entries_beyond_int64_raise_value_error(huge):
         FiniteRing(m.ring.additive, (0, 0, 0, huge), m.ring.one)
 
 
-def test_tables_are_stored_as_python_ints():
+def test_tables_are_read_only_int64_arrays():
     import numpy as np
 
     h = FiniteHeap(1, np.zeros(1, dtype=np.int32))
-    assert h.ternary_table == (0,) and type(h.ternary_table[0]) is int
+    assert h.ternary_table.dtype == np.int64 and h.ternary_table.shape == (1, 1, 1)
+    assert not h.ternary_table.flags.writeable
+    # lookups hand out Python ints and bools, not numpy scalars
+    ring, m = make_ring_zn(4), module_zn(4)
+    t = ring_as_truss(ring)
+    phi = TrussMorphism(t, t, np.arange(4, dtype=np.int16))
+    values = [ring.mul_index(2, 3), m.act_index(3, 3), phi(2), *ring.mul((2,), (3,)), *m.act((3,), (3,))]
+    assert [type(v) for v in values] == [int] * 5
+    assert phi.is_bijective is True and TrussMorphism(t, t, (0, 0, 1, 2)).is_bijective is False
 
 
 def test_huge_json_entries_exit_2(tmp_path, capsys):
@@ -310,16 +321,60 @@ def test_tables_keep_the_array_they_were_checked_as():
     heap = FiniteHeap(2, source)
     source[0] = 1
     truss = FiniteTruss(heap, (0, 0, 0, 1))
-    for table, array, shape in [
-        (heap.ternary_table, heap._array, (2, 2, 2)),
-        (truss.mult_table, dense_tables(truss)[0], (2, 2)),
-        (ring.mult_table, ring._mult_array, (4, 4)),
-        (m.action_table, m._action_array, (4, 4)),
+    for table, shape in [
+        (heap.ternary_table, (2, 2, 2)),
+        (truss.mult_table, (2, 2)),
+        (ring.mult_table, (4, 4)),
+        (m.action_table, (4, 4)),
     ]:
-        assert array.shape == shape and array.reshape(-1).tolist() == list(table)
-        assert not array.flags.writeable
-    assert heap.ternary_table[0] == 0 and source.flags.writeable
-    assert dense_tables(truss)[1] is heap._array
+        assert table.shape == shape and table.dtype == np.int64
+        assert not table.flags.writeable
+    assert heap.ternary_table[0, 0, 0] == 0 and source.flags.writeable
+    assert dense_tables(truss)[0] is truss.mult_table and dense_tables(truss)[1] is heap.ternary_table
+
+
+def test_tables_compare_by_value_however_they_were_built():
+    # from a row-major list, from an array and through JSON: equal, with
+    # equal hashes; one entry changed: unequal, by every route
+    import numpy as np
+
+    ring, m = make_ring_zn(4), module_zn(4)
+    heap, truss = heap_from_group(make_group([4])), ring_as_truss(ring)
+    cases = [
+        (heap, heap.ternary_table, lambda table: FiniteHeap(4, table)),
+        (truss, truss.mult_table, lambda table: FiniteTruss(truss.heap, table, truss.unit)),
+        (ring, ring.mult_table, lambda table: FiniteRing(ring.additive, table, ring.one)),
+        (m, m.action_table, lambda table: RModule(ring, m.group, table)),
+    ]
+    for obj, table, build in cases:
+        flat = table.ravel().tolist()
+        changed = flat.copy()
+        changed[1] = (changed[1] + 1) % 4
+        for entries, equal in ((flat, True), (changed, False)):
+            built = build(entries)
+            for copy in (built, build(np.array(entries)), type(obj).from_json_dict(built.to_json_dict())):
+                assert (copy == obj) is equal and (copy != obj) is not equal
+                assert hash(copy) == hash(obj) or not equal
+
+
+@pytest.mark.parametrize("entry", [True, 1.0, "1", None, [1], 2**63], ids=repr)
+@pytest.mark.parametrize("table", ["ternary", "truss mult", "ring mult", "module action"])
+def test_a_malformed_table_entry_exits_2(tmp_path, capsys, table, entry):
+    heap = {"size": 2, "ternary": [0] * 8}
+    truss = ring_as_truss(make_ring_zn(2)).to_json_dict()
+    module = module_zn(2).to_json_dict()
+    flag, doc, entries = {
+        "ternary": ("--heap", heap, heap["ternary"]),
+        "truss mult": ("--truss", truss, truss["mult"]),
+        "ring mult": ("--module", module, module["ring"]["mult"]),
+        "module action": ("--module", module, module["module"]["action"]),
+    }[table]
+    entries[1] = entry
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", flag, str(path))
+    assert (code, out) == (2, "")
+    assert [line[:6] for line in err.splitlines()] == ["error:"]
 
 
 def test_module_bk_computes_each_end_once(monkeypatch, capsys):
@@ -420,11 +475,11 @@ def test_module_factory_tables_match_the_callable_oracle(p):
     r = make_product_ring(f, f)
     for ring in (f, r):
         m = regular_module(ring)
-        assert m.action_table == module_table(ring, ring.additive, ring.mul)
+        assert tuple(m.action_table.ravel().tolist()) == module_table(ring, ring.additive, ring.mul)
     for coord in (0, 1):
         m = coordinate_module(r, coord)
         assert m.group.orders == (p,)
-        assert m.action_table == module_table(r, m.group, lambda a, x: ((a[coord] * x[0]) % p,))
+        assert tuple(m.action_table.ravel().tolist()) == module_table(r, m.group, lambda a, x: ((a[coord] * x[0]) % p,))
 
 
 @pytest.mark.parametrize("name", sorted(MODULES))
@@ -432,15 +487,15 @@ def test_end_ring_as_module_matches_the_callable_oracle(name):
     er = end_ring(MODULES[name])
     m = er.as_module()
     index = er.ring.additive.index
-    assert m.action_table == module_table(er.ring, m.group, lambda u, x: er.homs_by_index[index(u)](x))
+    assert tuple(m.action_table.ravel().tolist()) == module_table(er.ring, m.group, lambda u, x: er.homs_by_index[index(u)](x))
 
 
 def ring_mutations(ring: FiniteRing):
     """Every ring with one multiplication entry changed, unvalidated."""
-    for pos, old in enumerate(ring.mult_table):
+    for pos, old in enumerate(ring.mult_table.ravel().tolist()):
         for new in range(ring.size):
             if new != old:
-                table = list(ring.mult_table)
+                table = ring.mult_table.ravel().tolist()
                 table[pos] = new
                 yield FiniteRing(ring.additive, tuple(table), ring.one)
 

@@ -13,8 +13,12 @@ Both run on blocks of rows: a (B, n) int64 array of carrier maps, or a
 `truss_iso_from_heap_iso` are their one-row cases. The two directions are
 mutually inverse; `verify_correspondence` certifies that by feeding heap
 isomorphisms through both, a block of rows at a time, so no object is built
-per isomorphism. It checks both of the paper's theorems: `bk` runs it on
-E(G) and E(H), `module-bk` on the linear sub-trusses E_R(M) and E_R(N).
+per isomorphism. It checks both of the paper's theorems: `module-bk` runs
+it on the linear sub-trusses E_R(M) and E_R(N), and `bk`
+(`verify_baer_kaplansky`) on E(G) and E(H) with the group isomorphisms and
+one translation per generator of H, which generate every heap
+isomorphism; both directions are multiplicative, so the round trip on these
+rows is the round trip on all |Aut(G)| |H| of them.
 
 Beyond isomorphisms, every truss morphism Phi between endomorphism trusses
 carries an inner structure: the image of the zero constant splits into an
@@ -38,10 +42,10 @@ from .endo import (
     HeapMorphism,
     _bijective_rows,
     _distinct_rows,
-    _heap_isos,
+    _linear_isos,
     _row_ids,
+    _translated,
     build_endo_truss,
-    heap_isos,
 )
 from .errors import BoundExceeded, NotAnIsomorphism, guard, resolve_max_enum
 from .groups import AbGroup, GroupHom, groups_isomorphic, group_to_json, matrix_images, np_elements
@@ -58,9 +62,9 @@ def _endo_ends(phi: TrussMorphism) -> tuple[EndoTruss, EndoTruss]:
 # extracts at a time, which bounds every rows x n array the kernels build,
 # with a floor of 8 rows a block. Set by measurement: 2^15 and more raised
 # the peak RSS of the `bk` benchmark, and at n = 4096 blocks of 4 rows ran as
-# fast as blocks of 16. Above n = 2^11 the floor wins: one row a block made
-# per-call costs dominate (`bk 101 101`, n = 10201: 9.6 s -> 6.4-8.3 s, peak
-# RSS 42 -> 44 MB).
+# fast as blocks of 16. Above n = 2^11 the floor wins: with one row a block
+# the per-call costs dominate (in-process `bk 4,8 4,8`, n = 16384 and 130
+# rows: 0.26 s with one row a block, 0.18 s with 8; 2 CPUs, one BLAS thread).
 _BLOCK_ENTRIES = 1 << 14
 
 _NOT_ADDITIVE = "extracted map is not a heap morphism: translated table is not additive"
@@ -161,21 +165,24 @@ def truss_iso_from_heap_iso(
     return TrussMorphism(source, target, conjugate_rows(source, target, values, max_enum)[0])
 
 
+# The most heap isomorphisms whose value tables `verify_baer_kaplansky`
+# gathers as witnesses.
+_WITNESSES = 8
+
+
 @dataclass(frozen=True)
 class BKVerification:
     left: AbGroup
     right: AbGroup
-    # (K, |left|) value tables of the heap isomorphisms, in `heap_isos` order
-    heap_isos: np.ndarray = field(compare=False, repr=False)
+    heap_iso_count: int
     truss_iso_count: int | None
     theta_upsilon_roundtrip: bool
     upsilon_injective: bool
     groups_isomorphic: bool
     consistent: bool
-
-    @property
-    def heap_iso_count(self) -> int:
-        return len(self.heap_isos)
+    # (K, |left|) value tables of the K heap isomorphisms, in `heap_isos`
+    # order, when 0 < K <= _WITNESSES; else None
+    witnesses: np.ndarray | None = field(compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -197,10 +204,13 @@ def verify_correspondence(
 ) -> tuple[bool, bool, int | None]:
     """(roundtrip, injective, truss_iso_count) of the heap isomorphisms
     G -> H whose value tables are the rows of `isos`, between endomorphism
-    trusses on G and H, full or linear. Each row is conjugated and extracted
-    back, a block of `_BLOCK_ENTRIES` carrier entries (at least 8 rows) at
-    a time, and the conjugations are compared on the source chain's basis
-    0, s_1..s_k.
+    trusses on G and H, full or linear: whether extraction after
+    conjugation gives back every row, and whether the conjugations of the
+    rows are distinct. The rows may be every heap isomorphism (`module-bk`)
+    or a generating set of them (`bk`; see `verify_baer_kaplansky`). Each
+    row is conjugated and extracted back, a block of `_BLOCK_ENTRIES`
+    carrier entries (at least 8 rows) at a time, and the conjugations are
+    compared on the source chain's basis 0, s_1..s_k.
     The count is 0 for carriers of unequal size, else, when `brute_force`
     is set and the search fits the cap, the number of `enumerate_truss_isos`,
     each of which must come back from extraction and conjugation; else
@@ -243,24 +253,58 @@ def verify_baer_kaplansky(
     max_enum: int | None = None,
 ) -> BKVerification:
     """Certify both directions of the correspondence between g and h:
-    `verify_correspondence` on E(g), E(h) and every heap isomorphism, whose
-    number the brute-force count (when requested and feasible) must match;
-    and g, h are isomorphic exactly when a truss isomorphism exists. When
-    h == g, one E(g) serves as both source and target, and its End(g) value
-    table yields the heap isomorphisms."""
+    `verify_correspondence` on E(g), E(h) and a generating set of the heap
+    isomorphisms, whose number the brute-force count (when requested and
+    feasible) must match; and g, h are isomorphic exactly when a truss
+    isomorphism exists. When h == g, one E(g) serves as both source and
+    target, and its End(g) value table yields the group isomorphisms.
+
+    Every heap isomorphism is an affine map tau_t o f, f a group
+    isomorphism g -> h and tau_t the translation by t in h (Baer; Certaine).
+    So the rows are every group isomorphism f, and tau_s o f_0 for each
+    generator s of h of order above 1, f_0 the first f: |Aut(g)| + rank(h)
+    rows, where there are |Aut(g)| |h| heap isomorphisms. (The generator of
+    an order-1 factor is 0, and tau_0 o f_0 would repeat the row f_0.)
+    Extraction after conjugation, e o conj, is the identity on these rows,
+    and then on every heap isomorphism:
+    * conj(phi) = (alpha -> phi alpha phi^-1) is multiplicative as a
+      formula: conj(phi psi) = conj(phi) conj(psi), conj(phi^-1) = conj(phi)^-1.
+    * e(Phi)(a) = Phi(c_a)(0), c_a the constant at a, is multiplicative on
+      bijections that send constants to constants, as `extract_rows` checks
+      of every row: then Phi(c_a) = c_e(Phi)(a), so e(Phi Psi) = e(Phi) e(Psi)
+      and e(Phi^-1) = e(Phi)^-1.
+    * tau_s = (tau_s o f_0) o f_0^-1, so e(conj(tau_s)) = tau_s, hence
+      e(conj(tau_t)) = tau_t for every t, a sum of generators, and
+      e(conj(tau_t o f)) = tau_t o f.
+    So `theta_upsilon_roundtrip` holds on every heap isomorphism, and
+    conjugation, with extraction as a left inverse, is injective
+    (`upsilon_injective`). `heap_iso_count` is |Aut(g)| |h|, and the value
+    tables of all heap isomorphisms are gathered only as at most
+    `_WITNESSES` witnesses."""
     eg = build_endo_truss(g, max_enum)
     giso = groups_isomorphic(g, h)
     if h == g:  # End(g) is enumerated and evaluated once, for E(g) and its isomorphisms
-        eh, isos = eg, _heap_isos(g, g, lambda: eg._apply, max_enum)
+        eh, linear = eg, _linear_isos(g, g, max_enum, eg._apply)
     else:
-        eh, isos = build_endo_truss(h, max_enum), heap_isos(g, h, max_enum)
-    roundtrip, injective, truss_iso_count = verify_correspondence(eg, eh, isos, brute_force, max_enum)
-    consistent = injective and roundtrip and (giso == (len(isos) > 0))
+        eh, linear = build_endo_truss(h, max_enum), _linear_isos(g, h, max_enum)
+    heap_iso_count = len(linear) * h.cardinality
+    shifts = np.array([s for s in h.generators if s], dtype=np.int64)
+    rows = np.concatenate([linear, _translated(linear[:1], h, shifts, max_enum)])
+    roundtrip, injective, truss_iso_count = verify_correspondence(eg, eh, rows, brute_force, max_enum)
+    # distinct rows show injectivity on the rows only; on every heap
+    # isomorphism it follows from the round trip (a left inverse)
+    injective = injective and roundtrip
+    consistent = injective and (giso == (heap_iso_count > 0))
     if truss_iso_count is not None:
         consistent = consistent and (giso == (truss_iso_count > 0))
         if brute_force:
-            consistent = consistent and truss_iso_count == len(isos)
-    return BKVerification(g, h, isos, truss_iso_count, roundtrip, injective, giso, consistent)
+            consistent = consistent and truss_iso_count == heap_iso_count
+    witnesses = None
+    if 0 < heap_iso_count <= _WITNESSES:
+        witnesses = _translated(linear, h, np.arange(h.cardinality), max_enum)
+    return BKVerification(
+        g, h, heap_iso_count, truss_iso_count, roundtrip, injective, giso, consistent, witnesses
+    )
 
 
 # Columns of the law table of `inner_structure_rows`, in the key order of

@@ -165,9 +165,9 @@ def cmd_bk(args, max_enum: int | None) -> ValidationReport:
         Check("consistent", result.consistent),
     )
     witnesses = None
-    if 0 < result.heap_iso_count <= 8:
+    if result.witnesses is not None:
         witnesses = {
-            "heap_isos": [HeapMorphism.from_values(left, right, row).to_json_dict() for row in result.heap_isos]
+            "heap_isos": [HeapMorphism.from_values(left, right, row).to_json_dict() for row in result.witnesses]
         }
     inputs = {"left": args.left, "right": args.right, "brute_force": args.brute_force}
     return ValidationReport("bk", checks, inputs, witnesses, document=result.to_json_dict())

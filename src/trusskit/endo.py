@@ -132,24 +132,33 @@ def heap_isos(g: AbGroup, h: AbGroup, max_enum: int | None = None) -> np.ndarray
     isomorphic and 0 otherwise. Refused before Hom(g, h) is enumerated when
     the |Hom(g, h)| * |h| heap morphisms exceed the cap, or when the K * |g|
     entries of the tables do."""
-    return _heap_isos(g, h, lambda: matrix_images(hom_enumerate(g, h, max_enum), g, h), max_enum)
-
-
-def _heap_isos(g: AbGroup, h: AbGroup, hom_images, max_enum: int | None) -> np.ndarray:
-    """`heap_isos`, with the (|Hom(g, h)|, |g|) value tables of Hom(g, h),
-    in `hom_enumerate` order, from `hom_images()`, called only once both
-    guards pass. For g = h these are the `_apply` table of E(g)."""
     limit = resolve_max_enum(max_enum)
     guard(hom_count(g, h) * h.cardinality, limit, "heap morphisms {} -> {}", g, h)
     autos = aut_count(g) if groups_isomorphic(g, h) else 0
     guard(autos * h.cardinality * g.cardinality, limit, "value tables of the heap isomorphisms {} -> {}", g, h)
-    if not autos:
+    linear = _linear_isos(g, h, max_enum)
+    # |Hom(g, h)| >= |h| when |g| = |h|, so the first guard covers h's |h|^2 table
+    return _translated(linear, h, np.arange(h.cardinality), max_enum)
+
+
+def _linear_isos(g: AbGroup, h: AbGroup, max_enum: int | None, images: np.ndarray | None = None) -> np.ndarray:
+    """The group isomorphisms g -> h as an (|Aut(g)|, |g|) array of value
+    tables, or (0, |g|) when g and h are not isomorphic: the bijective rows
+    of `images`, the (|Hom(g, h)|, |g|) value tables of Hom(g, h) in
+    `hom_enumerate` order, which are evaluated here unless given (for g = h,
+    the `_apply` table of E(g))."""
+    if not groups_isomorphic(g, h):
         return np.empty((0, g.cardinality), dtype=np.int64)
-    images = hom_images()
-    linear = images[_bijective_rows(images, h.cardinality)]
-    # |Hom(g, h)| >= |h| when |g| = |h|, so the guard covers h's |h|^2 table
+    if images is None:
+        images = matrix_images(hom_enumerate(g, h, max_enum), g, h)
+    return images[_bijective_rows(images, h.cardinality)]
+
+
+def _translated(linear: np.ndarray, h: AbGroup, translations: np.ndarray, max_enum: int | None) -> np.ndarray:
+    """The value tables x -> f(x) + t, for each row f of `linear` and then
+    each t of `translations` (element indices of h), f-major."""
     add = np_add_table(h, max_enum)
-    return add[linear[:, None, :], np.arange(h.cardinality)[:, None]].reshape(-1, g.cardinality)
+    return add[linear[:, None, :], translations[:, None]].reshape(-1, linear.shape[1])
 
 
 # entries of the query arrays `factored_tables` passes to `hom_positions` at

@@ -70,6 +70,15 @@ class AbGroup:
         return elems
 
     @cached_property
+    def _np_add_table(self) -> np.ndarray:
+        """`np_add_table`, built once: the coordinate sums of every pair,
+        read back as element indices."""
+        elems, orders = self._np_elements, np.array(self.orders, dtype=np.int64)
+        table = ((elems[:, None, :] + elems[None, :, :]) % orders) @ np.array(self._strides, dtype=np.int64)
+        table.flags.writeable = False
+        return table
+
+    @cached_property
     def generators(self) -> list[int]:
         """Element indices of the cyclic generators, 1 in one coordinate."""
         return [(1 % n) * s for n, s in zip(self.orders, self._strides)]
@@ -296,16 +305,11 @@ def np_elements(g: AbGroup) -> np.ndarray:
 
 
 def np_add_table(g: AbGroup, max_enum: int | None = None) -> np.ndarray:
-    """(n, n) table of element indices for the group addition."""
+    """(n, n) read-only table of element indices for the group addition,
+    built once per group; the guard runs on every call."""
     n = g.cardinality
     guard(n * n, resolve_max_enum(max_enum), "addition table of {}", g)
-    if g.rank == 0:
-        return np.zeros((1, 1), dtype=np.int64)
-    elems = np_elements(g)
-    orders = np.array(g.orders, dtype=np.int64)
-    strides = np.array(g._strides, dtype=np.int64)
-    sums = (elems[:, None, :] + elems[None, :, :]) % orders
-    return sums @ strides
+    return g._np_add_table
 
 
 def matrix_images(mats: np.ndarray, g: AbGroup, h: AbGroup) -> np.ndarray:

@@ -3,7 +3,9 @@ kernels: the per-element view of homomorphisms, heap morphisms,
 endomorphism trusses, retracts, linear heap morphisms and ring and module
 tables built from callables (one object or one lookup per element), and
 brute-force searches that filter raw value tables /
-bijections by the defining identities, nothing else."""
+bijections by the defining identities, nothing else. One oracle,
+`bk_by_every_heap_iso`, does use the library's round-trip kernel: on every
+heap isomorphism, where `bk` runs it on a generating set."""
 
 import itertools
 import math
@@ -22,15 +24,19 @@ from trusskit import (
     NotAnIsomorphism,
     TrussKitError,
     ValidationReport,
+    build_endo_truss,
+    heap_isos,
     induced_action,
     validate_heap,
 )
+from trusskit.baer_kaplansky import verify_correspondence
 from trusskit.endo import EndoTruss
 from trusskit.errors import guard, resolve_max_enum
 from trusskit.groups import (
     Element,
     GroupHom,
     compose_homs,
+    groups_isomorphic,
     hom_count,
     np_add_table,
 )
@@ -556,6 +562,30 @@ def conjugate_by_composition(hm, source, target) -> tuple[int, ...]:
     outside the target's homomorphism family."""
     inv = heap_inverse(hm)
     return tuple(index_of(target, hm.compose(alpha).compose(inv)) for alpha in carrier(source))
+
+
+def bk_by_every_heap_iso(g: AbGroup, h: AbGroup, brute_force: bool = False, max_enum: int | None = None) -> dict:
+    """`verify_baer_kaplansky`'s verdicts from the round trip of every heap
+    isomorphism g -> h (`heap_isos`), where the library runs it on a
+    generating set: `verify_correspondence` on all |Aut(g)| |h| rows, with
+    the consistency rule of `bk`."""
+    eg = build_endo_truss(g, max_enum)
+    eh = eg if h == g else build_endo_truss(h, max_enum)
+    isos = heap_isos(g, h, max_enum)
+    roundtrip, injective, count = verify_correspondence(eg, eh, isos, brute_force, max_enum)
+    iso = groups_isomorphic(g, h)
+    consistent = injective and roundtrip and iso == (len(isos) > 0)
+    if count is not None:
+        consistent = consistent and iso == (count > 0)
+        if brute_force:
+            consistent = consistent and count == len(isos)
+    return {
+        "heap_iso_count": len(isos),
+        "truss_iso_count": count,
+        "theta_upsilon_roundtrip": roundtrip,
+        "upsilon_injective": injective,
+        "consistent": consistent,
+    }
 
 
 def scan_heap_associativity(T: np.ndarray):

@@ -1,9 +1,11 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 from conftest import (
     as_objects,
+    bk_by_every_heap_iso,
     carrier,
     conjugate_by_composition,
     constant_index,
@@ -32,6 +34,7 @@ from trusskit import (
     truss_iso_from_heap_iso,
     verify_baer_kaplansky,
 )
+from trusskit.cli import main
 from trusskit.groups import hom_enumerate
 from trusskit.modules import build_linear_endo_truss, regular_module
 from trusskit.rings import make_field_fp, make_product_ring
@@ -233,6 +236,43 @@ def test_trivial_group_and_padded_presentation():
     padded = verify_baer_kaplansky(make_group([1, 2]), Z2, brute_force=True)
     assert padded.heap_iso_count == 2 and padded.truss_iso_count == 2
     assert padded.consistent
+
+
+@pytest.mark.parametrize("left,right,count", [("2", "1,2", 2), ("1,2", "1,2", 2), ("1,2,2", "2,1,2", 24)])
+def test_padded_presentations_on_either_side(left, right, count, capsys):
+    # the generator of an order-1 factor is element 0: its translation row
+    # would repeat the first linear row, and upsilon would read as not
+    # injective
+    g, h = parse_group_spec(left), parse_group_spec(right)
+    result = verify_baer_kaplansky(g, h)
+    assert result.heap_iso_count == count
+    assert result.theta_upsilon_roundtrip and result.upsilon_injective and result.consistent
+    assert main(["bk", left, right, "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["heap_iso_count"] == count
+    assert data["theta_upsilon_roundtrip"] is data["upsilon_injective"] is data["consistent"] is True
+
+
+# the bk pairs of the benchmark, the trivial group, an isomorphic pair of
+# different presentations and E(Z/3 x Z/3), n = 729
+ORACLE_PAIRS = [
+    ("4", "2,2"), ("2,2", "4"), ("2,2", "2,2"), ("8", "8"), ("9", "9"), ("12", "12"), ("16", "16"),
+    ("2,4", "2,4"), ("6", "2,3"), ("8", "2,4"), ("2,2,2", "2,4"), ("9", "3,3"),
+    ("", ""), ("12", "3,4"), ("3,3", "3,3"),
+]
+# the bk --brute-force jobs of the benchmark, and padded presentations
+BRUTE_FORCE_PAIRS = [("", ""), ("2", "2"), ("3", "3"), ("2", "3"), ("2", "1,2"), ("1,2", "1,2")]
+
+
+@pytest.mark.parametrize(
+    "left,right,brute_force",
+    [(*pair, False) for pair in ORACLE_PAIRS] + [(*pair, True) for pair in BRUTE_FORCE_PAIRS],
+)
+def test_generating_rows_agree_with_the_round_trip_of_every_heap_iso(left, right, brute_force):
+    g, h = parse_group_spec(left), parse_group_spec(right)
+    result = verify_baer_kaplansky(g, h, brute_force=brute_force)
+    expected = bk_by_every_heap_iso(g, h, brute_force=brute_force)
+    assert {key: getattr(result, key) for key in expected} == expected
 
 
 def test_surjective_semigroup_morphisms_preserve_constants():

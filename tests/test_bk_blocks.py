@@ -3,6 +3,7 @@
 per-element oracle in conftest.py, and the mutations a block must catch in
 exactly the row that carries them."""
 
+import json
 import random
 
 import numpy as np
@@ -20,6 +21,8 @@ from conftest import (
 import trusskit.baer_kaplansky as bk
 from trusskit import NotAnIsomorphism, build_endo_truss, heap_isos, parse_group_spec, verify_baer_kaplansky
 from trusskit.baer_kaplansky import conjugate_rows, extract_rows, heap_iso_from_truss_iso
+from trusskit.cli import main
+from trusskit.groups import aut_count
 from trusskit.trusses import TrussMorphism, preserving_rows, truss_morphism_preserves
 
 # the isomorphic pairs of the benchmark's bk workload, and E(Z/3 x Z/3)
@@ -220,3 +223,60 @@ def test_an_ill_defined_generator_image_is_named_like_the_oracle(monkeypatch):
     expected = _outcome(heap_iso_by_decompose, TrussMorphism(s, t, block[3]))
     assert "is not a multiple of 2; map is ill-defined on generator 0" in expected
     assert _outcome(extract_rows, s, t, block) == expected
+
+
+def _misconjugating(monkeypatch, r):
+    """Patch `conjugate_rows` so that row r of all the rows it is handed,
+    counted across calls, is conjugated as if its translation were moved
+    by h's last generator d: the row becomes the conjugation of the heap
+    isomorphism x -> v(x) + d, still a truss isomorphism, so extraction
+    accepts it but gives back a different row. Returns the list that
+    receives the value table of the row when it is met."""
+    real, seen, hit = bk.conjugate_rows, [0], []
+
+    def conjugate(source, target, values, max_enum=None):
+        out = real(source, target, values, max_enum)
+        i = r - seen[0]
+        if 0 <= i < len(values):
+            moved = target.factored_tables().gadd[values[i], target.group.generators[-1]]
+            out[i] = real(source, target, moved[None], max_enum)[0]
+            hit.append(values[i].copy())
+        seen[0] += len(values)
+        return out
+
+    monkeypatch.setattr(bk, "conjugate_rows", conjugate)
+    return hit
+
+
+@pytest.mark.parametrize("left,right", [("2,4", "2,4"), ("6", "2,3"), ("1,2,2", "2,1,2")])
+def test_every_generating_row_is_round_tripped(left, right, monkeypatch):
+    # bk runs the round trip on |Aut(G)| linear rows and one translation
+    # row per generator of H of order above 1; a wrong conjugation in any
+    # one of them fails the round trip
+    g, h = parse_group_spec(left), parse_group_spec(right)
+    rows = aut_count(g) + sum(1 for n in h.orders if n > 1)
+    kinds = set()
+    for r in range(rows):
+        hit = _misconjugating(monkeypatch, r)
+        result = verify_baer_kaplansky(g, h)
+        monkeypatch.undo()
+        assert len(hit) == 1
+        kinds.add("linear" if hit[0][0] == 0 else "translation")
+        assert not result.theta_upsilon_roundtrip and not result.consistent
+    assert kinds == {"linear", "translation"}
+    # and no more rows than that are handed out
+    hit = _misconjugating(monkeypatch, rows)
+    assert verify_baer_kaplansky(g, h).consistent and not hit
+
+
+@pytest.mark.parametrize("kind", ["linear", "translation"])
+def test_a_wrong_conjugation_of_one_generating_row_fails_the_cli(kind, capsys, monkeypatch):
+    # bk 8 8 has the 4 linear rows x -> ux, u a unit, then x -> x + 1
+    r = {"linear": 2, "translation": 4}[kind]
+    hit = _misconjugating(monkeypatch, r)
+    code = main(["bk", "8", "8", "--json"])
+    data = json.loads(capsys.readouterr().out)
+    assert len(hit) == 1 and (hit[0][0] == 0) == (kind == "linear")
+    assert code == 1
+    assert data["theta_upsilon_roundtrip"] is False and data["consistent"] is False
+    assert data["heap_iso_count"] == 32

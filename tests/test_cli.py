@@ -315,13 +315,14 @@ def test_e_z64_laws_hold_no_n_by_n_table():
 
 
 def test_bk_heap_iso_tables_are_refused_in_a_small_address_space():
-    # |Aut(Z/2 x Z/2 x Z/16)| = 768 refuses the value tables before Hom is
-    # evaluated
+    # bk builds no table of all 49152 heap isomorphisms of Z/2 x Z/2 x Z/16;
+    # End(Z/2 x Z/2 x Z/16) has 4096 homs, whose (4096, 4096) factored tables
+    # are refused before they are built
     done = run_limited("bk", "2,2,16", "2,2,16")
     assert (done.returncode, done.stdout) == (3, ""), done.stderr
     assert done.stderr == (
-        "error: value tables of the heap isomorphisms Z/2 x Z/2 x Z/16 -> Z/2 x Z/2 x Z/16 "
-        "would enumerate 3145728 objects; cap is 1000000 (raise max_enum to override)\n"
+        "error: factored tables of E(Z/2 x Z/2 x Z/16) "
+        "would enumerate 16777216 objects; cap is 1000000 (raise max_enum to override)\n"
     )
 
 
@@ -600,8 +601,8 @@ def test_validate_deeply_nested_json_is_an_input_error(flag, tmp_path, capsys):
 # subject costs to format
 @pytest.mark.parametrize("argv, message", [
     (["bk", "1000000", "2"], "carrier of E(Z/1000000) would enumerate 1000000000000 objects; cap is 1000000"),
-    (["bk", "2,2,16", "2,2,16"], "value tables of the heap isomorphisms Z/2 x Z/2 x Z/16 -> Z/2 x Z/2 x Z/16 "
-     "would enumerate 3145728 objects; cap is 1000000"),
+    (["bk", "2,2,16", "2,2,16"], "factored tables of E(Z/2 x Z/2 x Z/16) would enumerate 16777216 objects; "
+     "cap is 1000000"),
     (["validate", "--truss", "zn:1000"], "heap table of Z/1000 would enumerate 1000000000 objects; cap is 1000000"),
     (["bk", "2,2,4", "2,2,4"], "factored tables of E(Z/2 x Z/2 x Z/4) would enumerate 1048576 objects; "
      "cap is 1000000"),

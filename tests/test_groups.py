@@ -13,7 +13,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trusskit import decompose_abelian, make_group, parse_group_spec
+from trusskit import BoundExceeded, decompose_abelian, make_group, parse_group_spec
 from trusskit.groups import (
     GroupHom,
     compose_homs,
@@ -22,6 +22,7 @@ from trusskit.groups import (
     hom_count,
     hom_enumerate,
     invariant_factors,
+    np_add_table,
     np_elements,
 )
 
@@ -230,3 +231,17 @@ def test_np_elements_lists_the_elements_once_read_only(orders):
     assert elems.dtype == np.int64 and elems.shape == (g.cardinality, g.rank)
     assert [tuple(row) for row in elems.tolist()] == list(g.elements())
     assert np_elements(g) is elems and not elems.flags.writeable
+
+
+@pytest.mark.parametrize("orders", [(), (1,), (6,), (2, 4), (3, 1, 2), (2, 2, 2)])
+def test_np_add_table_is_built_once_read_only_and_guarded_on_every_call(orders):
+    g = make_group(orders)
+    table = np_add_table(g)
+    elems = list(g.elements())
+    assert table.tolist() == [[g.index(g.add(a, b)) for b in elems] for a in elems]
+    assert np_add_table(g) is table and not table.flags.writeable
+    n = g.cardinality
+    if n > 1:  # a cap must be positive
+        with pytest.raises(BoundExceeded, match="addition table"):
+            np_add_table(g, max_enum=n * n - 1)
+    assert np_add_table(g, max_enum=n * n) is table

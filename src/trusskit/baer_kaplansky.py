@@ -206,8 +206,9 @@ def verify_correspondence(
     G -> H whose value tables are the rows of `isos`, between endomorphism
     trusses on G and H, full or linear: whether extraction after
     conjugation gives back every row, and whether the conjugations of the
-    rows are distinct. The rows may be every heap isomorphism (`module-bk`)
-    or a generating set of them (`bk`; see `verify_baer_kaplansky`). Each
+    rows are distinct. The rows are a generating set of the heap
+    isomorphisms (`bk`; see `verify_baer_kaplansky`) or the single
+    isomorphism (mu, 0) of a module equivalence (`module-bk`). Each
     row is conjugated and extracted back, a block of `_BLOCK_ENTRIES`
     carrier entries (at least 8 rows) at a time, and the conjugations are
     compared on the source chain's basis 0, s_1..s_k.

@@ -36,9 +36,9 @@ from .baer_kaplansky import (
     verify_baer_kaplansky,
     verify_correspondence,
 )
-from .endo import HeapMorphism, build_endo_truss
+from .endo import HeapMorphism, _bijective_rows, build_endo_truss
 from .errors import BoundExceeded
-from .groups import matrix_images, parse_group_spec
+from .groups import groups_isomorphic, matrix_images, parse_group_spec
 from .heaps import FiniteHeap, heap_from_group, validate_heap
 from .modules import (
     RModule,
@@ -47,6 +47,7 @@ from .modules import (
     coordinate_module,
     example_non_iso,
     find_module_equivalence,
+    module_homs,
     regular_module,
     validate_module,
 )
@@ -80,14 +81,23 @@ def _heap_from_spec(spec: str, max_enum: int | None) -> FiniteHeap:
     raise ValueError(f"unknown heap preset {name!r}; use from-group:SPEC or a .json file")
 
 
-def _ring_preset(name: str, arg: str, max_enum: int | None) -> FiniteRing | None:
+def _preset_int(spec: str, arg: str) -> int:
+    """The integer argument `arg` of the preset `spec`."""
+    try:
+        return int(arg)
+    except ValueError as exc:
+        raise ValueError(f"bad preset {spec!r}: {exc}") from None
+
+
+def _ring_preset(spec: str, name: str, arg: str, max_enum: int | None) -> FiniteRing | None:
     """The ring of a zn:N, fp:P or fpxfp:P preset, or None for another name."""
+    if name not in ("zn", "fp", "fpxfp"):
+        return None
+    n = _preset_int(spec, arg)
     if name == "zn":
-        return make_ring_zn(int(arg), max_enum)
-    if name in ("fp", "fpxfp"):
-        field = make_field_fp(int(arg), max_enum)
-        return field if name == "fp" else make_product_ring(field, field, max_enum)
-    return None
+        return make_ring_zn(n, max_enum)
+    field = make_field_fp(n, max_enum)
+    return field if name == "fp" else make_product_ring(field, field, max_enum)
 
 
 def _truss_from_spec(spec: str, max_enum: int | None):
@@ -96,7 +106,7 @@ def _truss_from_spec(spec: str, max_enum: int | None):
     name, arg = _split_preset(spec)
     if name == "endo":
         return build_endo_truss(parse_group_spec(arg), max_enum)
-    ring = _ring_preset(name, arg, max_enum)
+    ring = _ring_preset(spec, name, arg, max_enum)
     if ring is not None:
         return ring_as_truss(ring, max_enum)
     raise ValueError(
@@ -109,8 +119,8 @@ def _module_from_spec(spec: str, max_enum: int | None) -> RModule:
         return RModule.from_json_dict(_load_json(spec))
     name, arg = _split_preset(spec)
     if name == "example-non-iso":
-        return coordinate_module(_ring_preset("fpxfp", arg, max_enum), 0, max_enum)
-    ring = _ring_preset(name, arg, max_enum)
+        return coordinate_module(_ring_preset(spec, "fpxfp", arg, max_enum), 0, max_enum)
+    ring = _ring_preset(spec, name, arg, max_enum)
     if ring is not None:
         return regular_module(ring, max_enum)
     raise ValueError(
@@ -196,24 +206,12 @@ def cmd_module_bk(args, max_enum: int | None) -> ValidationReport:
         name, arg = _split_preset(args.first)
         if name != "example-non-iso":
             raise ValueError("single-argument form expects example-non-iso:P")
-        example = example_non_iso(int(arg), max_enum)
-        data = example.to_json_dict()
-        checks = (
-            Check("truss_iso_exists", True),
-            Check("module_hom_count", None, value=data["module_hom_count"]),
-            Check("module_iso_exists", not data["module_iso_exists"], value=data["module_iso_exists"]),
-            Check("groups_isomorphic", None, value=data["groups_isomorphic"]),
-            Check("consistent", data["consistent"]),
-        )
-        witnesses = {
-            "truss_iso_mapping": data["truss_iso_mapping"],
-            "equivalence_mu": data["equivalence_mu"],
-        }
-        return ValidationReport("module-bk", checks, {"example": args.first}, witnesses)
-
-    left = _valid_module(args.first, max_enum)
-    right = left if args.second == args.first else _valid_module(args.second, max_enum)
-    inputs = {"left": args.first, "right": args.second}
+        left, right = example_non_iso(_preset_int(args.first, arg), max_enum)
+        inputs = {"example": args.first}
+    else:
+        left = _valid_module(args.first, max_enum)
+        right = left if args.second == args.first else _valid_module(args.second, max_enum)
+        inputs = {"left": args.first, "right": args.second}
     eq = find_module_equivalence(left, right, max_enum)
     g, h = left.group, right.group
     source, target = build_linear_endo_truss(left, max_enum), build_linear_endo_truss(right, max_enum)
@@ -238,6 +236,12 @@ def cmd_module_bk(args, max_enum: int | None) -> ValidationReport:
         checks.append(Check("roundtrip_recovers_equivalence", roundtrip))
         checks.append(Check("consistent", roundtrip and injective))
         witnesses = {"mu": [list(row) for row in eq.mu.matrix], "truss_iso_mapping": phi.tolist()}
+    if args.second is None:  # the example: isomorphic trusses, yet no module isomorphism
+        homs = module_homs(left, right, max_enum)
+        iso_exists = bool(_bijective_rows(matrix_images(homs, g, h), h.cardinality).any())
+        checks.append(Check("module_hom_count", None, value=len(homs)))
+        checks.append(Check("module_iso_exists", not iso_exists, value=iso_exists))
+        checks.append(Check("groups_isomorphic", None, value=groups_isomorphic(g, h)))
     return ValidationReport("module-bk", tuple(checks), inputs, witnesses)
 
 
@@ -281,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("right")
 
     p = sub.add_parser("module-bk", parents=[common], help="verify the module-level correspondence")
-    p.add_argument("first", metavar="MODULE", help="module preset or example-non-iso:P")
+    p.add_argument("first", metavar="MODULE", help="module preset or .json; example-non-iso:P alone "
+                   "checks F_p x 0 against 0 x F_p over F_p x F_p, and that no module map between them is bijective")
     p.add_argument("second", metavar="MODULE", nargs="?", default=None)
     return parser
 

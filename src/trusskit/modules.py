@@ -28,10 +28,10 @@ and E_R(N) as it does on E(G) and E(H). On one equivalence,
 `truss_iso_from_equivalence` builds the conjugation by (mu, 0) with
 `truss_iso_from_heap_iso`, and `equivalence_from_truss_iso` reads mu back
 with `heap_iso_from_truss_iso` and rho(u) off the image of (u, 0).
-`example_non_iso` builds the classic witness that the truss isomorphism
-class is coarser than the module isomorphism class: over F_p x F_p the
-ideals F_p x 0 and 0 x F_p have isomorphic linear endomorphism trusses yet
-admit no module isomorphism.
+`example_non_iso` returns the classic pair showing that the truss isomorphism
+class is coarser than the module isomorphism class: the ideals F_p x 0 and
+0 x F_p of F_p x F_p, whose linear endomorphism trusses are isomorphic
+though no module isomorphism joins them; `module-bk` checks the pair.
 """
 
 from __future__ import annotations
@@ -424,57 +424,10 @@ def equivalence_from_truss_iso(
     return eq
 
 
-@dataclass(frozen=True, eq=False)
-class NonIsoExample:
-    """Certificates for the coordinate-ideal example over F_p x F_p."""
-
-    p: int
-    left: RModule
-    right: RModule
-    equivalence: ModuleEquivalence
-    truss_iso: TrussMorphism
-    module_hom_count: int
-    module_iso_exists: bool
-    groups_isomorphic: bool
-
-    @property
-    def consistent(self) -> bool:
-        return not self.module_iso_exists and self.groups_isomorphic
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "truss_iso_exists": True,
-            "truss_iso_mapping": self.truss_iso.mapping.tolist(),
-            "equivalence_mu": [list(row) for row in self.equivalence.mu.matrix],
-            "module_hom_count": self.module_hom_count,
-            "module_iso_exists": self.module_iso_exists,
-            "groups_isomorphic": self.groups_isomorphic,
-            "consistent": self.consistent,
-        }
-
-
-def example_non_iso(p: int = 2, max_enum: int | None = None) -> NonIsoExample:
-    """Build both coordinate ideals over F_p x F_p and certify that their
-    linear endomorphism trusses are isomorphic while no module isomorphism
-    exists between the modules themselves."""
+def example_non_iso(p: int = 2, max_enum: int | None = None) -> tuple[RModule, RModule]:
+    """The coordinate ideals (F_p x 0, 0 x F_p) over F_p x F_p, each
+    validated: equivalent over their endomorphism rings, so their linear
+    trusses are isomorphic, yet the only module map between them is 0."""
     field = make_field_fp(p, max_enum)
     ring = make_product_ring(field, field, max_enum)
-    left = coordinate_module(ring, 0, max_enum)
-    right = coordinate_module(ring, 1, max_enum)
-    eq = find_module_equivalence(left, right, max_enum)
-    if eq is None:
-        raise NotAnIsomorphism("expected an equivalence over the endomorphism rings")
-    phi = truss_iso_from_equivalence(eq, max_enum=max_enum)
-    homs = module_homs(left, right, max_enum)
-    iso_exists = bool(_bijective_rows(matrix_images(homs, left.group, right.group), right.group.cardinality).any())
-    return NonIsoExample(
-        p=p,
-        left=left,
-        right=right,
-        equivalence=eq,
-        truss_iso=phi,
-        module_hom_count=len(homs),
-        module_iso_exists=iso_exists,
-        groups_isomorphic=groups_isomorphic(left.group, right.group),
-    )
+    return coordinate_module(ring, 0, max_enum), coordinate_module(ring, 1, max_enum)

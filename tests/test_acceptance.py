@@ -53,7 +53,7 @@ from trusskit import (
     validate_module,
     validate_truss,
 )
-from trusskit.groups import compose_homs
+from trusskit.groups import compose_homs, groups_isomorphic
 from trusskit.modules import equivalence_is_valid, module_homs
 
 GROUP_ORDERS = [(2,), (3,), (4,), (2, 2), (5,), (6,)]
@@ -202,12 +202,13 @@ def test_criterion_6_linear_morphism_oracle():
 def test_criterion_7_example_non_iso():
     with criterion(7, "isomorphic trusses over non-isomorphic modules"):
         for p in (2, 3):
-            ex = example_non_iso(p)
-            assert truss_morphism_preserves(ex.truss_iso)
-            assert ex.truss_iso.is_bijective
-            homs = as_objects(module_homs(ex.left, ex.right), ex.left.group, ex.right.group)
+            left, right = example_non_iso(p)
+            truss_iso = truss_iso_from_equivalence(find_module_equivalence(left, right))
+            assert truss_morphism_preserves(truss_iso)
+            assert truss_iso.is_bijective
+            homs = as_objects(module_homs(left, right), left.group, right.group)
             assert not any(f.is_bijective for f in homs)
-            assert ex.groups_isomorphic
+            assert groups_isomorphic(left.group, right.group)
 
 
 def test_criterion_8_module_roundtrip():
@@ -242,12 +243,13 @@ def test_criterion_8_module_roundtrip():
             for phi in isos:
                 assert equivalence_is_valid(equivalence_from_truss_iso(phi, m, n))
         for p in (2, 3):
-            ex = example_non_iso(p)
-            em = ex.truss_iso.source
-            en = ex.truss_iso.target
+            left, right = example_non_iso(p)
+            truss_iso = truss_iso_from_equivalence(find_module_equivalence(left, right))
+            em = truss_iso.source
+            en = truss_iso.target
             for phi in enumerate_truss_isos(em, en):
                 assert equivalence_is_valid(
-                    equivalence_from_truss_iso(phi, ex.left, ex.right)
+                    equivalence_from_truss_iso(phi, left, right)
                 )
 
 

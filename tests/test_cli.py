@@ -617,6 +617,23 @@ def test_refusal_messages(argv, message, capsys):
     assert err == f"error: {message} (raise max_enum to override)\n"
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["module-bk", "zn:4"], 2, "single-argument form expects example-non-iso:P"),
+    (["module-bk", "example-non-iso:4"], 2, "4 is not prime"),
+    (["module-bk", "example-non-iso:2", "--max-enumeration", "3"], 3, None),
+    (["validate", "--truss", "zn:abc"], 2, "bad preset 'zn:abc': invalid literal for int() with base 10: 'abc'"),
+    (["validate", "--module", "fp:"], 2, "bad preset 'fp:': invalid literal for int() with base 10: ''"),
+    (["module-bk", "example-non-iso:abc"], 2,
+     "bad preset 'example-non-iso:abc': invalid literal for int() with base 10: 'abc'"),
+])
+def test_preset_refusals_print_one_error_line(argv, code, message, capsys):
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if message is not None:
+        assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv, code", [
     (["inner", "2,2", "2,2", "--json"], 0),
     (["validate", "--truss", "tests/data/endo_z2_truss_corrupt_mult.json"], 1),

@@ -25,6 +25,7 @@ from conftest import (
     truss_iso_by_element,
 )
 
+import trusskit.cli
 import trusskit.modules
 from trusskit import (
     FiniteHeap,
@@ -377,6 +378,45 @@ def test_a_malformed_table_entry_exits_2(tmp_path, capsys, table, entry):
     assert [line[:6] for line in err.splitlines()] == ["error:"]
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_module_bk_example_runs_the_pair_path(p, tmp_path, capsys):
+    # the example reports what `module-bk` reports on its two ideals, read
+    # from module files, plus its three findings about module maps
+    paths = []
+    for side, module in zip(("left", "right"), example_non_iso(p)):
+        paths.append(tmp_path / f"{side}.json")
+        paths[-1].write_text(json.dumps(module.to_json_dict()))
+    code, out, err = run(capsys, "module-bk", f"example-non-iso:{p}", "--json")
+    assert (code, err) == (0, "")
+    example = json.loads(out)
+    code, out, err = run(capsys, "module-bk", *map(str, paths), "--json")
+    assert (code, err) == (0, "")
+    pair = json.loads(out)
+    names = ["equivalent_over_end_rings", "truss_iso_exists", "roundtrip_recovers_equivalence", "consistent"]
+    assert example["results"][:4] == pair["results"]
+    assert [c["name"] for c in pair["results"]] == names
+    assert example["witnesses"] == pair["witnesses"]
+    assert [c["name"] for c in example["results"][4:]] == ["module_hom_count", "module_iso_exists", "groups_isomorphic"]
+
+
+def test_module_bk_example_fails_on_a_module_isomorphism(monkeypatch, capsys):
+    # a module-hom step that also returns the identity of Z/2 makes a
+    # bijective module map: the law fails, and the exit is 1
+    real = trusskit.cli.module_homs
+
+    def with_identity(m, n, max_enum=None):
+        homs = real(m, n, max_enum)
+        return np.concatenate([homs, np.eye(n.group.rank, m.group.rank, dtype=np.int64)[None]])
+
+    monkeypatch.setattr(trusskit.cli, "module_homs", with_identity)
+    code, out, _ = run(capsys, "module-bk", "example-non-iso:2", "--json")
+    results = {c["name"]: c for c in json.loads(out)["results"]}
+    assert code == 1
+    assert results["module_iso_exists"]["passed"] is False and results["module_iso_exists"]["value"] is True
+    assert results["module_hom_count"]["value"] == 2
+    assert results["consistent"]["passed"] is True
+
+
 def test_module_bk_computes_each_end_once(monkeypatch, capsys):
     calls = []
     real = trusskit.modules.module_homs
@@ -422,7 +462,7 @@ def _search_pairs():
     pairs = [(MODULES[a], MODULES[b]) for a, b in EQUIVALENT_PAIRS]
     pairs += [(MODULES[a], MODULES[b]) for a, b in [("zn:4", "zn:6"), ("zn:6", "fp:5"), ("fpxfp:2", "z2sq-over-f2")]]
     pairs += [(_dual_numbers_module(), MODULES["fpxfp:2"]), (_broken_zn4(), _broken_zn4())]
-    pairs += [(example.left, example.right) for example in (example_non_iso(2), example_non_iso(3))]
+    pairs += [example_non_iso(2), example_non_iso(3)]
     return pairs
 
 
@@ -553,7 +593,7 @@ def _equivalences_in_the_tests():
     for m, n in [(module_zn(4), module_zn(4)), (coordinate_module(R22, 0), coordinate_module(R22, 1))]:
         yield find_module_equivalence(m, n)
     for p in (2, 3):
-        yield example_non_iso(p).equivalence
+        yield find_module_equivalence(*example_non_iso(p))
 
 
 def test_equivalence_check_agrees_with_the_object_oracle():
@@ -590,7 +630,7 @@ def test_equivalence_check_agrees_with_the_object_oracle_on_rho_mutations():
     # every single-pair change of the rho of example_non_iso(3): one pair's
     # image, or one pair's argument, replaced by any other endomorphism of
     # the group; plus a mu that is not bijective
-    eq = example_non_iso(3).equivalence
+    eq = find_module_equivalence(*example_non_iso(3))
     g, h = eq.source.group, eq.target.group
     pairs = list(eq.rho_pairs)
     cases = []
@@ -610,7 +650,7 @@ def test_equivalence_check_agrees_with_the_object_oracle_on_dropped_and_repeated
     # the pairs must cover End(M) and End(N); a repeated pair is accepted,
     # as the object oracle accepts it
     cases = []
-    for eq in (example_non_iso(3).equivalence, find_module_equivalence(MODULES["fpxfp:2"], MODULES["fpxfp:2"])):
+    for eq in (find_module_equivalence(*example_non_iso(3)), find_module_equivalence(MODULES["fpxfp:2"], MODULES["fpxfp:2"])):
         pairs = list(eq.rho_pairs)
         for changed in [pairs[:i] + pairs[i + 1 :] for i in range(len(pairs))] + [pairs + [p] for p in pairs]:
             cases.append(ModuleEquivalence(eq.source, eq.target, eq.mu, tuple(changed)))

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from conftest import (
@@ -39,6 +40,8 @@ from trusskit import (
     validate_module,
     validate_truss,
 )
+from trusskit.cli import main
+from trusskit.groups import groups_isomorphic
 from trusskit.modules import equivalence_is_valid, module_homs
 
 F2 = make_field_fp(2)
@@ -296,18 +299,20 @@ def test_non_iso_morphism_is_rejected_by_extraction():
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_example_non_iso(p):
-    ex = example_non_iso(p)
-    assert ex.consistent
-    assert not ex.module_iso_exists
-    assert ex.groups_isomorphic
-    assert ex.truss_iso.source.size == p * p
-    assert validate_truss(ex.truss_iso.source).passed
-    data = ex.to_json_dict()
-    assert data["truss_iso_exists"] is True
-    assert data["module_iso_exists"] is False
+def test_example_non_iso(p, capsys):
+    left, right = example_non_iso(p)
+    truss_iso = truss_iso_from_equivalence(find_module_equivalence(left, right))
+    assert main(["module-bk", f"example-non-iso:{p}", "--json"]) == 0
+    data = {c["name"]: c for c in json.loads(capsys.readouterr().out)["results"]}
+    assert data["consistent"]["passed"]
+    assert not any(f.is_bijective for f in as_objects(module_homs(left, right), left.group, right.group))
+    assert groups_isomorphic(left.group, right.group)
+    assert truss_iso.source.size == p * p
+    assert validate_truss(truss_iso.source).passed
+    assert data["truss_iso_exists"]["passed"] is True
+    assert data["module_iso_exists"]["value"] is False
     if p == 2:
-        assert data["module_hom_count"] == 1
+        assert data["module_hom_count"]["value"] == 1
 
 
 def test_module_json_roundtrip():

@@ -19,6 +19,8 @@ the heap isomorphisms make no object per map; GroupHom and HeapMorphism
 objects are built only where the API hands one out. EndoTruss offers the
 carrier interface of `trusses` (`zero`, the retract's `plus`, `product` and
 `generator_chain`) on its small factored tables, and builds no n x n table.
+The retract is the direct product of the groups (homs, +) and G, so its
+generator chain is walked on the two factors' addition tables and composed.
 """
 
 from __future__ import annotations
@@ -110,13 +112,19 @@ def _row_ids(rows: np.ndarray, bound: int, code: np.ndarray | None = None) -> np
     """Ids 0, 1, ... of the rows of an array of entries in [0, bound), equal
     exactly where the rows and their starting `code`s (default 0) are, and
     in the lexicographic order of (code, row): each row is read as a
-    base-`bound` integer one column at a time, renumbered after each column
-    so the codes stay below len(rows) * bound. (The first np.unique(axis=0)
-    of a process alone costs about 1.5 MB of peak RSS.)"""
+    base-`bound` integer, columns packed into one int64 code until the next
+    could overflow, when the codes are renumbered below len(rows), and once
+    at the end. Packing keeps the lexicographic order, so the ids are those
+    of renumbering after every column. (The first np.unique(axis=0) of a
+    process alone costs about 1.5 MB of peak RSS.)"""
     code = np.zeros(len(rows), dtype=np.int64) if code is None else code
+    top = int(code.max(initial=0)) + 1  # codes lie in [0, top)
     for col in rows.T:
-        code = np.unique(code * bound + col, return_inverse=True)[1]
-    return code
+        if top * bound > 1 << 63:  # the packed codes would not fit an int64
+            code = np.unique(code, return_inverse=True)[1]
+            top = int(code.max(initial=0)) + 1
+        code, top = code * bound + col, top * bound
+    return np.unique(code, return_inverse=True)[1]
 
 
 def _distinct_rows(rows: np.ndarray, bound: int) -> int:
@@ -309,9 +317,25 @@ class EndoTruss:
         return cached
 
     def generator_chain(self, max_enum: int | None = None) -> GeneratorChain:
-        """The retract's generator chain (`walk_chain`)."""
-        self.factored_tables(max_enum)  # its guard runs before the cache is read
-        return walk_chain(self, max_enum)
+        """The chain of the retract, the product of the groups (homs, +) and
+        G, kept on the truss: `walk_chain` on G's addition at 0 and on the
+        family's at the zero hom, composed as G's levels at the zero hom,
+        then the family's levels times |G| (see `GeneratorChain`)."""
+        ft, m = self.factored_tables(max_enum), self._m  # its guard runs before the cache is read
+        chain = self.__dict__.get("_chain_cache")
+        if chain is None:
+            zero_hom = self.zero // m
+            g_basis, g_sizes, g_order, g_shifted = walk_chain(ft.gadd, 0)
+            f_basis, f_sizes, f_order, f_shifted = walk_chain(ft.add, zero_hom)
+            basis = np.concatenate([zero_hom * m + g_basis, f_basis[1:] * m])
+            shifted = [zero_hom * m + xs for xs in g_shifted]
+            shifted += [(xs[:, None] * m + g_order).ravel() for xs in f_shifted]
+            chain = GeneratorChain(
+                basis, np.concatenate([g_sizes, f_sizes[1:] * m]), (f_order[:, None] * m + g_order).ravel(),
+                tuple(shifted), self.product(basis[:, None], basis, max_enum),
+            )
+            self.__dict__["_chain_cache"] = chain
+        return chain
 
     def product(self, x, y, max_enum: int | None = None) -> np.ndarray:
         """Carrier indices of x*y = (u o v, u(b) + a) for x = (u, a) and

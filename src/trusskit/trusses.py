@@ -5,8 +5,9 @@ distributes over the ternary operation on both sides,
 
 Every carrier has one interface: `size`, `unit`, `zero` (the retract's base
 point), the retract's `plus` and `product` on index arrays, and
-`generator_chain` (`walk_chain`), read from the dense tables of a FiniteTruss
-or the factored ones of an endomorphism truss (`endo`). Along the chain
+`generator_chain` (`walk_chain` on a retract's addition table), read from the
+dense tables of a FiniteTruss or the factored ones of an endomorphism truss
+(`endo`, whose chain composes the walks on its two factors). Along the chain
 `validate_truss` certifies the laws and `preserving_rows` a block of maps,
 both by one affinity check (`affine_rows`), and the enumerators extend maps.
 Morphisms preserve both operations; units need not map to units.
@@ -25,12 +26,16 @@ from .validation import Check, ValidationReport, first, law_check, multiadditive
 
 
 class GeneratorChain(NamedTuple):
-    """Generators s_1..s_k of a retract at its zero, each the least carrier
-    index outside span_{j-1} = <s_1..s_{j-1}> (span_0 = {0}). span_j is
-    order[:sizes[j]]: span_{j-1}, then the cosets span_{j-1} + k*s_j for
-    0 < k < r_j, each in span_{j-1}'s order, where r_j is the least r > 0
-    with r*s_j in span_{j-1}. shifted[j - 1] is span_j + s_j in span_j's
-    order; its last coset wraps into span_{j-1}."""
+    """Generators s_1..s_k of a retract at its zero, span_j = <s_1..s_j>
+    (span_0 = {0}). span_j is order[:sizes[j]]: span_{j-1}, then the cosets
+    span_{j-1} + k*s_j for 0 < k < r_j, each in span_{j-1}'s order, where
+    r_j is the least r > 0 with r*s_j in span_{j-1}. shifted[j - 1] is
+    span_j + s_j in span_j's order; its last coset wraps into span_{j-1}.
+    On a dense truss each s_j is the least carrier index outside span_{j-1}.
+    On an endomorphism truss G x homs the chain is G's (at the zero hom),
+    then the family's times |G|; when the zero hom is the family's first
+    (as in every family `hom_enumerate` and `module_homs` give) that is the
+    same least-index choice, otherwise a valid chain that is not."""
 
     basis: np.ndarray  # (k + 1,) the zero, then s_1..s_k
     sizes: np.ndarray  # (k + 1,) |span_0| = 1, ..., |span_k| = n
@@ -39,29 +44,33 @@ class GeneratorChain(NamedTuple):
     products: np.ndarray  # (k + 1, k + 1) basis[a] * basis[b]
 
 
-def walk_chain(t, max_enum: int | None = None) -> GeneratorChain:
-    """t's generator chain, walked once by `plus` a coset at a time and kept
-    on t: each coset of span_{j-1} lies wholly inside it or wholly outside,
-    and the first inside one is the wrap span_{j-1} + r_j*s_j. On a retract
-    that is not an abelian group the walk may not end."""
-    if "_chain_cache" in t.__dict__:
-        return t.__dict__["_chain_cache"]
-    in_span = np.zeros(t.size, dtype=bool)
-    in_span[t.zero] = True
-    basis, order, shifted = [t.zero], np.array([t.zero]), []
+def walk_chain(add: np.ndarray, zero: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """(basis, sizes, order, shifted) of the `GeneratorChain` of the abelian
+    group with addition table `add` (n x n) and zero `zero`, each s_j the
+    least index outside span_{j-1}. Per generator the multiples k*s_j are
+    read one lookup at a time up to the first in span_{j-1}, r_j*s_j, and
+    the cosets span_{j-1} + k*s_j for 0 < k <= r_j by one gather. ValueError
+    when the table is not a group's: no multiple among the first n lies in
+    the span, or s_j is not in its own coset."""
+    n = len(add)
+    in_span = np.zeros(n, dtype=bool)
+    in_span[zero] = True
+    basis, order, shifted = [zero], np.array([zero]), []
     while not in_span.all():
-        basis.append(int(np.argmin(in_span)))
-        cosets = [t.plus(order, basis[-1], max_enum)]
-        while not in_span[cosets[-1][0]]:
-            in_span[cosets[-1]] = True
-            cosets.append(t.plus(cosets[-1], basis[-1], max_enum))
-        order = np.concatenate([order, *cosets[:-1]])
-        shifted.append(np.concatenate(cosets))
-    basis = np.array(basis)
-    sizes = np.array([1] + [len(xs) for xs in shifted])
-    products = t.product(basis[:, None], basis, max_enum)
-    chain = t.__dict__["_chain_cache"] = GeneratorChain(basis, sizes, order, tuple(shifted), products)
-    return chain
+        s = int(np.argmin(in_span))
+        multiples = [s]
+        while not in_span[multiples[-1]]:
+            if len(multiples) == n:
+                raise ValueError("retract is not an abelian group: no multiple of a generator lies in the span")
+            multiples.append(int(add[multiples[-1], s]))
+        cosets = add[order, np.array(multiples)[:, None]]
+        in_span[cosets[:-1]] = True
+        if not in_span[s]:
+            raise ValueError("retract is not an abelian group: a generator is not in its own coset")
+        basis.append(s)
+        order = np.concatenate([order, cosets[:-1].ravel()])
+        shifted.append(cosets.ravel())
+    return np.array(basis), np.array([1] + [len(xs) for xs in shifted]), order, tuple(shifted)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,10 +110,16 @@ class FiniteTruss(TableFields):
         return _heap_checks(dense_tables(self)[1])
 
     def generator_chain(self, max_enum: int | None = None) -> GeneratorChain:
-        """`walk_chain`, or ValueError when the ternary table fails a heap law."""
+        """The chain of the retract T[:, 0, :] at 0 (`walk_chain`), kept on
+        the truss, or ValueError when the ternary table fails a heap law."""
         if not all(c.passed for c in self._heap_report):
             raise ValueError("ternary table is not an abelian heap: its retract has no generator chain")
-        return walk_chain(self)
+        return self._chain
+
+    @cached_property
+    def _chain(self) -> GeneratorChain:
+        basis, sizes, order, shifted = walk_chain(dense_tables(self)[1][:, 0, :], 0)
+        return GeneratorChain(basis, sizes, order, shifted, self.product(basis[:, None], basis))
 
     def to_json_dict(self) -> dict:
         heap = self.heap.to_json_dict()
@@ -157,17 +172,29 @@ def affine_rows(t, F: np.ndarray, chain: GeneratorChain, max_enum: int | None = 
     (Baer; Certaine): g = f - f(z) is additive. g is additive on span_j iff
     it is on span_{j-1} and f(x + s_j) + f(z) = f(x) + f(s_j) for every x
     in span_j: the cosets give g(v + k*s_j) = g(v) + k*g(s_j), and the last
-    wraps to g(r_j*s_j) = r_j*g(s_j). That is at most 2|F[0]| lookups a row.
+    wraps to g(r_j*s_j) = r_j*g(s_j). That is at most 2|F[0]| lookups a row,
+    read in two gathers: levels 1..k-1 together (each span at least doubles,
+    so theirs add up to less than n), then level k alone, so no array is
+    larger than B x n. The case is the least of the failing levels' first
+    cases, each the first (row, x) at its level.
     """
-    fz = F[:, chain.basis[:1]]
+    fz, k = F[:, chain.basis[:1]], len(chain.shifted)
     ok, cases = np.ones(len(F), dtype=bool), []
-    for j, xs in enumerate(chain.shifted, 1):  # one level at a time: B x |span_j| arrays
-        x = chain.order[: len(xs)]
-        bad = t.plus(F[:, xs], fz, max_enum) != t.plus(F[:, x], F[:, chain.basis[j], None], max_enum)
+    for lo, hi in ((1, k), (k, k + 1)) if k else ():
+        if lo == hi:
+            continue
+        sizes, s = chain.sizes[lo:hi], chain.basis[lo:hi]
+        xs = np.concatenate(chain.shifted[lo - 1 : hi - 1])
+        x = np.concatenate([chain.order[:size] for size in sizes])
+        fs = F[:, s] if hi - lo == 1 else F[:, np.repeat(s, sizes)]
+        bad = t.plus(F[:, xs], fz, max_enum) != t.plus(F[:, x], fs, max_enum)
         if bad.any():
-            r, i = first(bad)
-            cases.append((r, int(x[i]), int(chain.basis[j])))
             ok &= ~bad.any(axis=1)
+            for j, end, size in zip(s, np.cumsum(sizes), sizes):
+                level = bad[:, end - size : end]
+                if level.any():
+                    r, i = first(level)
+                    cases.append((r, int(chain.order[i]), int(j)))
     return ok, min(cases, default=None)
 
 

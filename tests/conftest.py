@@ -43,8 +43,8 @@ from trusskit.groups import (
 from trusskit.heaps import _heap_checks
 from trusskit.modules import make_module, module_homs
 from trusskit.rings import make_ring
-from trusskit.trusses import TrussMorphism, dense_tables
-from trusskit.validation import law_check
+from trusskit.trusses import GeneratorChain, TrussMorphism, dense_tables
+from trusskit.validation import first, law_check
 
 
 class NotAHeapMorphism(TrussKitError):
@@ -457,6 +457,49 @@ def retract_preserves(tm, max_enum: int = 10**9) -> bool:
     f = np.array(tm.mapping, dtype=np.int64)
     sm, tm_m = grid_tables(tm.source, max_enum)[0], grid_tables(tm.target, max_enum)[0]
     return not (f[sm] != tm_m[f[:, None], f[None, :]]).any() and retract_affine(tm, max_enum)
+
+
+def walk_chain_by_cosets(t, max_enum: int | None = None) -> GeneratorChain:
+    """t's generator chain walked by `plus` one coset at a time, each s_j
+    the least carrier index outside span_{j-1}: each coset of span_{j-1}
+    lies wholly inside it or wholly outside, and the first inside one is
+    the wrap span_{j-1} + r_j*s_j."""
+    in_span = np.zeros(t.size, dtype=bool)
+    in_span[t.zero] = True
+    basis, order, shifted = [t.zero], np.array([t.zero]), []
+    while not in_span.all():
+        basis.append(int(np.argmin(in_span)))
+        cosets = [t.plus(order, basis[-1], max_enum)]
+        while not in_span[cosets[-1][0]]:
+            in_span[cosets[-1]] = True
+            cosets.append(t.plus(cosets[-1], basis[-1], max_enum))
+        order = np.concatenate([order, *cosets[:-1]])
+        shifted.append(np.concatenate(cosets))
+    basis = np.array(basis)
+    sizes = np.array([1] + [len(xs) for xs in shifted])
+    return GeneratorChain(basis, sizes, order, tuple(shifted), t.product(basis[:, None], basis, max_enum))
+
+
+def affine_rows_by_level(t, F: np.ndarray, chain: GeneratorChain, max_enum: int | None = None):
+    """`affine_rows` one level of the chain at a time."""
+    fz = F[:, chain.basis[:1]]
+    ok, cases = np.ones(len(F), dtype=bool), []
+    for j, xs in enumerate(chain.shifted, 1):
+        x = chain.order[: len(xs)]
+        bad = t.plus(F[:, xs], fz, max_enum) != t.plus(F[:, x], F[:, chain.basis[j], None], max_enum)
+        if bad.any():
+            r, i = first(bad)
+            cases.append((r, int(x[i]), int(chain.basis[j])))
+            ok &= ~bad.any(axis=1)
+    return ok, min(cases, default=None)
+
+
+def row_ids_by_column(rows: np.ndarray, bound: int, code: np.ndarray | None = None) -> np.ndarray:
+    """`endo._row_ids` renumbered after every column."""
+    code = np.zeros(len(rows), dtype=np.int64) if code is None else code
+    for col in rows.T:
+        code = np.unique(code * bound + col, return_inverse=True)[1]
+    return code
 
 
 def filter_candidates(cands: np.ndarray, sm, st, tm, tt) -> np.ndarray:

@@ -23,6 +23,7 @@ from conftest import (
     is_constant,
     left_absorbers,
     mult,
+    row_ids_by_column,
     ternary,
     truss_tables,
     zero_hom,
@@ -38,7 +39,7 @@ from trusskit import (
     make_group,
     parse_group_spec,
 )
-from trusskit.endo import _bijective_rows
+from trusskit.endo import _bijective_rows, _distinct_rows, _row_ids
 from trusskit.groups import (
     GroupHom,
     aut_count,
@@ -428,3 +429,18 @@ def test_endo_truss_refuses_a_matrix_that_is_not_a_homomorphism():
     assert len(EndoTruss(g, homs).homs) == 32
     with pytest.raises(ValueError, match="not a homomorphism"):
         EndoTruss(g, homs + [[[1, 0], [1, 1]]])
+
+
+@pytest.mark.parametrize("bound,cols", [(1, 3), (2, 1), (3, 7), (7, 30), (1000, 12), ((1 << 40) - 3, 5), (1 << 56, 3)])
+def test_packed_row_ids_equal_renumbering_after_every_column(bound, cols):
+    # columns are packed into one int64 code until the next could overflow:
+    # 2^40 over 5 columns renumbers after every second column
+    rng = np.random.default_rng(bound + cols)
+    for count in (0, 1, 2, 57):
+        rows = rng.integers(0, bound, (count, cols))
+        rows[count // 2 :] = rows[: count - count // 2]  # repeated rows
+        rows[: count // 4, : cols // 2] = 0  # and rows sharing a prefix
+        for code in (None, rng.integers(0, 5, count), np.arange(count)):
+            ids = _row_ids(rows, bound, code)
+            assert np.array_equal(ids, row_ids_by_column(rows, bound, code)), (count, code)
+        assert not count or _distinct_rows(rows, bound) == len({tuple(r) for r in rows.tolist()})

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 from conftest import (
+    affine_rows_by_level,
     as_objects,
     dense_preserves,
     dense_truss_checks,
@@ -16,6 +17,7 @@ from conftest import (
     scan_heap_associativity,
     to_finite_truss,
     truss_tables,
+    walk_chain_by_cosets,
 )
 
 import trusskit.heaps
@@ -27,6 +29,7 @@ from trusskit import (
     build_endo_truss,
     enumerate_truss_isos,
     enumerate_truss_morphisms,
+    example_non_iso,
     heap_isos,
     make_field_fp,
     make_group,
@@ -40,9 +43,10 @@ from trusskit import (
     truss_morphism_preserves,
     validate_truss,
 )
+from trusskit.baer_kaplansky import conjugate_rows
 from trusskit.endo import EndoTruss
 from trusskit.modules import build_linear_endo_truss
-from trusskit.trusses import TrussMorphism, preserving_rows
+from trusskit.trusses import TrussMorphism, affine_rows, preserving_rows, walk_chain
 
 # count of truss endomorphisms of E(Z/2) among all 4^4 maps, frozen from the
 # exhaustive oracle (re-derived below against the plain-loop checker)
@@ -344,8 +348,8 @@ def test_dense_preservation_certificate_agrees_with_dense(spec):
 
 @pytest.mark.parametrize("spec", ["zn:3", "endo:2"])
 def test_broken_dense_heaps_have_no_generator_chain(spec):
-    # every one-entry change of the ternary table breaks a heap law, on
-    # which the coset walk of the chain might never end: ValueError instead
+    # every one-entry change of the ternary table breaks a heap law, and
+    # the chain is refused with ValueError before its retract is walked
     t = _truss_preset(spec)
     n = t.size
     tern = t.heap.ternary_table.flatten()
@@ -434,3 +438,146 @@ def test_factored_validation_agrees_with_the_dense_oracle_on_corrupted_tables(sp
     assert failed["compose"] and failed["apply"], failed
     if spec == "3":  # Z/2 leaves no entry to change in a table of two elements
         assert (failed["add"], failed["gadd"], failed["add+gadd"]) == (6, 6, 36), failed
+
+
+# every abelian group of order at most 16 but Z/2^4, whose 2^16
+# endomorphisms would need 2^32-entry factored tables
+CHAIN_GROUPS = [
+    "", "2", "3", "4", "2,2", "5", "6", "7", "8", "2,4", "2,2,2", "9", "3,3", "10", "11", "12", "2,6",
+    "13", "14", "15", "16", "2,8", "4,4", "2,2,4",
+]
+
+
+def _chain_carriers() -> dict:
+    """Carrier builders by name: E(G) on CHAIN_GROUPS, the linear trusses of
+    the regular modules fpxfp:2, fpxfp:3, zn:4, zn:6 and of the coordinate
+    ideals of example_non_iso(2, 3), and the zn:N, fp:P and fpxfp:P ring
+    trusses."""
+    carriers = {f"endo:{g}": lambda g=g: build_endo_truss(parse_group_spec(g), 1 << 21) for g in CHAIN_GROUPS}
+    rings = {f"fpxfp:{p}": lambda p=p: make_product_ring(make_field_fp(p), make_field_fp(p)) for p in (2, 3, 5)}
+    rings |= {f"zn:{n}": lambda n=n: make_ring_zn(n) for n in range(1, 13)}
+    rings |= {f"fp:{p}": lambda p=p: make_field_fp(p) for p in (2, 3, 5, 7, 11)}
+    for name in ("fpxfp:2", "fpxfp:3", "zn:4", "zn:6"):
+        carriers[f"linear:{name}"] = lambda name=name: build_linear_endo_truss(regular_module(rings[name]()))
+    for p, side in itertools.product((2, 3), (0, 1)):
+        carriers[f"linear:example-{side}:{p}"] = lambda p=p, i=side: build_linear_endo_truss(example_non_iso(p)[i])
+    carriers |= {name: lambda ring=ring: ring_as_truss(ring()) for name, ring in rings.items()}
+    return carriers
+
+
+CHAIN_CARRIERS = _chain_carriers()
+
+
+def _assert_same_chain(chain, oracle):
+    for field in ("basis", "sizes", "order", "products"):
+        assert np.array_equal(getattr(chain, field), getattr(oracle, field)), field
+    assert len(chain.shifted) == len(oracle.shifted)
+    assert all(np.array_equal(a, b) for a, b in zip(chain.shifted, oracle.shifted))
+
+
+@pytest.mark.parametrize("name", CHAIN_CARRIERS)
+def test_the_chain_walk_on_addition_tables_equals_the_coset_walk(name):
+    # on E(G), the walks on G's and the family's addition tables, composed,
+    # give the greedy chain the coset walk finds on the carrier
+    t = CHAIN_CARRIERS[name]()
+    _assert_same_chain(t.generator_chain(1 << 21), walk_chain_by_cosets(t, 1 << 21))
+
+
+def _assert_valid_chain(t, chain):
+    """The chain's defining properties, read by `plus` on the carrier."""
+    assert sorted(chain.order.tolist()) == list(range(t.size)) and chain.sizes[-1] == t.size
+    assert np.array_equal(chain.products, t.product(chain.basis[:, None], chain.basis))
+    for j in range(1, len(chain.basis)):
+        s, prev = chain.basis[j], chain.order[: chain.sizes[j - 1]]
+        span = chain.order[: chain.sizes[j]]
+        assert s not in prev and np.isin(t.plus(span[:, None], span), span).all()  # a subgroup
+        cosets = span.reshape(-1, len(prev))
+        assert np.array_equal(cosets[1:], t.plus(cosets[:-1], s))  # each coset in span_{j-1}'s order
+        assert np.array_equal(chain.shifted[j - 1], t.plus(span, s))
+        assert np.isin(chain.shifted[j - 1][-len(prev) :], prev).all()  # the wrap
+
+
+@pytest.mark.parametrize("orders,homs", [
+    ([4], [[[5]], [[0]], [[3]], [[2]]]),
+    ([3], [[[4]], [[0]], [[2]]]),
+    ([2, 2], None),  # End(Z/2 x Z/2) reversed: the zero hom last
+])
+def test_a_family_whose_zero_hom_is_not_first_has_a_valid_chain(orders, homs):
+    g = make_group(orders)
+    e = EndoTruss(g, build_endo_truss(g).homs[::-1] if homs is None else homs)
+    assert e.zero > 0
+    _assert_valid_chain(e, e.generator_chain())
+
+
+def _broken_factor(spec, name, pos, value):
+    base = build_endo_truss(parse_group_spec(spec))
+    ft = base.factored_tables()
+    table = getattr(ft, name).copy()
+    table[pos] = value
+    e = EndoTruss(base.group, base.homs)
+    e.__dict__["_factored_cache"] = ft._replace(**{name: table})
+    return e
+
+
+@pytest.mark.parametrize("spec,name,pos,value", [
+    ("2", "gadd", (1, 1), 1),  # 1 + 1 = 1: no multiple of 1 is ever 0
+    ("2", "add", (1, 1), 1),
+    ("3", "gadd", (0, 1), 2),  # 0 + 1 = 2: 1 is not in its own coset 0 + 1
+])
+def test_the_chain_walk_refuses_a_factor_that_is_not_a_group(spec, name, pos, value):
+    e = _broken_factor(spec, name, pos, value)
+    with pytest.raises(ValueError, match="not an abelian group"):
+        e.generator_chain()
+    with pytest.raises(ValueError, match="not an abelian group"):
+        preserving_rows(e, e, np.arange(e.size)[None])
+    table = getattr(e.factored_tables(), name)
+    with pytest.raises(ValueError, match="not an abelian group"):
+        walk_chain(table, 0 if name == "gadd" else e.zero // e._m)
+
+
+def _one_entry_mutations(rows: np.ndarray, values) -> np.ndarray:
+    """Every row with one entry changed, at every position, to each of
+    `values()` other than the entry itself."""
+    out = []
+    for row in rows:
+        for pos, old in enumerate(row.tolist()):
+            for new in values():
+                if new != old:
+                    out.append(row.copy())
+                    out[-1][pos] = new
+    return np.array(out)
+
+
+def _affine_case(name):
+    """(source, target, rows): the conjugation rows of the bk pair `name`,
+    or the rows x -> d*x of zn:6, with every one-entry change of each
+    (E(Z/2 x Z/4): three seeded wrong values per entry)."""
+    if name == "zn:6":
+        t = ring_as_truss(make_ring_zn(6))
+        M = t.mult_table
+        return t, t, np.concatenate([M, _one_entry_mutations(M, lambda: range(t.size))])
+    g, h = (parse_group_spec(spec) for spec in name.split(" -> "))
+    s, t = build_endo_truss(g), build_endo_truss(h)
+    F = conjugate_rows(s, t, heap_isos(g, h))
+    rng = random.Random(name)
+    values = (lambda: rng.sample(range(t.size), 3)) if t.size > 64 else (lambda: range(t.size))
+    return s, t, np.concatenate([F, _one_entry_mutations(F, values)])
+
+
+@pytest.mark.parametrize("name", ["2,2 -> 2,2", "6 -> 2,3", "2,4 -> 2,4", "zn:6"])
+def test_affine_rows_in_two_gathers_equals_the_per_level_check(name):
+    # blocks of 61 rows start at many offsets, so the first failing case
+    # falls at many levels of the chain, and often at several at once
+    s, t, F = _affine_case(name)
+    chain = s.generator_chain()
+    levels = set()
+    for start in range(0, len(F), 61):
+        block = F[start : start + 61]
+        mask, case = affine_rows(t, block, chain)
+        expected_mask, expected_case = affine_rows_by_level(t, block, chain)
+        assert np.array_equal(mask, expected_mask) and case == expected_case, start
+        if case is not None:
+            levels.add(int(np.nonzero(chain.basis == case[2])[0][0]))
+    # first cases from the gather of levels 1..k-1 (when k > 1) and of level k
+    k = len(chain.basis) - 1
+    assert k in levels and (k == 1 or min(levels) < k), levels

@@ -18,7 +18,8 @@ it on the linear sub-trusses E_R(M) and E_R(N), and `bk`
 (`verify_baer_kaplansky`) on E(G) and E(H) with the group isomorphisms and
 one translation per generator of H, which generate every heap
 isomorphism; both directions are multiplicative, so the round trip on these
-rows is the round trip on all |Aut(G)| |H| of them.
+rows is the round trip on all |Aut(G)| |H| of them. (Non-isomorphic G and H
+have none, and `bk` decides them by counting.)
 
 Beyond isomorphisms, every truss morphism Phi between endomorphism trusses
 carries an inner structure: the image of the zero constant splits into an
@@ -46,10 +47,11 @@ from .endo import (
     _row_ids,
     _translated,
     build_endo_truss,
+    endo_truss_size,
 )
 from .errors import BoundExceeded, NotAnIsomorphism, guard, resolve_max_enum
 from .groups import AbGroup, GroupHom, groups_isomorphic, group_to_json, matrix_images, np_elements
-from .trusses import TrussMorphism, enumerate_truss_isos, preserving_rows
+from .trusses import TrussMorphism, _affine_search, preserving_rows
 
 
 def _endo_ends(phi: TrussMorphism) -> tuple[EndoTruss, EndoTruss]:
@@ -84,7 +86,7 @@ def extract_rows(source: EndoTruss, target: EndoTruss, F: np.ndarray, max_enum: 
     g, h = source.group, target.group
     ft = target.factored_tables(max_enum)
     images = F[:, list(source.constant_indices)]
-    values = target.decode(images)[1]
+    image_homs, values = target.decode(images)
     linear = ft.gadd[values, ft.gneg[values[:, :1]]]  # x -> values[x] - values[0]
     # coords[b, i, j]: coordinate j of the image of generator i, which
     # defines a hom iff ord(generator i) * coords[b, i, j] = 0 mod m_j
@@ -94,7 +96,7 @@ def extract_rows(source: EndoTruss, target: EndoTruss, F: np.ndarray, max_enum: 
     passed = np.stack([
         _bijective_rows(F, target.size),
         preserving_rows(source, target, F, max_enum),
-        np.isin(images, target.constant_indices).all(axis=1),
+        (image_homs == target.zero // h.cardinality).all(axis=1),
         defined.all(axis=(1, 2)),
         (table == linear).all(axis=1),
         _bijective_rows(table, h.cardinality),
@@ -213,9 +215,9 @@ def verify_correspondence(
     carrier entries (at least 8 rows) at a time, and the conjugations are
     compared on the source chain's basis 0, s_1..s_k.
     The count is 0 for carriers of unequal size, else, when `brute_force`
-    is set and the search fits the cap, the number of `enumerate_truss_isos`,
-    each of which must come back from extraction and conjugation; else
-    None."""
+    is set and the search fits the cap, the number of truss isomorphisms
+    the affine search finds (the rows of `enumerate_truss_isos`), each of
+    which must come back from extraction and conjugation; else None."""
     roundtrip, keys = True, []
     if len(isos):
         basis = source.generator_chain(max_enum).basis
@@ -235,13 +237,12 @@ def verify_correspondence(
         truss_iso_count = 0
     elif brute_force:
         try:
-            enumerated = enumerate_truss_isos(source, target, max_enum)
+            F = _affine_search(source, target, True, max_enum)
         except BoundExceeded:
             pass  # reported as not enumerated
         else:
-            truss_iso_count = len(enumerated)
-            if enumerated:
-                F = np.stack([phi.mapping for phi in enumerated])
+            truss_iso_count = len(F)
+            if len(F):
                 back = conjugate_rows(source, target, extract_rows(source, target, F, max_enum), max_enum)
                 roundtrip &= np.array_equal(back, F)
     return roundtrip, injective, truss_iso_count
@@ -281,17 +282,34 @@ def verify_baer_kaplansky(
     conjugation, with extraction as a left inverse, is injective
     (`upsilon_injective`). `heap_iso_count` is |Aut(g)| |h|, and the value
     tables of all heap isomorphisms are gathered only as at most
-    `_WITNESSES` witnesses."""
-    eg = build_endo_truss(g, max_enum)
+    `_WITNESSES` witnesses.
+
+    E(g) and E(h) are built only when something reads them: when g and h
+    are isomorphic, or when they are not, |E(g)| = |E(h)| and `brute_force`
+    asks for the search. Otherwise counting decides, with both carriers
+    sized (and guarded, g first) by `endo_truss_size`: g and h are not
+    isomorphic, so there is no heap isomorphism and nothing to round-trip
+    (`theta_upsilon_roundtrip` and `upsilon_injective` hold vacuously), and
+    when |E(g)| != |E(h)| there is no bijection E(g) -> E(h), so
+    `truss_iso_count` is 0; with equal sizes and no search it is None."""
     giso = groups_isomorphic(g, h)
-    if h == g:  # End(g) is enumerated and evaluated once, for E(g) and its isomorphisms
-        eh, linear = eg, _linear_isos(g, g, max_enum, eg._apply)
+    if giso:
+        eg = build_endo_truss(g, max_enum)
+        if h == g:  # End(g) is enumerated and evaluated once, for E(g) and its isomorphisms
+            eh, linear = eg, _linear_isos(g, g, max_enum, eg._apply)
+        else:
+            eh, linear = build_endo_truss(h, max_enum), _linear_isos(g, h, max_enum)
+        shifts = np.array([s for s in h.generators if s], dtype=np.int64)
+        rows = np.concatenate([linear, _translated(linear[:1], h, shifts, max_enum)])
+        roundtrip, injective, truss_iso_count = verify_correspondence(eg, eh, rows, brute_force, max_enum)
     else:
-        eh, linear = build_endo_truss(h, max_enum), _linear_isos(g, h, max_enum)
+        linear = np.empty((0, g.cardinality), dtype=np.int64)
+        equal = endo_truss_size(g, max_enum) == endo_truss_size(h, max_enum)
+        roundtrip, injective, truss_iso_count = True, True, None if equal else 0
+        if equal and brute_force:
+            eg, eh = build_endo_truss(g, max_enum), build_endo_truss(h, max_enum)
+            roundtrip, injective, truss_iso_count = verify_correspondence(eg, eh, linear, True, max_enum)
     heap_iso_count = len(linear) * h.cardinality
-    shifts = np.array([s for s in h.generators if s], dtype=np.int64)
-    rows = np.concatenate([linear, _translated(linear[:1], h, shifts, max_enum)])
-    roundtrip, injective, truss_iso_count = verify_correspondence(eg, eh, rows, brute_force, max_enum)
     # distinct rows show injectivity on the rows only; on every heap
     # isomorphism it follows from the round trip (a left inverse)
     injective = injective and roundtrip

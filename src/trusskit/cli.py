@@ -52,7 +52,7 @@ from .modules import (
     validate_module,
 )
 from .rings import FiniteRing, make_field_fp, make_product_ring, make_ring_zn, ring_as_truss, validate_ring
-from .trusses import FiniteTruss, enumerate_truss_morphisms, validate_truss
+from .trusses import FiniteTruss, _affine_search, validate_truss
 from .validation import Check, ValidationReport, report_once
 
 
@@ -190,13 +190,12 @@ def cmd_inner(args, max_enum: int | None) -> ValidationReport:
     target = source if right == left else build_endo_truss(right, max_enum)
     inputs = {"left": args.left, "right": args.right}
     try:
-        morphisms = enumerate_truss_morphisms(source, target, max_enum)
+        F = _affine_search(source, target, False, max_enum)
     except BoundExceeded as exc:
         return ValidationReport("inner", (Check("enumeration", None, False, value=f"skipped: {exc}"),), inputs)
     # the zero constant is always a morphism, so F has a row
-    F = np.stack([phi.mapping for phi in morphisms])
     passed = laws_passed(*inner_structure_rows(source, target, F, max_enum))
-    checks = [Check("truss_morphism_count", None, value=len(morphisms))]
+    checks = [Check("truss_morphism_count", None, value=len(F))]
     checks += [Check(law, ok) for law, ok in sorted(passed.items())]
     return ValidationReport("inner", tuple(checks), inputs)
 

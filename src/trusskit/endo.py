@@ -353,8 +353,16 @@ class EndoTruss:
         return self.encode(ft.add.ravel()[u * H + v], ft.gadd.ravel()[a * m + b])
 
 
+def endo_truss_size(g: AbGroup, max_enum: int | None = None) -> int:
+    """|E(g)| = |Hom(g, g)| * |g|, counted without enumerating End(g);
+    raises BoundExceeded when it exceeds the cap."""
+    size = hom_count(g, g) * g.cardinality
+    guard(size, resolve_max_enum(max_enum), "carrier of E({})", g)
+    return size
+
+
 def build_endo_truss(g: AbGroup, max_enum: int | None = None) -> EndoTruss:
     """E(g): all heap endomorphisms of g with composition and pointwise
-    ternary; the carrier |Hom(g, g)| * |g| is guarded before End(g) is built."""
-    guard(hom_count(g, g) * g.cardinality, resolve_max_enum(max_enum), "carrier of E({})", g)
+    ternary; the carrier is guarded (`endo_truss_size`) before End(g) is built."""
+    endo_truss_size(g, max_enum)
     return EndoTruss(g, hom_enumerate(g, g, max_enum))

@@ -296,10 +296,12 @@ def preserving_rows(s, t, F: np.ndarray, max_enum: int | None = None) -> np.ndar
     return ok & affine_rows(t, F, chain, max_enum)[0]
 
 
-def _affine_search(s, t, injective: bool, max_enum: int | None) -> tuple[TrussMorphism, ...]:
-    """Every truss morphism s -> t (every injective one if asked), sorted by
-    mapping, from the source's `generator_chain` and the target's n x n
-    tables of `product` and `plus`, built once per call.
+def _affine_search(s, t, injective: bool, max_enum: int | None) -> np.ndarray:
+    """Every truss morphism s -> t (every injective one if asked) as a
+    (K, |s|) int64 array of maps by target index, rows in lexicographic
+    order, (0, |s|) when there is none, from the source's `generator_chain`
+    and the target's n x n tables of `product` and `plus`, built once per
+    call.
 
     A map between abelian heaps preserves [a,b,c] iff it is f = L + c with
     L additive on the retracts and c = f(0) (Baer; Certaine). The search
@@ -316,7 +318,7 @@ def _affine_search(s, t, injective: bool, max_enum: int | None) -> tuple[TrussMo
     entries however many images are tried."""
     ns, nt = s.size, t.size
     if injective and ns != nt:
-        return ()
+        return np.empty((0, ns), dtype=np.int64)
     chain = s.generator_chain(max_enum)
     limit = resolve_max_enum(max_enum)
     guard(nt * nt, limit, "multiplication and retract tables of a {}-element truss", nt)
@@ -365,17 +367,16 @@ def _affine_search(s, t, injective: bool, max_enum: int | None) -> tuple[TrussMo
             Ls.append(Lb[keep])
         c, L = np.concatenate(cs), np.concatenate(Ls)
     F = ta[L, c[:, None]]
-    F = F[np.lexsort(F.T[::-1])]
-    return tuple(TrussMorphism(s, t, row) for row in F)
+    return F[np.lexsort(F.T[::-1])]
 
 
 def enumerate_truss_morphisms(s, t, max_enum: int | None = None) -> tuple[TrussMorphism, ...]:
     """All maps s -> t preserving ternary and mult, in lexicographic map
     order, by the affine search on the retracts (`_affine_search`)."""
-    return _affine_search(s, t, False, max_enum)
+    return tuple(TrussMorphism(s, t, row) for row in _affine_search(s, t, False, max_enum))
 
 
 def enumerate_truss_isos(s, t, max_enum: int | None = None) -> tuple[TrussMorphism, ...]:
     """All bijective truss morphisms s -> t in lexicographic map order: the
     affine search pruned on injectivity."""
-    return _affine_search(s, t, True, max_enum)
+    return tuple(TrussMorphism(s, t, row) for row in _affine_search(s, t, True, max_enum))

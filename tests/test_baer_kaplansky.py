@@ -22,6 +22,7 @@ from conftest import (
 )
 
 from trusskit import (
+    BoundExceeded,
     NotAnIsomorphism,
     build_endo_truss,
     check_inner_structure,
@@ -34,8 +35,9 @@ from trusskit import (
     truss_iso_from_heap_iso,
     verify_baer_kaplansky,
 )
+from trusskit.baer_kaplansky import BKVerification
 from trusskit.cli import main
-from trusskit.groups import hom_enumerate
+from trusskit.groups import groups_isomorphic, hom_enumerate
 from trusskit.modules import build_linear_endo_truss, regular_module
 from trusskit.rings import make_field_fp, make_product_ring
 from trusskit.trusses import TrussMorphism
@@ -273,6 +275,56 @@ def test_generating_rows_agree_with_the_round_trip_of_every_heap_iso(left, right
     result = verify_baer_kaplansky(g, h, brute_force=brute_force)
     expected = bk_by_every_heap_iso(g, h, brute_force=brute_force)
     assert {key: getattr(result, key) for key in expected} == expected
+
+
+# every abelian group of order at most 16, the trivial group, a padded
+# presentation of Z/2 and two presentations of Z/6
+SMALL_GROUPS = [
+    "", "1,2", "2", "3", "4", "2,2", "5", "6", "2,3", "7", "8", "2,4", "2,2,2", "9", "3,3", "10", "11", "12",
+    "2,6", "13", "14", "15", "16", "2,8", "4,4", "2,2,4", "2,2,2,2",
+]
+VERDICTS = ("heap_iso_count", "truss_iso_count", "theta_upsilon_roundtrip", "upsilon_injective", "consistent")
+
+
+def _bk_verdicts(g, h, brute_force, max_enum=None):
+    """`verify_baer_kaplansky`'s verdicts on g, h, and the oracle's, each
+    the message of the BoundExceeded it raises instead if it does."""
+    def outcome(run):
+        try:
+            return run()
+        except BoundExceeded as exc:
+            return str(exc)
+
+    result = outcome(lambda: verify_baer_kaplansky(g, h, brute_force, max_enum))
+    if isinstance(result, BKVerification):
+        result = {key: getattr(result, key) for key in VERDICTS}
+    return result, outcome(lambda: bk_by_every_heap_iso(g, h, brute_force, max_enum))
+
+
+@pytest.mark.parametrize("left", SMALL_GROUPS)
+def test_non_isomorphic_pairs_agree_with_building_both_trusses(left):
+    # counting decides these pairs with no truss built; the oracle builds
+    # E(g) and E(h) and round-trips every heap isomorphism (there are none).
+    # E(Z/2^4) is over the default cap, and both refuse it with one message;
+    # the equal-size pairs 8, 2,2 and 16, 2,4 are searched under brute force,
+    # and 2,2,2, 4,4 is over the search's cap
+    g = parse_group_spec(left)
+    for right in SMALL_GROUPS:
+        h = parse_group_spec(right)
+        if groups_isomorphic(g, h):
+            continue
+        for brute_force in (False, True):
+            result, expected = _bk_verdicts(g, h, brute_force)
+            assert result == expected, (right, brute_force)
+
+
+@pytest.mark.parametrize("left,right", [("2,2,2,2", "16"), ("16", "2,2,2,2"), ("2,2,2,2", "4,4")])
+def test_non_isomorphic_pairs_with_e_of_z2_to_the_4_agree_with_the_oracle(left, right):
+    g, h = parse_group_spec(left), parse_group_spec(right)
+    for brute_force in (False, True):
+        result, expected = _bk_verdicts(g, h, brute_force, max_enum=2_000_000)
+        assert result == expected
+        assert result["truss_iso_count"] == 0 and result["consistent"] is True
 
 
 def test_surjective_semigroup_morphisms_preserve_constants():

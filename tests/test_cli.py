@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import trusskit.baer_kaplansky
 import trusskit.cli
+import trusskit.endo
 from trusskit import EndoTruss, HeapMorphism, build_endo_truss
 from trusskit.cli import main
 from trusskit.groups import GroupHom
@@ -507,6 +508,74 @@ def test_bk_non_isomorphic_pair_is_not_refused(capsys):
     assert data["groups_isomorphic"] is False and data["consistent"] is True
 
 
+def _bk_document(left: str, right: str, count: str) -> str:
+    """The bytes `bk LEFT RIGHT --json` prints for a non-isomorphic pair."""
+    def orders(spec):
+        return ",\n".join(f"      {order}" for order in spec.split(","))
+
+    return f"""{{
+  "left": {{
+    "orders": [
+{orders(left)}
+    ]
+  }},
+  "right": {{
+    "orders": [
+{orders(right)}
+    ]
+  }},
+  "heap_iso_count": 0,
+  "truss_iso_count": {count},
+  "theta_upsilon_roundtrip": true,
+  "upsilon_injective": true,
+  "groups_isomorphic": false,
+  "consistent": true
+}}
+"""
+
+
+@pytest.mark.parametrize("left,right,count", [
+    ("4", "2,2", "0"), ("8", "2,4", "0"), ("9", "3,3", "0"), ("8", "2,2", '"not_enumerated"'),
+])
+def test_bk_json_bytes_of_non_isomorphic_pairs(left, right, count, capsys):
+    code, out, err = run(capsys, "bk", left, right, "--json")
+    assert (code, out, err) == (0, _bk_document(left, right, count), "")
+
+
+class _Built(Exception):
+    pass
+
+
+def test_bk_builds_trusses_only_for_a_round_trip_or_a_search(capsys, monkeypatch):
+    # a non-isomorphic pair has no heap isomorphism to round-trip, and
+    # |E(G)| != |E(H)| rules out a truss isomorphism: counting decides it.
+    # Only --brute-force on equal sizes (|E(Z/8)| = |E(Z/2 x Z/2)| = 64)
+    # builds both trusses, to search them
+    def built(*args, **kwargs):
+        raise _Built
+
+    with monkeypatch.context() as patched:
+        patched.setattr(trusskit.baer_kaplansky, "build_endo_truss", built)
+        patched.setattr(trusskit.endo, "hom_enumerate", built)
+        for argv in (["4", "2,2"], ["2,2,2", "2,4"], ["8", "2,2"], ["2", "3", "--brute-force"]):
+            code, out, _ = run(capsys, "bk", *argv, "--json")
+            assert code == 0 and json.loads(out)["consistent"] is True, argv
+        with pytest.raises(_Built):
+            main(["bk", "8", "2,2", "--brute-force", "--json"])
+    code, out, _ = run(capsys, "bk", "8", "2,2", "--brute-force", "--json")
+    data = json.loads(out)
+    assert code == 0 and (data["truss_iso_count"], data["consistent"]) == (0, True)
+
+
+def test_bk_decides_unequal_trusses_it_could_not_hold():
+    # E(Z/2^5) has 2^30 elements, which the cap admits, on a 6.25 GiB stack
+    # of 2^25 homs that 300 MB cannot hold; E(Z/32) has 1024: no truss is built
+    done = run_limited("bk", "2,2,2,2,2", "32", "--max-enumeration", "2000000000", "--json")
+    assert done.returncode == 0, done.stderr
+    data = json.loads(done.stdout)
+    assert (data["truss_iso_count"], data["consistent"]) == (0, True)
+
+
 # garbage JSON for the validate table loaders: arbitrary values, and
 # well-shaped tables of random content, whole or with one field (at any
 # depth) replaced by an arbitrary value
@@ -610,6 +679,9 @@ def test_validate_deeply_nested_json_is_an_input_error(flag, tmp_path, capsys):
      "134218240 objects; cap is 1000000"),
     (["validate", "--heap", "from-group:2,2", "--max-enumeration", "63"],
      "heap table of Z/2 x Z/2 would enumerate 64 objects; cap is 63"),
+    # a non-isomorphic pair sizes both trusses, g's first, before deciding by counting
+    (["bk", "2", "1001"], "carrier of E(Z/1001) would enumerate 1002001 objects; cap is 1000000"),
+    (["bk", "1001", "1000000"], "carrier of E(Z/1001) would enumerate 1002001 objects; cap is 1000000"),
 ])
 def test_refusal_messages(argv, message, capsys):
     code, out, err = run(capsys, *argv)

@@ -9,6 +9,7 @@ import json
 import tracemalloc
 from contextlib import redirect_stdout
 
+import numpy as np
 import pytest
 from conftest import (
     as_objects,
@@ -37,6 +38,7 @@ from trusskit import (
     truss_morphism_preserves,
 )
 from trusskit.cli import main
+from trusskit.trusses import _affine_search
 
 
 @functools.lru_cache(maxsize=None)
@@ -227,3 +229,23 @@ def test_a_refused_search_names_a_truss_of_any_carrier():
         "16777216 objects; cap is 1000000 (raise max_enum to override)",
         "exhaustive": False,
     }]
+
+
+def _search_carriers():
+    """Pairs of the endomorphism, linear and dense carriers above, with
+    E(Z/8) -> E(Z/2 x Z/2), whose equal sizes admit no isomorphism."""
+    pairs = [(endo(a), endo(b)) for a, b in TABLES_PAIRS + TRIVIAL_PAIRS + [("8", "2,2")]]
+    pairs += [(_truss(*a), _truss(*b)) for a, b in _pairs(lambda ns, nt: nt**ns <= 10**5)]
+    return pairs + [(CARRIERS[a](), CARRIERS[b]()) for a in CARRIERS for b in CARRIERS]
+
+
+def test_search_rows_are_the_public_morphisms():
+    # `inner` and `bk --brute-force` read the search's sorted int64 rows;
+    # the public enumerations hand out one TrussMorphism per row
+    for s, t in _search_carriers():
+        for injective, public in ((False, enumerate_truss_morphisms), (True, enumerate_truss_isos)):
+            rows, found = _affine_search(s, t, injective, None), public(s, t)
+            assert rows.dtype == np.int64 and rows.shape == (len(found), s.size)
+            if found:
+                assert np.array_equal(rows, np.stack([m.mapping for m in found]))
+                assert rows.tolist() == sorted(rows.tolist())

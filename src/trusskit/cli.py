@@ -63,9 +63,106 @@ def _split_preset(spec: str) -> tuple[str, str]:
     return name, arg.removesuffix("-module")
 
 
+_BLOCK = 1 << 16  # characters of an array body checked at a time: bounds the masks, not the array
+
+
+def _plain_block(text: str) -> np.ndarray | None:
+    """The int64 array of `text` when it is `ws int (ws , ws int)* ws` or ws
+    alone, ASCII, each int `0|[1-9][0-9]{0,17}` (so it fits int64) and ws
+    JSON whitespace; None otherwise. The grammar is checked on the bytes,
+    with and without whitespace, before `np.fromstring`, which is laxer,
+    reads the numbers. A check that the lengths rule out is skipped."""
+    if not text.isascii():
+        return None
+    raw = text.encode()
+    compact = raw.translate(None, b" \t\n\r")
+    if compact.translate(None, b"0123456789,"):  # a byte that is no digit, comma or whitespace
+        return None
+    if not compact:
+        return np.zeros(0, np.int64)
+    t = np.frombuffer(compact, np.uint8)
+    d = t > 47  # a digit, else a comma
+    starts = d[1:] > d[:-1]  # starts[i]: a number starts at i + 1
+    commas = compact.count(b",")
+    # t alternates numbers and single commas ...
+    if not (d[0] and d[-1]) or np.count_nonzero(starts) != commas:
+        return None
+    if len(raw) > len(compact):  # ... and no whitespace splits a number
+        digit = np.frombuffer(raw, np.uint8) > 47
+        if np.count_nonzero(digit[1:] > digit[:-1]) + digit[0] != commas + 1:
+            return None
+    longest = len(compact) - 2 * commas  # no number is longer: the others have a digit each
+    if longest > 1 and (t[0] == 48 and d[1] or (starts[:-1] & (t[1:-1] == 48) & d[2:]).any()):  # a leading 0
+        return None
+    if longest > 18:
+        run = d
+        for k in (1, 2, 4, 8, 3):  # run[i]: d[i : i + 2, 4, 8, 16, then 19] are all digits
+            run = run[:-k] & run[k:]
+        if run.any():
+            return None
+    return np.fromstring(compact, dtype=np.int64, sep=",", count=commas + 1)
+
+
+def _plain_ints(s: str, start: int, end: int) -> np.ndarray | None:
+    """The int64 array of the array body `s[start:end]` when it is plain
+    (`_plain_block`), else None. A longer body than `_BLOCK` characters is
+    read in blocks of about that size cut at commas, so it is plain when it
+    is a run of plain blocks, none of them empty."""
+    if end - start <= _BLOCK:
+        return _plain_block(s[start:end])
+    out, pos = np.empty(s.count(",", start, end) + 1, np.int64), 0
+    while start <= end:
+        stop = s.rfind(",", start, start + _BLOCK)
+        if stop < 0:
+            stop = s.find(",", start + _BLOCK, end)
+        if stop < 0 or end - start <= _BLOCK:
+            stop = end
+        ints = _plain_block(s[start:stop])
+        if ints is None or not ints.size:
+            return None
+        out[pos : pos + ints.size] = ints
+        pos += ints.size
+        start = stop + 1
+    return out
+
+
+class _TableDecoder(json.JSONDecoder):
+    """`json.loads`, except that each plain array (`_plain_ints`) becomes
+    an int64 array read by numpy, with no list of Python ints in between.
+    Objects are parsed by the stdlib's Python `JSONObject`; every other
+    value, other arrays among them, goes to the stdlib's C scanner at its
+    position, so it decodes, or fails with the same message, as under
+    `json.loads`. (`json.scanner.py_make_scanner` would not: its number
+    pattern reads `1١` as 11.)"""
+
+    def __init__(self) -> None:
+        super().__init__()
+        c_scan, memo = self.scan_once, {}
+
+        def scan_once(s: str, idx: int):
+            if s.startswith("{", idx):
+                return json.decoder.JSONObject((s, idx + 1), self.strict, scan_once, None, None, memo)
+            if s.startswith("[", idx):
+                close = s.find("]", idx)
+                table = None if close < 0 else _plain_ints(s, idx + 1, close)
+                if table is not None:
+                    return table, close + 1
+            return c_scan(s, idx)
+
+        self.scan_once = scan_once
+
+    def decode(self, s: str):
+        try:
+            return super().decode(s)
+        except RecursionError:  # objects nested deeper than the Python parse reaches: the C decoder's verdict
+            return json.JSONDecoder().decode(s)
+
+
 def _load_json(path: str) -> dict:
+    """The document at `path`, its plain integer arrays as int64 arrays
+    (`_TableDecoder`); ValueError when it cannot be read or decoded."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(), cls=_TableDecoder)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply

@@ -56,19 +56,30 @@ def guard(needed: int, limit: int, what: str, *args) -> None:
 
 
 def json_int(value, what: str) -> int:
-    """`value` if it is a JSON integer (not a boolean), else ValueError."""
+    """`value` if it is a JSON integer (not a boolean), else ValueError. An
+    int64 array is a JSON array `cli._load_json` read, named a list."""
     if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {type(value).__name__}")
+        kind = "list" if isinstance(value, np.ndarray) else type(value).__name__
+        raise ValueError(f"{what} must be an integer, got {kind}")
     return value
 
 
-def json_ints(value, what: str) -> list:
-    """`value` if it is a JSON list of integers, else ValueError. The entry
-    types are collected by `map` at C speed; a bool is not an int here,
-    since `type(True)` is `bool`."""
+def json_ints(value, what: str) -> np.ndarray:
+    """`value`, a JSON array of integers, as one int64 array, else
+    ValueError. A plain decimal array arrives from `cli._load_json` already
+    read into an int64 array and is returned as it is. Any other array is a
+    list, whose entry types are collected by `map` at C speed (a bool is not
+    an int here, since `type(True)` is `bool`); a list with an entry beyond
+    int64 stays exact, as an object array, for the caller's range check to
+    refuse."""
+    if type(value) is np.ndarray and value.dtype == np.int64 and value.ndim == 1:
+        return value
     if type(value) is not list or not set(map(type, value)) <= {int}:
         raise ValueError(f"{what} must be a list of integers")
-    return value
+    try:
+        return np.array(value, dtype=np.int64)
+    except OverflowError:
+        return np.array(value, dtype=object)
 
 
 def int_table(values, shape: tuple[int, ...], bound: int, wrong_length: str, out_of_range: str) -> np.ndarray:

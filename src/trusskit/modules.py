@@ -121,7 +121,7 @@ class RModule(TableFields):
         mod = data["module"]
         if not isinstance(mod, dict) or not {"orders", "action"} <= set(mod):
             raise ValueError("'module' must carry 'orders' and 'action'")
-        group = make_group(json_ints(mod["orders"], "module 'orders'"))
+        group = make_group(json_ints(mod["orders"], "module 'orders'").tolist())
         return cls(ring, group, json_ints(mod["action"], "module 'action'"))
 
 

@@ -69,9 +69,9 @@ class FiniteRing(TableFields):
     def from_json_dict(cls, data: dict) -> "FiniteRing":
         if not isinstance(data, dict) or not {"orders", "mult", "one"} <= set(data):
             raise ValueError("ring JSON must carry 'orders', 'mult' and 'one'")
-        additive = make_group(json_ints(data["orders"], "ring 'orders'"))
+        additive = make_group(json_ints(data["orders"], "ring 'orders'").tolist())
         mult = json_ints(data["mult"], "ring 'mult'")
-        return cls(additive, mult, tuple(json_ints(data["one"], "ring 'one'")))
+        return cls(additive, mult, tuple(json_ints(data["one"], "ring 'one'").tolist()))
 
 
 def _guard_mult(n: int, max_enum: int | None) -> None:

@@ -225,7 +225,12 @@ def validate_truss(t, max_enum: int | None = None) -> ValidationReport:
         def scan(start: int) -> tuple[int, ...] | None:  # (d, a, b, c): L[d, [a,b,c]] != [L[d,a], L[d,b], L[d,c]]
             A = None if finite else t.plus(idx[:, None], idx, max_enum)  # T = a - b + c in the retract
             T = dense_tables(t)[1] if finite else A[A[:, np.nonzero(A == z)[1]]]
-            return sliced_scan(lambda d: rows(d)[T] != T[np.ix_(*(rows(d),) * 3)], n, start)
+
+            def bad(d: int) -> np.ndarray:  # T[r[a], r[b], r[c]] by one flat take
+                r = rows(d)
+                return r[T] != T.take(r[:, None, None] * (n * n) + (r[:, None] * n + r))
+
+            return sliced_scan(bad, n, start)
 
         if chain is None:
             ce = scan(0)
@@ -319,9 +324,9 @@ def _affine_search(s, t, injective: bool, max_enum: int | None) -> np.ndarray:
     ns, nt = s.size, t.size
     if injective and ns != nt:
         return np.empty((0, ns), dtype=np.int64)
-    chain = s.generator_chain(max_enum)
     limit = resolve_max_enum(max_enum)
     guard(nt * nt, limit, "multiplication and retract tables of a {}-element truss", nt)
+    chain = s.generator_chain(max_enum)  # after the guard: a refused search builds nothing
     ys = np.arange(nt)
     tm, ta, t0 = t.product(ys[:, None], ys, max_enum), t.plus(ys[:, None], ys, max_enum), t.zero
     what, tried = "truss morphism search (candidate images tried)", nt

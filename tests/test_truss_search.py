@@ -231,6 +231,25 @@ def test_a_refused_search_names_a_truss_of_any_carrier():
     }]
 
 
+def test_a_refused_search_leaves_the_source_unbuilt():
+    # the target's n x n guard runs before the source's generator chain, so
+    # a refused search into E(Z/4 x Z/4) builds no factored table of
+    # E(Z/2 x Z/2 x Z/2); when the source's own guard would refuse too,
+    # `inner` names the target's tables
+    source = build_endo_truss(make_group([2, 2, 2]))
+    with pytest.raises(BoundExceeded) as info:
+        enumerate_truss_isos(source, endo("4,4"))
+    assert info.value.what == "multiplication and retract tables of a 4096-element truss"
+    assert "_factored_cache" not in source.__dict__ and "_chain_cache" not in source.__dict__
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["inner", "2,2,16", "2,2,2", "--json"]) == 0
+    assert json.loads(out.getvalue())["results"][0]["value"] == (
+        "skipped: multiplication and retract tables of a 4096-element truss would enumerate "
+        "16777216 objects; cap is 1000000 (raise max_enum to override)"
+    )
+
+
 def _search_carriers():
     """Pairs of the endomorphism, linear and dense carriers above, with
     E(Z/8) -> E(Z/2 x Z/2), whose equal sizes admit no isomorphism."""

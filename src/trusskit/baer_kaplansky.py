@@ -50,7 +50,7 @@ from .endo import (
     endo_truss_size,
 )
 from .errors import BoundExceeded, NotAnIsomorphism, guard, resolve_max_enum
-from .groups import AbGroup, GroupHom, groups_isomorphic, group_to_json, matrix_images, np_elements
+from .groups import AbGroup, additivity_failures, groups_isomorphic, group_to_json, matrix_images
 from .trusses import TrussMorphism, _affine_search, preserving_rows
 
 
@@ -79,44 +79,39 @@ def extract_rows(source: EndoTruss, target: EndoTruss, F: np.ndarray, max_enum: 
 
     Every row is checked in this order: bijective, preserves both
     operations (`preserving_rows`), sends constants to constants, its
-    generator images define a hom, the hom agrees with the translated table,
-    the hom is bijective. The first row that fails a check raises
-    NotAnIsomorphism naming the first check it fails.
+    translated table x -> Phi(constant at x)(0) - Phi(constant at 0)(0) is
+    additive (`additivity_failures`), and that table is bijective. The
+    first row that fails a check raises NotAnIsomorphism naming the first
+    check it fails; a table that is not additive is named by its generator
+    images, when they define no hom, or else by the first element where
+    the hom they define disagrees with it.
     """
     g, h = source.group, target.group
     ft = target.factored_tables(max_enum)
-    images = F[:, list(source.constant_indices)]
-    image_homs, values = target.decode(images)
+    image_homs, values = target.decode(F[:, list(source.constant_indices)])
     linear = ft.gadd[values, ft.gneg[values[:, :1]]]  # x -> values[x] - values[0]
-    # coords[b, i, j]: coordinate j of the image of generator i, which
-    # defines a hom iff ord(generator i) * coords[b, i, j] = 0 mod m_j
-    coords = np_elements(h).astype(np.uint64)[linear[:, g.generators]]
-    defined = ((np.array(g.orders, dtype=np.uint64)[:, None] * coords) % np.array(h.orders, dtype=np.uint64) == 0)
-    table = matrix_images(coords.swapaxes(1, 2), g, h)
     passed = np.stack([
         _bijective_rows(F, target.size),
         preserving_rows(source, target, F, max_enum),
         (image_homs == target.zero // h.cardinality).all(axis=1),
-        defined.all(axis=(1, 2)),
-        (table == linear).all(axis=1),
-        _bijective_rows(table, h.cardinality),
+        ~additivity_failures(linear, source.factored_tables(max_enum).gadd, ft.gadd, g.generators).any(axis=(1, 2)),
+        _bijective_rows(linear, h.cardinality),
     ], axis=1)
     if not passed.all():
         row = int(np.flatnonzero(~passed.all(axis=1))[0])
         check = int(np.argmin(passed[row]))
         if check == 3:
             try:
-                GroupHom(g, h, coords[row].T.tolist())
+                hom = HeapMorphism.from_values(g, h, values[row]).linear
             except ValueError as exc:
                 raise NotAnIsomorphism(f"{_NOT_ADDITIVE}: {exc}") from None
-        if check == 4:
-            wrong = int(np.argmax(table[row] != linear[row]))
+            table = matrix_images(np.array(hom.matrix, dtype=np.int64)[None], g, h)[0]
+            wrong = int(np.argmax(table != linear[row]))
             raise NotAnIsomorphism(f"{_NOT_ADDITIVE}: disagrees at {g.element_at(wrong)}")
         raise NotAnIsomorphism((
             "morphism is not bijective",
             "morphism does not preserve the truss operations",
             "image of a constant map is not constant",
-            _NOT_ADDITIVE,
             _NOT_ADDITIVE,
             "extracted heap morphism is not bijective",
         )[check])
@@ -365,7 +360,7 @@ def inner_structure_rows(
     gt, ht = source.factored_tables(max_enum), target.factored_tables(max_enum)
     u, e = source.decode(np.arange(source.size))
     alpha = gt.gadd[gt.apply[u], e[:, None]]  # alpha[i, x]: element i of E(G) at x
-    const, gens, ks = list(source.constant_indices), g.generators, np.arange(k)
+    const, ks = list(source.constant_indices), np.arange(k)
     zero_hom = target.decode(target.zero)[0]
     laws = np.empty((len(F), len(INNER_LAWS)), dtype=bool)
     applies = np.empty(len(F), dtype=bool)
@@ -376,9 +371,9 @@ def inner_structure_rows(
         b = np.arange(B)[:, None]
         image = ht.gadd[ht.apply[v], t[:, :, None]]  # image[r, i, y]: Phi_r(element i) at y
         X = image[:, const].swapaxes(1, 2)
-        # a row is a heap morphism iff x -> X[c, x] - X[c, 0] is additive on the generators
-        lin = ht.gadd[X, ht.gneg[X[:, :, :1]]]
-        affine = (lin[:, :, gt.gadd[:, gens]] == ht.gadd[lin[..., None], lin[:, :, None, gens]]).all(axis=(2, 3))
+        # a row is a heap morphism iff x -> X[c, x] - X[c, 0] is additive
+        lin = ht.gadd[X, ht.gneg[X[:, :, :1]]].reshape(B * k, m)
+        affine = ~additivity_failures(lin, gt.gadd, ht.gadd, g.generators).any(axis=(1, 2)).reshape(B, k)
         intertwines = (image[b[:, :, None, None], np.arange(len(alpha))[:, None, None], X[:, None]]
                        == X[:, :, alpha].swapaxes(1, 2)).all(axis=(1, 3))
         inter = affine & intertwines

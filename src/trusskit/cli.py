@@ -128,10 +128,10 @@ def _plain_ints(s: str, start: int, end: int) -> np.ndarray | None:
 
 class _TableDecoder(json.JSONDecoder):
     """`json.loads`, except that each plain array (`_plain_ints`) becomes
-    an int64 array read by numpy, with no list of Python ints in between.
-    Objects are parsed by the stdlib's Python `JSONObject`; every other
-    value, other arrays among them, goes to the stdlib's C scanner at its
-    position, so it decodes, or fails with the same message, as under
+    a read-only int64 array read by numpy, with no list of Python ints in
+    between. Objects are parsed by the stdlib's Python `JSONObject`; every
+    other value, other arrays among them, goes to the stdlib's C scanner at
+    its position, so it decodes, or fails with the same message, as under
     `json.loads`. (`json.scanner.py_make_scanner` would not: its number
     pattern reads `1١` as 11.)"""
 
@@ -146,6 +146,7 @@ class _TableDecoder(json.JSONDecoder):
                 close = s.find("]", idx)
                 table = None if close < 0 else _plain_ints(s, idx + 1, close)
                 if table is not None:
+                    table.flags.writeable = False  # nothing else holds it: `errors.int_table` keeps it
                     return table, close + 1
             return c_scan(s, idx)
 

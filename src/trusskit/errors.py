@@ -67,30 +67,35 @@ def json_int(value, what: str) -> int:
 def json_ints(value, what: str) -> np.ndarray:
     """`value`, a JSON array of integers, as one int64 array, else
     ValueError. A plain decimal array arrives from `cli._load_json` already
-    read into an int64 array and is returned as it is. Any other array is a
-    list, whose entry types are collected by `map` at C speed (a bool is not
-    an int here, since `type(True)` is `bool`); a list with an entry beyond
-    int64 stays exact, as an object array, for the caller's range check to
-    refuse."""
+    read into a read-only int64 array and is returned as it is. Any other
+    array is a list, whose entry types are collected by `map` at C speed (a
+    bool is not an int here, since `type(True)` is `bool`), read into a new
+    int64 array, returned read-only, so that `int_table` keeps either
+    without a copy; a list with an entry beyond int64 stays exact, as an
+    object array, for the caller's range check to refuse."""
     if type(value) is np.ndarray and value.dtype == np.int64 and value.ndim == 1:
         return value
     if type(value) is not list or not set(map(type, value)) <= {int}:
         raise ValueError(f"{what} must be a list of integers")
     try:
-        return np.array(value, dtype=np.int64)
+        out = np.array(value, dtype=np.int64)
     except OverflowError:
         return np.array(value, dtype=object)
+    out.flags.writeable = False
+    return out
 
 
 def int_table(values, shape: tuple[int, ...], bound: int, wrong_length: str, out_of_range: str) -> np.ndarray:
     """`values` (a sequence of ints or an integer array of any shape, read
     in row-major order) as a read-only int64 array of `shape`, each entry in
     [0, bound). Otherwise ValueError, also for entries beyond int64;
-    `wrong_length` may name `{need}` and `{got}`. The array is a new copy,
-    made once, and is the table's only representation."""
+    `wrong_length` may name `{need}` and `{got}`. A read-only int64 array
+    that owns its data (as `json_ints` hands one out) is kept; anything
+    else is copied, once. The array is the table's only representation."""
     length = math.prod(shape)
+    keep = isinstance(values, np.ndarray) and values.flags.owndata and not values.flags.writeable
     try:
-        table = np.array(values, dtype=np.int64)
+        table = (np.asarray if keep else np.array)(values, dtype=np.int64)
         if isinstance(values, np.ndarray):
             table = table.reshape(-1)
     except OverflowError:

@@ -329,6 +329,17 @@ def matrix_images(mats: np.ndarray, g: AbGroup, h: AbGroup) -> np.ndarray:
     return (coords @ np.array(h._strides, dtype=np.uint64)).astype(np.int64)
 
 
+def additivity_failures(F: np.ndarray, add_src: np.ndarray, add_tgt: np.ndarray, gens) -> np.ndarray:
+    """bad[i, x, j]: F[i, x + g_j] != F[i, x] + F[i, g_j], for the rows of a
+    (k, n) table F from the group with addition table add_src into the group
+    with addition table add_tgt, and element indices gens generating the
+    source. A row is additive iff its cells are all False: x = 0 gives
+    f(0) = 0, and f(x + y) = f(x) + f(y) follows by induction on y as a sum
+    of generators."""
+    gens = np.asarray(gens, dtype=np.int64)
+    return F[:, add_src[:, gens]] != add_tgt[F[:, :, None], F[:, None, gens]]
+
+
 @dataclass(frozen=True, eq=False)
 class AbelianPresentation:
     """A coordinate chart for an abstractly given finite abelian group.

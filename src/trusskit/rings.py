@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TableFields, guard, int_table, json_ints, resolve_max_enum
-from .groups import AbGroup, Element, _prime_factors, make_group, np_add_table
+from .groups import AbGroup, Element, _prime_factors, additivity_failures, make_group, np_add_table
 from .heaps import heap_from_group
 from .trusses import FiniteTruss, unit_law
 from .validation import Check, ValidationReport, certified_check, multiadditive_check, report_once, sliced_scan
@@ -122,17 +122,6 @@ def generator_columns(g: AbGroup) -> list[int]:
     """Element indices of g's generators, or [0] for the trivial group of
     rank 0, so that the additivity certificates below also pin f(0) = 0."""
     return g.generators or [0]
-
-
-def additivity_failures(F: np.ndarray, add_src: np.ndarray, add_tgt: np.ndarray, gens) -> np.ndarray:
-    """bad[i, x, j]: F[i, x + g_j] != F[i, x] + F[i, g_j], for the rows of a
-    (k, n) table F from the group with addition table add_src into the group
-    with addition table add_tgt, and element indices gens generating the
-    source. A row is additive iff its cells are all False: x = 0 gives
-    f(0) = 0, and f(x + y) = f(x) + f(y) follows by induction on y as a sum
-    of generators."""
-    gens = np.asarray(gens, dtype=np.int64)
-    return F[:, add_src[:, gens]] != add_tgt[F[:, :, None], F[:, None, gens]]
 
 
 def action_laws(

@@ -9,7 +9,8 @@ point), the retract's `plus` and `product` on index arrays, and
 dense tables of a FiniteTruss or the factored ones of an endomorphism truss
 (`endo`, whose chain composes the walks on its two factors). Along the chain
 `validate_truss` certifies the laws and `preserving_rows` a block of maps,
-both by one affinity check (`affine_rows`), and the enumerators extend maps.
+both by one affinity check (`affine_rows`, one level of the chain at a
+time), and the enumerators extend maps.
 Morphisms preserve both operations; units need not map to units.
 """
 from __future__ import annotations
@@ -173,28 +174,20 @@ def affine_rows(t, F: np.ndarray, chain: GeneratorChain, max_enum: int | None = 
     it is on span_{j-1} and f(x + s_j) + f(z) = f(x) + f(s_j) for every x
     in span_j: the cosets give g(v + k*s_j) = g(v) + k*g(s_j), and the last
     wraps to g(r_j*s_j) = r_j*g(s_j). That is at most 2|F[0]| lookups a row,
-    read in two gathers: levels 1..k-1 together (each span at least doubles,
-    so theirs add up to less than n), then level k alone, so no array is
-    larger than B x n. The case is the least of the failing levels' first
-    cases, each the first (row, x) at its level.
+    read one level at a time with the column f(s_j) broadcast (each span at
+    least doubles, so the levels add up to less than 2n entries a row), so
+    no array is larger than B x n. The case is the least of the failing
+    levels' first cases, each the first (row, x) at its level.
     """
-    fz, k = F[:, chain.basis[:1]], len(chain.shifted)
+    fz = F[:, chain.basis[:1]]
     ok, cases = np.ones(len(F), dtype=bool), []
-    for lo, hi in ((1, k), (k, k + 1)) if k else ():
-        if lo == hi:
-            continue
-        sizes, s = chain.sizes[lo:hi], chain.basis[lo:hi]
-        xs = np.concatenate(chain.shifted[lo - 1 : hi - 1])
-        x = np.concatenate([chain.order[:size] for size in sizes])
-        fs = F[:, s] if hi - lo == 1 else F[:, np.repeat(s, sizes)]
-        bad = t.plus(F[:, xs], fz, max_enum) != t.plus(F[:, x], fs, max_enum)
+    for j, xs in enumerate(chain.shifted, 1):
+        x = chain.order[: len(xs)]
+        bad = t.plus(F[:, xs], fz, max_enum) != t.plus(F[:, x], F[:, chain.basis[j], None], max_enum)
         if bad.any():
             ok &= ~bad.any(axis=1)
-            for j, end, size in zip(s, np.cumsum(sizes), sizes):
-                level = bad[:, end - size : end]
-                if level.any():
-                    r, i = first(level)
-                    cases.append((r, int(chain.order[i]), int(j)))
+            r, i = first(bad)
+            cases.append((r, int(x[i]), int(chain.basis[j])))
     return ok, min(cases, default=None)
 
 

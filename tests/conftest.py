@@ -44,7 +44,7 @@ from trusskit.heaps import _heap_checks
 from trusskit.modules import make_module, module_homs
 from trusskit.rings import make_ring
 from trusskit.trusses import GeneratorChain, TrussMorphism, dense_tables
-from trusskit.validation import first, law_check
+from trusskit.validation import law_check
 
 
 class NotAHeapMorphism(TrussKitError):
@@ -478,20 +478,6 @@ def walk_chain_by_cosets(t, max_enum: int | None = None) -> GeneratorChain:
     basis = np.array(basis)
     sizes = np.array([1] + [len(xs) for xs in shifted])
     return GeneratorChain(basis, sizes, order, tuple(shifted), t.product(basis[:, None], basis, max_enum))
-
-
-def affine_rows_by_level(t, F: np.ndarray, chain: GeneratorChain, max_enum: int | None = None):
-    """`affine_rows` one level of the chain at a time."""
-    fz = F[:, chain.basis[:1]]
-    ok, cases = np.ones(len(F), dtype=bool), []
-    for j, xs in enumerate(chain.shifted, 1):
-        x = chain.order[: len(xs)]
-        bad = t.plus(F[:, xs], fz, max_enum) != t.plus(F[:, x], F[:, chain.basis[j], None], max_enum)
-        if bad.any():
-            r, i = first(bad)
-            cases.append((r, int(x[i]), int(chain.basis[j])))
-            ok &= ~bad.any(axis=1)
-    return ok, min(cases, default=None)
 
 
 def row_ids_by_column(rows: np.ndarray, bound: int, code: np.ndarray | None = None) -> np.ndarray:

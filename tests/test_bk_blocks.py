@@ -225,6 +225,22 @@ def test_an_ill_defined_generator_image_is_named_like_the_oracle(monkeypatch):
     assert _outcome(extract_rows, s, t, block) == expected
 
 
+@pytest.mark.parametrize("a,b,wrong", [((0, 2), (1, 1), (0, 2)), ((1, 3), (1, 2), (1, 2))])
+def test_a_table_off_its_generators_hom_is_named_like_the_oracle(monkeypatch, a, b, wrong):
+    # with preservation skipped, swapping the images of the constants at two
+    # elements other than 0 and the generators keeps a bijection that sends
+    # constants to constants and the generator images of a hom, which the
+    # translated table leaves first at the lesser of the two
+    monkeypatch.setattr(bk, "preserving_rows", lambda s, t, F, max_enum=None: np.ones(len(F), dtype=bool))
+    s, t, _, _, F = _block("2,4", "2,4")
+    i, j = constant_index(s, a), constant_index(s, b)
+    block = F.copy()
+    block[3, [i, j]] = block[3, [j, i]]
+    expected = _outcome(heap_iso_by_decompose, TrussMorphism(s, t, block[3]))
+    assert expected == f"extracted map is not a heap morphism: translated table is not additive: disagrees at {wrong}"
+    assert _outcome(extract_rows, s, t, block) == expected
+
+
 def _misconjugating(monkeypatch, r):
     """Patch `conjugate_rows` so that row r of all the rows it is handed,
     counted across calls, is conjugated as if its translation were moved

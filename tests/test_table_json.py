@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trusskit.cli
-from trusskit import heap_from_group, make_group, make_ring_zn, module_zn, ring_as_truss
+from trusskit import FiniteHeap, heap_from_group, make_group, make_ring_zn, module_zn, ring_as_truss
 from trusskit.cli import _TableDecoder, main
 from trusskit.errors import json_ints
 
@@ -173,6 +173,24 @@ def test_json_ints_takes_an_array_or_a_list():
     for bad in ([True], [1.0], "1", [[1]], np.array([1.0])):
         with pytest.raises(ValueError, match="x must be a list of integers"):
             json_ints(bad, "x")
+
+
+def test_a_decoded_table_is_kept_and_a_writable_one_copied(tmp_path):
+    # the read-only int64 arrays `_load_json` decodes and `json_ints` reads
+    # from a list become the table as they are; a writable array is copied
+    # and stays writable
+    heap = heap_from_group(make_group([3]))
+    file = tmp_path / "heap.json"
+    file.write_text(json.dumps(heap.to_json_dict()))
+    doc = trusskit.cli._load_json(str(file))
+    assert not doc["ternary"].flags.writeable
+    assert np.shares_memory(FiniteHeap.from_json_dict(doc).ternary_table, doc["ternary"])
+    listed = json_ints(heap.ternary_table.ravel().tolist(), "x")
+    assert not listed.flags.writeable and np.shares_memory(FiniteHeap(3, listed).ternary_table, listed)
+    writable = heap.ternary_table.copy()
+    copied = FiniteHeap(3, writable)
+    assert writable.flags.writeable and not np.shares_memory(copied.ternary_table, writable)
+    assert not copied.ternary_table.flags.writeable and copied == heap
 
 
 _TOKENS = ["[", "]", "{", "}", ",", ":", " ", "\t", "\n", "\r", "0", "1", "7", "00", "12", "-", ".", "e",

@@ -13,7 +13,9 @@ Both run on blocks of rows: a (B, n) int64 array of carrier maps, or a
 `truss_iso_from_heap_iso` are their one-row cases. The two directions are
 mutually inverse; `verify_correspondence` certifies that by feeding heap
 isomorphisms through both, a block of rows at a time, so no object is built
-per isomorphism. It checks both of the paper's theorems: `module-bk` runs
+per isomorphism; extraction is then a left inverse, so conjugation is
+injective. `conjugate_homs`, the hom half of a conjugation, is shared with
+`modules`. It checks both of the paper's theorems: `module-bk` runs
 it on the linear sub-trusses E_R(M) and E_R(N), and `bk`
 (`verify_baer_kaplansky`) on E(G) and E(H) with the group isomorphisms and
 one translation per generator of H, which generate every heap
@@ -42,7 +44,6 @@ from .endo import (
     EndoTruss,
     HeapMorphism,
     _bijective_rows,
-    _distinct_rows,
     _linear_isos,
     _row_ids,
     _translated,
@@ -118,23 +119,29 @@ def extract_rows(source: EndoTruss, target: EndoTruss, F: np.ndarray, max_enum: 
     return values
 
 
+def conjugate_homs(apply: np.ndarray, target: EndoTruss, f: np.ndarray) -> np.ndarray:
+    """(B, H) target family positions of f u f^{-1}, read on H's generators,
+    for each row f of `f`, the value table of a group isomorphism G -> H,
+    and each of the H homs u whose value tables are the rows of `apply`.
+    Raises ValueError when a conjugate falls outside the target's family."""
+    f_inv = np.argsort(f, axis=1)
+    u_images = apply[:, f_inv[:, target.group.generators]].swapaxes(0, 1)
+    return target.hom_positions(f[np.arange(len(f))[:, None, None], u_images])
+
+
 def conjugate_rows(source: EndoTruss, target: EndoTruss, values: np.ndarray, max_enum: int | None = None) -> np.ndarray:
     """(B, n) maps alpha -> hm o alpha o hm^{-1}, E(G) -> E(H) by target
     index, for the heap isomorphisms hm whose value tables, element indices
     of H, are the rows of `values`.
 
     For hm = (f, t) and alpha = (u, e) the conjugate is
-    (f u f^{-1}, f(e) + t - (f u f^{-1})(t)): each hom u is conjugated once,
-    on the generators, and the translations follow by table lookups. Raises
+    (f u f^{-1}, f(e) + t - (f u f^{-1})(t)): the homs are conjugated by
+    `conjugate_homs`, and the translations follow by table lookups. Raises
     ValueError when a conjugate falls outside the target's hom family.
     """
     src, tgt = source.factored_tables(max_enum), target.factored_tables(max_enum)
     t = values[:, :1]
-    f = tgt.gadd[values, tgt.gneg[t]]
-    f_inv = np.argsort(f, axis=1)
-    # generator images of f u f^{-1}, then their positions in the target family
-    u_images = src.apply[:, f_inv[:, target.group.generators]].swapaxes(0, 1)
-    conj = target.hom_positions(f[np.arange(len(f))[:, None, None], u_images])
+    conj = conjugate_homs(src.apply, target, tgt.gadd[values, tgt.gneg[t]])
     trans = tgt.gadd[values[:, None, :], tgt.gneg[tgt.apply[conj, t]][:, :, None]]
     return target.encode(conj[:, :, None], trans).reshape(len(values), -1)
 
@@ -196,36 +203,39 @@ class BKVerification:
         }
 
 
+def _conjugated(source: EndoTruss, target: EndoTruss, values: np.ndarray, max_enum: int | None) -> np.ndarray:
+    """`conjugate_rows`, a conjugate outside the target's family (a violated theorem) raised as NotAnIsomorphism."""
+    try:
+        return conjugate_rows(source, target, values, max_enum)
+    except ValueError as exc:
+        raise NotAnIsomorphism(f"conjugation by a heap isomorphism leaves the target truss: {exc}") from None
+
+
 def verify_correspondence(
     source: EndoTruss, target: EndoTruss, isos: np.ndarray, brute_force: bool = False, max_enum: int | None = None
-) -> tuple[bool, bool, int | None]:
-    """(roundtrip, injective, truss_iso_count) of the heap isomorphisms
-    G -> H whose value tables are the rows of `isos`, between endomorphism
-    trusses on G and H, full or linear: whether extraction after
-    conjugation gives back every row, and whether the conjugations of the
-    rows are distinct. The rows are a generating set of the heap
-    isomorphisms (`bk`; see `verify_baer_kaplansky`) or the single
-    isomorphism (mu, 0) of a module equivalence (`module-bk`). Each
-    row is conjugated and extracted back, a block of `_BLOCK_ENTRIES`
-    carrier entries (at least 8 rows) at a time, and the conjugations are
-    compared on the source chain's basis 0, s_1..s_k.
+) -> tuple[bool, int | None]:
+    """(roundtrip, truss_iso_count) of the heap isomorphisms G -> H whose
+    value tables are the rows of `isos`, between endomorphism trusses on G
+    and H, full or linear: whether extraction after conjugation gives back
+    every row. The rows are a generating set of the heap isomorphisms
+    (`bk`; see `verify_baer_kaplansky`) or the single isomorphism (mu, 0)
+    of a module equivalence (`module-bk`). Each row is conjugated and
+    extracted back, a block of `_BLOCK_ENTRIES` carrier entries (at least
+    8 rows) at a time; a passed round trip makes extraction a left inverse,
+    which proves conjugation injective.
     The count is 0 for carriers of unequal size, else, when `brute_force`
     is set and the search fits the cap, the number of truss isomorphisms
     the affine search finds (the rows of `enumerate_truss_isos`), each of
-    which must come back from extraction and conjugation; else None."""
-    roundtrip, keys = True, []
-    if len(isos):
-        basis = source.generator_chain(max_enum).basis
-        rows = max(8, _BLOCK_ENTRIES // source.size)
-        for start in range(0, len(isos), rows):
-            values = isos[start : start + rows]
-            F = conjugate_rows(source, target, values, max_enum)
-            # extraction re-checks that each conjugation is a truss isomorphism
-            roundtrip &= np.array_equal(extract_rows(source, target, F, max_enum), values)
-            keys.append(F[:, basis])
-    # rows that pass the certificate are affine, so two of them agree
-    # everywhere iff they agree on the chain's basis
-    injective = not len(isos) or _distinct_rows(np.concatenate(keys), target.size) == len(isos)
+    which must come back from extraction and conjugation; else None.
+    A conjugation that is not a truss isomorphism, or leaves the target's
+    hom family, violates the theorem and raises NotAnIsomorphism."""
+    roundtrip = True
+    rows = max(8, _BLOCK_ENTRIES // source.size)
+    for start in range(0, len(isos), rows):
+        values = isos[start : start + rows]
+        F = _conjugated(source, target, values, max_enum)
+        # extraction re-checks that each conjugation is a truss isomorphism
+        roundtrip &= np.array_equal(extract_rows(source, target, F, max_enum), values)
 
     truss_iso_count: int | None = None
     if source.size != target.size:
@@ -238,9 +248,9 @@ def verify_correspondence(
         else:
             truss_iso_count = len(F)
             if len(F):
-                back = conjugate_rows(source, target, extract_rows(source, target, F, max_enum), max_enum)
+                back = _conjugated(source, target, extract_rows(source, target, F, max_enum), max_enum)
                 roundtrip &= np.array_equal(back, F)
-    return roundtrip, injective, truss_iso_count
+    return roundtrip, truss_iso_count
 
 
 def verify_baer_kaplansky(
@@ -274,9 +284,9 @@ def verify_baer_kaplansky(
       e(conj(tau_t)) = tau_t for every t, a sum of generators, and
       e(conj(tau_t o f)) = tau_t o f.
     So `theta_upsilon_roundtrip` holds on every heap isomorphism, and
-    conjugation, with extraction as a left inverse, is injective
-    (`upsilon_injective`). `heap_iso_count` is |Aut(g)| |h|, and the value
-    tables of all heap isomorphisms are gathered only as at most
+    conjugation, with extraction as a left inverse, is injective: the round
+    trip is also `upsilon_injective`. `heap_iso_count` is |Aut(g)| |h|, and
+    the value tables of all heap isomorphisms are gathered only as at most
     `_WITNESSES` witnesses.
 
     E(g) and E(h) are built only when something reads them: when g and h
@@ -296,19 +306,16 @@ def verify_baer_kaplansky(
             eh, linear = build_endo_truss(h, max_enum), _linear_isos(g, h, max_enum)
         shifts = np.array([s for s in h.generators if s], dtype=np.int64)
         rows = np.concatenate([linear, _translated(linear[:1], h, shifts, max_enum)])
-        roundtrip, injective, truss_iso_count = verify_correspondence(eg, eh, rows, brute_force, max_enum)
+        roundtrip, truss_iso_count = verify_correspondence(eg, eh, rows, brute_force, max_enum)
     else:
         linear = np.empty((0, g.cardinality), dtype=np.int64)
         equal = endo_truss_size(g, max_enum) == endo_truss_size(h, max_enum)
-        roundtrip, injective, truss_iso_count = True, True, None if equal else 0
+        roundtrip, truss_iso_count = True, None if equal else 0
         if equal and brute_force:
             eg, eh = build_endo_truss(g, max_enum), build_endo_truss(h, max_enum)
-            roundtrip, injective, truss_iso_count = verify_correspondence(eg, eh, linear, True, max_enum)
+            roundtrip, truss_iso_count = verify_correspondence(eg, eh, linear, True, max_enum)
     heap_iso_count = len(linear) * h.cardinality
-    # distinct rows show injectivity on the rows only; on every heap
-    # isomorphism it follows from the round trip (a left inverse)
-    injective = injective and roundtrip
-    consistent = injective and (giso == (heap_iso_count > 0))
+    consistent = roundtrip and (giso == (heap_iso_count > 0))
     if truss_iso_count is not None:
         consistent = consistent and (giso == (truss_iso_count > 0))
         if brute_force:
@@ -317,7 +324,7 @@ def verify_baer_kaplansky(
     if 0 < heap_iso_count <= _WITNESSES:
         witnesses = _translated(linear, h, np.arange(h.cardinality), max_enum)
     return BKVerification(
-        g, h, heap_iso_count, truss_iso_count, roundtrip, injective, giso, consistent, witnesses
+        g, h, heap_iso_count, truss_iso_count, roundtrip, roundtrip, giso, consistent, witnesses
     )
 
 

@@ -2,10 +2,11 @@
 checks, with human-readable or JSON reports.
 
 Exit codes: 0 all findings pass; 1 a mathematical finding failed (a theorem
-was violated, which means a build bug); 2 input or parse error; 3 an
-enumeration bound was exceeded, or an array the bounds admitted did not fit
-in memory (reported as one `error: out of memory: ...` line naming the
-allocation). Bounds default to 10**6 enumerated objects per
+was violated, which means a build bug), as a failed check or, when a
+conjugation is not a truss isomorphism, as one `error:` line; 2 input or
+parse error; 3 an enumeration bound was exceeded, or an array the bounds
+admitted did not fit in memory (reported as one `error: out of memory: ...`
+line naming the allocation). Bounds default to 10**6 enumerated objects per
 call and follow --max-enumeration or the TRUSSKIT_MAX_ENUM environment
 variable. JSON output is byte-deterministic for fixed inputs; elapsed time is
 only shown in the human-readable form. When stdout is closed before the report
@@ -37,7 +38,7 @@ from .baer_kaplansky import (
     verify_correspondence,
 )
 from .endo import HeapMorphism, _bijective_rows, build_endo_truss
-from .errors import BoundExceeded
+from .errors import BoundExceeded, NotAnIsomorphism
 from .groups import groups_isomorphic, matrix_images, parse_group_spec
 from .heaps import FiniteHeap, heap_from_group, validate_heap
 from .modules import (
@@ -314,7 +315,7 @@ def cmd_module_bk(args, max_enum: int | None) -> ValidationReport:
     source, target = build_linear_endo_truss(left, max_enum), build_linear_endo_truss(right, max_enum)
     # the value table of the heap isomorphism (mu, 0); the brute force runs only without one
     values = matrix_images(_matrix_stack([] if eq is None else [eq.mu], g, h), g, h)
-    roundtrip, injective, count = verify_correspondence(source, target, values, eq is None, max_enum)
+    roundtrip, count = verify_correspondence(source, target, values, eq is None, max_enum)
     checks = [Check("equivalent_over_end_rings", None, value=eq is not None)]
     witnesses = None
     if eq is None:
@@ -331,7 +332,7 @@ def cmd_module_bk(args, max_enum: int | None) -> ValidationReport:
         roundtrip = roundtrip and np.array_equal(us, source.homs) and np.array_equal(vs, target.homs[rho])
         checks.append(Check("truss_iso_exists", True))
         checks.append(Check("roundtrip_recovers_equivalence", roundtrip))
-        checks.append(Check("consistent", roundtrip and injective))
+        checks.append(Check("consistent", roundtrip))
         witnesses = {"mu": [list(row) for row in eq.mu.matrix], "truss_iso_mapping": phi.tolist()}
     if args.second is None:  # the example: isomorphic trusses, yet no module isomorphism
         homs = module_homs(left, right, max_enum)
@@ -423,9 +424,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # an allocation the object caps admitted but memory could not hold
         print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, NotAnIsomorphism) as exc:  # malformed input, or a violated theorem
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, NotAnIsomorphism) else 2
     elapsed = time.perf_counter() - start
 
     status = 0 if report.passed else 1

@@ -54,14 +54,17 @@ class FiniteHeap(TableFields):
         return cls(json_int(data["size"], "'size'"), json_ints(data["ternary"], "'ternary'"))
 
 
+def group_ternary(add: np.ndarray, zero: int = 0) -> np.ndarray:
+    """[a,b,c] = a - b + c = add[add[a, -b], c], the ternary table of the
+    group with addition table `add` and zero `zero`."""
+    return add[add[:, np.nonzero(add == zero)[1]]]
+
+
 def heap_from_group(g: AbGroup, max_enum: int | None = None) -> FiniteHeap:
-    """The heap [a,b,c] = a - b + c over g's enumerated elements, by one
-    gather over g's addition table: add[add[a, -b], c]."""
+    """The heap [a,b,c] = a - b + c over g's elements: `group_ternary`."""
     n = g.cardinality
     guard(n**3, resolve_max_enum(max_enum), "heap table of {}", g)
-    add = np_add_table(g, max_enum)
-    neg = np.nonzero(add == 0)[1]
-    return FiniteHeap(n, add[add[:, neg][:, :, None], np.arange(n)])
+    return FiniteHeap(n, group_ternary(np_add_table(g, max_enum)))
 
 
 def _malcev_check(T: np.ndarray) -> Check:

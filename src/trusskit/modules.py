@@ -21,14 +21,15 @@ tables.
 Two modules over possibly different rings are equivalent over their
 endomorphism rings when some additive isomorphism mu conjugates one
 endomorphism ring onto the other; `find_module_equivalence` searches Hom(M, N)
-a block at a time for such a mu. The truss isomorphisms between the E_R are
-then the group-level conjugations by the heap isomorphisms (mu, t), so
-`baer_kaplansky.verify_correspondence` checks their round trip on E_R(M)
-and E_R(N) as it does on E(G) and E(H). On one equivalence,
-`truss_iso_from_equivalence` builds the conjugation by (mu, 0) with
-`truss_iso_from_heap_iso`, and `equivalence_from_truss_iso` reads mu back
-with `heap_iso_from_truss_iso` and rho(u) off the image of (u, 0).
-`example_non_iso` returns the classic pair showing that the truss isomorphism
+a block at a time for such a mu, and `equivalence_is_valid` rechecks one,
+both by `conjugate_homs`, the hom half of the group-level conjugation. The
+truss isomorphisms between the E_R are then the group-level conjugations by
+the heap isomorphisms (mu, t), so `baer_kaplansky.verify_correspondence`
+checks their round trip on E_R(M) and E_R(N) as it does on E(G) and E(H).
+On one equivalence, `truss_iso_from_equivalence` builds the conjugation by
+(mu, 0) with `truss_iso_from_heap_iso`, and `equivalence_from_truss_iso`
+reads mu back with `heap_iso_from_truss_iso` and rho(u) off the image of
+(u, 0). `example_non_iso` returns the classic pair showing that the truss isomorphism
 class is coarser than the module isomorphism class: the ideals F_p x 0 and
 0 x F_p of F_p x F_p, whose linear endomorphism trusses are isomorphic
 though no module isomorphism joins them; `module-bk` checks the pair.
@@ -41,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .baer_kaplansky import _endo_ends, heap_iso_from_truss_iso, truss_iso_from_heap_iso
+from .baer_kaplansky import _endo_ends, conjugate_homs, heap_iso_from_truss_iso, truss_iso_from_heap_iso
 from .endo import EndoTruss, HeapMorphism, _bijective_rows
 from .errors import (
     InvalidEquivalence,
@@ -314,12 +315,10 @@ def _matrix_stack(homs, g: AbGroup, h: AbGroup) -> np.ndarray | None:
 
 
 def equivalence_is_valid(eq: ModuleEquivalence, max_enum: int | None = None) -> bool:
-    """Recheck the defining identities of a claimed equivalence, on the
-    (k, r, r) stacks of its pairs: rho's domain and image are End(M) and
-    End(N) (by `hom_positions` in E_R(M) and E_R(N)), v o mu = mu o u for
-    each pair, and End(M) is closed under sums. Entries stay below the
-    orders, and the cap on Hom(M, M), which has at least |M| maps, keeps
-    their products far inside int64."""
+    """Recheck the defining identities of a claimed equivalence on family
+    positions: the pairs' u cover End(M) (`hom_positions` in E_R(M)), each
+    v is rho(u) = mu u mu^{-1} (`conjugate_homs` into E_R(N)), rho covers
+    End(N), and End(M) is closed under sums."""
     if not eq.mu.is_bijective:
         return False
     g, h = eq.source.group, eq.target.group
@@ -329,26 +328,14 @@ def equivalence_is_valid(eq: ModuleEquivalence, max_enum: int | None = None) -> 
     V = _matrix_stack([v for _, v in eq.rho_pairs], h, h)
     if mu is None or U is None or V is None:
         return False
-    try:
+    try:  # raises for a u outside End(M), a conjugate outside End(N) or a sum outside End(M)
         pu = source.hom_positions(matrix_images(U, g, g)[:, g.generators])
-        pv = target.hom_positions(matrix_images(V, h, h)[:, h.generators])
-    except ValueError:  # a pair leaves End(M) or End(N)
-        return False
-    if len(np.unique(pu)) != len(source.homs) or len(np.unique(pv)) != len(target.homs):
-        return False
-    h_mod = np.array(h.orders, dtype=np.int64)[:, None]
-    # with mu bijective, v o mu = mu o u says v = mu u mu^{-1}, so pairs
-    # sharing a u share their v
-    if not np.array_equal((V @ mu[0]) % h_mod, (mu[0] @ U) % h_mod):
-        return False
-    # rho is now u -> mu u mu^{-1} on End(M), so it preserves products, the
-    # identity and each sum inside End(M). If the action is not additive, a
-    # sum may leave End(M): then its factored tables do not build
-    try:
+        rho = conjugate_homs(source._apply, target, matrix_images(mu, g, h))[0]
         source.factored_tables(max_enum)
     except ValueError:
         return False
-    return True
+    # rho, a conjugation by a bijection, is injective: it covers End(N) iff |End(M)| = |End(N)|
+    return len(np.unique(pu)) == len(source.homs) == len(target.homs) and np.array_equal(V, target.homs[rho[pu]])
 
 
 def find_module_equivalence(
@@ -358,9 +345,9 @@ def find_module_equivalence(
 
     Candidates run in the deterministic homomorphism order, a block of
     Hom(M, N) at a time; the first hit is returned. A bijective mu is a hit
-    when the generator images of mu u mu^{-1}, for every u in End(M), have
-    positions in E_R(N). Returns None when no additive bijection works (in
-    particular when the groups are not isomorphic)."""
+    when `conjugate_homs` places mu u mu^{-1}, for every u in End(M), in
+    E_R(N). Returns None when no additive bijection works (in particular
+    when the groups are not isomorphic)."""
     if not groups_isomorphic(m.group, n.group):
         return None
     g, h = m.group, n.group
@@ -372,9 +359,8 @@ def find_module_equivalence(
     for start in range(0, len(homs), step):
         mus = matrix_images(homs[start : start + step], g, h)
         for pos in np.flatnonzero(_bijective_rows(mus, h.cardinality)):
-            mu = mus[pos]
-            try:  # the generator images of mu u mu^{-1}
-                found = target.hom_positions(mu[source._apply[:, np.argsort(mu)[h.generators]]])
+            try:
+                found = conjugate_homs(source._apply, target, mus[pos, None])[0]
             except ValueError:
                 continue
             # conjugation is injective, so the positions cover End(N)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import TableFields, guard, int_table, json_int, json_ints, resolve_max_enum
-from .heaps import FiniteHeap, _heap_checks
+from .heaps import FiniteHeap, _heap_checks, group_ternary
 from .validation import Check, ValidationReport, first, law_check, multiadditive_check, sliced_scan
 
 
@@ -155,8 +155,7 @@ def _factored_heap_checks(t, max_enum: int | None) -> tuple[Check, Check, Check]
     lifted with the other coordinate at index 0."""
     ft, m = t.factored_tables(max_enum), t._m
     guard(len(ft.add) ** 3 + m**3, resolve_max_enum(max_enum), "heap tables of the factors of E({})", t.group)
-    factors = ((ft.add, t.zero // m), (ft.gadd, 0))  # each with its heap [a,b,c] = a - b + c
-    homs, elems = (_heap_checks(add[add[:, np.nonzero(add == zero)[1]]]) for add, zero in factors)
+    homs, elems = _heap_checks(group_ternary(ft.add, t.zero // m)), _heap_checks(group_ternary(ft.gadd))
     checks = []
     for hom, elem in zip(homs, elems):
         lifted = (hom.counterexample and tuple(h * m for h in hom.counterexample), elem.counterexample)
@@ -216,8 +215,7 @@ def validate_truss(t, max_enum: int | None = None) -> ValidationReport:
 
     def distributivity(law: str, rows) -> Check:
         def scan(start: int) -> tuple[int, ...] | None:  # (d, a, b, c): L[d, [a,b,c]] != [L[d,a], L[d,b], L[d,c]]
-            A = None if finite else t.plus(idx[:, None], idx, max_enum)  # T = a - b + c in the retract
-            T = dense_tables(t)[1] if finite else A[A[:, np.nonzero(A == z)[1]]]
+            T = dense_tables(t)[1] if finite else group_ternary(t.plus(idx[:, None], idx, max_enum), z)
 
             def bad(d: int) -> np.ndarray:  # T[r[a], r[b], r[c]] by one flat take
                 r = rows(d)
@@ -341,7 +339,7 @@ def _affine_search(s, t, injective: bool, max_enum: int | None) -> np.ndarray:
     c, L = c[keep], L[keep]
     block = max(1, (1 << 20) // ns)  # rows extended at a time: bounds the tables built
     for level in range(1, len(chain.basis)):
-        g, prev, size = chain.basis[level], chain.sizes[level - 1], chain.sizes[level]
+        prev, size = chain.sizes[level - 1], chain.sizes[level]
         rg = chain.shifted[level - 1][size - prev]  # (r-1)*g + g = r*g, in span_{j-1}
         ky = [np.full(nt, t0)]  # ky[k][y] = k*y in the target retract, k <= r
         while len(ky) <= size // prev:

@@ -593,6 +593,15 @@ def conjugate_by_composition(hm, source, target) -> tuple[int, ...]:
     return tuple(index_of(target, hm.compose(alpha).compose(inv)) for alpha in carrier(source))
 
 
+def conjugate_homs_by_composition(f: GroupHom, source, target) -> tuple[int, ...]:
+    """The hom half of `conjugate_by_composition` by the heap isomorphism
+    (f, 0): the target family position of the image of each (u, 0), u in
+    the source's family order; raises ValueError like it."""
+    conj = conjugate_by_composition(HeapMorphism(f, target.group.zero), source, target)
+    m, n = source.group.cardinality, target.group.cardinality
+    return tuple(conj[u * m] // n for u in range(len(source.homs)))
+
+
 def bk_by_every_heap_iso(g: AbGroup, h: AbGroup, brute_force: bool = False, max_enum: int | None = None) -> dict:
     """`verify_baer_kaplansky`'s verdicts from the round trip of every heap
     isomorphism g -> h (`heap_isos`), where the library runs it on a
@@ -601,7 +610,8 @@ def bk_by_every_heap_iso(g: AbGroup, h: AbGroup, brute_force: bool = False, max_
     eg = build_endo_truss(g, max_enum)
     eh = eg if h == g else build_endo_truss(h, max_enum)
     isos = heap_isos(g, h, max_enum)
-    roundtrip, injective, count = verify_correspondence(eg, eh, isos, brute_force, max_enum)
+    roundtrip, count = verify_correspondence(eg, eh, isos, brute_force, max_enum)
+    injective = roundtrip
     iso = groups_isomorphic(g, h)
     consistent = injective and roundtrip and iso == (len(isos) > 0)
     if count is not None:

@@ -277,6 +277,20 @@ def test_generating_rows_agree_with_the_round_trip_of_every_heap_iso(left, right
     assert {key: getattr(result, key) for key in expected} == expected
 
 
+@pytest.mark.parametrize(
+    "left,right,brute_force",
+    [(*pair, False) for pair in ORACLE_PAIRS[:12]] + [(*pair, True) for pair in BRUTE_FORCE_PAIRS[:4]],
+)
+def test_upsilon_injective_is_read_off_the_round_trip(left, right, brute_force, capsys):
+    # on the benchmark's bk pairs and --brute-force jobs: extraction is a
+    # left inverse of conjugation, so the round trip decides injectivity
+    result = verify_baer_kaplansky(parse_group_spec(left), parse_group_spec(right), brute_force=brute_force)
+    assert result.upsilon_injective == result.theta_upsilon_roundtrip
+    assert main(["bk", left, right, "--json"] + ["--brute-force"] * brute_force) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["upsilon_injective"] is data["theta_upsilon_roundtrip"] is True
+
+
 # every abelian group of order at most 16, the trivial group, a padded
 # presentation of Z/2 and two presentations of Z/6
 SMALL_GROUPS = [

@@ -176,8 +176,9 @@ def test_a_map_that_breaks_only_the_wrap_relation_is_rejected():
 
 @pytest.mark.parametrize("left,right", BK_PAIRS)
 def test_basis_columns_decide_injectivity_like_whole_rows(left, right, monkeypatch):
-    # a block with one row repeated: the verdict on {0} u S columns is
-    # the verdict on whole rows, with and without the repeat
+    # a block with one row repeated: the round trip fails at the repeat,
+    # and upsilon_injective, read off it, is the verdict on whole rows,
+    # with and without the repeat
     g, h = parse_group_spec(left), parse_group_spec(right)
     seen = []
     first = conjugate_rows
@@ -296,3 +297,29 @@ def test_a_wrong_conjugation_of_one_generating_row_fails_the_cli(kind, capsys, m
     assert code == 1
     assert data["theta_upsilon_roundtrip"] is False and data["consistent"] is False
     assert data["heap_iso_count"] == 32
+
+
+@pytest.mark.parametrize("argv", [["bk", "8", "8"], ["module-bk", "zn:4", "zn:4"]])
+@pytest.mark.parametrize("fault", ["not bijective", "outside the family"])
+def test_a_conjugation_that_is_no_truss_iso_exits_1_with_one_error_line(argv, fault, capsys, monkeypatch):
+    # a conjugation that is not a bijection, or that leaves the target's
+    # hom family, violates the theorem: exit 1 with one line, not a
+    # traceback and not exit 2, the code of malformed input
+    real = bk.conjugate_rows
+
+    def conjugate(source, target, values, max_enum=None):
+        if fault == "outside the family":
+            target.hom_positions(np.full(target.group.rank, -1))  # the family's own ValueError
+        out = real(source, target, values, max_enum)
+        out[0, 1] = out[0, 0]
+        return out
+
+    monkeypatch.setattr(bk, "conjugate_rows", conjugate)
+    code = main(argv + ["--json"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == {
+        "not bijective": "error: morphism is not bijective\n",
+        "outside the family": "error: conjugation by a heap isomorphism leaves the target truss: "
+        "homomorphism family is not closed under the required operation\n",
+    }[fault]

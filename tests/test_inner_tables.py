@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import as_objects, heap_iso_by_decompose, inner_laws_by_composition
+from conftest import as_objects, conjugate_homs_by_composition, heap_iso_by_decompose, inner_laws_by_composition
 
 import trusskit.baer_kaplansky as bk
 from trusskit import (
@@ -24,7 +24,8 @@ from trusskit import (
     parse_group_spec,
     truss_iso_from_heap_iso,
 )
-from trusskit.endo import EndoTruss
+from trusskit.baer_kaplansky import conjugate_homs
+from trusskit.endo import EndoTruss, _linear_isos
 from trusskit.trusses import TrussMorphism
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -172,6 +173,19 @@ def test_extraction_agrees_with_the_oracle_on_every_conjugation():
         assert heap_iso_from_truss_iso(phi) == heap_iso_by_decompose(phi) == hm
         count += 1
     assert count == 1 + 2 + 6 + 24 + 32 + 54 + 48 + 128 + 64 + 12
+
+
+def test_conjugate_homs_agrees_with_the_hom_halves_of_the_oracle():
+    # the hom half of a conjugation depends only on the group isomorphism
+    count = 0
+    for left, right in BK_ISO_PAIRS:
+        s, t = endo(left), endo(right)
+        isos = _linear_isos(s.group, t.group, None)
+        got = conjugate_homs(s._apply, t, isos)
+        for f, row in zip(as_objects(isos, s.group, t.group), got):
+            assert tuple(row.tolist()) == conjugate_homs_by_composition(f.linear, s, t)
+            count += 1
+    assert count == 1 + 1 + 2 + 6 + 4 + 6 + 4 + 8 + 8 + 2
 
 
 def test_extraction_refuses_single_entry_mutations_like_the_oracle():

@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import (
+    as_objects,
+    conjugate_homs_by_composition,
     equivalence_is_valid_by_objects,
     hom_enumerate_by_loop,
     identity_hom,
@@ -53,9 +55,10 @@ from trusskit import (
     validate_induced_action,
     validate_module,
 )
-from trusskit.baer_kaplansky import verify_correspondence
+from trusskit.baer_kaplansky import conjugate_homs, verify_correspondence
 from trusskit.cli import main
-from trusskit.groups import GroupHom, compose_homs
+from trusskit.endo import _linear_isos
+from trusskit.groups import GroupHom, compose_homs, groups_isomorphic
 from trusskit.modules import equivalence_is_valid, module_homs
 from trusskit.rings import FiniteRing
 from trusskit.trusses import dense_tables
@@ -182,6 +185,43 @@ def test_truss_iso_from_equivalence_agrees_with_per_element_map(left, right):
         back = equivalence_from_truss_iso(phi, m, n)
         assert back.mu.matrix == eq.mu.matrix
         assert all(back.rho_of(u).matrix == v.matrix for u, v in eq.rho_pairs)
+
+
+ISOMORPHIC_GROUP_PAIRS = [
+    (a, b) for a, b in itertools.product(MODULES, repeat=2) if groups_isomorphic(MODULES[a].group, MODULES[b].group)
+]
+
+
+def _positions_or_error(run):
+    """The family positions `run()` gives, or "ValueError" where a conjugate leaves the family."""
+    try:
+        return tuple(run())
+    except ValueError:
+        return "ValueError"
+
+
+@pytest.mark.parametrize("left,right", ISOMORPHIC_GROUP_PAIRS, ids=[f"{a}|{b}" for a, b in ISOMORPHIC_GROUP_PAIRS])
+def test_conjugate_homs_agrees_with_the_oracle_on_linear_trusses(left, right):
+    # conjugating E_R(M)'s family by a group isomorphism either lands in
+    # E_R(N)'s, position for position as the oracle, or leaves it for both
+    source, target = build_linear_endo_truss(MODULES[left]), build_linear_endo_truss(MODULES[right])
+    g, h = source.group, target.group
+    isos = _linear_isos(g, h, None)
+    for f, hm in zip(isos, as_objects(isos, g, h)):
+        got = _positions_or_error(lambda: conjugate_homs(source._apply, target, f[None])[0].tolist())
+        assert got == _positions_or_error(lambda: conjugate_homs_by_composition(hm.linear, source, target))
+
+
+def test_conjugate_homs_leaves_the_f2_x_f2_family_by_a_shear():
+    # of the six automorphisms of Z/2 x Z/2 only the identity and the swap
+    # keep the diagonal maps diagonal; the full End of z2sq-over-f2 leaves
+    # the four diagonal maps under every automorphism
+    diagonal, full = build_linear_endo_truss(MODULES["fpxfp:2"]), build_linear_endo_truss(MODULES["z2sq-over-f2"])
+    isos = _linear_isos(diagonal.group, diagonal.group, None)
+    kept = [_positions_or_error(lambda: conjugate_homs(diagonal._apply, diagonal, f[None])[0]) for f in isos]
+    assert len(isos) == 6 and len(kept) - kept.count("ValueError") == 2
+    for f in isos:
+        assert _positions_or_error(lambda: conjugate_homs(full._apply, diagonal, f[None])[0]) == "ValueError"
 
 
 def test_extraction_rejects_a_truss_iso_onto_the_wrong_family():
@@ -692,7 +732,7 @@ def test_module_theorem_in_both_directions_on_the_shared_check(name):
     equivalences = list(all_equivalences(m, n))
     isos = np.concatenate([_translations(eq) for eq in equivalences])
     source, target = build_linear_endo_truss(m), build_linear_endo_truss(n)
-    assert verify_correspondence(source, target, isos, brute_force=True) == (True, True, expected)
+    assert verify_correspondence(source, target, isos, brute_force=True) == (True, expected)
     assert len(isos) == len(equivalences) * n.group.cardinality == expected
 
 
@@ -702,4 +742,4 @@ def test_module_theorem_counts_no_truss_isomorphism_between_unequal_groups():
     source, target = build_linear_endo_truss(m), build_linear_endo_truss(n)
     assert source.size == target.size == 81
     isos = np.zeros((0, m.group.cardinality), dtype=np.int64)
-    assert verify_correspondence(source, target, isos, brute_force=True) == (True, True, 0)
+    assert verify_correspondence(source, target, isos, brute_force=True) == (True, 0)

@@ -119,14 +119,20 @@ def extract_rows(source: EndoTruss, target: EndoTruss, F: np.ndarray, max_enum: 
     return values
 
 
-def conjugate_homs(apply: np.ndarray, target: EndoTruss, f: np.ndarray) -> np.ndarray:
-    """(B, H) target family positions of f u f^{-1}, read on H's generators,
-    for each row f of `f`, the value table of a group isomorphism G -> H,
-    and each of the H homs u whose value tables are the rows of `apply`.
-    Raises ValueError when a conjugate falls outside the target's family."""
+def _conjugate_images(apply: np.ndarray, target: EndoTruss, f: np.ndarray) -> np.ndarray:
+    """(B, H, rank H) element indices of f u f^{-1} at H's generators, for
+    each row f of `f`, the value table of a group isomorphism G -> H, and
+    each of the H homs u whose value tables are the rows of `apply`."""
     f_inv = np.argsort(f, axis=1)
     u_images = apply[:, f_inv[:, target.group.generators]].swapaxes(0, 1)
-    return target.hom_positions(f[np.arange(len(f))[:, None, None], u_images])
+    return f[np.arange(len(f))[:, None, None], u_images]
+
+
+def conjugate_homs(apply: np.ndarray, target: EndoTruss, f: np.ndarray) -> np.ndarray:
+    """(B, H) target family positions of the conjugates f u f^{-1} of
+    `_conjugate_images`. Raises ValueError when a conjugate falls outside
+    the target's family."""
+    return target.hom_positions(_conjugate_images(apply, target, f))
 
 
 def conjugate_rows(source: EndoTruss, target: EndoTruss, values: np.ndarray, max_enum: int | None = None) -> np.ndarray:
@@ -213,13 +219,15 @@ def _conjugated(source: EndoTruss, target: EndoTruss, values: np.ndarray, max_en
 
 def verify_correspondence(
     source: EndoTruss, target: EndoTruss, isos: np.ndarray, brute_force: bool = False, max_enum: int | None = None
-) -> tuple[bool, int | None]:
-    """(roundtrip, truss_iso_count) of the heap isomorphisms G -> H whose
-    value tables are the rows of `isos`, between endomorphism trusses on G
-    and H, full or linear: whether extraction after conjugation gives back
-    every row. The rows are a generating set of the heap isomorphisms
-    (`bk`; see `verify_baer_kaplansky`) or the single isomorphism (mu, 0)
-    of a module equivalence (`module-bk`). Each row is conjugated and
+) -> tuple[bool, int | None, np.ndarray | None]:
+    """(roundtrip, truss_iso_count, first) of the heap isomorphisms G -> H
+    whose value tables are the rows of `isos`, between endomorphism trusses
+    on G and H, full or linear: whether extraction after conjugation gives
+    back every row, and the conjugation by the first row as an (n,) map by
+    target index (None when `isos` has no rows). The rows are a generating
+    set of the heap isomorphisms (`bk`; see `verify_baer_kaplansky`) or the
+    single isomorphism (mu, 0) of a module equivalence (`module-bk`, which
+    reports that first conjugation as its witness). Each row is conjugated and
     extracted back, a block of `_BLOCK_ENTRIES` carrier entries (at least
     8 rows) at a time; a passed round trip makes extraction a left inverse,
     which proves conjugation injective.
@@ -229,11 +237,13 @@ def verify_correspondence(
     which must come back from extraction and conjugation; else None.
     A conjugation that is not a truss isomorphism, or leaves the target's
     hom family, violates the theorem and raises NotAnIsomorphism."""
-    roundtrip = True
+    roundtrip, first = True, None
     rows = max(8, _BLOCK_ENTRIES // source.size)
     for start in range(0, len(isos), rows):
         values = isos[start : start + rows]
         F = _conjugated(source, target, values, max_enum)
+        if first is None:
+            first = F[0].copy()  # a copy: a view would keep the whole block alive
         # extraction re-checks that each conjugation is a truss isomorphism
         roundtrip &= np.array_equal(extract_rows(source, target, F, max_enum), values)
 
@@ -250,7 +260,7 @@ def verify_correspondence(
             if len(F):
                 back = _conjugated(source, target, extract_rows(source, target, F, max_enum), max_enum)
                 roundtrip &= np.array_equal(back, F)
-    return roundtrip, truss_iso_count
+    return roundtrip, truss_iso_count, first
 
 
 def verify_baer_kaplansky(
@@ -306,14 +316,14 @@ def verify_baer_kaplansky(
             eh, linear = build_endo_truss(h, max_enum), _linear_isos(g, h, max_enum)
         shifts = np.array([s for s in h.generators if s], dtype=np.int64)
         rows = np.concatenate([linear, _translated(linear[:1], h, shifts, max_enum)])
-        roundtrip, truss_iso_count = verify_correspondence(eg, eh, rows, brute_force, max_enum)
+        roundtrip, truss_iso_count, _ = verify_correspondence(eg, eh, rows, brute_force, max_enum)
     else:
         linear = np.empty((0, g.cardinality), dtype=np.int64)
         equal = endo_truss_size(g, max_enum) == endo_truss_size(h, max_enum)
         roundtrip, truss_iso_count = True, None if equal else 0
         if equal and brute_force:
             eg, eh = build_endo_truss(g, max_enum), build_endo_truss(h, max_enum)
-            roundtrip, truss_iso_count = verify_correspondence(eg, eh, linear, True, max_enum)
+            roundtrip, truss_iso_count, _ = verify_correspondence(eg, eh, linear, True, max_enum)
     heap_iso_count = len(linear) * h.cardinality
     consistent = roundtrip and (giso == (heap_iso_count > 0))
     if truss_iso_count is not None:

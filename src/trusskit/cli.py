@@ -31,7 +31,6 @@ from pathlib import Path
 import numpy as np
 
 from .baer_kaplansky import (
-    conjugate_rows,
     inner_structure_rows,
     laws_passed,
     verify_baer_kaplansky,
@@ -315,7 +314,7 @@ def cmd_module_bk(args, max_enum: int | None) -> ValidationReport:
     source, target = build_linear_endo_truss(left, max_enum), build_linear_endo_truss(right, max_enum)
     # the value table of the heap isomorphism (mu, 0); the brute force runs only without one
     values = matrix_images(_matrix_stack([] if eq is None else [eq.mu], g, h), g, h)
-    roundtrip, count = verify_correspondence(source, target, values, eq is None, max_enum)
+    roundtrip, count, phi = verify_correspondence(source, target, values, eq is None, max_enum)
     checks = [Check("equivalent_over_end_rings", None, value=eq is not None)]
     witnesses = None
     if eq is None:
@@ -324,7 +323,6 @@ def cmd_module_bk(args, max_enum: int | None) -> ValidationReport:
         # the correspondence demands: no equivalence <=> no truss isomorphism
         checks.append(Check("consistent", count == 0 if certified else None, certified))
     else:
-        phi = conjugate_rows(source, target, values, max_enum)[0]
         # the pairs (u, v) must run over E_R(M)'s homs u, with v the hom of Phi(u, 0)
         rho = target.decode(phi[source.encode(np.arange(len(source.homs)), 0)])[0]
         us = _matrix_stack([u for u, _ in eq.rho_pairs], g, g)

@@ -17,10 +17,12 @@ Homomorphism families are (H, rank, rank) int64 matrix stacks in
 `hom_enumerate`'s order, and `heap_isos` hands out value tables, so E(G) and
 the heap isomorphisms make no object per map; GroupHom and HeapMorphism
 objects are built only where the API hands one out. EndoTruss offers the
-carrier interface of `trusses` (`zero`, the retract's `plus`, `product` and
-`generator_chain`) on its small factored tables, and builds no n x n table.
-The retract is the direct product of the groups (homs, +) and G, so its
-generator chain is walked on the two factors' addition tables and composed.
+carrier interface of `trusses` (`zero`, the retract's `plus`, `product`,
+`retract_factors` and `generator_chain`) on its small factored tables, and
+builds no n x n table. The retract is the direct product of the groups
+(homs, +) and G, so its generator chain is walked on the two factors'
+addition tables and composed, and a map into it is checked affine on its
+decoded coordinates in the two factors.
 """
 
 from __future__ import annotations
@@ -108,28 +110,35 @@ def _bijective_rows(rows: np.ndarray, size: int) -> np.ndarray:
     return seen.all(axis=1)
 
 
+def _packed(
+    rows: np.ndarray, bound: int, code: np.ndarray | None = None
+) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
+    """(codes, cuts): each row of an array of entries in [0, bound) read as
+    a base-`bound` integer after its starting `code` (default 0), columns
+    packed into one int64 code until the next could overflow. There the
+    codes are renumbered by their rank among the distinct codes so far,
+    which `cuts` keeps as (column, those sorted codes). Packing keeps the
+    lexicographic order of (code, row), and the codes are equal exactly
+    where the rows and their starting codes are."""
+    code = np.zeros(len(rows), dtype=np.int64) if code is None else code
+    top, cuts = int(code.max(initial=0)) + 1, []  # codes lie in [0, top)
+    for j, col in enumerate(rows.T):
+        if top * bound > 1 << 63:  # the packed codes would not fit an int64
+            prefixes, code = np.unique(code, return_inverse=True)
+            cuts.append((j, prefixes))
+            top = len(prefixes)
+        code, top = code * bound + col, top * bound
+    return code, cuts
+
+
 def _row_ids(rows: np.ndarray, bound: int, code: np.ndarray | None = None) -> np.ndarray:
     """Ids 0, 1, ... of the rows of an array of entries in [0, bound), equal
     exactly where the rows and their starting `code`s (default 0) are, and
-    in the lexicographic order of (code, row): each row is read as a
-    base-`bound` integer, columns packed into one int64 code until the next
-    could overflow, when the codes are renumbered below len(rows), and once
-    at the end. Packing keeps the lexicographic order, so the ids are those
-    of renumbering after every column. (The first np.unique(axis=0) of a
-    process alone costs about 1.5 MB of peak RSS.)"""
-    code = np.zeros(len(rows), dtype=np.int64) if code is None else code
-    top = int(code.max(initial=0)) + 1  # codes lie in [0, top)
-    for col in rows.T:
-        if top * bound > 1 << 63:  # the packed codes would not fit an int64
-            code = np.unique(code, return_inverse=True)[1]
-            top = int(code.max(initial=0)) + 1
-        code, top = code * bound + col, top * bound
-    return np.unique(code, return_inverse=True)[1]
-
-
-def _distinct_rows(rows: np.ndarray, bound: int) -> int:
-    """The number of distinct rows of a non-empty array of entries in [0, bound)."""
-    return int(_row_ids(rows, bound).max()) + 1
+    in the lexicographic order of (code, row): the `_packed` codes
+    renumbered, so the ids are those of renumbering after every column.
+    (The first np.unique(axis=0) of a process alone costs about 1.5 MB of
+    peak RSS.)"""
+    return np.unique(_packed(rows, bound, code)[0], return_inverse=True)[1]
 
 
 def heap_isos(g: AbGroup, h: AbGroup, max_enum: int | None = None) -> np.ndarray:
@@ -201,6 +210,11 @@ class EndoTruss:
     family must contain the zero and identity maps and be closed under
     composition and pointwise difference; the full End(G) and the
     module-linear subfamilies used elsewhere all qualify.
+
+    Each hom is keyed by one int64 code, its generator images read in base
+    |G| (`_family_keys`), so a lookup of homs by their generator images
+    (`hom_positions`) is one `searchsorted` wherever |G|^rank fits an
+    int64, and duplicates are read off the sorted codes.
     """
 
     group: AbGroup
@@ -214,11 +228,11 @@ class EndoTruss:
         homs = homs % orders[:, None]
         if (homs % (orders[:, None] // np.gcd.outer(orders, orders))).any():  # n_i A[j][i] != 0 mod m_j
             raise ValueError("family contains a matrix that is not a homomorphism of the group")
-        flat = homs.reshape(len(homs), -1)
-        if len(flat) and _distinct_rows(flat, int(flat.max(initial=0)) + 1) != len(flat):
-            raise ValueError("homomorphism family contains duplicates")
         homs.flags.writeable = False
         object.__setattr__(self, "homs", homs)
+        keys = self._family_keys[1]  # a hom is its generator images, so equal codes are equal homs
+        if (keys[1:] == keys[:-1]).any():
+            raise ValueError("homomorphism family contains duplicates")
 
     @property
     def size(self) -> int:
@@ -260,41 +274,48 @@ class EndoTruss:
 
     @cached_property
     def _generator_images(self) -> np.ndarray:
-        """(H, rank): element indices of each hom's images of the generators."""
-        return self._apply[:, self.group.generators]
+        """(H, rank): element indices of each hom's images of the generators,
+        read off the matrices' columns (the generators' images)."""
+        return self.homs.swapaxes(1, 2) @ np.array(self.group._strides, dtype=np.int64)
 
     @cached_property
-    def _family_keys(self) -> tuple[list[np.ndarray], np.ndarray]:
-        """The sorted codes of the family's generator-image prefixes, one
-        array per column, and the family position of each full code. Each
-        row is read as a mixed-radix integer, base |G|, one column at a
-        time; after each column the codes are renumbered by the family's
-        prefixes, so they stay below H * |G| where |G|^rank could overflow."""
-        family = self._generator_images
-        fam, keys = np.zeros(len(family), dtype=np.int64), []
-        for col in family.T:
-            key, fam = np.unique(fam * self._m + col, return_inverse=True)
-            keys.append(key)
-        pos = np.empty(len(family), dtype=np.int64)
-        pos[fam] = np.arange(len(family))
-        return keys, pos
+    def _family_keys(self) -> tuple[list[tuple[int, np.ndarray]], np.ndarray, np.ndarray]:
+        """(cuts, keys, pos): every family hom keyed by one int64 code, its
+        generator images read in base |G| and packed by `_packed`, whose
+        cuts (none where |G|^rank fits an int64) the queries follow; keys
+        are the sorted codes and pos[i] the family position of keys[i]."""
+        code, cuts = _packed(self._generator_images, self._m)
+        pos = np.argsort(code)
+        return cuts, code[pos], pos
+
+    def _hom_lookup(self, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(positions, found): the family position of each hom whose
+        generator images fill the last axis of `images`, and whether the
+        family holds it (where not, the position is some family member's).
+        Each query is packed like the family's codes, its prefix at a cut
+        renumbered by a `searchsorted` in the family's prefixes, and its
+        code looked up by one more in the sorted keys."""
+        cuts, keys, pos = self._family_keys
+        shape = images.shape[:-1]
+        queries = images.reshape(math.prod(shape), self.group.rank)
+        code, found, start = np.zeros(len(queries), dtype=np.int64), True, 0
+        for stop, known in (*cuts, (self.group.rank, keys)):
+            for col in queries.T[start:stop]:
+                code = code * self._m + col
+            at = np.searchsorted(known, code)
+            np.minimum(at, len(known) - 1, out=at)
+            found = found & (known[at] == code)
+            code, start = at, stop
+        return pos[code].reshape(shape), found.reshape(shape)
 
     def hom_positions(self, images: np.ndarray) -> np.ndarray:
         """Family positions of the homs whose generator images fill the last
-        axis of `images`, by `searchsorted` in the cached `_family_keys`;
-        raises ValueError for a hom outside the family."""
-        keys, pos = self._family_keys
-        shape = images.shape[:-1]
-        queries = images.reshape(math.prod(shape), self.group.rank)
-        code = np.zeros(len(queries), dtype=np.int64)
-        missing = np.zeros(len(queries), dtype=bool)
-        for col, key in enumerate(keys):
-            raw = code * self._m + queries[:, col]
-            code = np.minimum(np.searchsorted(key, raw), len(key) - 1)
-            missing |= key[code] != raw
-        if missing.any():
+        axis of `images` (`_hom_lookup`); raises ValueError for a hom
+        outside the family."""
+        positions, found = self._hom_lookup(images)
+        if not found.all():
             raise ValueError("homomorphism family is not closed under the required operation")
-        return pos[code].reshape(shape)
+        return positions
 
     def factored_tables(self, max_enum: int | None = None) -> FactoredTables:
         """The small tables E(G) = G x homs is built from; guarded by the
@@ -336,6 +357,14 @@ class EndoTruss:
             )
             self.__dict__["_chain_cache"] = chain
         return chain
+
+    def retract_factors(self, F, max_enum: int | None = None) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The coordinates of the carrier indices F in the retract's two
+        factors, each with its addition table: (family positions, the
+        family's `add`) and (element indices, G's `gadd`)."""
+        ft = self.factored_tables(max_enum)
+        homs, elements = self.decode(F)
+        return (homs, ft.add), (elements, ft.gadd)
 
     def product(self, x, y, max_enum: int | None = None) -> np.ndarray:
         """Carrier indices of x*y = (u o v, u(b) + a) for x = (u, a) and

@@ -22,8 +22,10 @@ Two modules over possibly different rings are equivalent over their
 endomorphism rings when some additive isomorphism mu conjugates one
 endomorphism ring onto the other; `find_module_equivalence` searches Hom(M, N)
 a block at a time for such a mu, and `equivalence_is_valid` rechecks one,
-both by `conjugate_homs`, the hom half of the group-level conjugation. The
-truss isomorphisms between the E_R are then the group-level conjugations by
+both on the conjugates mu u mu^{-1} of `_conjugate_images`, the hom half of
+the group-level conjugation (the search looks up a block of bijective mu at
+once, the recheck by `conjugate_homs`). The truss isomorphisms between the
+E_R are then the group-level conjugations by
 the heap isomorphisms (mu, t), so `baer_kaplansky.verify_correspondence`
 checks their round trip on E_R(M) and E_R(N) as it does on E(G) and E(H).
 On one equivalence, `truss_iso_from_equivalence` builds the conjugation by
@@ -42,7 +44,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .baer_kaplansky import _endo_ends, conjugate_homs, heap_iso_from_truss_iso, truss_iso_from_heap_iso
+from .baer_kaplansky import (
+    _conjugate_images,
+    _endo_ends,
+    conjugate_homs,
+    heap_iso_from_truss_iso,
+    truss_iso_from_heap_iso,
+)
 from .endo import EndoTruss, HeapMorphism, _bijective_rows
 from .errors import (
     InvalidEquivalence,
@@ -345,9 +353,11 @@ def find_module_equivalence(
 
     Candidates run in the deterministic homomorphism order, a block of
     Hom(M, N) at a time; the first hit is returned. A bijective mu is a hit
-    when `conjugate_homs` places mu u mu^{-1}, for every u in End(M), in
-    E_R(N). Returns None when no additive bijection works (in particular
-    when the groups are not isomorphic)."""
+    when mu u mu^{-1} lies in E_R(N) for every u in End(M): the conjugates
+    of a block of bijective mu are looked up at once (`_conjugate_images`,
+    then the target's `_hom_lookup`), so a miss costs no exception. Returns
+    None when no additive bijection works (in particular when the groups
+    are not isomorphic)."""
     if not groups_isomorphic(m.group, n.group):
         return None
     g, h = m.group, n.group
@@ -356,16 +366,19 @@ def find_module_equivalence(
         return None
     homs = hom_enumerate(g, h, max_enum)
     step = max(1, _HOM_CHUNK // (g.cardinality * max(1, h.rank)))
+    rows = max(1, _HOM_CHUNK // (len(source.homs) * max(1, h.rank)))  # bijective mu conjugated at a time
     for start in range(0, len(homs), step):
         mus = matrix_images(homs[start : start + step], g, h)
-        for pos in np.flatnonzero(_bijective_rows(mus, h.cardinality)):
-            try:
-                found = conjugate_homs(source._apply, target, mus[pos, None])[0]
-            except ValueError:
-                continue
-            # conjugation is injective, so the positions cover End(N)
-            pairs = tuple(zip(_group_homs(source.homs, g, g), _group_homs(target.homs[found], h, h)))
-            return ModuleEquivalence(m, n, GroupHom(g, h, homs[start + pos].tolist()), pairs)
+        bijective = np.flatnonzero(_bijective_rows(mus, h.cardinality))
+        for b in range(0, len(bijective), rows):
+            pos = bijective[b : b + rows]
+            conj, found = target._hom_lookup(_conjugate_images(source._apply, target, mus[pos]))
+            hits = np.flatnonzero(found.all(axis=1))
+            if len(hits):
+                # conjugation is injective, so the positions cover End(N)
+                i = hits[0]
+                pairs = tuple(zip(_group_homs(source.homs, g, g), _group_homs(target.homs[conj[i]], h, h)))
+                return ModuleEquivalence(m, n, GroupHom(g, h, homs[start + pos[i]].tolist()), pairs)
     return None
 
 

@@ -4,19 +4,22 @@ distributes over the ternary operation on both sides,
     d[a,b,c] = [da,db,dc]  and  [a,b,c]d = [ad,bd,cd].
 
 Every carrier has one interface: `size`, `unit`, `zero` (the retract's base
-point), the retract's `plus` and `product` on index arrays, and
-`generator_chain` (`walk_chain` on a retract's addition table), read from the
-dense tables of a FiniteTruss or the factored ones of an endomorphism truss
-(`endo`, whose chain composes the walks on its two factors). Along the chain
-`validate_truss` certifies the laws and `preserving_rows` a block of maps,
-both by one affinity check (`affine_rows`, one level of the chain at a
-time), and the enumerators extend maps.
+point), the retract's `plus` and `product` on index arrays,
+`retract_factors` (a block of carrier indices as coordinates in the factors
+of the retract, each with its addition table) and `generator_chain`
+(`walk_chain` on a retract's addition table), read from the dense tables of
+a FiniteTruss (one factor, the retract itself) or the factored ones of an
+endomorphism truss (`endo`: two factors, the homs and the group, and a
+chain that composes the walks on them). Along the chain `validate_truss`
+certifies the laws and `preserving_rows` a block of maps, both by one
+affinity check (`affine_rows`, one level of the chain at a time, on the
+decoded coordinates), and the enumerators extend maps.
 Morphisms preserve both operations; units need not map to units.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -106,6 +109,14 @@ class FiniteTruss(TableFields):
     def product(self, x, y, max_enum: int | None = None) -> np.ndarray:
         return dense_tables(self)[0][x, y]
 
+    def retract_factors(self, F, max_enum: int | None = None) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """F itself, with the retract's n x n table T[:, 0, :]: one factor."""
+        return ((F, self._retract),)
+
+    @cached_property
+    def _retract(self) -> np.ndarray:
+        return np.ascontiguousarray(dense_tables(self)[1][:, 0, :])
+
     @cached_property
     def _heap_report(self) -> tuple[Check, Check, Check]:  # run once for the validator and the chain
         return _heap_checks(dense_tables(self)[1])
@@ -177,16 +188,25 @@ def affine_rows(t, F: np.ndarray, chain: GeneratorChain, max_enum: int | None = 
     least doubles, so the levels add up to less than 2n entries a row), so
     no array is larger than B x n. The case is the least of the failing
     levels' first cases, each the first (row, x) at its level.
+
+    F is decoded once into t's `retract_factors`: a map into a product of
+    groups is affine iff each coordinate is, and an equation holds in the
+    product iff it holds in every factor, so each level is checked on every
+    factor's coordinates by flat gathers in its addition table.
     """
-    fz = F[:, chain.basis[:1]]
+    # per factor: its coordinates times its order k, and at the basis, so
+    # that add[a, b] is the flat take add.take(a * k + b)
+    factors = [(C * len(add), C[:, chain.basis], add) for C, add in t.retract_factors(F, max_enum)]
     ok, cases = np.ones(len(F), dtype=bool), []
     for j, xs in enumerate(chain.shifted, 1):
-        x = chain.order[: len(xs)]
-        bad = t.plus(F[:, xs], fz, max_enum) != t.plus(F[:, x], F[:, chain.basis[j], None], max_enum)
+        x, s = chain.order[: len(xs)], chain.basis[j]
+        bad = reduce(np.logical_or, (
+            add.take(Ck[:, xs] + Cb[:, :1]) != add.take(Ck[:, x] + Cb[:, j, None]) for Ck, Cb, add in factors
+        ))
         if bad.any():
             ok &= ~bad.any(axis=1)
             r, i = first(bad)
-            cases.append((r, int(x[i]), int(chain.basis[j])))
+            cases.append((r, int(x[i]), int(s)))
     return ok, min(cases, default=None)
 
 

@@ -610,7 +610,7 @@ def bk_by_every_heap_iso(g: AbGroup, h: AbGroup, brute_force: bool = False, max_
     eg = build_endo_truss(g, max_enum)
     eh = eg if h == g else build_endo_truss(h, max_enum)
     isos = heap_isos(g, h, max_enum)
-    roundtrip, count = verify_correspondence(eg, eh, isos, brute_force, max_enum)
+    roundtrip, count, _ = verify_correspondence(eg, eh, isos, brute_force, max_enum)
     injective = roundtrip
     iso = groups_isomorphic(g, h)
     consistent = injective and roundtrip and iso == (len(isos) > 0)

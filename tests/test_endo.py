@@ -39,7 +39,7 @@ from trusskit import (
     make_group,
     parse_group_spec,
 )
-from trusskit.endo import _bijective_rows, _distinct_rows, _row_ids
+from trusskit.endo import _bijective_rows, _row_ids
 from trusskit.groups import (
     GroupHom,
     aut_count,
@@ -378,6 +378,33 @@ def test_hom_positions_refuse_a_hom_outside_the_family():
         fam.hom_positions(np.array([rows[1, 0], rows[0, 1]]))
 
 
+@pytest.mark.parametrize("orders,scalars", [((2, 3, 5, 7, 11, 13), (0, 1)), ((7,) * 5, range(7))])
+def test_hom_positions_past_an_int64_code_renumber_at_the_cut(orders, scalars):
+    # |G|^rank does not fit an int64 (30030^6 and 16807^5, where |G|^4
+    # does), so the codes are renumbered once, before the fifth column
+    g = make_group(orders)
+    homs = np.array([k * np.eye(g.rank, dtype=np.int64) for k in scalars])
+    e = EndoTruss(g, homs)
+    assert [col for col, _ in e._family_keys[0]] == [4]
+    rows = e._generator_images
+    lookup = {tuple(row): i for i, row in enumerate(rows.tolist())}
+    order = np.random.default_rng(len(orders)).permutation(np.tile(np.arange(len(rows)), 3))
+    assert e.hom_positions(rows[order].reshape(-1, 3, g.rank)).ravel().tolist() == [
+        lookup[tuple(r)] for r in rows[order].tolist()
+    ]
+    # identity's images but 0 after the cut, and 0 before it
+    tail, head = rows[1].copy(), rows[1].copy()
+    tail[-1], head[0] = 0, 0
+    for outside in (tail, head):
+        assert tuple(outside.tolist()) not in lookup
+        with pytest.raises(ValueError, match="not closed"):
+            e.hom_positions(np.stack([rows[0], outside]))
+    positions, found = e._hom_lookup(np.stack([tail, rows[1], head, rows[0]]))
+    assert found.tolist() == [False, True, False, True] and positions[[1, 3]].tolist() == [1, 0]
+    with pytest.raises(ValueError, match="duplicates"):
+        EndoTruss(g, np.concatenate([homs, homs[1:2]]))
+
+
 @pytest.mark.parametrize("spec", ["6", "2,4", "3,3"])
 def test_factored_tables_one_row_per_block_match_the_oracle(spec, monkeypatch):
     monkeypatch.setattr(trusskit.endo, "_QUERY_ENTRIES", 1)
@@ -443,4 +470,4 @@ def test_packed_row_ids_equal_renumbering_after_every_column(bound, cols):
         for code in (None, rng.integers(0, 5, count), np.arange(count)):
             ids = _row_ids(rows, bound, code)
             assert np.array_equal(ids, row_ids_by_column(rows, bound, code)), (count, code)
-        assert not count or _distinct_rows(rows, bound) == len({tuple(r) for r in rows.tolist()})
+        assert not count or int(_row_ids(rows, bound).max()) + 1 == len({tuple(r) for r in rows.tolist()})

@@ -55,10 +55,10 @@ from trusskit import (
     validate_induced_action,
     validate_module,
 )
-from trusskit.baer_kaplansky import conjugate_homs, verify_correspondence
+from trusskit.baer_kaplansky import conjugate_homs, conjugate_rows, verify_correspondence
 from trusskit.cli import main
-from trusskit.endo import _linear_isos
-from trusskit.groups import GroupHom, compose_homs, groups_isomorphic
+from trusskit.endo import _bijective_rows, _linear_isos
+from trusskit.groups import GroupHom, compose_homs, groups_isomorphic, hom_enumerate, matrix_images
 from trusskit.modules import equivalence_is_valid, module_homs
 from trusskit.rings import FiniteRing
 from trusskit.trusses import dense_tables
@@ -491,10 +491,10 @@ def test_cached_truss_does_not_bypass_the_carrier_cap():
             call()
 
 
-def _dual_numbers_module() -> RModule:
-    """F_2[x]/(x^2) acting on itself: a 4-element End(M) on Z/2 x Z/2, like
-    F_2 x F_2's, but not conjugate to it."""
-    ring = ring_by_callable(make_group([2, 2]), lambda a, b: (a[0] * b[0] % 2, (a[0] * b[1] + a[1] * b[0]) % 2), (1, 0))
+def _dual_numbers_module(p: int = 2) -> RModule:
+    """F_p[x]/(x^2) acting on itself: a p^2-element End(M) on Z/p x Z/p,
+    like F_p x F_p's, but not conjugate to it."""
+    ring = ring_by_callable(make_group([p, p]), lambda a, b: (a[0] * b[0] % p, (a[0] * b[1] + a[1] * b[0]) % p), (1, 0))
     return regular_module(ring)
 
 
@@ -518,6 +518,45 @@ def test_search_one_hom_per_block_agrees_with_the_default(monkeypatch):
     monkeypatch.setattr(trusskit.modules, "_HOM_CHUNK", 1)
     assert [_as_matrices(find_module_equivalence(m, n)) for m, n in pairs] == default
     assert None in default and default.count(None) < len(default)
+
+
+def _first_equivalence_one_mu_at_a_time(m, n):
+    """The search's oracle: (mu, the conjugates' matrices) of the first
+    bijective mu in `hom_enumerate` order whose conjugates `conjugate_homs`
+    places in E_R(N), trying one mu at a time, or None."""
+    g, h = m.group, n.group
+    source, target = build_linear_endo_truss(m), build_linear_endo_truss(n)
+    if not groups_isomorphic(g, h) or len(source.homs) != len(target.homs):
+        return None
+    for mat in hom_enumerate(g, h):
+        mu = matrix_images(mat[None], g, h)
+        if _bijective_rows(mu, h.cardinality)[0]:
+            try:
+                conj = conjugate_homs(source._apply, target, mu)[0]
+            except ValueError:
+                continue
+            return mat.tolist(), target.homs[conj].tolist()
+    return None
+
+
+@pytest.mark.parametrize("chunk", [None, 40])
+def test_search_of_a_block_of_mu_finds_the_first_hit_of_the_one_at_a_time_loop(chunk, monkeypatch):
+    # dual numbers over F_p against themselves (equivalent) and against
+    # F_p x F_p (not), and F_3 x F_3 against itself; a chunk of 40 entries
+    # splits Hom(M, N) into blocks of a few maps, and the bijective mu of a
+    # block into several lookups
+    fpxfp = {p: regular_module(make_product_ring(make_field_fp(p), make_field_fp(p))) for p in (2, 3, 5)}
+    pairs = [(_dual_numbers_module(p), other) for p in (2, 3, 5) for other in (_dual_numbers_module(p), fpxfp[p])]
+    pairs.append((fpxfp[3], fpxfp[3]))
+    if chunk is not None:
+        monkeypatch.setattr(trusskit.modules, "_HOM_CHUNK", chunk)
+    found = []
+    for m, n in pairs:
+        eq = find_module_equivalence(m, n)
+        got = eq and (np.array(eq.mu.matrix).tolist(), np.array([v.matrix for _, v in eq.rho_pairs]).tolist())
+        assert got == _first_equivalence_one_mu_at_a_time(m, n)
+        found.append(eq is not None)
+    assert found == [True, False] * 3 + [True]
 
 
 def test_search_evaluates_hom_one_block_at_a_time(monkeypatch):
@@ -732,7 +771,9 @@ def test_module_theorem_in_both_directions_on_the_shared_check(name):
     equivalences = list(all_equivalences(m, n))
     isos = np.concatenate([_translations(eq) for eq in equivalences])
     source, target = build_linear_endo_truss(m), build_linear_endo_truss(n)
-    assert verify_correspondence(source, target, isos, brute_force=True) == (True, expected)
+    roundtrip, count, first = verify_correspondence(source, target, isos, brute_force=True)
+    assert (roundtrip, count) == (True, expected)
+    assert np.array_equal(first, conjugate_rows(source, target, isos[:1])[0])
     assert len(isos) == len(equivalences) * n.group.cardinality == expected
 
 
@@ -742,4 +783,4 @@ def test_module_theorem_counts_no_truss_isomorphism_between_unequal_groups():
     source, target = build_linear_endo_truss(m), build_linear_endo_truss(n)
     assert source.size == target.size == 81
     isos = np.zeros((0, m.group.cardinality), dtype=np.int64)
-    assert verify_correspondence(source, target, isos, brute_force=True) == (True, 0)
+    assert verify_correspondence(source, target, isos, brute_force=True) == (True, 0, None)

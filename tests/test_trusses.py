@@ -547,23 +547,43 @@ def _one_entry_mutations(rows: np.ndarray, values) -> np.ndarray:
     return np.array(out)
 
 
+def _conjugations_in_the_family(s, t, isos: np.ndarray) -> np.ndarray:
+    """The conjugation rows of the heap isomorphisms `isos` whose conjugates
+    stay in t's hom family, one row at a time."""
+    F = []
+    for row in isos:
+        try:
+            F.append(conjugate_rows(s, t, row[None])[0])
+        except ValueError:
+            pass
+    return np.array(F)
+
+
 def _affine_case(name):
-    """(source, target, rows): the conjugation rows of the bk pair `name`,
-    or the rows x -> d*x of zn:6, with every one-entry change of each
-    (E(Z/2 x Z/4): three seeded wrong values per entry)."""
+    """(source, target, rows): the conjugation rows of the bk pair `name`
+    or of the heap isomorphisms of F_3 x F_3 that conjugate its linear
+    truss E_R onto itself, or the rows x -> d*x of zn:6, with every
+    one-entry change of each (three seeded wrong values per entry on
+    carriers above 64 elements)."""
     if name == "zn:6":
         t = ring_as_truss(make_ring_zn(6))
         M = t.mult_table
         return t, t, np.concatenate([M, _one_entry_mutations(M, lambda: range(t.size))])
-    g, h = (parse_group_spec(spec) for spec in name.split(" -> "))
-    s, t = build_endo_truss(g), build_endo_truss(h)
-    F = conjugate_rows(s, t, heap_isos(g, h))
+    if name == "E_R(fpxfp:3)":
+        f3 = make_field_fp(3)
+        s = t = build_linear_endo_truss(regular_module(make_product_ring(f3, f3)))
+        F = _conjugations_in_the_family(s, t, heap_isos(s.group, s.group))
+        assert len(F) == 72 and len(s.homs) == 9  # 8 equivalences, each with 9 translations
+    else:
+        g, h = (parse_group_spec(spec) for spec in name.split(" -> "))
+        s, t = build_endo_truss(g), build_endo_truss(h)
+        F = conjugate_rows(s, t, heap_isos(g, h))
     rng = random.Random(name)
     values = (lambda: rng.sample(range(t.size), 3)) if t.size > 64 else (lambda: range(t.size))
     return s, t, np.concatenate([F, _one_entry_mutations(F, values)])
 
 
-@pytest.mark.parametrize("name", ["2,2 -> 2,2", "6 -> 2,3", "2,4 -> 2,4", "zn:6"])
+@pytest.mark.parametrize("name", ["2,2 -> 2,2", "6 -> 2,3", "2,4 -> 2,4", "E_R(fpxfp:3)", "zn:6"])
 def test_affine_rows_is_affinity_on_every_pair_with_a_real_first_case(name):
     # blocks of 61 rows start at many offsets, so the first failing case
     # falls at many levels of the chain, and often at several at once; the

@@ -48,7 +48,8 @@ from .groups import (
     np_add_table,
     np_elements,
 )
-from .trusses import GeneratorChain, walk_chain
+from .heaps import walk_chain
+from .trusses import GeneratorChain
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,15 @@ Every carrier has one interface: `size`, `unit`, `zero` (the retract's base
 point), the retract's `plus` and `product` on index arrays,
 `retract_factors` (a block of carrier indices as coordinates in the factors
 of the retract, each with its addition table) and `generator_chain`
-(`walk_chain` on a retract's addition table), read from the dense tables of
-a FiniteTruss (one factor, the retract itself) or the factored ones of an
-endomorphism truss (`endo`: two factors, the homs and the group, and a
-chain that composes the walks on them). Along the chain `validate_truss`
-certifies the laws and `preserving_rows` a block of maps, both by one
-affinity check (`affine_rows`, one level of the chain at a time, on the
-decoded coordinates), and the enumerators extend maps.
+(`heaps.walk_chain` on a retract's addition table), read from the dense
+tables of a FiniteTruss (one factor, the retract itself) or the factored
+ones of an endomorphism truss (`endo`: two factors, the homs and the group,
+and a chain that composes the walks on them). The heap laws of an endomorphism
+truss are certified on its two factors' addition tables alone. Along the
+chain `validate_truss` certifies the other laws and `preserving_rows` a
+block of maps, both by one affinity check (`affine_rows`, one level of the
+chain at a time, on the decoded coordinates), and the enumerators extend
+maps.
 Morphisms preserve both operations; units need not map to units.
 """
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import TableFields, guard, int_table, json_int, json_ints, resolve_max_enum
-from .heaps import FiniteHeap, _heap_checks, group_ternary
+from .heaps import FiniteHeap, _heap_checks, group_heap_checks, group_ternary, is_abelian_group, walk_chain
 from .validation import Check, ValidationReport, first, law_check, multiadditive_check, sliced_scan
 
 
@@ -46,35 +48,6 @@ class GeneratorChain(NamedTuple):
     order: np.ndarray  # (n,)
     shifted: tuple[np.ndarray, ...]  # k arrays, sum_j |span_j| <= 2n entries in all
     products: np.ndarray  # (k + 1, k + 1) basis[a] * basis[b]
-
-
-def walk_chain(add: np.ndarray, zero: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """(basis, sizes, order, shifted) of the `GeneratorChain` of the abelian
-    group with addition table `add` (n x n) and zero `zero`, each s_j the
-    least index outside span_{j-1}. Per generator the multiples k*s_j are
-    read one lookup at a time up to the first in span_{j-1}, r_j*s_j, and
-    the cosets span_{j-1} + k*s_j for 0 < k <= r_j by one gather. ValueError
-    when the table is not a group's: no multiple among the first n lies in
-    the span, or s_j is not in its own coset."""
-    n = len(add)
-    in_span = np.zeros(n, dtype=bool)
-    in_span[zero] = True
-    basis, order, shifted = [zero], np.array([zero]), []
-    while not in_span.all():
-        s = int(np.argmin(in_span))
-        multiples = [s]
-        while not in_span[multiples[-1]]:
-            if len(multiples) == n:
-                raise ValueError("retract is not an abelian group: no multiple of a generator lies in the span")
-            multiples.append(int(add[multiples[-1], s]))
-        cosets = add[order, np.array(multiples)[:, None]]
-        in_span[cosets[:-1]] = True
-        if not in_span[s]:
-            raise ValueError("retract is not an abelian group: a generator is not in its own coset")
-        basis.append(s)
-        order = np.concatenate([order, cosets[:-1].ravel()])
-        shifted.append(cosets.ravel())
-    return np.array(basis), np.array([1] + [len(xs) for xs in shifted]), order, tuple(shifted)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,12 +134,21 @@ def unit_law(left: np.ndarray, right: np.ndarray) -> Check:
 def _factored_heap_checks(t, max_enum: int | None) -> tuple[Check, Check, Check]:
     """The heap laws of an endomorphism truss G x homs, on its factors: the
     ternary operation acts on each factor apart, so a law fails at a
-    carrier tuple iff it fails at its hom positions or at its elements. The
-    first carrier counterexample is the lesser of the factors' firsts, each
-    lifted with the other coordinate at index 0."""
+    carrier tuple iff it fails at its hom positions or at its elements. A
+    factor whose addition table is an abelian group's (`is_abelian_group`,
+    on the factor's n x n table alone) passes every law; only a factor that
+    fails it has its n^3 `group_ternary` table built, behind the guard, and
+    checked densely. The first carrier counterexample is the lesser of the
+    factors' firsts, each lifted with the other coordinate at index 0."""
     ft, m = t.factored_tables(max_enum), t._m
-    guard(len(ft.add) ** 3 + m**3, resolve_max_enum(max_enum), "heap tables of the factors of E({})", t.group)
-    homs, elems = _heap_checks(group_ternary(ft.add, t.zero // m)), _heap_checks(group_ternary(ft.gadd))
+    factors = [(ft.add, t.zero // m), (ft.gadd, 0)]
+    groups = [is_abelian_group(add, zero) for add, zero in factors]
+    tables = sum(len(add) ** 3 for (add, _), ok in zip(factors, groups) if not ok)
+    guard(tables, resolve_max_enum(max_enum), "heap tables of the factors of E({})", t.group)
+    homs, elems = (
+        group_heap_checks(len(add)) if ok else _heap_checks(group_ternary(add, zero))
+        for (add, zero), ok in zip(factors, groups)
+    )
     checks = []
     for hom, elem in zip(homs, elems):
         lifted = (hom.counterexample and tuple(h * m for h in hom.counterexample), elem.counterexample)
@@ -216,9 +198,11 @@ def validate_truss(t, max_enum: int | None = None) -> ValidationReport:
     associativity, two-sided distributivity and the unit law if any.
 
     Once the heap holds, each distributivity is `affine_rows` on the rows
-    x -> d*x (left) or x -> x*d (right), made by `product` about 2^18
-    entries at a time up to the first failing block; then the chain's
-    triples decide associativity, both sides being affine in each argument.
+    x -> d*x (left) or x -> x*d (right), made by `product` about 2^16
+    entries at a time up to the first failing block (small enough that
+    malloc reuses a block's temporaries for the next, where at 2^18 it
+    unmapped them and faulted them back in); then the chain's triples
+    decide associativity, both sides being affine in each argument.
     A failure is scanned from the certificate's first failing row (from 0
     if the heap fails), one n^3 slice per row, if the carrier holds its n^3
     table or n^3 fits the cap; else the certificate's case is reported."""
@@ -246,7 +230,7 @@ def validate_truss(t, max_enum: int | None = None) -> ValidationReport:
         if chain is None:
             ce = scan(0)
             return Check(law, ce is None, True, n**4, ce)
-        step = max(1, (1 << 18) // n)
+        step = max(1, (1 << 16) // n)
         for d in range(0, n, step):
             case = affine_rows(t, rows(idx[d : d + step, None]), chain, max_enum)[1]
             if case is not None:

@@ -35,8 +35,9 @@ class Check:
 
 
 def first(bad: np.ndarray, prefix: tuple[int, ...] = ()) -> tuple[int, ...]:
-    """`prefix` followed by the index of the first True cell of `bad`."""
-    return prefix + tuple(int(x) for x in np.argwhere(bad)[0])
+    """`prefix` followed by the index of the first True cell of `bad` in C
+    order, read off `argmax` with no array of every True cell."""
+    return prefix + tuple(int(x) for x in np.unravel_index(np.argmax(bad), bad.shape))
 
 
 def law_check(law: str, bad: np.ndarray, checked: int | None = None) -> Check:

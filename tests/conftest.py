@@ -40,7 +40,7 @@ from trusskit.groups import (
     hom_count,
     np_add_table,
 )
-from trusskit.heaps import _heap_checks
+from trusskit.heaps import _heap_checks, group_ternary
 from trusskit.modules import make_module, module_homs
 from trusskit.rings import make_ring
 from trusskit.trusses import GeneratorChain, TrussMorphism, dense_tables
@@ -654,6 +654,22 @@ def scan_distributivity(M: np.ndarray, T: np.ndarray, side: str, start: int = 0)
         if bad.any():
             return (d,) + tuple(int(x) for x in np.argwhere(bad)[0])
     return None
+
+
+def factored_heap_checks_by_dense(t) -> tuple[Check, Check, Check]:
+    """The heap checks of an endomorphism truss G x homs from the dense
+    heap tables of its two factors, `_heap_checks(group_ternary(...))` of
+    the family's `add` and of G's `gadd`: a law fails iff it fails in a
+    factor, first at the lesser of the factors' first counterexamples, each
+    lifted with the other coordinate at index 0."""
+    ft, m = t.factored_tables(10**9), t._m
+    homs, elems = _heap_checks(group_ternary(ft.add, t.zero // m)), _heap_checks(group_ternary(ft.gadd))
+    checks = []
+    for hom, elem in zip(homs, elems):
+        lifted = (hom.counterexample and tuple(h * m for h in hom.counterexample), elem.counterexample)
+        found = [ce for ce in lifted if ce]
+        checks.append(Check(hom.law, not found, True, hom.checked * elem.checked, min(found, default=None)))
+    return tuple(checks)
 
 
 def dense_truss_checks(t, max_enum: int | None = 10**9) -> tuple[Check, ...]:

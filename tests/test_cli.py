@@ -269,13 +269,13 @@ def test_bk_over_the_carrier_cap_is_refused_before_enumerating():
 
 
 def test_an_allocation_over_the_address_space_exits_3():
-    # the object caps admit the 1 GiB (512, 512, 512) heap table of E(Z/2 x
-    # Z/2 x Z/2)'s hom factor at this cap, but 300 MB cannot hold it: exit
-    # 3 with one error line naming the array, not exit 1 with a traceback
-    done = run_limited("validate", "--truss", "endo:2,2,2", "--max-enumeration", "1000000000")
+    # the object caps admit the (4096, 4096) factored tables of E(Z/2 x Z/2
+    # x Z/16) at this cap, but 300 MB cannot hold them: exit 3 with one
+    # error line naming the array, not exit 1 with a traceback
+    done = run_limited("bk", "2,2,16", "2,2,16", "--max-enumeration", "20000000")
     assert (done.returncode, done.stdout) == (3, ""), done.stderr
     assert [line[:6] for line in done.stderr.splitlines()] == ["error:"]
-    assert "out of memory: Unable to allocate" in done.stderr and "(512, 512, 512)" in done.stderr
+    assert "out of memory: Unable to allocate" in done.stderr and "(4096, 4096)" in done.stderr
 
 
 def test_ring_laws_fit_a_small_address_space():
@@ -293,14 +293,16 @@ def test_ring_laws_fit_a_small_address_space():
 
 
 def test_endomorphism_truss_laws_fit_a_small_address_space():
-    # E(Z/3 x Z/3) has 729 elements: its laws are certified on its factored
-    # tables and generator chain, so a cap that admits n^3 asks for no n^3
-    # array. E((Z/2)^3) has 4096 elements; the default cap refuses the heap
-    # tables of its factors.
-    done = run_limited("validate", "--truss", "endo:3,3", "--max-enumeration", "1000000000", "--json")
-    assert done.returncode == 0, done.stderr
-    results = json.loads(done.stdout)["results"]
-    assert len(results) == 7 and all(r["passed"] is True and r["exhaustive"] is True for r in results)
+    # E(Z/3 x Z/3) has 729 elements and E((Z/2)^3) 4096: their laws are
+    # certified on their factored tables and generator chains, so a cap that
+    # admits n^3 asks for no n^3 array, nor for the 512^3 heap table of
+    # E((Z/2)^3)'s hom factor. The default cap refuses E((Z/2)^3)'s n^2
+    # products.
+    for spec in ("endo:3,3", "endo:2,2,2"):
+        done = run_limited("validate", "--truss", spec, "--max-enumeration", "1000000000", "--json")
+        assert done.returncode == 0, done.stderr
+        results = json.loads(done.stdout)["results"]
+        assert len(results) == 7 and all(r["passed"] is True and r["exhaustive"] is True for r in results)
     done = run_limited("validate", "--truss", "endo:2,2,2")
     assert (done.returncode, done.stdout) == (3, ""), done.stderr
     assert [line[:6] for line in done.stderr.splitlines()] == ["error:"]
@@ -675,8 +677,8 @@ def test_validate_deeply_nested_json_is_an_input_error(flag, tmp_path, capsys):
     (["validate", "--truss", "zn:1000"], "heap table of Z/1000 would enumerate 1000000000 objects; cap is 1000000"),
     (["bk", "2,2,4", "2,2,4"], "factored tables of E(Z/2 x Z/2 x Z/4) would enumerate 1048576 objects; "
      "cap is 1000000"),
-    (["validate", "--truss", "endo:2,2,2"], "heap tables of the factors of E(Z/2 x Z/2 x Z/2) would enumerate "
-     "134218240 objects; cap is 1000000"),
+    (["validate", "--truss", "endo:2,2,2"], "products of a 4096-element truss would enumerate 16777216 objects; "
+     "cap is 1000000"),
     (["validate", "--heap", "from-group:2,2", "--max-enumeration", "63"],
      "heap table of Z/2 x Z/2 would enumerate 64 objects; cap is 63"),
     # a non-isomorphic pair sizes both trusses, g's first, before deciding by counting

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from conftest import retract_at, retract_iso, scan_heap_associativity, ternary
@@ -12,6 +14,9 @@ from trusskit import (
     parse_group_spec,
     validate_heap,
 )
+from trusskit.groups import np_add_table
+from trusskit.heaps import group_ternary, is_abelian_group, walk_chain
+from trusskit.validation import Check
 
 SMALL_GROUPS = [[2], [3], [4], [2, 2], [5], [6], [8], [2, 4]]
 
@@ -196,38 +201,70 @@ def test_heaps_from_groups_always_validate(orders):
 @pytest.mark.parametrize("spec", ["8", "2,4", "2,2,2"])
 def test_associativity_certificate_agrees_with_scan_on_every_mutation(spec):
     # every single-entry mutation of the heap table: the retract certificate
-    # must give the same verdict and counterexample as the n^5 scan
+    # must give the same verdict and counterexample as the n^5 scan, and
+    # Mal'cev and abelian (read off the retract once it certifies) the same
+    # as the dense compares
     h = heap_from_group(parse_group_spec(spec))
     n = h.size
+    idx = np.arange(n)
     base = h.ternary_table.flatten()
-    failures = 0
+    failures = dict.fromkeys(["associativity", "malcev", "abelian"], 0)
     for pos in range(base.size):
         for wrong in range(n):
             if wrong == base[pos]:
                 continue
             table = base.copy()
             table[pos] = wrong
+            T = table.reshape(n, n, n)
             report = validate_heap(FiniteHeap(n, tuple(table.tolist())))
             assoc = report.check("associativity")
-            expected = scan_heap_associativity(table.reshape(n, n, n))
+            expected = scan_heap_associativity(T)
             assert (assoc.passed, assoc.counterexample) == (expected is None, expected), pos
             assert assoc.exhaustive and assoc.checked == n**5
-            failures += not assoc.passed
-    assert failures > 0
+            dense = {
+                "malcev": (T[idx[:, None], idx[:, None], idx] != idx) | (T[idx, idx[:, None], idx[:, None]] != idx),
+                "abelian": T != T.transpose(2, 1, 0),
+            }
+            for law, bad in dense.items():
+                check = report.check(law)
+                expected = tuple(int(x) for x in np.argwhere(bad)[0]) if bad.any() else None
+                assert (check.passed, check.counterexample, check.checked) == (expected is None, expected, bad.size)
+            for law in failures:
+                failures[law] += not report.check(law).passed
+    assert all(failures.values()), failures
 
 
 def test_valid_and_associative_tables_need_no_scan(monkeypatch):
-    # the certificate alone passes every group heap, and a table that is
-    # associative but not Mal'cev; the n^5 scan is only for failing tables
-    def no_scan(T):
+    # the certificate alone passes every group heap, with no n^5 scan, no
+    # n^3 transposed compare and no ternary table built, and a table that is
+    # associative but not Mal'cev; the scan is only for failing tables
+    def no_scan(*args):
         raise AssertionError("scanned a table the certificate should pass")
 
+    heaps = [heap_from_group(parse_group_spec(spec)) for spec in ["", "2", "8", "2,4", "3,3", "2,2,2", "33"]]
     monkeypatch.setattr(trusskit.heaps, "_assoc_scan", no_scan)
-    for spec in ["", "2", "8", "2,4", "3,3", "2,2,2", "33"]:
-        assert validate_heap(heap_from_group(parse_group_spec(spec))).passed
     first = FiniteHeap(3, tuple(a for a in range(3) for _ in range(9)))  # [a,b,c] = a
     report = validate_heap(first)
     assert report.check("associativity").passed and not report.check("malcev").passed
+    monkeypatch.setattr(trusskit.heaps, "_abelian_check", no_scan)
+    monkeypatch.setattr(trusskit.heaps, "group_ternary", no_scan)
+    for h in heaps:
+        assert validate_heap(h).passed
+
+
+def test_a_non_abelian_group_is_certified_associative_and_not_abelian():
+    # the heap a b^-1 c of S_3: its retract, S_3 itself, certifies
+    # associativity, and is not commutative, so abelian falls to the dense
+    # compare for its first counterexample; S_3's table is no abelian group's
+    perms = list(itertools.permutations(range(3)))  # the identity first
+    mul = np.array([[perms.index(tuple(p[i] for i in q)) for q in perms] for p in perms])
+    T = group_ternary(mul)
+    report = validate_heap(FiniteHeap(6, T))
+    assert report.check("malcev").passed and report.check("associativity").passed
+    abelian = report.check("abelian")
+    assert abelian.counterexample == tuple(int(x) for x in np.argwhere(T != T.transpose(2, 1, 0))[0])
+    assert not is_abelian_group(mul, 0)
+    assert is_abelian_group(np_add_table(make_group([6])), 0)
 
 
 def test_non_associative_retract_is_not_certified():
@@ -240,3 +277,24 @@ def test_non_associative_retract_is_not_certified():
     assoc = report.check("associativity")
     assert not assoc.passed
     assert assoc.counterexample == scan_heap_associativity(T) == (0, 1, 0, 1, 2)
+
+
+def test_a_retract_whose_cosets_overlap_stops_the_walk_and_reports_every_law():
+    # A[x, y] = 0 if x == y else max(x, y), and [a,b,c] = A[a,c]: the chain
+    # walk meets an element twice at its second generator and raises, so
+    # `order` stays within the carrier (unchecked, it would double with
+    # each generator); Light's test then runs on every element, Mal'cev and
+    # associativity report what the dense compare and the scan report, and
+    # abelian (A is symmetric) passes on the transposed compare
+    n = 40
+    idx = np.arange(n)
+    A = np.where(idx[:, None] == idx, 0, np.maximum(idx[:, None], idx))
+    with pytest.raises(ValueError, match="cosets of a generator overlap"):
+        walk_chain(A, 0)
+    T = np.broadcast_to(A[:, None, :], (n, n, n))
+    report = validate_heap(FiniteHeap(n, T))
+    malcev = (T[idx[:, None], idx[:, None], idx] != idx) | (T[idx, idx[:, None], idx[:, None]] != idx)
+    assert report.check("malcev").counterexample == tuple(int(x) for x in np.argwhere(malcev)[0])
+    assert report.check("associativity").counterexample == scan_heap_associativity(T)
+    assert report.check("abelian") == Check("abelian", True, True, n**3)
+    assert [check.passed for check in report.checks] == [False, False, True]

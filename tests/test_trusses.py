@@ -7,6 +7,7 @@ from conftest import (
     as_objects,
     dense_preserves,
     dense_truss_checks,
+    factored_heap_checks_by_dense,
     identity_truss_morphism,
     is_truss_morphism,
     left_absorbers,
@@ -44,8 +45,9 @@ from trusskit import (
 )
 from trusskit.baer_kaplansky import conjugate_rows
 from trusskit.endo import EndoTruss
+from trusskit.heaps import walk_chain
 from trusskit.modules import build_linear_endo_truss
-from trusskit.trusses import TrussMorphism, affine_rows, preserving_rows, walk_chain
+from trusskit.trusses import TrussMorphism, affine_rows, preserving_rows
 
 # count of truss endomorphisms of E(Z/2) among all 4^4 maps, frozen from the
 # exhaustive oracle (re-derived below against the plain-loop checker)
@@ -309,15 +311,66 @@ def test_truss_certificates_agree_with_scans_on_every_mutation(spec):
 
 def test_valid_trusses_need_no_scan(monkeypatch):
     # on valid trusses the retract certificates alone pass the heap and both
-    # distributivity laws
+    # distributivity laws; E(G)'s heap laws build no ternary table, even
+    # E((Z/2)^3)'s at a cap that would admit its factors' 512^3 one
     def no_scan(*args):
         raise AssertionError("scanned a table the certificate should pass")
 
-    monkeypatch.setattr(trusskit.heaps, "_assoc_scan", no_scan)
-    monkeypatch.setattr(trusskit.trusses, "sliced_scan", no_scan)
-    for spec in ["endo:2", "endo:4", "endo:2,2", "zn:6", "fpxfp:2", "zn:9"]:
-        assert validate_truss(_truss_preset(spec)).passed, spec
-    assert validate_truss(build_endo_truss(parse_group_spec("3"))).passed
+    trusses = [_truss_preset(spec) for spec in ["endo:2", "endo:4", "endo:2,2", "zn:6", "fpxfp:2", "zn:9"]]
+    trusses.append(build_endo_truss(parse_group_spec("3")))
+    e = build_endo_truss(parse_group_spec("2,2,2"))
+    for module, name in [(trusskit.heaps, "_assoc_scan"), (trusskit.heaps, "_abelian_check"),
+                         (trusskit.heaps, "group_ternary"), (trusskit.trusses, "group_ternary"),
+                         (trusskit.trusses, "sliced_scan")]:
+        monkeypatch.setattr(module, name, no_scan)
+    for t in trusses:
+        assert validate_truss(t).passed, t
+    report = validate_truss(e, 10**9)
+    assert report.passed and report.exhaustive
+
+
+@pytest.mark.parametrize("spec", ["4", "2,2"])
+def test_factored_heap_certificate_agrees_with_the_factors_dense_tables_on_every_mutation(spec):
+    # every one-entry change of the family's add and of G's gadd: the checks
+    # certified on the n x n tables are those of the two factors' dense
+    # heap tables. A row left without a zero has no a - b + c table of n^3
+    # entries, and both raise alike.
+    base = build_endo_truss(parse_group_spec(spec))
+    ft = base.factored_tables()
+    e = EndoTruss(base.group, base.homs)
+    outcomes = set()
+    for name in ("add", "gadd"):
+        table = getattr(ft, name)
+        for pos, old in np.ndenumerate(table):
+            for new in range(len(table)):
+                if new == old:
+                    continue
+                changed = table.copy()
+                changed[pos] = new
+                e.__dict__["_factored_cache"] = ft._replace(**{name: changed})
+                try:
+                    expected = factored_heap_checks_by_dense(e)
+                except IndexError:
+                    with pytest.raises(IndexError):
+                        trusskit.trusses._factored_heap_checks(e, 10**9)
+                    outcomes.add("raised")
+                    continue
+                assert trusskit.trusses._factored_heap_checks(e, 10**9) == expected, (name, pos, new)
+                outcomes.add(tuple(c.passed for c in expected))
+    e.__dict__["_factored_cache"] = ft
+    assert trusskit.trusses._factored_heap_checks(e, 10**9) == factored_heap_checks_by_dense(e)
+    assert outcomes == {"raised", (False, False, False)}, outcomes
+
+
+def test_a_factor_that_fails_its_certificate_has_its_heap_table_guarded():
+    # E(Z/2 x Z/2) passes its heap laws on its factors' 16 x 16 and 4 x 4
+    # tables and is refused at its n^2 products; with one entry of the
+    # family's add changed, the 16^3 hom-factor heap table is refused first
+    e = build_endo_truss(parse_group_spec("2,2"))
+    with pytest.raises(BoundExceeded, match="^products of a 64-element truss"):
+        validate_truss(e, 1000)
+    with pytest.raises(BoundExceeded, match=r"^heap tables of the factors of E\(Z/2 x Z/2\) would enumerate 4096 "):
+        validate_truss(_broken_factor("2,2", "add", (1, 2), 0), 1000)
 
 
 @pytest.mark.parametrize("spec", ["", "1", "2", "3", "4", "5", "6", "8", "9", "2,2", "2,3", "12"])
@@ -348,7 +401,7 @@ def test_dense_preservation_certificate_agrees_with_dense(spec):
 @pytest.mark.parametrize("spec", ["zn:3", "endo:2"])
 def test_broken_dense_heaps_have_no_generator_chain(spec):
     # every one-entry change of the ternary table breaks a heap law, and
-    # the chain is refused with ValueError before its retract is walked
+    # the chain is refused with ValueError, which names the failed heap
     t = _truss_preset(spec)
     n = t.size
     tern = t.heap.ternary_table.flatten()
@@ -521,7 +574,8 @@ def _broken_factor(spec, name, pos, value):
 @pytest.mark.parametrize("spec,name,pos,value", [
     ("2", "gadd", (1, 1), 1),  # 1 + 1 = 1: no multiple of 1 is ever 0
     ("2", "add", (1, 1), 1),
-    ("3", "gadd", (0, 1), 2),  # 0 + 1 = 2: 1 is not in its own coset 0 + 1
+    ("3", "gadd", (0, 1), 2),  # 0 + 1 = 2 = 0 + 2: the cosets of 1 overlap
+    ("2,2", "gadd", (0, 1), 2),  # 0 + 1 = 2: 1 is not in its own coset 0 + 1
 ])
 def test_the_chain_walk_refuses_a_factor_that_is_not_a_group(spec, name, pos, value):
     e = _broken_factor(spec, name, pos, value)

@@ -11,7 +11,7 @@ their submodules.
 
 from .errors import BoundExceeded, InvalidEquivalence, NotAnIsomorphism, TrussKitError
 from .validation import Check, ValidationReport
-from .groups import AbGroup, GroupHom, decompose_abelian, make_group, parse_group_spec
+from .groups import AbGroup, GroupHom, make_group, parse_group_spec
 from .heaps import FiniteHeap, heap_from_group, validate_heap
 from .trusses import (
     FiniteTruss,

@@ -16,15 +16,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import ORDER_CAP, guard, resolve_max_enum
 
 Element = tuple[int, ...]
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -340,120 +338,33 @@ def additivity_failures(F: np.ndarray, add_src: np.ndarray, add_tgt: np.ndarray,
     return F[:, add_src[:, gens]] != add_tgt[F[:, :, None], F[:, None, gens]]
 
 
-@dataclass(frozen=True, eq=False)
-class AbelianPresentation:
-    """A coordinate chart for an abstractly given finite abelian group.
-
-    Built from a carrier plus an addition callable; `group` lists the cyclic
-    orders of a basis (elementary divisors, primes ascending and exponents
-    descending within each prime), and the two dicts translate between carrier
-    values and coordinate tuples.
-    """
-
-    group: AbGroup
-    basis: tuple
-    to_coords: dict
-    from_coords: dict
-
-
-def _p_group_type(sizes_by_power: list[int], p: int) -> list[int]:
-    # sizes_by_power[k] = #{x : p^k * x = 0}; recover the partition of exponents.
-    logs = []
-    for c in sizes_by_power:
-        e = 0
-        while p**e < c:
-            e += 1
-        if p**e != c:
-            raise ValueError("carrier is not a valid abelian p-group")
-        logs.append(e)
-    counts = [logs[k] - logs[k - 1] for k in range(1, len(logs))]
-    parts = []
-    for j in range(1, (counts[0] if counts else 0) + 1):
-        parts.append(sum(1 for s in counts if s >= j))
-    return sorted(parts, reverse=True)
-
-
-def decompose_abelian(
-    carrier: Sequence[T], add: Callable[[T, T], T], zero: T
-) -> AbelianPresentation:
-    """Find a cyclic-factor basis of a finite abelian group given as a table.
-
-    Works prime by prime: the shape of each p-component is read off the sizes
-    of the p^k-torsion layers, then a basis matching that shape is found by
-    backtracking over elements of the exact orders, checking independence by
-    span growth. Intended for the small carriers that arise as endomorphism
-    rings; cost is polynomial in |carrier| for fixed rank.
-    """
-    n = len(carrier)
-    order_of: dict[T, int] = {}
-    for x in carrier:
-        k, y = 1, x
-        while y != zero:
-            y = add(y, x)
-            k += 1
-            if k > n:
-                raise ValueError("addition table does not describe a group")
-        order_of[x] = k
-
-    basis: list[tuple[T, int]] = []
-    for p in sorted(_prime_factors(n)):
-        component = [x for x in carrier if _is_p_power(order_of[x], p)]
-        sizes = [1]
-        k = 1
-        while sizes[-1] < len(component):
-            # orders in a p-component are p-powers, so "divides p^k" is "<= p^k"
-            sizes.append(sum(1 for x in component if order_of[x] <= p**k))
-            k += 1
-            if k > 64:
-                raise ValueError("p-torsion layers do not stabilize")
-        shape = _p_group_type(sizes, p)
-        found = _find_p_basis(component, add, zero, order_of, p, shape)
-        if found is None:
-            raise ValueError("no basis found; carrier is not an abelian group")
-        basis.extend((b, p**e) for b, e in zip(found, shape))
-
-    span: dict[T, tuple[int, ...]] = {zero: ()}
-    for b, d in basis:
-        powers = [zero]
-        for _ in range(d - 1):
-            powers.append(add(powers[-1], b))
-        span = {
-            add(s, powers[t]): coords + (t,)
-            for s, coords in span.items()
-            for t in range(d)
-        }
-    if len(span) != n:
-        raise ValueError("basis span does not cover the carrier")
-    group = AbGroup(tuple(d for _, d in basis))
-    to_coords = {x: c for x, c in span.items()}
-    from_coords = {c: x for x, c in span.items()}
-    return AbelianPresentation(group, tuple(b for b, _ in basis), to_coords, from_coords)
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
-def _find_p_basis(component, add, zero, order_of, p, shape):
-    def extend(chosen, span):
-        slot = len(chosen)
-        if slot == len(shape):
-            return chosen
-        want = p ** shape[slot]
-        for cand in component:
-            if order_of[cand] != want:
-                continue
-            multiples = [zero]
-            for _ in range(want - 1):
-                multiples.append(add(multiples[-1], cand))
-            new_span = {add(s, m) for s in span for m in multiples}
-            if len(new_span) != len(span) * want:
-                continue
-            result = extend(chosen + [cand], new_span)
-            if result is not None:
-                return result
-        return None
-
-    return extend([], {zero})
+def cyclic_decomposition(add: np.ndarray, zero: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """(orders, elements) of the abelian group with index addition table
+    `add` and zero `zero`: the group is AbGroup(orders), in invariant-factor
+    form, with elements[i] its element of index i. Each generator is x - t:
+    x of the largest order r modulo the span S, read off repeated gathers of
+    `add`, and t in S with r*t = r*x, which exists as every earlier generator
+    was chosen the same way. So <x - t> meets S in 0, and its cosets extend
+    `elements` in one gather, as `heaps.walk_chain` builds its order; the
+    first generator is the fastest coordinate. ValueError when the cosets
+    overlap, as a group's never do."""
+    n, every = len(add), np.arange(len(add))
+    in_span = every == zero
+    orders, elements = [], np.array([zero])
+    while not in_span.all():
+        order, multiple = np.zeros(n, dtype=np.int64), every
+        for r in range(1, n + 1):
+            order[(order == 0) & in_span[multiple]] = r
+            if order.all():
+                break  # r is the largest order and multiple[x] = r*x
+            multiple = add[multiple, every]
+        coset = add[int(np.argmax(order)), elements]
+        powers = [zero, int(coset[np.argmax(multiple[coset] == zero)])]  # x - t is the y in x + S with r*y = 0
+        while len(powers) < r:
+            powers.append(int(add[powers[-1], powers[1]]))
+        elements = add[elements, np.array(powers)[:, None]].ravel()
+        in_span[elements] = True
+        if np.count_nonzero(in_span) != len(elements):
+            raise ValueError("table is not an abelian group's: the cosets of a generator overlap")
+        orders.append(r)
+    return tuple(reversed(orders)), elements

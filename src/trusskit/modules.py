@@ -15,8 +15,9 @@ They form a sub-truss E_R(M) of the endomorphism truss of the underlying
 group, built once per module by `build_linear_endo_truss` on End(M) =
 `module_homs(M, M)`, which filters Hom(M, N) on the action tables. Every
 question "is this hom in End(M)?" is answered by that truss's
-`hom_positions`, and `end_ring` reads the ring End(M) off its factored
-tables.
+`hom_positions`. `end_ring` reads the ring End(M) off its factored tables:
+the additive group, in invariant-factor form, is `groups.cyclic_decomposition`
+of the sum table, and the product is the composition table on that chart.
 
 Two modules over possibly different rings are equivalent over their
 endomorphism rings when some additive isomorphism mu conjugates one
@@ -65,7 +66,7 @@ from .groups import (
     AbGroup,
     Element,
     GroupHom,
-    decompose_abelian,
+    cyclic_decomposition,
     groups_isomorphic,
     hom_count,
     hom_enumerate,
@@ -268,16 +269,15 @@ class EndomorphismRing:
 
 def end_ring(m: RModule, max_enum: int | None = None) -> EndomorphismRing:
     """Package the action-commuting endomorphisms as a validated unital ring:
-    `decompose_abelian` runs over E_R(M)'s family positions with its factored
-    sum table, and the ring's table is its composition table relabelled."""
+    `cyclic_decomposition` of E_R(M)'s sum table at the zero hom gives the
+    additive group, in invariant-factor form, and each element's family
+    position; the product is the composition table on that chart."""
     e = build_linear_endo_truss(m, max_enum)
-    ft, family = e.factored_tables(max_enum), range(len(e.homs))
+    ft = e.factored_tables(max_enum)
     zero, one = e.decode([e.zero, e.unit])[0].tolist()
-    add = ft.add.tolist()
-    pres = decompose_abelian(family, lambda a, b: add[a][b], zero)
-    index = np.array([pres.group.index(pres.to_coords[a]) for a in family])  # ring element of each position
-    positions = np.argsort(index)  # family position of each ring element
-    ring = FiniteRing(pres.group, index[ft.compose[np.ix_(positions, positions)]], pres.to_coords[one])
+    orders, positions = cyclic_decomposition(ft.add, zero)  # family position of each ring element
+    group, index = AbGroup(orders), np.argsort(positions)  # ring element of each family position
+    ring = FiniteRing(group, index[ft.compose[np.ix_(positions, positions)]], group.element_at(int(index[one])))
     validate_ring(ring, max_enum).raise_on_failure("endomorphism ring failed validation")
     return EndomorphismRing(m, ring, _group_homs(e.homs[positions], m.group, m.group))
 

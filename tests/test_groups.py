@@ -4,7 +4,6 @@ from conftest import (
     as_objects,
     brute_force_group_iso_exists,
     brute_force_hom_count,
-    hom_add,
     hom_enumerate_by_loop,
     identity_hom,
     invert_hom,
@@ -13,10 +12,11 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trusskit import BoundExceeded, decompose_abelian, make_group, parse_group_spec
+from trusskit import BoundExceeded, make_group, parse_group_spec
 from trusskit.groups import (
     GroupHom,
     compose_homs,
+    cyclic_decomposition,
     group_to_json,
     groups_isomorphic,
     hom_count,
@@ -175,29 +175,43 @@ def test_group_json_roundtrip():
 @pytest.mark.parametrize("orders", [[6], [2, 4], [2, 2], [12], [2, 2, 3]])
 def test_decompose_abelian_recovers_structure(orders):
     g = make_group(orders)
-    carrier = list(g.elements())
-    pres = decompose_abelian(carrier, g.add, g.zero)
-    assert pres.group.cardinality == g.cardinality
-    assert groups_isomorphic(pres.group, g)
+    got, elements = cyclic_decomposition(np_add_table(g), 0)
+    pres = make_group(got)
+    assert pres.cardinality == g.cardinality
+    assert groups_isomorphic(pres, g)
     # the chart must be an additive bijection
-    assert len(pres.to_coords) == g.cardinality
-    for a in carrier:
-        for b in carrier:
-            lhs = pres.to_coords[g.add(a, b)]
-            rhs = pres.group.add(pres.to_coords[a], pres.to_coords[b])
-            assert lhs == rhs
-    for coords, elem in pres.from_coords.items():
-        assert pres.to_coords[elem] == coords
-
-
-def test_decompose_abelian_on_hom_group():
-    g = make_group([4])
-    homs = list(as_objects(hom_enumerate(g, g), g, g))
-    pres = decompose_abelian(homs, hom_add, zero_hom(g, g))
-    assert pres.group.orders == (4,)
+    assert sorted(elements.tolist()) == list(range(g.cardinality))
+    chart = np.argsort(elements)
+    assert (chart[np_add_table(g)] == np_add_table(pres)[chart[:, None], chart[None, :]]).all()
 
 
 orders_strategy = st.lists(st.integers(min_value=1, max_value=6), min_size=0, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(orders_strategy, st.integers(min_value=0, max_value=2**32 - 1))
+def test_cyclic_decomposition_charts_a_relabelled_table(orders, seed):
+    # g's addition table with its elements shuffled: perm[i] stands for g's element i
+    g = make_group(orders)
+    perm = np.random.default_rng(seed).permutation(g.cardinality)
+    add = np.empty_like(np_add_table(g))
+    add[perm[:, None], perm[None, :]] = perm[np_add_table(g)]
+    got, elements = cyclic_decomposition(add, int(perm[0]))
+    chart = np.argsort(elements)
+    assert got == invariant_factors(g).orders
+    assert sorted(elements.tolist()) == list(range(g.cardinality))
+    assert chart[perm[0]] == 0
+    assert (chart[add] == np_add_table(make_group(got))[chart[:, None], chart[None, :]]).all()
+
+
+def test_cyclic_decomposition_refuses_overlapping_cosets():
+    # x + x = 0 and x + y = max(x, y): every element has order 2, but the
+    # cosets of the second generator repeat it
+    n = 40
+    add = np.maximum.outer(np.arange(n), np.arange(n))
+    np.fill_diagonal(add, 0)
+    with pytest.raises(ValueError, match="overlap"):
+        cyclic_decomposition(add, 0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -58,9 +58,17 @@ from trusskit import (
 from trusskit.baer_kaplansky import conjugate_homs, conjugate_rows, verify_correspondence
 from trusskit.cli import main
 from trusskit.endo import _bijective_rows, _linear_isos
-from trusskit.groups import GroupHom, compose_homs, groups_isomorphic, hom_enumerate, matrix_images
+from trusskit.groups import (
+    GroupHom,
+    compose_homs,
+    groups_isomorphic,
+    hom_enumerate,
+    invariant_factors,
+    matrix_images,
+    np_add_table,
+)
 from trusskit.modules import equivalence_is_valid, module_homs
-from trusskit.rings import FiniteRing
+from trusskit.rings import FiniteRing, validate_ring
 from trusskit.trusses import dense_tables
 
 DATA = Path(__file__).parent / "data"
@@ -607,6 +615,41 @@ def test_end_ring_as_module_matches_the_callable_oracle(name):
     m = er.as_module()
     index = er.ring.additive.index
     assert tuple(m.action_table.ravel().tolist()) == module_table(er.ring, m.group, lambda u, x: er.homs_by_index[index(u)](x))
+
+
+@pytest.mark.parametrize("name", [*sorted(MODULES), "zn:12", "zn:720"])
+def test_end_ring_is_a_validated_ring_in_invariant_factor_form(name):
+    # zn:720's End is Z/720, whose primes 2, 3 and 5 each appear to a different power
+    m = MODULES[name] if name in MODULES else module_zn(int(name[3:]))
+    er = end_ring(m)
+    assert er.ring.additive == invariant_factors(er.ring.additive)
+    assert validate_ring(er.ring).passed
+    assert validate_module(er.as_module()).passed
+
+
+@pytest.mark.parametrize("left,right", EQUIVALENT_PAIRS, ids=[f"{a}|{b}" for a, b in EQUIVALENT_PAIRS])
+def test_equivalence_is_a_ring_isomorphism_of_end_rings_carrying_one_action_onto_the_other(left, right):
+    # the module theorem read through end_ring: rho, charted on both end
+    # rings, is a ring isomorphism, and mu(u.x) = rho(u).mu(x); fx0:3|0xf:3
+    # are the two ideals of example_non_iso(3)
+    m, n = MODULES[left], MODULES[right]
+    eq = find_module_equivalence(m, n)
+    em, en = end_ring(m), end_ring(n)
+    where = {v.matrix: j for j, v in enumerate(en.homs_by_index)}
+    rho = np.array([where[eq.rho_of(u).matrix] for u in em.homs_by_index])
+    assert sorted(rho.tolist()) == list(range(en.ring.size))
+    add_m, add_n = np_add_table(em.ring.additive), np_add_table(en.ring.additive)
+    assert (rho[add_m] == add_n[rho[:, None], rho[None, :]]).all()
+    assert (rho[em.ring.mult_table] == en.ring.mult_table[rho[:, None], rho[None, :]]).all()
+    assert rho[em.ring.additive.index(em.ring.one)] == en.ring.additive.index(en.ring.one)
+    mu = matrix_images(np.array([eq.mu.matrix]), m.group, n.group)[0]
+    assert (mu[em.as_module().action_table] == en.as_module().action_table[rho[:, None], mu[None, :]]).all()
+
+
+def test_end_rings_of_f2xf2_and_of_z2sq_over_f2_differ_in_size():
+    m, n = MODULES["fpxfp:2"], MODULES["z2sq-over-f2"]
+    assert (end_ring(m).ring.size, end_ring(n).ring.size) == (4, 16)
+    assert find_module_equivalence(m, n) is None
 
 
 def ring_mutations(ring: FiniteRing):

@@ -10,7 +10,7 @@ PUBLIC = [
     "AbGroup", "BoundExceeded", "Check", "EndoTruss", "EndomorphismRing", "FiniteHeap", "FiniteTruss",
     "GroupHom", "HeapMorphism", "InvalidEquivalence", "ModuleEquivalence", "NotAnIsomorphism", "RModule",
     "TrussKitError", "TrussMorphism", "ValidationReport", "build_endo_truss", "build_linear_endo_truss",
-    "check_inner_structure", "coordinate_module", "decompose_abelian", "end_ring", "enumerate_truss_isos",
+    "check_inner_structure", "coordinate_module", "end_ring", "enumerate_truss_isos",
     "enumerate_truss_morphisms", "equivalence_from_truss_iso", "example_non_iso", "find_module_equivalence",
     "heap_from_group", "heap_iso_from_truss_iso", "heap_isos", "induced_action", "make_field_fp", "make_group",
     "make_product_ring", "make_ring_zn", "module_zn", "parse_group_spec", "regular_module", "ring_as_truss",

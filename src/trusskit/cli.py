@@ -7,11 +7,10 @@ conjugation is not a truss isomorphism, as one `error:` line; 2 input or
 parse error; 3 an enumeration bound was exceeded, or an array the bounds
 admitted did not fit in memory (reported as one `error: out of memory: ...`
 line naming the allocation). Bounds default to 10**6 enumerated objects per
-call and follow --max-enumeration or the TRUSSKIT_MAX_ENUM environment
-variable. JSON output is byte-deterministic for fixed inputs; elapsed time is
-only shown in the human-readable form. When stdout is closed before the report
-is written (`trusskit ... | head -1`), the status is still the findings' own,
-0 or 1, and no traceback is printed.
+call and follow --max-enumeration. JSON output is byte-deterministic for fixed
+inputs; elapsed time is only shown in the human-readable form. When stdout is
+closed before the report is written (`trusskit ... | head -1`), the status is
+still the findings' own, 0 or 1, and no traceback is printed.
 
 `main(argv)` may be called repeatedly in one process: the argument parser is
 built on the first call and reused, and nothing else is kept between calls.
@@ -348,8 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="cap on enumerated objects per call (default 10^6; "
-        "env TRUSSKIT_MAX_ENUM)",
+        help="cap on enumerated objects per call (default 10^6)",
     )
     common.add_argument("--json", action="store_true", help="emit a JSON report")
 
@@ -397,16 +395,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    max_enum = args.max_enumeration
-    if max_enum is None:
-        env = os.environ.get("TRUSSKIT_MAX_ENUM")
-        if env is not None:
-            try:
-                max_enum = int(env)
-            except ValueError:
-                print(f"error: TRUSSKIT_MAX_ENUM={env!r} is not an integer", file=sys.stderr)
-                return 2
-
     handlers = {
         "validate": cmd_validate,
         "bk": cmd_bk,
@@ -415,7 +403,7 @@ def main(argv=None) -> int:
     }
     start = time.perf_counter()
     try:
-        report = handlers[args.command](args, max_enum)
+        report = handlers[args.command](args, args.max_enumeration)
     except BoundExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

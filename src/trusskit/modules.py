@@ -13,7 +13,8 @@ The heap morphisms whose linear part commutes with the action are exactly
 the maps respecting every one of those deformed module structures at once.
 They form a sub-truss E_R(M) of the endomorphism truss of the underlying
 group, built once per module by `build_linear_endo_truss` on End(M) =
-`module_homs(M, M)`, which filters Hom(M, N) on the action tables. Every
+`module_homs(M, M)`, which filters Hom(M, N) on the action tables (on the
+ring's generator rows when both actions are additive in the ring). Every
 question "is this hom in End(M)?" is answered by that truss's
 `hom_positions`. `end_ring` reads the ring End(M) off its factored tables:
 the additive group, in invariant-factor form, is `groups.cyclic_decomposition`
@@ -54,6 +55,7 @@ from .baer_kaplansky import (
 )
 from .endo import EndoTruss, HeapMorphism, _bijective_rows
 from .errors import (
+    BoundExceeded,
     InvalidEquivalence,
     NotAnIsomorphism,
     TableFields,
@@ -223,14 +225,27 @@ def validate_induced_action(m: RModule, e: Element, max_enum: int | None = None)
 _HOM_CHUNK = 1 << 20
 
 
+def _additive_in_ring(m: RModule, max_enum: int | None) -> bool:
+    """Whether m's module report passes `additive-in-ring`; not when the caps refuse the report."""
+    try:
+        return report_once(m, validate_module, max_enum).check("additive-in-ring").passed
+    except BoundExceeded:
+        return False
+
+
 def module_homs(m: RModule, n: RModule, max_enum: int | None = None) -> np.ndarray:
     """All additive maps commuting with the ring action (same ring required),
     as the sub-stack of `hom_enumerate`'s matrices whose image table F has
-    F[act_M[r, x]] = act_N[r, F[x]], filtered a chunk of homs at a time."""
+    F[act_M[r, x]] = act_N[r, F[x]], filtered a chunk of homs at a time. When
+    both actions are additive in r, so is F(r.x) - r.F(x), and only the rows
+    of the ring's generators are compared; otherwise every row is."""
     if m.ring != n.ring:
         raise ValueError("modules must share the acting ring")
     homs = hom_enumerate(m.group, n.group, max_enum)
-    act_m, act_n = m.action_table, n.action_table
+    rows = slice(None)
+    if _additive_in_ring(m, max_enum) and _additive_in_ring(n, max_enum):
+        rows = generator_columns(m.ring.additive)
+    act_m, act_n = m.action_table[rows], n.action_table[rows]
     rn, mn = act_m.shape
     step = max(1, _HOM_CHUNK // (mn * max(rn, m.group.rank * n.group.rank)))
     kept = np.zeros(len(homs), dtype=bool)

@@ -25,12 +25,11 @@ from trusskit import (
     TrussKitError,
     ValidationReport,
     build_endo_truss,
-    heap_isos,
     induced_action,
     validate_heap,
 )
 from trusskit.baer_kaplansky import verify_correspondence
-from trusskit.endo import EndoTruss
+from trusskit.endo import EndoTruss, heap_isos
 from trusskit.errors import guard, resolve_max_enum
 from trusskit.groups import (
     Element,

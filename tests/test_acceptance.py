@@ -32,12 +32,9 @@ from trusskit import (
     coordinate_module,
     enumerate_truss_isos,
     enumerate_truss_morphisms,
-    equivalence_from_truss_iso,
     example_non_iso,
     find_module_equivalence,
     heap_from_group,
-    heap_isos,
-    heap_iso_from_truss_iso,
     induced_action,
     make_field_fp,
     make_group,
@@ -46,15 +43,20 @@ from trusskit import (
     module_zn,
     regular_module,
     ring_as_truss,
-    truss_iso_from_equivalence,
-    truss_iso_from_heap_iso,
     truss_morphism_preserves,
     validate_heap,
     validate_module,
     validate_truss,
 )
+from trusskit.baer_kaplansky import heap_iso_from_truss_iso, truss_iso_from_heap_iso
+from trusskit.endo import heap_isos
 from trusskit.groups import compose_homs, groups_isomorphic
-from trusskit.modules import equivalence_is_valid, module_homs
+from trusskit.modules import (
+    equivalence_from_truss_iso,
+    equivalence_is_valid,
+    module_homs,
+    truss_iso_from_equivalence,
+)
 
 GROUP_ORDERS = [(2,), (3,), (4,), (2, 2), (5,), (6,)]
 GROUPS = [make_group(o) for o in GROUP_ORDERS]

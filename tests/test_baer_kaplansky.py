@@ -25,18 +25,20 @@ from trusskit import (
     BoundExceeded,
     NotAnIsomorphism,
     build_endo_truss,
-    check_inner_structure,
     enumerate_truss_isos,
     enumerate_truss_morphisms,
-    heap_iso_from_truss_iso,
-    heap_isos,
     make_group,
     parse_group_spec,
-    truss_iso_from_heap_iso,
     verify_baer_kaplansky,
 )
-from trusskit.baer_kaplansky import BKVerification
+from trusskit.baer_kaplansky import (
+    BKVerification,
+    check_inner_structure,
+    heap_iso_from_truss_iso,
+    truss_iso_from_heap_iso,
+)
 from trusskit.cli import main
+from trusskit.endo import heap_isos
 from trusskit.groups import groups_isomorphic, hom_enumerate
 from trusskit.modules import build_linear_endo_truss, regular_module
 from trusskit.rings import make_field_fp, make_product_ring
@@ -393,7 +395,8 @@ def test_morphisms_of_dense_trusses_are_refused():
     # correspondence reads the factored tables of endomorphism trusses
     from conftest import to_finite_truss
 
-    from trusskit import equivalence_from_truss_iso, module_zn
+    from trusskit import module_zn
+    from trusskit.modules import equivalence_from_truss_iso
 
     dense = to_finite_truss(E2)
     phi = enumerate_truss_isos(dense, dense)[0]

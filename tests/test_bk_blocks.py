@@ -19,9 +19,10 @@ from conftest import (
 )
 
 import trusskit.baer_kaplansky as bk
-from trusskit import NotAnIsomorphism, build_endo_truss, heap_isos, parse_group_spec, verify_baer_kaplansky
+from trusskit import NotAnIsomorphism, build_endo_truss, parse_group_spec, verify_baer_kaplansky
 from trusskit.baer_kaplansky import conjugate_rows, extract_rows, heap_iso_from_truss_iso
 from trusskit.cli import main
+from trusskit.endo import heap_isos
 from trusskit.groups import aut_count
 from trusskit.trusses import TrussMorphism, preserving_rows, truss_morphism_preserves
 

@@ -35,11 +35,10 @@ from trusskit import (
     EndoTruss,
     HeapMorphism,
     build_endo_truss,
-    heap_isos,
     make_group,
     parse_group_spec,
 )
-from trusskit.endo import _bijective_rows, _row_ids
+from trusskit.endo import _bijective_rows, _row_ids, heap_isos
 from trusskit.groups import (
     GroupHom,
     aut_count,

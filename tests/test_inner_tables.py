@@ -17,15 +17,16 @@ from trusskit import (
     BoundExceeded,
     NotAnIsomorphism,
     build_endo_truss,
-    check_inner_structure,
     enumerate_truss_morphisms,
-    heap_iso_from_truss_iso,
-    heap_isos,
     parse_group_spec,
+)
+from trusskit.baer_kaplansky import (
+    check_inner_structure,
+    conjugate_homs,
+    heap_iso_from_truss_iso,
     truss_iso_from_heap_iso,
 )
-from trusskit.baer_kaplansky import conjugate_homs
-from trusskit.endo import EndoTruss, _linear_isos
+from trusskit.endo import EndoTruss, _linear_isos, heap_isos
 from trusskit.trusses import TrussMorphism
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))

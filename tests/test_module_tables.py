@@ -30,6 +30,7 @@ from conftest import (
 import trusskit.cli
 import trusskit.modules
 from trusskit import (
+    BoundExceeded,
     FiniteHeap,
     FiniteTruss,
     InvalidEquivalence,
@@ -40,7 +41,6 @@ from trusskit import (
     build_linear_endo_truss,
     coordinate_module,
     end_ring,
-    equivalence_from_truss_iso,
     example_non_iso,
     find_module_equivalence,
     heap_from_group,
@@ -51,7 +51,6 @@ from trusskit import (
     module_zn,
     regular_module,
     ring_as_truss,
-    truss_iso_from_equivalence,
     validate_induced_action,
     validate_module,
 )
@@ -67,7 +66,12 @@ from trusskit.groups import (
     matrix_images,
     np_add_table,
 )
-from trusskit.modules import equivalence_is_valid, module_homs
+from trusskit.modules import (
+    equivalence_from_truss_iso,
+    equivalence_is_valid,
+    module_homs,
+    truss_iso_from_equivalence,
+)
 from trusskit.rings import FiniteRing, validate_ring
 from trusskit.trusses import dense_tables
 
@@ -145,6 +149,50 @@ def test_module_homs_agree_with_loop_one_hom_per_chunk(monkeypatch, left, right)
     monkeypatch.setattr(trusskit.modules, "_HOM_CHUNK", 1)
     m, n = MODULES[left], MODULES[right]
     assert module_homs(m, n).tolist() == _matrices(module_homs_by_loop(m, n))
+
+
+def _ring_additive_action(ring: FiniteRing, k: int, value) -> RModule:
+    """The unvalidated action r.x = r * value(x) of the ring Z/n on Z/k, k
+    dividing n: additive in the ring element whatever `value` is, so
+    `module_homs` compares only the ring's generator rows against it."""
+    return RModule(ring, make_group([k]), [(r * value(x)) % k for r in range(ring.size) for x in range(k)])
+
+
+# (n, k, value, orders): an action r.x = r * value(x) of Z/n on Z/k that
+# breaks another law (the zero action is not unital; x -> x^2 is neither
+# unital nor additive in x), checked against Z/n acting on `orders` by
+# scalars and on itself, over the same ring
+RING_ADDITIVE_ONLY = {
+    "zero-z2-on-z2": (2, 2, lambda x: 0, [2, 2]),
+    "zero-z4-on-z2": (4, 2, lambda x: 0, [2]),
+    "square-z4-on-z4": (4, 4, lambda x: x * x, [2, 4]),
+    "square-z3-on-z3": (3, 3, lambda x: x * x, [3, 3]),
+}
+
+
+@pytest.mark.parametrize("name", list(RING_ADDITIVE_ONLY))
+def test_module_homs_agree_with_loop_on_actions_additive_only_in_the_ring(name):
+    n, k, value, orders = RING_ADDITIVE_ONLY[name]
+    valid = _scalar_module(n, orders)
+    bad = _ring_additive_action(valid.ring, k, value)
+    report = validate_module(bad)
+    assert report.check("additive-in-ring").passed and not report.passed
+    for other in (bad, valid, regular_module(valid.ring)):
+        for s, t in ((bad, other), (other, bad)):
+            assert module_homs(s, t).tolist() == _matrices(module_homs_by_loop(s, t))
+
+
+def test_module_homs_filter_every_row_when_the_cap_refuses_the_report():
+    # Z/12 on itself with 5.1 moved: not additive in the ring element, and at a
+    # cap of 100 its report (on a 144-entry addition table) is refused
+    good = module_zn(12)
+    table = good.action_table.copy()
+    table[5, 1] = 0
+    bad = RModule(good.ring, good.group, table)
+    with pytest.raises(BoundExceeded):
+        validate_module(bad, 100)
+    for s, t in ((bad, good), (good, bad), (bad, bad)):
+        assert module_homs(s, t, 100).tolist() == _matrices(module_homs_by_loop(s, t))
 
 
 @pytest.mark.parametrize("name", ["zn:4", "fpxfp:2", "fx0:3"])

@@ -25,7 +25,6 @@ from trusskit import (
     coordinate_module,
     end_ring,
     enumerate_truss_isos,
-    equivalence_from_truss_iso,
     example_non_iso,
     find_module_equivalence,
     induced_action,
@@ -35,14 +34,18 @@ from trusskit import (
     make_ring_zn,
     module_zn,
     regular_module,
-    truss_iso_from_equivalence,
     validate_induced_action,
     validate_module,
     validate_truss,
 )
 from trusskit.cli import main
 from trusskit.groups import groups_isomorphic
-from trusskit.modules import equivalence_is_valid, module_homs
+from trusskit.modules import (
+    equivalence_from_truss_iso,
+    equivalence_is_valid,
+    module_homs,
+    truss_iso_from_equivalence,
+)
 
 F2 = make_field_fp(2)
 R22 = make_product_ring(F2, F2)

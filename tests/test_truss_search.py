@@ -26,7 +26,6 @@ from trusskit import (
     coordinate_module,
     enumerate_truss_isos,
     enumerate_truss_morphisms,
-    heap_isos,
     make_field_fp,
     make_group,
     make_product_ring,
@@ -34,10 +33,11 @@ from trusskit import (
     module_zn,
     parse_group_spec,
     ring_as_truss,
-    truss_iso_from_heap_iso,
     truss_morphism_preserves,
 )
+from trusskit.baer_kaplansky import truss_iso_from_heap_iso
 from trusskit.cli import main
+from trusskit.endo import heap_isos
 from trusskit.trusses import _affine_search
 
 

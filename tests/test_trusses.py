@@ -30,7 +30,6 @@ from trusskit import (
     enumerate_truss_isos,
     enumerate_truss_morphisms,
     example_non_iso,
-    heap_isos,
     make_field_fp,
     make_group,
     make_product_ring,
@@ -39,12 +38,11 @@ from trusskit import (
     parse_group_spec,
     regular_module,
     ring_as_truss,
-    truss_iso_from_heap_iso,
     truss_morphism_preserves,
     validate_truss,
 )
-from trusskit.baer_kaplansky import conjugate_rows
-from trusskit.endo import EndoTruss
+from trusskit.baer_kaplansky import conjugate_rows, truss_iso_from_heap_iso
+from trusskit.endo import EndoTruss, heap_isos
 from trusskit.heaps import walk_chain
 from trusskit.modules import build_linear_endo_truss
 from trusskit.trusses import TrussMorphism, affine_rows, preserving_rows
